@@ -306,8 +306,14 @@ void FlushStoreStats(const SetStores& stores, CubeStats* stats);
 /// Builds the result relation from flat stores — the only place packed
 /// keys are decoded back to Values. Mirrors AssembleResult (ALL/NULL
 /// marking, decorations, GROUPING columns, empty-grouping-set fix-up).
+/// Rows come out in store order, or with `ordered` sorted on the grouping
+/// columns: by the Value order of the key tuple (NULL, then ALL, then
+/// concrete values), ties in grouping-set order, then store order — the
+/// order a stable SortTable of the store-order result produces, obtained by
+/// sorting packed dictionary-code ranks instead of Values.
 Result<Table> AssembleColumnarResult(const ColumnarContext& cc,
-                                     SetStores& stores, CubeStats* stats);
+                                     const SetStores& stores, bool ordered,
+                                     CubeStats* stats);
 
 }  // namespace cube_internal
 }  // namespace datacube

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "datacube/cube/columnar.h"
@@ -575,24 +576,147 @@ Result<SetStores> ColumnarArrayCube(const ColumnarContext& cc,
 // ColumnarParallel — the morsel-driven scan / radix-partitioned merge /
 // parallel lattice cascade — lives in parallel_columnar.cc.
 
+namespace {
+
+// Value::Compare of two dictionary entries as a result column of `type`
+// will hold them: a float64 column widens int64 keys, so distinct entries
+// (2^53 and 2^53 + 1) can read back equal.
+int CompareAsStored(const Value& a, const Value& b, DataType type) {
+  if (type == DataType::kFloat64 && a.is_numeric() && b.is_numeric() &&
+      (a.kind() == Value::Kind::kInt64 || b.kind() == Value::Kind::kInt64)) {
+    return Value::Float64(a.AsDouble()).Compare(Value::Float64(b.AsDouble()));
+  }
+  return a.Compare(b);
+}
+
+// Rank of every code of grouping column `k` in the Value order of the
+// result column: NULL (code 1) first, then ALL (code 0), then the concrete
+// values. Entries that read back equal share a rank. Costs one pass over
+// the dictionary — a fresh codec already assigns codes in Value order —
+// plus a sort when a maintained codec appended codes out of order.
+std::vector<uint32_t> RankCodes(const KeyCodec& codec, size_t k,
+                                DataType type) {
+  const std::vector<Value>& dict = codec.dictionary(k);
+  auto less = [&](uint32_t a, uint32_t b) {
+    return CompareAsStored(dict[a], dict[b], type) < 0;
+  };
+  std::vector<uint32_t> order(dict.size());
+  std::iota(order.begin(), order.end(), 0);
+  if (!std::is_sorted(order.begin(), order.end(), less)) {
+    std::stable_sort(order.begin(), order.end(), less);
+  }
+  std::vector<uint32_t> rank(dict.size() + 2);
+  rank[KeyCodec::kNullCode] = 0;
+  rank[KeyCodec::kAllCode] = 1;
+  uint32_t next = 1;
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (i == 0 || less(order[i - 1], order[i])) ++next;
+    rank[order[i] + 2] = next;
+  }
+  return rank;
+}
+
+struct CellRef {
+  const uint64_t* key;
+  const char* block;
+  size_t set;  // index into ctx.sets
+};
+
+// Permutation of `cells` (given in store order) that sorts them on the
+// grouping columns exactly as a stable SortTable of the store-order result
+// would: by rank tuple, ties keeping store order — which is grouping-set
+// order first. The rank tuple and the store position pack into one
+// uint64_t when they fit, so the sort compares integers; wider keys fall
+// back to comparing rank tuples.
+std::vector<size_t> KeyOrder(const ColumnarContext& cc,
+                             const std::vector<CellRef>& cells) {
+  const CubeContext& ctx = *cc.ctx;
+  const size_t num_keys = ctx.num_keys;
+  const uint32_t away_rank =
+      ctx.spec->all_mode == AllMode::kAllToken ? 1 : 0;  // ALL or NULL
+  std::vector<std::vector<uint32_t>> ranks(num_keys);
+  std::vector<int> bits(num_keys);
+  int rank_bits = 0;
+  for (size_t k = 0; k < num_keys; ++k) {
+    ranks[k] = RankCodes(cc.codec, k, ctx.key_types[k]);
+    uint32_t max_rank = *std::max_element(ranks[k].begin(), ranks[k].end());
+    bits[k] = std::bit_width(max_rank);
+    rank_bits += bits[k];
+  }
+  auto rank_of = [&](const CellRef& cell, size_t k) -> uint32_t {
+    if (!IsGrouped(ctx.sets[cell.set], k)) return away_rank;
+    return ranks[k][cc.codec.CodeAt(cell.key, k)];
+  };
+
+  const size_t n = cells.size();
+  std::vector<size_t> order(n);
+  const int seq_bits = n == 0 ? 0 : std::bit_width(n - 1);
+  if (rank_bits + seq_bits <= 64) {
+    std::vector<uint64_t> packed(n);
+    for (size_t i = 0; i < n; ++i) {
+      uint64_t r = 0;
+      for (size_t k = 0; k < num_keys; ++k) {
+        r = (r << bits[k]) | rank_of(cells[i], k);
+      }
+      packed[i] = (r << seq_bits) | i;
+    }
+    std::sort(packed.begin(), packed.end());
+    const uint64_t seq_mask =
+        seq_bits == 0 ? 0 : (~uint64_t{0} >> (64 - seq_bits));
+    for (size_t i = 0; i < n; ++i) order[i] = packed[i] & seq_mask;
+    return order;
+  }
+  std::vector<uint32_t> tuples(n * num_keys);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t k = 0; k < num_keys; ++k) {
+      tuples[i * num_keys + k] = rank_of(cells[i], k);
+    }
+  }
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return std::lexicographical_compare(
+        tuples.begin() + a * num_keys, tuples.begin() + (a + 1) * num_keys,
+        tuples.begin() + b * num_keys, tuples.begin() + (b + 1) * num_keys);
+  });
+  return order;
+}
+
+}  // namespace
+
 // Assembles the result relation from per-set flat stores — the only place
-// packed keys are decoded back to Values. Mirrors AssembleResult in
-// cube_operator.cc row for row.
+// packed keys are decoded back to Values. Cells are gathered in store
+// order, optionally permuted into grouping-key order, and appended straight
+// into the result's columns.
 Result<Table> AssembleColumnarResult(const ColumnarContext& cc,
-                                     SetStores& stores, CubeStats* stats) {
+                                     const SetStores& stores, bool ordered,
+                                     CubeStats* stats) {
   const CubeContext& ctx = *cc.ctx;
   const CubeSpec& spec = *ctx.spec;
 
+  std::vector<CellRef> cells;
+  size_t total_cells = 0;
+  for (const CellStore& m : stores) total_cells += m.size();
+  cells.reserve(total_cells + 1);
   // SQL semantics: the empty grouping set produces exactly one row even for
-  // empty input (the aggregate over the empty set).
+  // empty input (the aggregate over the empty set) — a fresh cell here.
   std::vector<uint64_t> zero_key(cc.words, 0);
+  CellStore empty_cells = cc.MakeStore();
   for (size_t s = 0; s < ctx.sets.size(); ++s) {
     if (ctx.sets[s] == 0 && stores[s].size() == 0) {
-      stores[s].FindOrInsert(zero_key.data());
+      char* block = empty_cells.FindOrInsert(zero_key.data());
+      cells.push_back(CellRef{zero_key.data(), block, s});
+      continue;
     }
+    stores[s].ForEach([&](const uint64_t* key, char* block) {
+      cells.push_back(CellRef{key, block, s});
+    });
   }
+  const size_t n = cells.size();
+  if (stats != nullptr) stats->output_cells = n;
+  std::vector<size_t> order;
+  if (ordered) order = KeyOrder(cc, cells);
 
-  // Result schema (identical to the legacy assembler's).
+  // Result schema.
   std::vector<Field> fields;
   for (size_t k = 0; k < ctx.num_keys; ++k) {
     fields.push_back(Field{ctx.key_names[k], ctx.key_types[k],
@@ -619,76 +743,73 @@ Result<Table> AssembleColumnarResult(const ColumnarContext& cc,
     fields.push_back(Field{"grouping_id", DataType::kInt64,
                            /*nullable=*/false, /*allow_all=*/false});
   }
-  Table out{Schema{std::move(fields)}};
-
-  size_t total_cells = 0;
-  for (const CellStore& m : stores) total_cells += m.size();
-  out.Reserve(total_cells);
-  if (stats != nullptr) stats->output_cells = total_cells;
-
-  for (size_t s = 0; s < ctx.sets.size(); ++s) {
-    GroupingSet set = ctx.sets[s];
-    const CellStore& store = stores[s];
-    Status row_status = Status::OK();
-    store.ForEach([&](const uint64_t* key, char* block) {
-      if (!row_status.ok()) return;
-      const CellHeader* cell = ColumnarContext::Header(block);
-      std::vector<Value> row;
-      row.reserve(out.num_columns());
-      // Grouping columns: ALL (or NULL under the minimalist Section 3.4
-      // design) in aggregated-away positions.
-      for (size_t k = 0; k < ctx.num_keys; ++k) {
-        if (IsGrouped(set, k)) {
-          row.push_back(cc.codec.ValueAt(key, k));
-        } else {
-          row.push_back(spec.all_mode == AllMode::kAllToken ? Value::All()
-                                                            : Value::Null());
-        }
-      }
-      // Decorations: value when the grouping set functionally determines it
-      // (covers the determinant), else NULL — Table 7's continent rule.
-      for (const Decoration& d : spec.decorations) {
-        bool determined = (set & d.determinant) == d.determinant;
-        if (determined && cell->has_repr) {
-          Result<Value> v = d.expr->Evaluate(*ctx.input, cell->repr_row);
-          if (!v.ok()) {
-            row_status = v.status();
-            return;
-          }
-          row.push_back(std::move(v).value());
-        } else {
-          row.push_back(Value::Null());
-        }
-      }
-      // Aggregates.
-      for (size_t a = 0; a < ctx.aggs.size(); ++a) {
-        Result<Value> v = ctx.aggs[a]->FinalChecked(cc.StateOf(block, a));
-        if (!v.ok()) {
-          row_status = v.status();
-          return;
-        }
-        row.push_back(std::move(v).value());
-        if (stats != nullptr) ++stats->final_calls;
-      }
-      // GROUPING() discriminators (Section 3.3/3.4): TRUE where the column
-      // is an ALL value.
-      if (spec.add_grouping_columns) {
-        for (size_t k = 0; k < ctx.num_keys; ++k) {
-          row.push_back(Value::Bool(!IsGrouped(set, k)));
-        }
-      }
-      if (spec.add_grouping_id) {
-        int64_t id = 0;
-        for (size_t k = 0; k < ctx.num_keys; ++k) {
-          if (!IsGrouped(set, k)) id |= (1LL << k);
-        }
-        row.push_back(Value::Int64(id));
-      }
-      row_status = out.AppendRow(row);
-    });
-    DATACUBE_RETURN_IF_ERROR(row_status);
+  Schema schema{std::move(fields)};
+  std::vector<Column> columns;
+  columns.reserve(schema.num_fields());
+  for (const Field& f : schema.fields()) {
+    columns.emplace_back(f.type);
+    columns.back().Reserve(n);
   }
-  return out;
+
+  // Row-major fill, so the first failing cell is the first in output order.
+  const Value away =
+      spec.all_mode == AllMode::kAllToken ? Value::All() : Value::Null();
+  const Value null = Value::Null();
+  size_t c = 0;
+  auto append = [&](const Value& v) -> Status {
+    Status st = columns[c].Append(v);
+    if (!st.ok()) {
+      return Status(st.code(),
+                    "column '" + schema.field(c).name + "': " + st.message());
+    }
+    ++c;
+    return Status::OK();
+  };
+  for (size_t i = 0; i < n; ++i) {
+    const CellRef& cell = cells[ordered ? order[i] : i];
+    const GroupingSet set = ctx.sets[cell.set];
+    const CellHeader* header = ColumnarContext::Header(cell.block);
+    c = 0;
+    // Grouping columns: ALL (or NULL under the minimalist Section 3.4
+    // design) in aggregated-away positions.
+    for (size_t k = 0; k < ctx.num_keys; ++k) {
+      DATACUBE_RETURN_IF_ERROR(append(
+          IsGrouped(set, k) ? cc.codec.ValueAt(cell.key, k) : away));
+    }
+    // Decorations: value when the grouping set functionally determines it
+    // (covers the determinant), else NULL — Table 7's continent rule.
+    for (const Decoration& d : spec.decorations) {
+      bool determined = (set & d.determinant) == d.determinant;
+      if (determined && header->has_repr) {
+        DATACUBE_ASSIGN_OR_RETURN(
+            Value v, d.expr->Evaluate(*ctx.input, header->repr_row));
+        DATACUBE_RETURN_IF_ERROR(append(v));
+      } else {
+        DATACUBE_RETURN_IF_ERROR(append(null));
+      }
+    }
+    for (size_t a = 0; a < ctx.aggs.size(); ++a) {
+      DATACUBE_ASSIGN_OR_RETURN(
+          Value v, ctx.aggs[a]->FinalChecked(cc.StateOf(cell.block, a)));
+      DATACUBE_RETURN_IF_ERROR(append(v));
+      if (stats != nullptr) ++stats->final_calls;
+    }
+    // GROUPING() discriminators (Section 3.3/3.4): TRUE where the column
+    // is an ALL value.
+    if (spec.add_grouping_columns) {
+      for (size_t k = 0; k < ctx.num_keys; ++k) {
+        DATACUBE_RETURN_IF_ERROR(append(Value::Bool(!IsGrouped(set, k))));
+      }
+    }
+    if (spec.add_grouping_id) {
+      int64_t id = 0;
+      for (size_t k = 0; k < ctx.num_keys; ++k) {
+        if (!IsGrouped(set, k)) id |= (1LL << k);
+      }
+      DATACUBE_RETURN_IF_ERROR(append(Value::Int64(id)));
+    }
+  }
+  return Table::FromColumns(std::move(schema), std::move(columns), n);
 }
 
 }  // namespace cube_internal

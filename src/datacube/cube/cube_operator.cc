@@ -46,7 +46,8 @@ const char* CubeAlgorithmName(CubeAlgorithm a) {
 namespace {
 
 // True if `sets` is a containment chain (rollup shape), which SortRollup
-// handles in one sorted scan.
+// handles in one sorted scan — the plan for holistic aggregates, which
+// cannot merge up from the core.
 bool IsChainShape(const std::vector<GroupingSet>& sets) {
   for (size_t i = 1; i < sets.size(); ++i) {
     if ((sets[i - 1] & sets[i]) != sets[i]) return false;
@@ -55,8 +56,8 @@ bool IsChainShape(const std::vector<GroupingSet>& sets) {
 }
 
 CubeAlgorithm ChooseAlgorithm(const CubeContext& ctx) {
-  if (IsChainShape(ctx.sets)) return CubeAlgorithm::kSortRollup;
   if (ctx.all_mergeable) return CubeAlgorithm::kFromCore;
+  if (IsChainShape(ctx.sets)) return CubeAlgorithm::kSortRollup;
   return CubeAlgorithm::kUnionGroupBy;
 }
 
@@ -431,12 +432,14 @@ Result<CubeResult> ExecuteCube(const Table& input, const CubeSpec& spec,
     span.Attr("requested", CubeAlgorithmName(options.algorithm));
   }
 
-  // Per-grouping-set actuals are one size read each; estimates cost a
-  // cardinality scan, so they are computed only for a traced execution
-  // (EXPLAIN ANALYZE) where the comparison is the point.
-  auto fill_estimates = [&]() {
+  // Per-grouping-set actuals are one size read each; estimates need
+  // per-column cardinalities, so they are computed only for a traced
+  // execution (EXPLAIN ANALYZE) where the comparison is the point. The
+  // columnar path reads them off the codec's dictionaries; the legacy path
+  // pays a cardinality scan.
+  auto fill_estimates = [&](auto cardinalities) {
     if (!obs::TracingActive()) return;
-    std::vector<size_t> cards = cube_internal::KeyCardinalities(ctx);
+    std::vector<size_t> cards = cardinalities();
     for (size_t s = 0; s < ctx.sets.size(); ++s) {
       double est = 1.0;
       for (size_t k = 0; k < ctx.num_keys; ++k) {
@@ -512,11 +515,11 @@ Result<CubeResult> ExecuteCube(const Table& input, const CubeSpec& spec,
         stats.per_set[s].set = ctx.sets[s];
         stats.per_set[s].actual_cells = stores.value()[s].size();
       }
-      fill_estimates();
+      fill_estimates([&] { return cc.codec.Cardinalities(); });
       cube_internal::FlushStoreStats(stores.value(), &stats);
       obs::ScopedSpan assemble_span("assemble_result");
-      return cube_internal::AssembleColumnarResult(cc, stores.value(),
-                                                   &stats);
+      return cube_internal::AssembleColumnarResult(
+          cc, stores.value(), /*ordered=*/options.sort_result, &stats);
     }
 
     Result<SetMaps> maps = [&]() -> Result<SetMaps> {
@@ -547,19 +550,20 @@ Result<CubeResult> ExecuteCube(const Table& input, const CubeSpec& spec,
       stats.per_set[s].set = ctx.sets[s];
       stats.per_set[s].actual_cells = maps.value()[s].size();
     }
-    fill_estimates();
-    obs::ScopedSpan assemble_span("assemble_result");
-    return cube_internal::AssembleResult(ctx, maps.value(), &stats);
-  }();
-  if (!table.ok()) return table.status();
-  if (options.sort_result) {
+    fill_estimates([&] { return cube_internal::KeyCardinalities(ctx); });
+    Result<Table> assembled = [&] {
+      obs::ScopedSpan assemble_span("assemble_result");
+      return cube_internal::AssembleResult(ctx, maps.value(), &stats);
+    }();
+    if (!assembled.ok() || !options.sort_result) return assembled;
     obs::ScopedSpan sort_span("sort_result");
     std::vector<SortKey> keys;
     for (size_t k = 0; k < ctx.num_keys; ++k) {
       keys.push_back(SortKey{k, /*ascending=*/true});
     }
-    DATACUBE_ASSIGN_OR_RETURN(table, SortTable(table.value(), keys));
-  }
+    return SortTable(assembled.value(), keys);
+  }();
+  if (!table.ok()) return table.status();
 
   stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

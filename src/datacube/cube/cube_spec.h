@@ -51,9 +51,10 @@ enum class AllMode {
   kNullWithGrouping,
 };
 
-/// Which algorithm computes the cube (Section 5). kAuto picks SortRollup for
-/// pure rollups, FromCore when every aggregate supports Merge, and
-/// UnionGroupBy otherwise.
+/// Which algorithm computes the cube (Section 5). kAuto picks FromCore when
+/// every aggregate supports Merge — ROLLUPs and single-set GROUP BYs
+/// included — SortRollup for holistic aggregates over a rollup-shaped
+/// (containment-chain) spec, and UnionGroupBy otherwise.
 enum class CubeAlgorithm {
   kAuto,
   /// The paper's "2^N-algorithm": every input row Iters into all 2^N
@@ -146,7 +147,10 @@ struct CubeOptions {
   /// phase `num_partitions` independent single-threaded merges (no locks,
   /// no serial combine). 0 = auto (4x the worker count).
   size_t num_partitions = 0;
-  /// Sort the result on the grouping columns for deterministic output.
+  /// Sort the result on the grouping columns for deterministic output:
+  /// rows in the Value order of their key tuples (NULL, then ALL, then
+  /// concrete values), ties in grouping-set order. false returns the
+  /// cells in store (hash-table) order.
   bool sort_result = true;
   /// Safety cap for kArrayCube's dense allocation (cells = Π(C_i+1)).
   size_t array_max_cells = 1ULL << 26;

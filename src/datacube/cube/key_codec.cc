@@ -364,10 +364,12 @@ std::vector<uint64_t> KeyCodec::MaskForSet(GroupingSet set) const {
   return masks;
 }
 
-Value KeyCodec::ValueAt(const uint64_t* key, size_t k) const {
+const Value& KeyCodec::ValueAt(const uint64_t* key, size_t k) const {
+  static const Value kAll = Value::All();
+  static const Value kNull = Value::Null();
   uint64_t code = CodeAt(key, k);
-  if (code == kAllCode) return Value::All();
-  if (code == kNullCode) return Value::Null();
+  if (code == kAllCode) return kAll;
+  if (code == kNullCode) return kNull;
   return cols_[k].values[code - 2];
 }
 

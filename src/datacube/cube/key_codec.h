@@ -160,8 +160,14 @@ class KeyCodec {
   bool has_null(size_t k) const { return cols_[k].has_null; }
   bool has_all(size_t k) const { return cols_[k].has_all; }
 
+  /// Column `k`'s concrete values; code c decodes to dictionary(k)[c - 2].
+  /// Sorted in Value order after Build; CodeOfOrAdd appends at the end.
+  const std::vector<Value>& dictionary(size_t k) const {
+    return cols_[k].values;
+  }
+
   /// Decodes one column of a packed key back to a Value.
-  Value ValueAt(const uint64_t* key, size_t k) const;
+  const Value& ValueAt(const uint64_t* key, size_t k) const;
 
   /// Decodes a packed key into the legacy full-width Value form.
   std::vector<Value> DecodeKey(const uint64_t* key) const;

@@ -769,19 +769,9 @@ Result<Table> MaterializedCube::LiveRows() const {
 }
 
 Result<Table> MaterializedCube::ToTable() const {
-  // AssembleColumnarResult mutates its stores (the empty-grand-total
-  // fix-up), so assemble from a deep copy of the cells.
-  SetStores copy;
-  copy.reserve(stores_.size());
-  for (size_t s = 0; s < stores_.size(); ++s) {
-    CellStore clone = cc_.MakeStore();
-    stores_[s].ForEach([&](const uint64_t* key, char* block) {
-      clone.InsertClone(key, block);
-    });
-    copy.push_back(std::move(clone));
-  }
   CubeStats stats;
-  return cube_internal::AssembleColumnarResult(cc_, copy, &stats);
+  return cube_internal::AssembleColumnarResult(cc_, stores_,
+                                               /*ordered=*/false, &stats);
 }
 
 }  // namespace datacube

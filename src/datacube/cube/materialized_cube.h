@@ -162,7 +162,7 @@ class MaterializedCube : public CubeStoreInterface {
   Result<double> Index(const std::string& aggregate_output_name,
                        const std::vector<Value>& coords) const;
 
-  /// The cube's current relational form.
+  /// The cube's current relational form, rows in store (hash-table) order.
   Result<Table> ToTable() const;
   Result<Table> ToTable() override {
     return static_cast<const MaterializedCube*>(this)->ToTable();

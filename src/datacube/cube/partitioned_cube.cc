@@ -752,7 +752,8 @@ Result<Table> PartitionedCube::MergedTable(
     span.Attr("merge_shards", static_cast<uint64_t>(shards));
   }
   CubeStats stats;
-  return AssembleColumnarResult(sink->cc, sink->stores, &stats);
+  return AssembleColumnarResult(sink->cc, sink->stores, /*ordered=*/false,
+                                &stats);
 }
 
 Result<Table> PartitionedCube::QuerySet(GroupingSet target) {

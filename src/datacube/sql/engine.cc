@@ -560,25 +560,37 @@ void FillPartitionStats(const ScanInfo& info, CubeStats* stats) {
 }
 
 // Evaluates `exprs` (already bound) into a projection table with `names`.
+// A bare column reference copies its input column whole; computed
+// expressions are evaluated row by row (row-major, so the first error is
+// the first failing row's).
 Result<Table> Project(const Table& input, const std::vector<ExprPtr>& exprs,
                       const std::vector<std::string>& names) {
   std::vector<Field> fields;
+  std::vector<Column> columns;
+  std::vector<size_t> computed;
   for (size_t i = 0; i < exprs.size(); ++i) {
-    fields.push_back(Field{names[i], exprs[i]->output_type(),
-                           /*nullable=*/true, /*allow_all=*/true});
-  }
-  Table out{Schema{std::move(fields)}};
-  out.Reserve(input.num_rows());
-  for (size_t r = 0; r < input.num_rows(); ++r) {
-    std::vector<Value> row;
-    row.reserve(exprs.size());
-    for (const ExprPtr& e : exprs) {
-      DATACUBE_ASSIGN_OR_RETURN(Value v, e->Evaluate(input, r));
-      row.push_back(std::move(v));
+    const Expr& e = *exprs[i];
+    fields.push_back(Field{names[i], e.output_type(), /*nullable=*/true,
+                           /*allow_all=*/true});
+    if (e.kind() == Expr::Kind::kColumnRef) {
+      columns.push_back(input.column(e.column_index()));
+      continue;
     }
-    DATACUBE_RETURN_IF_ERROR(out.AppendRow(row));
+    columns.emplace_back(e.output_type());
+    columns.back().Reserve(input.num_rows());
+    computed.push_back(i);
   }
-  return out;
+  for (size_t r = 0; r < input.num_rows(); ++r) {
+    for (size_t i : computed) {
+      DATACUBE_ASSIGN_OR_RETURN(Value v, exprs[i]->Evaluate(input, r));
+      Status st = columns[i].Append(v);
+      if (!st.ok()) {
+        return Status(st.code(), "column '" + names[i] + "': " + st.message());
+      }
+    }
+  }
+  return Table::FromColumns(Schema{std::move(fields)}, std::move(columns),
+                            input.num_rows());
 }
 
 // Applies ORDER BY and LIMIT to the projected output.

@@ -12,6 +12,33 @@ Table::Table(Schema schema) : schema_(std::move(schema)) {
   }
 }
 
+Result<Table> Table::FromColumns(Schema schema, std::vector<Column> columns,
+                                 size_t num_rows) {
+  if (columns.size() != schema.num_fields()) {
+    return Status::InvalidArgument(
+        std::to_string(columns.size()) + " columns for " +
+        std::to_string(schema.num_fields()) + " fields");
+  }
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (columns[i].type() != schema.field(i).type) {
+      return Status::TypeError("column '" + schema.field(i).name + "' is " +
+                               DataTypeName(columns[i].type()) + ", field is " +
+                               DataTypeName(schema.field(i).type));
+    }
+    if (columns[i].size() != num_rows) {
+      return Status::InvalidArgument(
+          "column '" + schema.field(i).name + "' has " +
+          std::to_string(columns[i].size()) + " rows, expected " +
+          std::to_string(num_rows));
+    }
+  }
+  Table out;
+  out.schema_ = std::move(schema);
+  out.columns_ = std::move(columns);
+  out.num_rows_ = num_rows;
+  return out;
+}
+
 Result<const Column*> Table::ColumnByName(const std::string& name) const {
   std::optional<size_t> idx = schema_.FieldIndex(name);
   if (!idx.has_value()) return Status::NotFound("no column named " + name);
@@ -121,15 +148,10 @@ Result<Table> Table::SelectColumns(
     }
     fields.push_back(schema_.field(idx));
   }
-  Table out(Schema{std::move(fields)});
-  out.Reserve(num_rows_);
-  for (size_t r = 0; r < num_rows_; ++r) {
-    std::vector<Value> row;
-    row.reserve(column_indices.size());
-    for (size_t idx : column_indices) row.push_back(GetValue(r, idx));
-    DATACUBE_RETURN_IF_ERROR(out.AppendRow(row));
-  }
-  return out;
+  std::vector<Column> columns;
+  columns.reserve(column_indices.size());
+  for (size_t idx : column_indices) columns.push_back(columns_[idx]);
+  return FromColumns(Schema{std::move(fields)}, std::move(columns), num_rows_);
 }
 
 void Table::Reserve(size_t capacity) {

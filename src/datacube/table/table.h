@@ -19,6 +19,11 @@ class Table {
   Table() = default;
   explicit Table(Schema schema);
 
+  /// Table over already-built columns, moved in without copying: one per
+  /// field, each of its field's type and holding `num_rows` entries.
+  static Result<Table> FromColumns(Schema schema, std::vector<Column> columns,
+                                   size_t num_rows);
+
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }

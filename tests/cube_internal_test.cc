@@ -244,13 +244,19 @@ TEST(ExplainTest, ShowsAlgorithmAndParents) {
   ASSERT_TRUE(hplan.ok());
   EXPECT_EQ(hplan->find("<- merge from"), std::string::npos) << *hplan;
 
-  // Rollup shape picks the sorted algorithm under kAuto.
+  // Under kAuto a mergeable rollup runs on the hash core; a holistic one
+  // takes the sorted pipeline.
   CubeSpec rollup;
   rollup.rollup = {GroupCol("d0"), GroupCol("d1")};
   rollup.aggregates = {Agg("sum", "x", "s")};
   Result<std::string> rplan = ExplainCube(t, rollup);
   ASSERT_TRUE(rplan.ok());
-  EXPECT_NE(rplan->find("algorithm: sort_rollup"), std::string::npos);
+  EXPECT_NE(rplan->find("algorithm: from_core"), std::string::npos) << *rplan;
+  rollup.aggregates = {Agg("median", "x", "m")};
+  Result<std::string> hrplan = ExplainCube(t, rollup);
+  ASSERT_TRUE(hrplan.ok());
+  EXPECT_NE(hrplan->find("algorithm: sort_rollup"), std::string::npos)
+      << *hrplan;
 
   // Errors propagate.
   EXPECT_FALSE(ExplainCube(t, SumSpec({GroupCol("nope")})).ok());

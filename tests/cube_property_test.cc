@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 
 #include "datacube/cube/cube_operator.h"
+#include "datacube/table/sort.h"
+#include "datacube/testing/random_table.h"
 #include "datacube/workload/sales.h"
 
 namespace datacube {
@@ -230,6 +233,215 @@ TEST(CubePropertyTest, CrossTabRowColumnConsistency) {
       EXPECT_EQ(sum, expected);
     }
   }
+}
+
+// ------------------------------------------------------------ result order
+
+// Row-for-row equality. With `float_slack`, FLOAT64 cells may differ by
+// summation rounding: a parallel scan hands morsels to workers in a
+// run-dependent order, so two executions can round float sums differently.
+// Every other cell, and so the row order, must match exactly.
+bool SameRowsInOrder(const Table& a, const Table& b, bool float_slack) {
+  if (!float_slack) return a.EqualsExact(b);
+  if (a.num_rows() != b.num_rows() || a.num_columns() != b.num_columns()) {
+    return false;
+  }
+  for (size_t c = 0; c < a.num_columns(); ++c) {
+    if (a.schema().field(c).type != b.schema().field(c).type) return false;
+    for (size_t r = 0; r < a.num_rows(); ++r) {
+      Value x = a.GetValue(r, c);
+      Value y = b.GetValue(r, c);
+      if (x == y) continue;
+      if (a.schema().field(c).type != DataType::kFloat64 || x.is_special() ||
+          y.is_special()) {
+        return false;
+      }
+      double dx = x.AsDouble(), dy = y.AsDouble();
+      double tolerance = 1e-6 + 1e-9 * std::max(std::abs(dx), std::abs(dy));
+      if (std::abs(dx - dy) > tolerance) return false;
+    }
+  }
+  return true;
+}
+
+// The result-order contract: ExecuteCube with sort_result = true returns
+// exactly SortTable (on the grouping columns) of its sort_result = false
+// store-order result, and a failing input fails with the same StatusCode
+// either way (which overflowing cell the message names may differ).
+void ExpectOrderedRun(const Table& input, const CubeSpec& spec,
+                      CubeOptions options, const std::string& label) {
+  options.sort_result = false;
+  Result<CubeResult> store_order = ExecuteCube(input, spec, options);
+  options.sort_result = true;
+  Result<CubeResult> ordered = ExecuteCube(input, spec, options);
+  ASSERT_EQ(store_order.ok(), ordered.ok())
+      << label << ": " << store_order.status().ToString() << " vs "
+      << ordered.status().ToString();
+  if (!ordered.ok()) {
+    EXPECT_EQ(store_order.status().code(), ordered.status().code()) << label;
+    return;
+  }
+  std::vector<SortKey> keys;
+  for (size_t k = 0; k < spec.AllGroupExprs().size(); ++k) {
+    keys.push_back(SortKey{k, /*ascending=*/true});
+  }
+  Result<Table> expected = SortTable(store_order->table, keys);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_TRUE(SameRowsInOrder(ordered->table, *expected,
+                              /*float_slack=*/options.num_threads > 1))
+      << label;
+}
+
+// Runs the contract over every forced algorithm, both ALL renderings, and
+// three engine configurations: serial, 3 threads with 7-row morsels, and
+// an 8 KB materialization budget (ancestor answering).
+void ExpectOrderContract(const Table& input, CubeSpec spec,
+                         const std::string& label) {
+  struct Config {
+    const char* name;
+    int threads;
+    size_t morsel_rows;
+    size_t budget;
+  };
+  const Config configs[] = {
+      {"serial", 1, 0, 0}, {"x3_m7", 3, 7, 0}, {"budget_8kb", 1, 0, 8192}};
+  for (bool minimalist : {false, true}) {
+    spec.all_mode =
+        minimalist ? AllMode::kNullWithGrouping : AllMode::kAllToken;
+    spec.add_grouping_columns = minimalist;
+    spec.add_grouping_id = minimalist;
+    const char* mode = minimalist ? " null_with_grouping " : " all_token ";
+    for (CubeAlgorithm alg :
+         {CubeAlgorithm::kAuto, CubeAlgorithm::kNaive2N,
+          CubeAlgorithm::kUnionGroupBy, CubeAlgorithm::kFromCore,
+          CubeAlgorithm::kArrayCube, CubeAlgorithm::kSortRollup,
+          CubeAlgorithm::kSortFromCore}) {
+      std::string what = label + mode + CubeAlgorithmName(alg) + " ";
+      for (const Config& config : configs) {
+        CubeOptions options;
+        options.algorithm = alg;
+        options.num_threads = config.threads;
+        if (config.morsel_rows != 0) options.morsel_rows = config.morsel_rows;
+        options.materialize_budget_bytes = config.budget;
+        ExpectOrderedRun(input, spec, options, what + config.name);
+      }
+    }
+  }
+}
+
+struct OrderCase {
+  testing::RandomTableProfile profile;
+  uint64_t seed;
+};
+
+class ResultOrderTest : public ::testing::TestWithParam<OrderCase> {};
+
+TEST_P(ResultOrderTest, OrderedEqualsSortedStoreOrder) {
+  const OrderCase& c = GetParam();
+  Table input = testing::MakeRandomTable(c.seed, c.profile);
+  // Even seeds add holistic aggregates, which keep SortRollup in the plan
+  // for chains and force the fallbacks of the merge-based algorithms.
+  CubeSpec spec = testing::MakeRandomSpec(c.seed, c.profile, c.seed % 2 == 0);
+  ExpectOrderContract(input, spec,
+                      c.profile.label + "_seed" + std::to_string(c.seed));
+}
+
+std::vector<OrderCase> OrderCases() {
+  std::vector<OrderCase> cases;
+  for (const testing::RandomTableProfile& p : testing::AdversarialProfiles()) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) cases.push_back({p, seed});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Adversarial, ResultOrderTest,
+                         ::testing::ValuesIn(OrderCases()),
+                         [](const auto& info) {
+                           return info.param.profile.label + "_seed" +
+                                  std::to_string(info.param.seed);
+                         });
+
+// A cube result fed back in: its key columns hold literal ALL values, which
+// share code 0 with aggregated-away columns and must sort as ALL.
+TEST(ResultOrderTest, LiteralAllKeysFromACubeResult) {
+  testing::RandomTableProfile profile = testing::AdversarialProfiles()[0];
+  Table input = testing::MakeRandomTable(7, profile);
+  CubeSpec first;
+  first.cube = {GroupCol("d0"), GroupCol("d1")};
+  first.aggregates = {CountStar("n"), Agg("sum", "mf", "sum_mf")};
+  Result<CubeResult> cube = ExecuteCube(input, first);
+  ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+  ASSERT_GT(cube->table.column(0).all_count(), 0u);
+
+  CubeSpec again;
+  again.cube = {GroupCol("d0"), GroupCol("d1")};
+  again.aggregates = {Agg("sum", "n", "total"), Agg("max", "sum_mf", "mx"),
+                      CountStar("cells")};
+  ExpectOrderContract(cube->table, again, "cube_of_cube");
+  again.aggregates.push_back(Agg("median", "sum_mf", "med"));
+  ExpectOrderContract(cube->table, again, "cube_of_cube_holistic");
+}
+
+// Eight 200-value key columns need 8 rank bits each, so rank tuple plus
+// store position overflow one uint64_t and the sort compares rank tuples.
+TEST(ResultOrderTest, RankTuplesWiderThanOneWord) {
+  std::vector<Field> fields;
+  for (int k = 0; k < 8; ++k) {
+    fields.push_back(Field{"k" + std::to_string(k), DataType::kInt64});
+  }
+  fields.push_back(Field{"x", DataType::kInt64});
+  Table t{Schema{fields}};
+  std::mt19937_64 rng(5);
+  for (int r = 0; r < 400; ++r) {
+    std::vector<Value> row;
+    for (int k = 0; k < 8; ++k) {
+      row.push_back(rng() % 16 == 0
+                        ? Value::Null()
+                        : Value::Int64(static_cast<int64_t>(rng() % 200)));
+    }
+    row.push_back(Value::Int64(r));
+    ASSERT_TRUE(t.AppendRow(row).ok());
+  }
+  CubeSpec spec;
+  for (int k = 0; k < 8; ++k) {
+    spec.rollup.push_back(GroupCol("k" + std::to_string(k)));
+  }
+  spec.aggregates = {Agg("sum", "x", "s"), CountStar("n")};
+  ExpectOrderContract(t, spec, "wide_rank_tuples");
+}
+
+// A float64 key whose dictionary mixes int64 and float64 values:
+// coalesce(f, i) is typed float64 but yields i's int64 where f is NULL, so
+// 2^53 + 1 and 2.0^53 are distinct groups that read back as the same
+// double. Equal output keys keep store order, as a stable sort would.
+TEST(ResultOrderTest, WidenedIntegerKeysTieLikeAStableSort) {
+  Table t(Schema({Field{"f", DataType::kFloat64},
+                  Field{"i", DataType::kInt64}, Field{"d", DataType::kString},
+                  Field{"x", DataType::kInt64}}));
+  const int64_t big = (int64_t{1} << 53) + 1;
+  for (int r = 0; r < 24; ++r) {
+    Value f = Value::Float64(r % 3 == 1 ? 9007199254740992.0 : 1.5 * r);
+    if (r % 3 == 0) f = Value::Null();
+    ASSERT_TRUE(t.AppendRow({f, Value::Int64(r % 2 == 0 ? big : big + 2),
+                             Value::String(r % 4 == 0 ? "a" : "b"),
+                             Value::Int64(r)})
+                    .ok());
+  }
+  ExprPtr key = Expr::Call("coalesce", {Expr::Column("f"), Expr::Column("i")});
+  CubeSpec spec;
+  spec.cube = {GroupExpr{key, "k"}, GroupCol("d")};
+  spec.aggregates = {Agg("sum", "x", "s"), CountStar("n")};
+  Result<CubeResult> r = ExecuteCube(t, spec);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  size_t tied = 0;  // adjacent rows with equal (k, d): the case under test
+  for (size_t row = 1; row < r->table.num_rows(); ++row) {
+    if (r->table.GetValue(row, 0) == r->table.GetValue(row - 1, 0) &&
+        r->table.GetValue(row, 1) == r->table.GetValue(row - 1, 1)) {
+      ++tied;
+    }
+  }
+  ASSERT_GT(tied, 0u);
+  ExpectOrderContract(t, spec, "widened_keys");
 }
 
 }  // namespace

@@ -564,6 +564,9 @@ TEST(PartitionedCubeConcurrency, RetentionUnderLoad) {
       PartitionedCube::Create(EdgeSchema(), EdgeSpec(), PartOptions(10));
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   PartitionedCube& cube = **created;
+  // Set before the threads start: a reaper starved until the ingester
+  // finishes must still leave retention in force for the final check.
+  cube.SetRetention(4);
 
   const int kBatches = 100;
   Table all{EdgeSchema()};
@@ -583,11 +586,12 @@ TEST(PartitionedCubeConcurrency, RetentionUnderLoad) {
     }
   });
   std::thread reaper([&] {
-    while (!stop.load()) {
-      cube.SetRetention(4);
+    // At least one pass, even when the reaper is first scheduled after the
+    // ingester has finished.
+    do {
       cube.ApplyRetention();
       cube.CompactNow();
-    }
+    } while (!stop.load());
   });
   std::thread reader([&] {
     while (!stop.load()) {

@@ -151,6 +151,34 @@ TEST(TableTest, SelectAndConcatColumns) {
   EXPECT_FALSE(t.ConcatColumns(t).ok());
 }
 
+TEST(TableTest, FromColumnsValidatesShape) {
+  Table t = SmallTable();
+  Schema two({Field{"s", DataType::kInt64}, Field{"n", DataType::kString}});
+  Result<Table> built =
+      Table::FromColumns(two, {t.column(1), t.column(0)}, t.num_rows());
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_EQ(built->num_rows(), 3u);
+  EXPECT_EQ(built->GetValue(2, 0), Value::Null());
+  EXPECT_EQ(built->GetValue(1, 1), Value::String("b"));
+
+  // Column count, column type and row count must all match.
+  EXPECT_EQ(Table::FromColumns(two, {t.column(1)}, 3).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      Table::FromColumns(two, {t.column(0), t.column(1)}, 3).status().code(),
+      StatusCode::kTypeError);
+  EXPECT_EQ(
+      Table::FromColumns(two, {t.column(1), t.column(0)}, 2).status().code(),
+      StatusCode::kInvalidArgument);
+
+  // With no columns the row count is the caller's, as SelectColumns({})
+  // keeps every row.
+  Result<Table> none = t.SelectColumns({});
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(none->num_columns(), 0u);
+  EXPECT_EQ(none->num_rows(), 3u);
+}
+
 TEST(TableTest, EqualsIgnoringRowOrder) {
   Table t = SmallTable();
   Result<Table> shuffled = t.TakeRows({2, 0, 1});

@@ -31,7 +31,7 @@ std::vector<AggregateSpec> MixedAggs() {
 }
 
 // Plain hash GROUP BY over all dims: one flat-table build, no cascade.
-void BM_HashGroupBy_1M(benchmark::State& state) {
+void BM_FlatGroupBy_1M(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   size_t card = static_cast<size_t>(state.range(1));
   Table t = MillionRows(n, card);
@@ -77,7 +77,7 @@ void BM_HashCube_1M_Parallel(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * 1'000'000));
 }
 
-BENCHMARK(BM_HashGroupBy_1M)
+BENCHMARK(BM_FlatGroupBy_1M)
     ->Args({4, 8})
     ->Args({6, 8})
     ->Args({4, 64})

@@ -4,15 +4,18 @@
 // two (pick the * with the smallest C_i). In this way, the super-aggregates
 // can be computed dropping one dimension at a time."
 //
-// Uses the internal lattice planner directly to compare the smallest-parent
-// policy against always folding from the largest available parent, on an
-// input with deliberately skewed dimension cardinalities (C = {200, 20, 2}).
+// Uses the internal lattice planner and the columnar core's cell operations
+// directly to compare the smallest-parent policy against always folding
+// from the largest available parent, on an input with deliberately skewed
+// dimension cardinalities (C = {200, 20, 2}).
 // The merge-call counters show the savings; wall time follows.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+
 #include "bench_util.h"
-#include "datacube/cube/cube_internal.h"
+#include "datacube/cube/columnar.h"
 
 namespace {
 
@@ -42,22 +45,32 @@ void RunPolicy(benchmark::State& state, ParentPolicy policy) {
   for (auto _ : state) {
     CubeStats stats;
     CubeContext ctx = Must(BuildCubeContext(t, spec), "context");
-    LatticePlan plan = PlanLattice(ctx.sets, KeyCardinalities(ctx), policy);
-    SetMaps maps(ctx.sets.size());
+    ColumnarContext cc = Must(BuildColumnarContext(ctx), "columnar context");
+    LatticePlan plan = PlanLattice(ctx.sets, cc.codec.Cardinalities(), policy);
+    SetStores stores;
     for (size_t i = 0; i < plan.nodes.size(); ++i) {
       const LatticePlan::Node& node = plan.nodes[i];
       if (node.parent < 0) {
-        maps[i] = HashGroupBy(ctx, node.set, &stats);
+        stores.push_back(FlatGroupBy(cc, node.set, &stats));
         continue;
       }
-      for (const auto& [key, cell] : maps[node.parent]) {
-        std::vector<Value> child_key = ctx.ProjectKey(key, node.set);
-        auto [it, inserted] = maps[i].try_emplace(std::move(child_key));
-        if (inserted) it->second = ctx.NewCell();
-        if (!ctx.MergeCell(&it->second, cell, &stats).ok()) std::abort();
-      }
+      // Fold the parent's cells into this node: mask each key, merge.
+      CellStore cells = cc.MakeStore();
+      std::vector<uint64_t> mask = cc.codec.MaskForSet(node.set);
+      std::vector<uint64_t> key(cc.words);
+      stores[static_cast<size_t>(node.parent)].ForEach(
+          [&](const uint64_t* parent_key, const char* block) {
+            for (size_t w = 0; w < cc.words; ++w) {
+              key[w] = parent_key[w] & mask[w];
+            }
+            if (!cc.MergeCell(cells.FindOrInsert(key.data()), block, &stats)
+                     .ok()) {
+              std::abort();
+            }
+          });
+      stores.push_back(std::move(cells));
     }
-    benchmark::DoNotOptimize(maps);
+    benchmark::DoNotOptimize(stores);
     state.counters["merge_calls"] = static_cast<double>(stats.merge_calls);
   }
 }

@@ -13,9 +13,10 @@
 // The columnar execution core: encoded group keys (KeyCodec), an
 // open-addressing flat hash table of cells (CellStore), and fixed-slot
 // aggregate states living inline in per-store arenas (StateLayout /
-// CellArena). Every cube algorithm has a columnar implementation here; the
-// legacy Value-vector CellMap path in cube_internal.h is kept behind
-// CubeOptions::use_legacy_cellmap as the differential-oracle escape hatch.
+// CellArena). This is the one execution core: every cube algorithm, the
+// parallel path and the stored cubes run on it. The test harness checks it
+// against testing::ReferenceCube, a literal evaluation of the paper's §3
+// definition that shares none of this machinery.
 
 namespace datacube {
 namespace cube_internal {
@@ -194,11 +195,9 @@ class CellStore {
 using SetStores = std::vector<CellStore>;
 
 /// The columnar view of a built CubeContext: the key codec, the state
-/// layout, and every row's grouping key packed once up front. All cell
-/// operations mirror CubeContext's (IterRow/MergeCell/...) with identical
-/// aggregate semantics — the same virtual Iter/Merge/Remove/Final calls on
-/// the same state types, just addressed through slots instead of
-/// AggStatePtrs.
+/// layout, and every row's grouping key packed once up front. Cell
+/// operations make the aggregates' virtual Iter/Merge/Remove/Final calls
+/// on states addressed through slots.
 struct ColumnarContext {
   const CubeContext* ctx = nullptr;
   KeyCodec codec;
@@ -250,7 +249,9 @@ struct ColumnarContext {
   /// they are adopted). Counts compat allocations into `stats` if given.
   char* NewBlock(CellArena& arena, CellStore::Stats* stats) const;
 
-  // Cell operations, mirroring CubeContext::{IterRow,RemoveRow,MergeCell}.
+  // Cell operations: fold row `row` into a cell (one Iter per aggregate,
+  // first row becomes the cell's repr_row), un-apply it (the maintenance
+  // path), or merge another cell's scratchpads in (Iter_super).
   void IterRow(char* block, size_t row, CubeStats* stats) const;
   Status RemoveRow(char* block, size_t row) const;
   Status MergeCell(char* dst, const char* src, CubeStats* stats) const;
@@ -272,14 +273,15 @@ inline constexpr size_t kBatchRows = 2048;
 
 Result<ColumnarContext> BuildColumnarContext(const CubeContext& ctx);
 
-/// Hash-aggregates the input into a flat table of `set` cells — the
-/// columnar HashGroupBy.
+/// Hash-aggregates the input into a flat table of `set` cells: one GROUP BY
+/// scan, the primitive behind UnionGroupBy, the core of FromCore and the
+/// fallbacks. Increments stats->input_scans by one.
 CellStore FlatGroupBy(const ColumnarContext& cc, GroupingSet set,
                       CubeStats* stats);
 
-// Columnar implementations of every algorithm, mirroring the legacy
-// entry points in cube_internal.h (same fallback chains, same
-// CubeStats::algorithm_used self-reporting).
+// One entry point per CubeAlgorithm. Each fills one CellStore per
+// CubeContext::sets entry and self-reports what it ran in
+// CubeStats::algorithm_used after its fallback checks.
 Result<SetStores> ColumnarNaive2N(const ColumnarContext& cc, CubeStats* stats);
 Result<SetStores> ColumnarUnionGroupBy(const ColumnarContext& cc,
                                        CubeStats* stats);
@@ -304,8 +306,9 @@ Result<SetStores> ColumnarParallel(const ColumnarContext& cc,
 void FlushStoreStats(const SetStores& stores, CubeStats* stats);
 
 /// Builds the result relation from flat stores — the only place packed
-/// keys are decoded back to Values. Mirrors AssembleResult (ALL/NULL
-/// marking, decorations, GROUPING columns, empty-grouping-set fix-up).
+/// keys are decoded back to Values (Section 3's relational form: ALL/NULL
+/// marking, decorations, GROUPING columns, the empty grouping set's one
+/// row on empty input).
 /// Rows come out in store order, or with `ordered` sorted on the grouping
 /// columns: by the Value order of the key tuple (NULL, then ALL, then
 /// concrete values), ties in grouping-set order, then store order — the

@@ -5,30 +5,20 @@
 #include "datacube/cube/columnar.h"
 #include "datacube/obs/trace.h"
 
-// Columnar twins of the per-algorithm entry points in naive_2n.cc,
-// union_groupby.cc, from_core.cc, array_cube.cc, sort_rollup.cc,
-// sort_groupby.cc, and parallel.cc. Each mirrors its legacy counterpart's
-// structure, fallback chain, and CubeStats bookkeeping exactly; the only
-// difference is the cell representation — packed keys in flat stores and
-// fixed-slot states instead of Value-vector keys in unordered_maps.
+// The serial Section 5 algorithms on the columnar core, one entry point per
+// CubeAlgorithm, plus result assembly. Each commits to its algorithm only
+// after its fallback checks (holistic aggregates, non-chain shapes, array
+// size caps) and self-reports it in CubeStats::algorithm_used. Cells are
+// packed keys in flat stores with fixed-slot states; the parallel path is
+// in parallel_columnar.cc.
 
 namespace datacube {
 namespace cube_internal {
 
 namespace {
 
-// Same chain test as sort_rollup.cc (adjacent containment in canonical
-// order).
-bool IsChain(const std::vector<GroupingSet>& sets) {
-  for (size_t i = 1; i < sets.size(); ++i) {
-    if ((sets[i - 1] & sets[i]) != sets[i] || sets[i - 1] == sets[i]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// Column order that makes every chain set a prefix (sort_rollup.cc).
+// Column order that makes every chain set a prefix: coarsest set's columns
+// first, then each level's newly added columns.
 std::vector<size_t> ChainColumnOrder(const std::vector<GroupingSet>& sets,
                                      size_t num_keys) {
   std::vector<size_t> order;
@@ -50,6 +40,10 @@ void MaskKey(const uint64_t* key, const std::vector<uint64_t>& mask,
 
 }  // namespace
 
+// The paper's Section 5 "2^N-algorithm": each input row Iters once into
+// every grouping set's matching cell. Works for every aggregate class —
+// holistic ones included, for which the paper knows "no more efficient
+// way" — at T × |sets| Iter calls per aggregate.
 Result<SetStores> ColumnarNaive2N(const ColumnarContext& cc,
                                   CubeStats* stats) {
   const CubeContext& ctx = *cc.ctx;
@@ -98,6 +92,9 @@ Result<SetStores> ColumnarNaive2N(const ColumnarContext& cc,
   return maps;
 }
 
+// The Section 2 baseline CUBE replaces: a UNION of independent GROUP BYs,
+// one scan and one hash table per grouping set ("64 scans of the data, 64
+// sorts or hashes, and a long wait").
 Result<SetStores> ColumnarUnionGroupBy(const ColumnarContext& cc,
                                        CubeStats* stats) {
   if (stats != nullptr) stats->algorithm_used = CubeAlgorithm::kUnionGroupBy;
@@ -111,6 +108,9 @@ Result<SetStores> ColumnarUnionGroupBy(const ColumnarContext& cc,
   return maps;
 }
 
+// Cascade over the smallest-parent lattice plan. `core`, when given, seeds
+// the full grouping set (the sort-based core); a node without a computed
+// parent is grouped directly from base data.
 Result<SetStores> ColumnarCascadeFromCore(const ColumnarContext& cc,
                                           std::optional<CellStore> core,
                                           CubeStats* stats) {
@@ -174,6 +174,11 @@ Result<SetStores> ColumnarCascadeFromCore(const ColumnarContext& cc,
   return maps;
 }
 
+// Section 5's strategy for distributive and algebraic aggregates: compute
+// the GROUP BY core once, then fold scratchpads upward ("Iter_super"),
+// each node from its smallest computed parent ("aggregate the smaller of
+// the two"). Holistic aggregates cannot merge and fall back to per-set
+// scans.
 Result<SetStores> ColumnarFromCore(const ColumnarContext& cc,
                                    CubeStats* stats) {
   if (!cc.ctx->all_mergeable) {
@@ -183,6 +188,10 @@ Result<SetStores> ColumnarFromCore(const ColumnarContext& cc,
   return ColumnarCascadeFromCore(cc, std::nullopt, stats);
 }
 
+// Section 5's sort-based aggregation: "use sorting ... to organize the
+// data by value and then aggregate with a sequential scan of the sorted
+// data". The core is built from runs of equal sorted keys, then cascades
+// as in FromCore.
 Result<SetStores> ColumnarSortFromCore(const ColumnarContext& cc,
                                        CubeStats* stats) {
   const CubeContext& ctx = *cc.ctx;
@@ -248,6 +257,11 @@ Result<SetStores> ColumnarSortFromCore(const ColumnarContext& cc,
   return ColumnarCascadeFromCore(cc, std::move(core), stats);
 }
 
+// Section 5's sort-based ROLLUP: "sort the table on the aggregating
+// attributes and then compute the aggregate functions". One sort and one
+// pipelined scan; sub-totals close and cascade upward as key prefixes
+// change. Holistic aggregates Iter each row into every open level
+// instead. Non-chain shapes fall back to FromCore.
 Result<SetStores> ColumnarSortRollup(const ColumnarContext& cc,
                                      CubeStats* stats) {
   const CubeContext& ctx = *cc.ctx;
@@ -263,8 +277,8 @@ Result<SetStores> ColumnarSortRollup(const ColumnarContext& cc,
   }
 
   // Sort row indices by the chain column order, comparing dictionary codes
-  // — the codes are assigned in Value sort order, so this is the same
-  // ordering the legacy Value comparison produces.
+  // — the codes are assigned in Value sort order, so this is the ordering
+  // a Value comparison produces.
   std::vector<size_t> rows(ctx.num_rows());
   std::iota(rows.begin(), rows.end(), 0);
   {
@@ -377,6 +391,10 @@ Result<SetStores> ColumnarSortRollup(const ColumnarContext& cc,
   return maps;
 }
 
+// Section 5's dense-array strategy: the core as an N-dimensional array of
+// C_i + 1 slots per dimension (the extra slot is ALL), each coarser set a
+// projection of one dimension at a time. Only for the full cube of
+// mergeable aggregates within options.array_max_cells; otherwise FromCore.
 Result<SetStores> ColumnarArrayCube(const ColumnarContext& cc,
                                     const CubeOptions& options,
                                     CubeStats* stats) {
@@ -389,8 +407,8 @@ Result<SetStores> ColumnarArrayCube(const ColumnarContext& cc,
 
   // The codec's dictionaries double as the array dimensions: each dimension
   // holds the column's distinct data values (NULL and a literal data ALL
-  // included, as in the legacy dictionaries) plus one trailing slot for the
-  // ALL plane. Codec codes map to dense indices per column.
+  // included) plus one trailing slot for the ALL plane. Codec codes map to
+  // dense indices per column.
   std::vector<size_t> cards = cc.codec.Cardinalities();
   struct Dim {
     size_t values = 0;  // concrete data values incl. NULL / data-ALL
@@ -485,8 +503,8 @@ Result<SetStores> ColumnarArrayCube(const ColumnarContext& cc,
   }
   if (stats != nullptr) ++stats->input_scans;
 
-  // Project one dimension at a time, smallest cardinality first — the
-  // same plane order and merge sequence as the legacy array cube.
+  // Project one dimension at a time, smallest cardinality first ("pick the
+  // * with the smallest C_i").
   std::vector<size_t> coord(ctx.num_keys);
   GroupingSet full = FullSet(ctx.num_keys);
   for (GroupingSet set : ctx.sets) {

@@ -26,8 +26,8 @@ inline uint64_t MixWord(uint64_t h, uint64_t word) {
   return x ^ (x >> 31);
 }
 
-// Process-wide escape hatch mirroring DATACUBE_LEGACY_CELLS: any
-// non-empty value other than "0" forces the scalar per-row Iter path.
+// Process-wide escape hatch: any non-empty value other than "0" forces the
+// scalar per-row Iter path.
 bool ScalarKernelsForced() {
   const char* env = std::getenv("DATACUBE_SCALAR_KERNELS");
   return env != nullptr && env[0] != '\0' && std::string(env) != "0";

@@ -1,94 +1,11 @@
-#include <algorithm>
 #include <unordered_set>
 
 #include "datacube/agg/distinct.h"
 #include "datacube/agg/registry.h"
 #include "datacube/cube/cube_internal.h"
-#include "datacube/obs/trace.h"
 
 namespace datacube {
 namespace cube_internal {
-
-std::vector<Value> CubeContext::MaskedKey(size_t row, GroupingSet set) const {
-  std::vector<Value> key(num_keys, Value::All());
-  for (size_t k = 0; k < num_keys; ++k) {
-    if (IsGrouped(set, k)) key[k] = key_columns[k][row];
-  }
-  return key;
-}
-
-std::vector<Value> CubeContext::ProjectKey(const std::vector<Value>& key,
-                                           GroupingSet set) const {
-  std::vector<Value> out(num_keys, Value::All());
-  for (size_t k = 0; k < num_keys; ++k) {
-    if (IsGrouped(set, k)) out[k] = key[k];
-  }
-  return out;
-}
-
-Cell CubeContext::NewCell() const {
-  Cell cell;
-  cell.states.reserve(aggs.size());
-  for (const AggregateFunctionPtr& agg : aggs) {
-    cell.states.push_back(agg->Init());
-  }
-  return cell;
-}
-
-void CubeContext::IterRow(Cell* cell, size_t row, CubeStats* stats) const {
-  if (!cell->has_repr) {
-    cell->repr_row = row;
-    cell->has_repr = true;
-  }
-  ++cell->count;
-  Value argv[8];
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    const auto& arg_columns = agg_args[a];
-    size_t nargs = arg_columns.size();
-    for (size_t i = 0; i < nargs; ++i) argv[i] = arg_columns[i][row];
-    aggs[a]->Iter(cell->states[a].get(), argv, nargs);
-  }
-  if (stats != nullptr) stats->iter_calls += aggs.size();
-}
-
-Status CubeContext::RemoveRow(Cell* cell, size_t row) const {
-  Value argv[8];
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    const auto& arg_columns = agg_args[a];
-    size_t nargs = arg_columns.size();
-    for (size_t i = 0; i < nargs; ++i) argv[i] = arg_columns[i][row];
-    DATACUBE_RETURN_IF_ERROR(
-        aggs[a]->Remove(cell->states[a].get(), argv, nargs));
-  }
-  return Status::OK();
-}
-
-Status CubeContext::MergeCell(Cell* dst, const Cell& src,
-                              CubeStats* stats) const {
-  if (!dst->has_repr && src.has_repr) {
-    dst->repr_row = src.repr_row;
-    dst->has_repr = true;
-  }
-  dst->count += src.count;
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    DATACUBE_RETURN_IF_ERROR(
-        aggs[a]->Merge(dst->states[a].get(), src.states[a].get()));
-  }
-  if (stats != nullptr) stats->merge_calls += aggs.size();
-  return Status::OK();
-}
-
-Cell CubeContext::CloneCell(const Cell& cell) const {
-  Cell out;
-  out.count = cell.count;
-  out.repr_row = cell.repr_row;
-  out.has_repr = cell.has_repr;
-  out.states.reserve(cell.states.size());
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    out.states.push_back(aggs[a]->Clone(cell.states[a].get()));
-  }
-  return out;
-}
 
 Result<CubeContext> BuildCubeContext(const Table& input, const CubeSpec& spec,
                                      bool materialize_ref_keys) {
@@ -189,59 +106,6 @@ Result<CubeContext> BuildCubeContext(const Table& input, const CubeSpec& spec,
     if (ctx.sets[i] == full) ctx.full_set_index = static_cast<int>(i);
   }
   return ctx;
-}
-
-CellMap HashGroupBy(const CubeContext& ctx, GroupingSet set, CubeStats* stats) {
-  obs::ScopedSpan span("hash_group_by");
-  CellMap cells;
-  uint64_t rehashes = 0;
-  size_t buckets = cells.bucket_count();
-  for (size_t row = 0; row < ctx.num_rows(); ++row) {
-    std::vector<Value> key = ctx.MaskedKey(row, set);
-    auto [it, inserted] = cells.try_emplace(std::move(key));
-    if (inserted) {
-      it->second = ctx.NewCell();
-      if (cells.bucket_count() != buckets) {
-        buckets = cells.bucket_count();
-        ++rehashes;
-      }
-    }
-    ctx.IterRow(&it->second, row, stats);
-  }
-  if (stats != nullptr) {
-    ++stats->input_scans;
-    stats->hash_cells += cells.size();
-    stats->hash_rehashes += rehashes;
-  }
-  if (span.active()) {
-    span.Attr("set", GroupingSetToString(set, ctx.key_names));
-    span.Attr("rows", static_cast<uint64_t>(ctx.num_rows()));
-    span.Attr("cells", static_cast<uint64_t>(cells.size()));
-    span.Attr("rehashes", rehashes);
-  }
-  return cells;
-}
-
-std::vector<size_t> KeyCardinalities(const CubeContext& ctx) {
-  std::vector<size_t> cards;
-  cards.reserve(ctx.num_keys);
-  for (size_t k = 0; k < ctx.num_keys; ++k) {
-    if (ctx.key_columns[k].empty() && ctx.key_source_columns[k] != nullptr &&
-        ctx.num_rows() > 0) {
-      // Lazily materialized column reference: count on the table column.
-      // NULL and a literal ALL each count as one distinct value, matching
-      // the Value-set semantics below.
-      const Column& col = *ctx.key_source_columns[k];
-      size_t n = col.CountDistinct() + (col.null_count() > 0 ? 1 : 0) +
-                 (col.all_count() > 0 ? 1 : 0);
-      cards.push_back(std::max<size_t>(1, n));
-      continue;
-    }
-    std::unordered_set<Value, ValueHash> distinct;
-    for (const Value& v : ctx.key_columns[k]) distinct.insert(v);
-    cards.push_back(std::max<size_t>(1, distinct.size()));
-  }
-  return cards;
 }
 
 LatticePlan PlanLattice(const std::vector<GroupingSet>& sets,

@@ -1,8 +1,6 @@
 #ifndef DATACUBE_CUBE_CUBE_INTERNAL_H_
 #define DATACUBE_CUBE_CUBE_INTERNAL_H_
 
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "datacube/agg/aggregate.h"
@@ -14,26 +12,6 @@
 
 namespace datacube {
 namespace cube_internal {
-
-/// One cube cell: a scratchpad per aggregate plus a representative input row
-/// (any member of the cell's group) used to evaluate decorations.
-struct Cell {
-  std::vector<AggStatePtr> states;
-  /// Number of base rows contributing to this cell. Maintained by
-  /// IterRow/MergeCell and by the maintenance layer, which erases a cell
-  /// when its group empties (so the maintained cube equals a recompute).
-  int64_t count = 0;
-  size_t repr_row = 0;
-  bool has_repr = false;
-};
-
-/// Cells of one grouping set, keyed by the full-width grouping key with ALL
-/// in aggregated-away positions.
-using CellMap =
-    std::unordered_map<std::vector<Value>, Cell, ValueVectorHash>;
-
-/// One CellMap per grouping set, parallel to CubeContext::sets.
-using SetMaps = std::vector<CellMap>;
 
 /// Everything the algorithms need, precomputed once: bound expressions
 /// evaluated into key columns and aggregate-argument columns, instantiated
@@ -85,43 +63,17 @@ struct CubeContext {
   bool Interrupted() const {
     return control != nullptr && !control->Check().ok();
   }
-
-  /// Full-width key for `row` under `set` (ALL in ungrouped positions).
-  std::vector<Value> MaskedKey(size_t row, GroupingSet set) const;
-
-  /// Projects an existing full-width key onto a coarser set.
-  std::vector<Value> ProjectKey(const std::vector<Value>& key,
-                                GroupingSet set) const;
-
-  /// Fresh cell with Init'd scratchpads.
-  Cell NewCell() const;
-
-  /// Folds input row `row` into `cell` (one Iter per aggregate).
-  void IterRow(Cell* cell, size_t row, CubeStats* stats) const;
-
-  /// Un-applies row `row` from `cell` (maintenance path).
-  Status RemoveRow(Cell* cell, size_t row) const;
-
-  /// Merges src's scratchpads into dst's (Iter_super cascade).
-  Status MergeCell(Cell* dst, const Cell& src, CubeStats* stats) const;
-
-  /// Deep copy of a cell.
-  Cell CloneCell(const Cell& cell) const;
 };
 
 /// Evaluates and validates `spec` against `input`. With
 /// `materialize_ref_keys` false, grouping expressions that are plain column
 /// references skip EvaluateAll — their key_columns entry stays empty and
-/// key_source_columns points at the table column instead. Only the columnar
-/// one-shot path may request this; the legacy algorithms and the
-/// maintenance contexts index key_columns per row.
+/// key_source_columns points at the table column instead. Only the
+/// one-shot ExecuteCube path (which encodes straight from the table) and
+/// ExplainCube may request this; the stored cubes and the test harness's
+/// reference evaluator index key_columns per row.
 Result<CubeContext> BuildCubeContext(const Table& input, const CubeSpec& spec,
                                      bool materialize_ref_keys = true);
-
-/// Hash-aggregates the input into cells of `set`. The shared primitive
-/// behind UnionGroupBy, FromCore's core computation, and fallbacks.
-/// Increments stats->input_scans by one.
-CellMap HashGroupBy(const CubeContext& ctx, GroupingSet set, CubeStats* stats);
 
 /// Computation plan over the grouping-set lattice: each node is computed
 /// either from base data (parent == -1) or by merging a finer, already
@@ -150,31 +102,6 @@ enum class ParentPolicy { kSmallestParent, kLargestParent };
 LatticePlan PlanLattice(const std::vector<GroupingSet>& sets,
                         const std::vector<size_t>& column_cardinalities,
                         ParentPolicy policy = ParentPolicy::kSmallestParent);
-
-/// Distinct-value count of each key column of `ctx`.
-std::vector<size_t> KeyCardinalities(const CubeContext& ctx);
-
-/// Builds the result relation from per-set cell maps (ALL/NULL marking,
-/// decorations, GROUPING columns, aggregate finalization). Shared by the
-/// one-shot operator and MaterializedCube. Reads the cells' scratchpads but
-/// does not consume them.
-Result<Table> AssembleResult(const CubeContext& ctx, SetMaps& maps,
-                             CubeStats* stats);
-
-// Per-algorithm entry points. Each fills one CellMap per ctx.sets entry.
-Result<SetMaps> ComputeNaive2N(const CubeContext& ctx, CubeStats* stats);
-/// Lattice cascade seeded with an optional precomputed core (see
-/// from_core.cc); exposed for the parallel path.
-Result<SetMaps> CascadeFromCore(const CubeContext& ctx,
-                                std::optional<CellMap> core, CubeStats* stats);
-Result<SetMaps> ComputeUnionGroupBy(const CubeContext& ctx, CubeStats* stats);
-Result<SetMaps> ComputeFromCore(const CubeContext& ctx, CubeStats* stats);
-Result<SetMaps> ComputeArrayCube(const CubeContext& ctx,
-                                 const CubeOptions& options, CubeStats* stats);
-Result<SetMaps> ComputeSortRollup(const CubeContext& ctx, CubeStats* stats);
-Result<SetMaps> ComputeSortFromCore(const CubeContext& ctx, CubeStats* stats);
-Result<SetMaps> ComputeParallel(const CubeContext& ctx,
-                                const CubeOptions& options, CubeStats* stats);
 
 }  // namespace cube_internal
 }  // namespace datacube

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "datacube/cube/columnar.h"
@@ -12,15 +13,11 @@
 #include "datacube/obs/metrics.h"
 #include "datacube/obs/query_profile.h"
 #include "datacube/obs/trace.h"
-#include "datacube/table/sort.h"
 
 namespace datacube {
 
 using cube_internal::BuildCubeContext;
-using cube_internal::Cell;
-using cube_internal::CellMap;
 using cube_internal::CubeContext;
-using cube_internal::SetMaps;
 using cube_internal::SetStores;
 
 const char* CubeAlgorithmName(CubeAlgorithm a) {
@@ -45,19 +42,12 @@ const char* CubeAlgorithmName(CubeAlgorithm a) {
 
 namespace {
 
-// True if `sets` is a containment chain (rollup shape), which SortRollup
-// handles in one sorted scan — the plan for holistic aggregates, which
-// cannot merge up from the core.
-bool IsChainShape(const std::vector<GroupingSet>& sets) {
-  for (size_t i = 1; i < sets.size(); ++i) {
-    if ((sets[i - 1] & sets[i]) != sets[i]) return false;
-  }
-  return true;
-}
-
+// A containment chain (rollup shape) is handled by SortRollup in one
+// sorted scan — the plan for holistic aggregates, which cannot merge up
+// from the core.
 CubeAlgorithm ChooseAlgorithm(const CubeContext& ctx) {
   if (ctx.all_mergeable) return CubeAlgorithm::kFromCore;
-  if (IsChainShape(ctx.sets)) return CubeAlgorithm::kSortRollup;
+  if (IsChain(ctx.sets)) return CubeAlgorithm::kSortRollup;
   return CubeAlgorithm::kUnionGroupBy;
 }
 
@@ -99,7 +89,7 @@ CubeAlgorithm PredictAlgorithm(const CubeContext& ctx,
       if (ctx.full_set_index < 0) return CubeAlgorithm::kFromCore;
       return CubeAlgorithm::kSortFromCore;
     case CubeAlgorithm::kSortRollup:
-      if (IsChainShape(ctx.sets)) return CubeAlgorithm::kSortRollup;
+      if (IsChain(ctx.sets)) return CubeAlgorithm::kSortRollup;
       return ctx.all_mergeable ? CubeAlgorithm::kFromCore
                                : CubeAlgorithm::kUnionGroupBy;
     case CubeAlgorithm::kArrayCube: {
@@ -119,15 +109,6 @@ CubeAlgorithm PredictAlgorithm(const CubeContext& ctx,
     }
   }
   return a;
-}
-
-// Whether this execution runs on the legacy Value-vector CellMap core
-// instead of the columnar default — per-call via CubeOptions, or
-// per-process via DATACUBE_LEGACY_CELLS (any value but "" / "0").
-bool UseLegacyCellMap(const CubeOptions& options) {
-  if (options.use_legacy_cellmap) return true;
-  const char* env = std::getenv("DATACUBE_LEGACY_CELLS");
-  return env != nullptr && env[0] != '\0' && std::string(env) != "0";
 }
 
 // Whether this execution runs the batched (morsel-at-a-time) aggregation
@@ -173,7 +154,7 @@ void PublishCubeStats(const CubeStats& stats) {
   reg.GetCounter("datacube_cube_hash_rehashes_total",
                  "Hash-table growth events while grouping")
       .Inc(stats.hash_rehashes);
-  // Columnar-core kernel counters; all zero on the legacy CellMap path.
+  // Flat-store kernel counters.
   reg.GetCounter("datacube_cube_hash_probes_total",
                  "Flat-hash probe steps across all cell lookups")
       .Inc(stats.hash_probes);
@@ -295,126 +276,17 @@ void EmitQueryProfile(const CubeContext& ctx, const CubeSpec& spec,
 
 }  // namespace
 
-namespace cube_internal {
-
-// Assembles the result relation from per-set cell maps (Section 3's
-// relational representation: one row per cube cell, ALL marking
-// super-aggregates).
-Result<Table> AssembleResult(const CubeContext& ctx, SetMaps& maps,
-                             CubeStats* stats) {
-  const CubeSpec& spec = *ctx.spec;
-
-  // SQL semantics: the empty grouping set produces exactly one row even for
-  // empty input (the aggregate over the empty set).
-  for (size_t s = 0; s < ctx.sets.size(); ++s) {
-    if (ctx.sets[s] == 0 && maps[s].empty()) {
-      maps[s].emplace(std::vector<Value>(ctx.num_keys, Value::All()),
-                      ctx.NewCell());
-    }
-  }
-
-  // Result schema.
-  std::vector<Field> fields;
-  for (size_t k = 0; k < ctx.num_keys; ++k) {
-    fields.push_back(Field{ctx.key_names[k], ctx.key_types[k],
-                           /*nullable=*/true, /*allow_all=*/true});
-  }
-  for (const Decoration& d : spec.decorations) {
-    fields.push_back(Field{d.name, d.expr->output_type(), /*nullable=*/true,
-                           /*allow_all=*/false});
-  }
-  for (size_t a = 0; a < ctx.aggs.size(); ++a) {
-    std::string name = spec.aggregates[a].output_name.empty()
-                           ? spec.aggregates[a].function
-                           : spec.aggregates[a].output_name;
-    fields.push_back(Field{std::move(name), ctx.agg_result_types[a],
-                           /*nullable=*/true, /*allow_all=*/false});
-  }
-  if (spec.add_grouping_columns) {
-    for (size_t k = 0; k < ctx.num_keys; ++k) {
-      fields.push_back(Field{"grouping_" + ctx.key_names[k], DataType::kBool,
-                             /*nullable=*/false, /*allow_all=*/false});
-    }
-  }
-  if (spec.add_grouping_id) {
-    fields.push_back(Field{"grouping_id", DataType::kInt64,
-                           /*nullable=*/false, /*allow_all=*/false});
-  }
-  Table out{Schema{std::move(fields)}};
-
-  size_t total_cells = 0;
-  for (const CellMap& m : maps) total_cells += m.size();
-  out.Reserve(total_cells);
-  if (stats != nullptr) stats->output_cells = total_cells;
-
-  for (size_t s = 0; s < ctx.sets.size(); ++s) {
-    GroupingSet set = ctx.sets[s];
-    for (auto& [key, cell] : maps[s]) {
-      std::vector<Value> row;
-      row.reserve(out.num_columns());
-      // Grouping columns: ALL (or NULL under the minimalist Section 3.4
-      // design) in aggregated-away positions.
-      for (size_t k = 0; k < ctx.num_keys; ++k) {
-        if (IsGrouped(set, k)) {
-          row.push_back(key[k]);
-        } else {
-          row.push_back(spec.all_mode == AllMode::kAllToken ? Value::All()
-                                                            : Value::Null());
-        }
-      }
-      // Decorations: value when the grouping set functionally determines it
-      // (covers the determinant), else NULL — Table 7's continent rule.
-      for (const Decoration& d : spec.decorations) {
-        bool determined = (set & d.determinant) == d.determinant;
-        if (determined && cell.has_repr) {
-          DATACUBE_ASSIGN_OR_RETURN(
-              Value v, d.expr->Evaluate(*ctx.input, cell.repr_row));
-          row.push_back(std::move(v));
-        } else {
-          row.push_back(Value::Null());
-        }
-      }
-      // Aggregates.
-      for (size_t a = 0; a < ctx.aggs.size(); ++a) {
-        DATACUBE_ASSIGN_OR_RETURN(
-            Value v, ctx.aggs[a]->FinalChecked(cell.states[a].get()));
-        row.push_back(std::move(v));
-        if (stats != nullptr) ++stats->final_calls;
-      }
-      // GROUPING() discriminators (Section 3.3/3.4): TRUE where the column
-      // is an ALL value.
-      if (spec.add_grouping_columns) {
-        for (size_t k = 0; k < ctx.num_keys; ++k) {
-          row.push_back(Value::Bool(!IsGrouped(set, k)));
-        }
-      }
-      if (spec.add_grouping_id) {
-        int64_t id = 0;
-        for (size_t k = 0; k < ctx.num_keys; ++k) {
-          if (!IsGrouped(set, k)) id |= (1LL << k);
-        }
-        row.push_back(Value::Int64(id));
-      }
-      DATACUBE_RETURN_IF_ERROR(out.AppendRow(row));
-    }
-  }
-  return out;
-}
-
-}  // namespace cube_internal
-
 Result<CubeResult> ExecuteCube(const Table& input, const CubeSpec& spec,
                                const CubeOptions& options) {
   auto start = std::chrono::steady_clock::now();
   obs::ScopedSpan span("execute_cube");
 
-  // The columnar one-shot path encodes plain column-reference keys straight
-  // from the table, so it skips materializing them as Value vectors.
+  // The one-shot path encodes plain column-reference keys straight from the
+  // table, so it skips materializing them as Value vectors.
   DATACUBE_RETURN_IF_ERROR(CheckControl(options.control));
-  bool legacy_core = UseLegacyCellMap(options);
   DATACUBE_ASSIGN_OR_RETURN(
       CubeContext ctx,
-      BuildCubeContext(input, spec, /*materialize_ref_keys=*/legacy_core));
+      BuildCubeContext(input, spec, /*materialize_ref_keys=*/false));
   ctx.control = options.control;
 
   CubeStats stats;
@@ -422,7 +294,7 @@ Result<CubeResult> ExecuteCube(const Table& input, const CubeSpec& spec,
   CubeAlgorithm algorithm = options.algorithm == CubeAlgorithm::kAuto
                                 ? ChooseAlgorithm(ctx)
                                 : options.algorithm;
-  // Refined below: each Compute* implementation self-reports the algorithm
+  // Refined below: each Columnar* implementation self-reports the algorithm
   // it commits to after its fallback checks.
   stats.algorithm_used = algorithm;
   if (span.active()) {
@@ -432,136 +304,84 @@ Result<CubeResult> ExecuteCube(const Table& input, const CubeSpec& spec,
     span.Attr("requested", CubeAlgorithmName(options.algorithm));
   }
 
-  // Per-grouping-set actuals are one size read each; estimates need
-  // per-column cardinalities, so they are computed only for a traced
-  // execution (EXPLAIN ANALYZE) where the comparison is the point. The
-  // columnar path reads them off the codec's dictionaries; the legacy path
-  // pays a cardinality scan.
-  auto fill_estimates = [&](auto cardinalities) {
-    if (!obs::TracingActive()) return;
-    std::vector<size_t> cards = cardinalities();
-    for (size_t s = 0; s < ctx.sets.size(); ++s) {
-      double est = 1.0;
-      for (size_t k = 0; k < ctx.num_keys; ++k) {
-        if (IsGrouped(ctx.sets[s], k)) est *= static_cast<double>(cards[k]);
-      }
-      stats.per_set[s].est_cells = est;
-    }
-  };
-  if (span.active()) {
-    span.Attr("core", legacy_core ? "legacy_cellmap" : "columnar");
-  }
-
   Result<Table> table = [&]() -> Result<Table> {
-    if (!legacy_core) {
-      DATACUBE_ASSIGN_OR_RETURN(cube_internal::ColumnarContext cc,
-                                cube_internal::BuildColumnarContext(ctx));
-      cc.use_batch = UseBatchKernels(options);
-      auto dispatch = [&]() -> Result<SetStores> {
-        if (WouldRunParallel(ctx, options)) {
-          return cube_internal::ColumnarParallel(cc, options, &stats);
-        }
-        switch (algorithm) {
-          case CubeAlgorithm::kNaive2N:
-            return cube_internal::ColumnarNaive2N(cc, &stats);
-          case CubeAlgorithm::kUnionGroupBy:
-            return cube_internal::ColumnarUnionGroupBy(cc, &stats);
-          case CubeAlgorithm::kFromCore:
-            return cube_internal::ColumnarFromCore(cc, &stats);
-          case CubeAlgorithm::kArrayCube:
-            return cube_internal::ColumnarArrayCube(cc, options, &stats);
-          case CubeAlgorithm::kSortRollup:
-            return cube_internal::ColumnarSortRollup(cc, &stats);
-          case CubeAlgorithm::kSortFromCore:
-            return cube_internal::ColumnarSortFromCore(cc, &stats);
-          case CubeAlgorithm::kAuto:
-            break;
-        }
-        return Status::Internal("unresolved cube algorithm");
-      };
-      size_t budget = cube_internal::ResolveMaterializeBudget(options);
-      Result<SetStores> stores = [&]() -> Result<SetStores> {
-        if (budget == 0 || !cube_internal::LatticeRewriteEligible(ctx)) {
-          return dispatch();
-        }
-        // Budgeted partial materialization: run the normal algorithm over
-        // only the benefit-per-byte selection of the requested sets — the
-        // codec, state layout, and packed row keys are set-independent, so
-        // ctx.sets can be swapped around the dispatch — then answer every
-        // remaining set from its cheapest materialized ancestor.
-        DATACUBE_ASSIGN_OR_RETURN(
-            cube_internal::LatticeRewritePlan plan,
-            cube_internal::PlanLatticeRewrite(ctx, cc, budget));
-        std::vector<GroupingSet> requested = std::move(ctx.sets);
-        int requested_full = ctx.full_set_index;
-        ctx.sets = plan.selection.views;
-        ctx.full_set_index = 0;  // the selection always leads with the core
-        Result<SetStores> selected = dispatch();
-        ctx.sets = std::move(requested);
-        ctx.full_set_index = requested_full;
-        if (!selected.ok()) return selected.status();
-        if (span.active()) {
-          span.Attr("materialize_budget_bytes",
-                    static_cast<uint64_t>(budget));
-          span.Attr("views_materialized",
-                    static_cast<uint64_t>(plan.selection.views.size()));
-        }
-        return cube_internal::FoldSelectedToRequested(
-            cc, plan, ctx.sets, std::move(selected).value(), &stats);
-      }();
-      if (!stores.ok()) return stores.status();
-      stats.per_set.resize(ctx.sets.size());
-      for (size_t s = 0; s < ctx.sets.size(); ++s) {
-        stats.per_set[s].set = ctx.sets[s];
-        stats.per_set[s].actual_cells = stores.value()[s].size();
-      }
-      fill_estimates([&] { return cc.codec.Cardinalities(); });
-      cube_internal::FlushStoreStats(stores.value(), &stats);
-      obs::ScopedSpan assemble_span("assemble_result");
-      return cube_internal::AssembleColumnarResult(
-          cc, stores.value(), /*ordered=*/options.sort_result, &stats);
-    }
-
-    Result<SetMaps> maps = [&]() -> Result<SetMaps> {
+    DATACUBE_ASSIGN_OR_RETURN(cube_internal::ColumnarContext cc,
+                              cube_internal::BuildColumnarContext(ctx));
+    cc.use_batch = UseBatchKernels(options);
+    auto dispatch = [&]() -> Result<SetStores> {
       if (WouldRunParallel(ctx, options)) {
-        return cube_internal::ComputeParallel(ctx, options, &stats);
+        return cube_internal::ColumnarParallel(cc, options, &stats);
       }
       switch (algorithm) {
         case CubeAlgorithm::kNaive2N:
-          return cube_internal::ComputeNaive2N(ctx, &stats);
+          return cube_internal::ColumnarNaive2N(cc, &stats);
         case CubeAlgorithm::kUnionGroupBy:
-          return cube_internal::ComputeUnionGroupBy(ctx, &stats);
+          return cube_internal::ColumnarUnionGroupBy(cc, &stats);
         case CubeAlgorithm::kFromCore:
-          return cube_internal::ComputeFromCore(ctx, &stats);
+          return cube_internal::ColumnarFromCore(cc, &stats);
         case CubeAlgorithm::kArrayCube:
-          return cube_internal::ComputeArrayCube(ctx, options, &stats);
+          return cube_internal::ColumnarArrayCube(cc, options, &stats);
         case CubeAlgorithm::kSortRollup:
-          return cube_internal::ComputeSortRollup(ctx, &stats);
+          return cube_internal::ColumnarSortRollup(cc, &stats);
         case CubeAlgorithm::kSortFromCore:
-          return cube_internal::ComputeSortFromCore(ctx, &stats);
+          return cube_internal::ColumnarSortFromCore(cc, &stats);
         case CubeAlgorithm::kAuto:
           break;
       }
       return Status::Internal("unresolved cube algorithm");
+    };
+    size_t budget = cube_internal::ResolveMaterializeBudget(options);
+    Result<SetStores> stores = [&]() -> Result<SetStores> {
+      if (budget == 0 || !cube_internal::LatticeRewriteEligible(ctx)) {
+        return dispatch();
+      }
+      // Budgeted partial materialization: run the normal algorithm over
+      // only the benefit-per-byte selection of the requested sets — the
+      // codec, state layout, and packed row keys are set-independent, so
+      // ctx.sets can be swapped around the dispatch — then answer every
+      // remaining set from its cheapest materialized ancestor.
+      DATACUBE_ASSIGN_OR_RETURN(
+          cube_internal::LatticeRewritePlan plan,
+          cube_internal::PlanLatticeRewrite(ctx, cc, budget));
+      std::vector<GroupingSet> requested = std::move(ctx.sets);
+      int requested_full = ctx.full_set_index;
+      ctx.sets = plan.selection.views;
+      ctx.full_set_index = 0;  // the selection always leads with the core
+      Result<SetStores> selected = dispatch();
+      ctx.sets = std::move(requested);
+      ctx.full_set_index = requested_full;
+      if (!selected.ok()) return selected.status();
+      if (span.active()) {
+        span.Attr("materialize_budget_bytes", static_cast<uint64_t>(budget));
+        span.Attr("views_materialized",
+                  static_cast<uint64_t>(plan.selection.views.size()));
+      }
+      return cube_internal::FoldSelectedToRequested(
+          cc, plan, ctx.sets, std::move(selected).value(), &stats);
     }();
-    if (!maps.ok()) return maps.status();
+    if (!stores.ok()) return stores.status();
     stats.per_set.resize(ctx.sets.size());
     for (size_t s = 0; s < ctx.sets.size(); ++s) {
       stats.per_set[s].set = ctx.sets[s];
-      stats.per_set[s].actual_cells = maps.value()[s].size();
+      stats.per_set[s].actual_cells = stores.value()[s].size();
     }
-    fill_estimates([&] { return cube_internal::KeyCardinalities(ctx); });
-    Result<Table> assembled = [&] {
-      obs::ScopedSpan assemble_span("assemble_result");
-      return cube_internal::AssembleResult(ctx, maps.value(), &stats);
-    }();
-    if (!assembled.ok() || !options.sort_result) return assembled;
-    obs::ScopedSpan sort_span("sort_result");
-    std::vector<SortKey> keys;
-    for (size_t k = 0; k < ctx.num_keys; ++k) {
-      keys.push_back(SortKey{k, /*ascending=*/true});
+    // Per-grouping-set actuals are one size read each; estimates multiply
+    // the codec's dictionary sizes, so they are filled in only for a traced
+    // execution (EXPLAIN ANALYZE), where the comparison is the point.
+    if (obs::TracingActive()) {
+      std::vector<size_t> cards = cc.codec.Cardinalities();
+      for (size_t s = 0; s < ctx.sets.size(); ++s) {
+        double est = 1.0;
+        for (size_t k = 0; k < ctx.num_keys; ++k) {
+          if (IsGrouped(ctx.sets[s], k)) est *= static_cast<double>(cards[k]);
+        }
+        stats.per_set[s].est_cells = est;
+      }
     }
-    return SortTable(assembled.value(), keys);
+    cube_internal::FlushStoreStats(stores.value(), &stats);
+    obs::ScopedSpan assemble_span("assemble_result");
+    return cube_internal::AssembleColumnarResult(
+        cc, stores.value(), /*ordered=*/options.sort_result, &stats);
   }();
   if (!table.ok()) return table.status();
 
@@ -588,9 +408,15 @@ Result<CubeResult> ExecuteCube(const Table& input, const CubeSpec& spec,
 
 Result<std::string> ExplainCube(const Table& input, const CubeSpec& spec,
                                 const CubeOptions& options) {
-  DATACUBE_ASSIGN_OR_RETURN(CubeContext ctx,
-                            BuildCubeContext(input, spec));
-  std::vector<size_t> cards = cube_internal::KeyCardinalities(ctx);
+  // The plan reads per-column cardinalities off the key codec's
+  // dictionaries: EXPLAIN encodes the keys once, exactly as the execution
+  // would, so both see the same C_i.
+  DATACUBE_ASSIGN_OR_RETURN(
+      CubeContext ctx,
+      BuildCubeContext(input, spec, /*materialize_ref_keys=*/false));
+  DATACUBE_ASSIGN_OR_RETURN(cube_internal::ColumnarContext cc,
+                            cube_internal::BuildColumnarContext(ctx));
+  std::vector<size_t> cards = cc.codec.Cardinalities();
   cube_internal::LatticePlan plan = cube_internal::PlanLattice(ctx.sets, cards);
   // The algorithm the execution would actually commit to, including fallback
   // from a forced choice the input cannot support (e.g. kFromCore with a
@@ -622,10 +448,7 @@ Result<std::string> ExplainCube(const Table& input, const CubeSpec& spec,
   // and where every other requested set folds from.
   size_t budget = cube_internal::ResolveMaterializeBudget(options);
   std::optional<cube_internal::LatticeRewritePlan> rewrite;
-  if (budget > 0 && !UseLegacyCellMap(options) &&
-      cube_internal::LatticeRewriteEligible(ctx)) {
-    DATACUBE_ASSIGN_OR_RETURN(cube_internal::ColumnarContext cc,
-                              cube_internal::BuildColumnarContext(ctx));
+  if (budget > 0 && cube_internal::LatticeRewriteEligible(ctx)) {
     DATACUBE_ASSIGN_OR_RETURN(
         cube_internal::LatticeRewritePlan rw,
         cube_internal::PlanLatticeRewrite(ctx, cc, budget));
@@ -643,8 +466,8 @@ Result<std::string> ExplainCube(const Table& input, const CubeSpec& spec,
                  static_cast<uint64_t>(rewrite->model.bytes_per_cell)) +
              " bytes)";
     } else {
-      out += " (ignored: holistic aggregate, missing core, or legacy core "
-             "requires direct computation)";
+      out += " (ignored: holistic aggregate or missing core requires "
+             "direct computation)";
     }
     out += "\n";
   }

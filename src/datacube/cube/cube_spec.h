@@ -154,11 +154,6 @@ struct CubeOptions {
   bool sort_result = true;
   /// Safety cap for kArrayCube's dense allocation (cells = Π(C_i+1)).
   size_t array_max_cells = 1ULL << 26;
-  /// Escape hatch: run on the legacy Value-vector CellMap core instead of
-  /// the columnar (encoded-key / flat-hash / fixed-slot) core. Also
-  /// switchable per-process with the DATACUBE_LEGACY_CELLS environment
-  /// variable; used by the differential oracle to diff the two cores.
-  bool use_legacy_cellmap = false;
   /// Batched aggregation on the columnar core: morsel-at-a-time group-id
   /// probing in CellStore plus per-aggregate IterBatch column sweeps, so
   /// one virtual call covers a whole morsel instead of one per row.
@@ -174,10 +169,9 @@ struct CubeOptions {
   /// requested set by super-aggregating its cheapest materialized ancestor
   /// (Section 3's Merge cascade used for serving). The rewrite never
   /// applies to holistic aggregates or to GROUPING SETS requests without
-  /// the core: those fall back to direct computation, as does the legacy
-  /// CellMap path. 0 = off. Also settable per-process with the
-  /// DATACUBE_MATERIALIZE_BUDGET environment variable (bytes; the option
-  /// wins when both are set).
+  /// the core: those fall back to direct computation. 0 = off. Also
+  /// settable per-process with the DATACUBE_MATERIALIZE_BUDGET environment
+  /// variable (bytes; the option wins when both are set).
   size_t materialize_budget_bytes = 0;
   /// Cooperative cancellation / deadline for this execution. Not owned; the
   /// caller keeps it alive for the duration of the call and may Cancel()
@@ -197,8 +191,8 @@ struct CubeOptions {
 
 /// Per-grouping-set execution instrumentation (EXPLAIN ANALYZE's actual vs
 /// estimated cell counts). `est_cells` stays negative unless estimates were
-/// computed (they require a cardinality scan, paid only when a trace is
-/// active or EXPLAIN asked for a plan).
+/// computed (from the key codec's dictionary sizes, only when a trace is
+/// active).
 struct GroupingSetExecStats {
   GroupingSet set = 0;
   uint64_t actual_cells = 0;
@@ -227,7 +221,7 @@ struct CubeStats {
   uint64_t output_cells = 0;    // cube cells produced
   uint64_t hash_cells = 0;      // cells allocated by hash group-bys
   uint64_t hash_rehashes = 0;   // hash-table growth events while grouping
-  // Columnar-core kernel counters (zero on the legacy CellMap path).
+  // Flat-store kernel counters.
   uint64_t hash_probes = 0;     // flat-table probe steps across all lookups
   uint64_t hash_max_probe = 0;  // longest single probe chain observed
   uint64_t arena_bytes = 0;     // bytes reserved by cell-state arenas

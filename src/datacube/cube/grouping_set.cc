@@ -88,4 +88,13 @@ std::vector<GroupingSet> NormalizeSets(std::vector<GroupingSet> sets) {
   return sets;
 }
 
+bool IsChain(const std::vector<GroupingSet>& sets) {
+  for (size_t i = 1; i < sets.size(); ++i) {
+    if ((sets[i - 1] & sets[i]) != sets[i] || sets[i - 1] == sets[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace datacube

@@ -58,6 +58,12 @@ std::vector<GroupingSet> CrossProductSets(
 /// and removes duplicates. Canonical order used by planners and output.
 std::vector<GroupingSet> NormalizeSets(std::vector<GroupingSet> sets);
 
+/// True if `sets`, in NormalizeSets order, form a strict containment chain
+/// S_0 ⊋ S_1 ⊋ ... (the ROLLUP shape, e.g. {M,Y,C} ⊃ {M,Y} ⊃ {M} ⊃ {}).
+/// Canonical order makes adjacent containment sufficient; a repeated set
+/// breaks the chain. The empty list and a single set are chains.
+bool IsChain(const std::vector<GroupingSet>& sets);
+
 }  // namespace datacube
 
 #endif  // DATACUBE_CUBE_GROUPING_SET_H_

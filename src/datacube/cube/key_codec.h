@@ -33,7 +33,8 @@ struct KeyColumnSource {
 /// Reserved codes make the ALL/NULL semantics of Section 3 pure bit
 /// arithmetic:
 ///   code 0 = ALL   — masking a field to zero aggregates the column away,
-///                    so MaskedKey is a bitwise AND with a keep-mask;
+///                    so masking a key to a grouping set is a bitwise
+///                    AND with a keep-mask;
 ///   code 1 = NULL  — NULL groups stay distinct from ALL planes;
 ///   codes 2..C+1   — the column's concrete values, in sorted order.
 class KeyCodec {
@@ -65,10 +66,9 @@ class KeyCodec {
   /// Total packed bits across all fields.
   size_t total_bits() const;
 
-  /// Per-column distinct-value counts exactly as the legacy
-  /// KeyCardinalities reports them (NULL — and a literal ALL in the data —
-  /// count as distinct values; minimum 1), so PlanLattice estimates are
-  /// unchanged by encoding.
+  /// Per-column counts of distinct Values (NULL — and a literal ALL in the
+  /// data — count as distinct values; minimum 1): the C_i that PlanLattice
+  /// estimates and EXPLAIN prints.
   std::vector<size_t> Cardinalities() const;
 
   /// Code for `v` in column `k`, or nullopt if the value is not in the
@@ -169,7 +169,8 @@ class KeyCodec {
   /// Decodes one column of a packed key back to a Value.
   const Value& ValueAt(const uint64_t* key, size_t k) const;
 
-  /// Decodes a packed key into the legacy full-width Value form.
+  /// Decodes a packed key into its full-width Value form (ALL in
+  /// aggregated-away positions).
   std::vector<Value> DecodeKey(const uint64_t* key) const;
 
  private:

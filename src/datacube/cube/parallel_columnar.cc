@@ -26,9 +26,9 @@
 //      combine becomes P independent single-threaded merges executed as pool
 //      tasks: no serial combine, no locks on the hot path.
 //   3. Cascade — the grouping-set lattice is scheduled as one task per
-//      non-core node, spawned as soon as its parent node finishes, replacing
-//      the serial CascadeFromCore tail. Children of the core fold directly
-//      from the partitioned shards.
+//      non-core node, spawned as soon as its parent node finishes, instead
+//      of the serial ColumnarCascadeFromCore walk. Children of the core
+//      fold directly from the partitioned shards.
 //
 // Per-task CubeStats / Status slots keep workers write-disjoint; everything
 // is folded on the coordinator in task-index order, so counters and the

@@ -43,8 +43,7 @@ struct ViewSelection {
 /// per-set cell counts `CubeStats::per_set` collects on every execution.
 struct LatticeByteCostModel {
   size_t num_dims = 0;
-  /// Distinct-value count per grouping column (KeyCodec::Cardinalities /
-  /// cube_internal::KeyCardinalities).
+  /// Distinct-value count per grouping column (KeyCodec::Cardinalities).
   std::vector<size_t> cardinalities;
   size_t base_rows = 0;
   /// Estimated resident bytes per cell: the packed key words plus the

@@ -1,5 +1,7 @@
 #include "datacube/testing/differential.h"
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -9,6 +11,7 @@
 
 #include "datacube/cube/materialized_cube.h"
 #include "datacube/table/csv.h"
+#include "datacube/testing/reference_cube.h"
 
 namespace datacube {
 namespace testing {
@@ -24,12 +27,26 @@ struct Outcome {
   bool ok() const { return status.ok(); }
 };
 
+Outcome ToOutcome(Result<Table> r) {
+  Outcome out;
+  if (r.ok()) {
+    out.table = std::move(r).value();
+  } else {
+    out.status = r.status();
+  }
+  return out;
+}
+
+/// The baseline every config is diffed against: the Section 3 definition.
+Outcome RunReference(const Table& input, const CubeSpec& spec) {
+  return ToOutcome(ReferenceCube(input, spec));
+}
+
 Outcome RunConfig(const Table& input, const CubeSpec& spec,
                   const OracleConfig& config) {
   CubeOptions options;
   options.algorithm = config.algorithm;
   options.num_threads = config.num_threads;
-  options.use_legacy_cellmap = config.use_legacy_cellmap;
   options.use_batch_kernels = config.use_batch_kernels;
   if (config.morsel_rows != 0) options.morsel_rows = config.morsel_rows;
   if (config.num_partitions != 0) {
@@ -40,13 +57,8 @@ Outcome RunConfig(const Table& input, const CubeSpec& spec,
   }
   options.sort_result = true;
   Result<CubeResult> r = ExecuteCube(input, spec, options);
-  Outcome out;
-  if (r.ok()) {
-    out.table = std::move(r).value().table;
-  } else {
-    out.status = r.status();
-  }
-  return out;
+  if (!r.ok()) return ToOutcome(r.status());
+  return ToOutcome(std::move(r).value().table);
 }
 
 bool SameError(const Status& a, const Status& b) {
@@ -202,23 +214,24 @@ bool CompareOutcomes(const Outcome& base, const Outcome& other,
                     max_diffs, report);
 }
 
-/// True if the two configs still disagree on `input`. Used by minimization;
-/// decrements *budget by the two executions it costs.
+/// True if `config` still disagrees with the reference on `input`. Used by
+/// minimization; decrements *budget by the two executions it costs.
 bool StillDisagrees(const Table& input, const CubeSpec& spec,
-                    const OracleConfig& a, const OracleConfig& b,
-                    const DiffOptions& options, size_t* budget) {
+                    const OracleConfig& config, const DiffOptions& options,
+                    size_t* budget) {
   if (*budget < 2) return false;
   *budget -= 2;
   DiffReport scratch;
-  return !CompareOutcomes(RunConfig(input, spec, a), RunConfig(input, spec, b),
-                          spec, options.abs_tol, options.rel_tol,
+  return !CompareOutcomes(RunReference(input, spec),
+                          RunConfig(input, spec, config), spec,
+                          options.abs_tol, options.rel_tol,
                           /*max_diffs=*/1, &scratch);
 }
 
 /// Greedy delta-debugging: repeatedly drop chunks of rows (halving the
 /// chunk size down to single rows) while the disagreement survives.
 std::vector<size_t> MinimizeRows(const Table& input, const CubeSpec& spec,
-                                 const OracleConfig& a, const OracleConfig& b,
+                                 const OracleConfig& config,
                                  const DiffOptions& options) {
   std::vector<size_t> rows(input.num_rows());
   for (size_t i = 0; i < rows.size(); ++i) rows[i] = i;
@@ -234,8 +247,7 @@ std::vector<size_t> MinimizeRows(const Table& input, const CubeSpec& spec,
         if (i < start || i >= start + chunk) candidate.push_back(rows[i]);
       }
       Result<Table> sub = input.TakeRows(candidate);
-      if (sub.ok() &&
-          StillDisagrees(*sub, spec, a, b, options, &budget)) {
+      if (sub.ok() && StillDisagrees(*sub, spec, config, options, &budget)) {
         rows = std::move(candidate);  // keep start: next chunk slid into place
       } else {
         start += chunk;
@@ -270,16 +282,12 @@ std::vector<OracleConfig> AllOracleConfigs() {
       // contention; tiny/odd partition counts maximize per-partition skew;
       // 32 partitions on 3 threads exercises merge tasks outnumbering
       // workers.
-      {"parallel_x3_m7_p5", CubeAlgorithm::kAuto, 3,
-       /*use_legacy_cellmap=*/false, /*morsel_rows=*/7, /*num_partitions=*/5},
-      {"parallel_x8_m1_p32", CubeAlgorithm::kAuto, 8,
-       /*use_legacy_cellmap=*/false, /*morsel_rows=*/1,
+      {"parallel_x3_m7_p5", CubeAlgorithm::kAuto, 3, /*morsel_rows=*/7,
+       /*num_partitions=*/5},
+      {"parallel_x8_m1_p32", CubeAlgorithm::kAuto, 8, /*morsel_rows=*/1,
        /*num_partitions=*/32},
-      {"parallel_x2_p1", CubeAlgorithm::kAuto, 2,
-       /*use_legacy_cellmap=*/false, /*morsel_rows=*/0, /*num_partitions=*/1},
-      {"legacy_cellmap", CubeAlgorithm::kAuto, 1, /*use_legacy_cellmap=*/true},
-      {"legacy_parallel_x2", CubeAlgorithm::kAuto, 2,
-       /*use_legacy_cellmap=*/true},
+      {"parallel_x2_p1", CubeAlgorithm::kAuto, 2, /*morsel_rows=*/0,
+       /*num_partitions=*/1},
       // Budgeted partial materialization with ancestor answering. Which
       // views survive the greedy depends on the random table's per-column
       // cardinalities, so each seed exercises a different selection. 512
@@ -287,25 +295,21 @@ std::vector<OracleConfig> AllOracleConfigs() {
       // 8 KiB keeps a mid-lattice mix; 1 MiB usually keeps everything but
       // still routes through the rewrite plumbing, here under 3 threads.
       // Holistic specs skip the rewrite entirely and trivially agree.
-      {"budget_512b", CubeAlgorithm::kAuto, 1, /*use_legacy_cellmap=*/false,
-       /*morsel_rows=*/0, /*num_partitions=*/0,
-       /*materialize_budget_bytes=*/512},
-      {"budget_8kb", CubeAlgorithm::kAuto, 1, /*use_legacy_cellmap=*/false,
-       /*morsel_rows=*/0, /*num_partitions=*/0,
-       /*materialize_budget_bytes=*/8192},
-      {"budget_1mb_parallel_x3", CubeAlgorithm::kAuto, 3,
-       /*use_legacy_cellmap=*/false, /*morsel_rows=*/0, /*num_partitions=*/0,
-       /*materialize_budget_bytes=*/1u << 20},
+      {"budget_512b", CubeAlgorithm::kAuto, 1, /*morsel_rows=*/0,
+       /*num_partitions=*/0, /*materialize_budget_bytes=*/512},
+      {"budget_8kb", CubeAlgorithm::kAuto, 1, /*morsel_rows=*/0,
+       /*num_partitions=*/0, /*materialize_budget_bytes=*/8192},
+      {"budget_1mb_parallel_x3", CubeAlgorithm::kAuto, 3, /*morsel_rows=*/0,
+       /*num_partitions=*/0, /*materialize_budget_bytes=*/1u << 20},
       // Scalar-kernel escape hatch: the same engine with batched
       // aggregation disabled, serially and in an adversarial parallel
-      // shape, so every sweep diffs the morsel-at-a-time kernels against
-      // the per-row Iter path (and both against every config above, which
-      // all run with kernels on).
-      {"scalar_kernels", CubeAlgorithm::kAuto, 1,
-       /*use_legacy_cellmap=*/false, /*morsel_rows=*/0, /*num_partitions=*/0,
-       /*materialize_budget_bytes=*/0, /*use_batch_kernels=*/false},
+      // shape, so every sweep checks the per-row Iter path as well as the
+      // morsel-at-a-time kernels every config above runs.
+      {"scalar_kernels", CubeAlgorithm::kAuto, 1, /*morsel_rows=*/0,
+       /*num_partitions=*/0, /*materialize_budget_bytes=*/0,
+       /*use_batch_kernels=*/false},
       {"scalar_kernels_parallel_x3_m7_p5", CubeAlgorithm::kAuto, 3,
-       /*use_legacy_cellmap=*/false, /*morsel_rows=*/7, /*num_partitions=*/5,
+       /*morsel_rows=*/7, /*num_partitions=*/5,
        /*materialize_budget_bytes=*/0, /*use_batch_kernels=*/false},
   };
 }
@@ -335,11 +339,11 @@ DiffReport RunDifferential(const Table& input, const CubeSpec& spec,
                            const DiffOptions& options) {
   DiffReport report;
   if (configs.empty()) return report;
-  Outcome base = RunConfig(input, spec, configs[0]);
-  for (size_t i = 1; i < configs.size(); ++i) {
+  Outcome base = RunReference(input, spec);
+  for (size_t i = 0; i < configs.size(); ++i) {
     Outcome other = RunConfig(input, spec, configs[i]);
     DiffReport attempt;
-    attempt.baseline_label = configs[0].label;
+    attempt.baseline_label = "reference";
     attempt.other_label = configs[i].label;
     if (CompareOutcomes(base, other, spec, options.abs_tol, options.rel_tol,
                         options.max_diffs, &attempt)) {
@@ -347,8 +351,7 @@ DiffReport RunDifferential(const Table& input, const CubeSpec& spec,
     }
     attempt.agreed = false;
     if (options.minimize && input.num_rows() > 1) {
-      std::vector<size_t> rows =
-          MinimizeRows(input, spec, configs[0], configs[i], options);
+      std::vector<size_t> rows = MinimizeRows(input, spec, configs[i], options);
       // Re-diff on the minimized input so the reported cells match the
       // counterexample rather than the full table.
       Result<Table> sub = input.TakeRows(rows);
@@ -356,7 +359,7 @@ DiffReport RunDifferential(const Table& input, const CubeSpec& spec,
         DiffReport small;
         small.baseline_label = attempt.baseline_label;
         small.other_label = attempt.other_label;
-        if (!CompareOutcomes(RunConfig(*sub, spec, configs[0]),
+        if (!CompareOutcomes(RunReference(*sub, spec),
                              RunConfig(*sub, spec, configs[i]), spec,
                              options.abs_tol, options.rel_tol,
                              options.max_diffs, &small)) {
@@ -396,7 +399,7 @@ DiffReport RunMaintenanceDifferential(uint64_t seed,
                                       const CubeSpec& spec,
                                       const MaintenanceOptions& options) {
   DiffReport report;
-  report.baseline_label = "recompute_from_scratch";
+  report.baseline_label = "reference_recompute";
   report.other_label = "materialized_maintenance";
   auto fail = [&](std::string what) {
     report.agreed = false;
@@ -435,24 +438,8 @@ DiffReport RunMaintenanceDifferential(uint64_t seed,
         return false;
       }
     }
-    Outcome expected;
-    {
-      Result<CubeResult> r = ExecuteCube(current, spec, {});
-      if (r.ok()) {
-        expected.table = std::move(r).value().table;
-      } else {
-        expected.status = r.status();
-      }
-    }
-    Outcome actual;
-    {
-      Result<Table> t = cube->ToTable();
-      if (t.ok()) {
-        actual.table = std::move(t).value();
-      } else {
-        actual.status = t.status();
-      }
-    }
+    Outcome expected = RunReference(current, spec);
+    Outcome actual = ToOutcome(cube->ToTable());
     DiffReport attempt;
     attempt.baseline_label = report.baseline_label;
     attempt.other_label = report.other_label;
@@ -489,8 +476,11 @@ DiffReport RunMaintenanceDifferential(uint64_t seed,
     }
 
     if (options.checkpoint_roundtrip && op == options.ops / 2) {
+      // Replays with the same seed but different profiles run as separate
+      // test processes at the same time, so the name carries all three.
       std::string path = options.checkpoint_dir + "/datacube_maint_" +
-                         std::to_string(seed) + ".ckpt";
+                         std::to_string(::getpid()) + "_" + profile.label +
+                         "_" + std::to_string(seed) + ".ckpt";
       Status s = cube->SaveToFile(path);
       if (!s.ok()) return fail("SaveToFile failed: " + s.ToString());
       Result<std::unique_ptr<MaterializedCube>> loaded =

@@ -18,9 +18,6 @@ struct OracleConfig {
   std::string label;
   CubeAlgorithm algorithm = CubeAlgorithm::kAuto;
   int num_threads = 1;
-  /// Run on the legacy Value-vector CellMap core instead of the columnar
-  /// one — the escape-hatch config that keeps old-vs-new in the oracle.
-  bool use_legacy_cellmap = false;
   /// Parallel-path shape knobs (0 = the engine defaults). Adversarial
   /// values (morsel_rows=1, num_partitions=5) exercise cursor contention
   /// and partition skew that the defaults never would.
@@ -42,26 +39,25 @@ struct OracleConfig {
 /// back gracefully when the spec shape rules it out, so forcing is always
 /// legal), the morsel-driven parallel path at 2 and 8 threads plus
 /// adversarial morsel/partition shapes (one-row morsels, odd and degenerate
-/// partition counts), the legacy CellMap core — so every run also diffs the
-/// columnar core against the pre-columnar implementation — and budgeted
-/// partial materialization at three budgets, so every run also diffs
-/// ancestor answering against direct computation.
+/// partition counts), budgeted partial materialization at three budgets
+/// (ancestor answering), and the scalar-kernel escape hatch. Every config
+/// is diffed against testing::ReferenceCube.
 std::vector<OracleConfig> AllOracleConfigs();
 
-/// One cell where two configurations disagreed.
+/// One cell where the reference and a configuration disagreed.
 struct CellDiff {
   std::string key;       // rendered grouping key, "d0=Chevy, d1=ALL"
   std::string column;    // output column name
-  std::string baseline;  // rendered value from the baseline config
+  std::string baseline;  // rendered value from the baseline
   std::string other;     // rendered value from the disagreeing config
 };
 
 /// Outcome of a differential run. `ok()` means every configuration produced
-/// the same relation (or the identical error) as the baseline. On failure the
-/// report carries the first disagreeing configuration pair, up to `max_diffs`
-/// cell diffs, and — when minimization is enabled — the smallest input-row
-/// subset that still reproduces the disagreement, so the counterexample can
-/// be turned into a unit test directly.
+/// the same relation (or an error with the same StatusCode) as the
+/// baseline. On failure the report carries the first disagreeing config, up
+/// to `max_diffs` cell diffs, and — when minimization is enabled — the
+/// smallest input-row subset that still reproduces the disagreement, so the
+/// counterexample can be turned into a unit test directly.
 struct DiffReport {
   bool agreed = true;
   std::string baseline_label;
@@ -93,9 +89,10 @@ struct DiffOptions {
   size_t minimize_budget = 200;
 };
 
-/// Runs `spec` over `input` under every configuration in `configs` (the
-/// first is the baseline) and diffs the results cell-for-cell. Two
-/// configurations also agree when both fail with the same StatusCode —
+/// Runs `spec` over `input` under every configuration in `configs` and
+/// diffs each result cell-for-cell against testing::ReferenceCube, the
+/// literal Section 3 definition; reports name "reference" as the baseline.
+/// A config also agrees when it fails with the reference's StatusCode —
 /// numeric-edge errors (e.g. SUM overflow) must surface from every
 /// algorithm, though which failing cell is reported first may differ.
 DiffReport RunDifferential(const Table& input, const CubeSpec& spec,
@@ -126,7 +123,8 @@ struct MaintenanceOptions {
   /// continue on the reloaded cube, proving scratchpad persistence keeps
   /// maintaining correctly.
   bool checkpoint_roundtrip = true;
-  /// Directory for the checkpoint file (named by seed, removed after).
+  /// Directory for the checkpoint file (named by process id, profile and
+  /// seed; removed after).
   std::string checkpoint_dir = "/tmp";
   double abs_tol = 1e-6;
   double rel_tol = 1e-9;
@@ -134,9 +132,9 @@ struct MaintenanceOptions {
 
 /// Second oracle mode (Section 6): replays a seeded random insert/delete
 /// stream against a MaterializedCube and periodically diffs its incremental
-/// state (ToTable) against ExecuteCube recomputed from the surviving base
-/// rows. Inserted rows come from the same adversarial generator as the
-/// initial table.
+/// state (ToTable) against testing::ReferenceCube recomputed from the
+/// surviving base rows. Inserted rows come from the same adversarial
+/// generator as the initial table.
 DiffReport RunMaintenanceDifferential(uint64_t seed,
                                       const RandomTableProfile& profile,
                                       const CubeSpec& spec,

@@ -1,9 +1,11 @@
 // White-box tests of the cube computation machinery: lattice planning,
-// context building, the shared hash group-by, algorithm fallback paths, and
-// the Section 4 index helper.
+// context building, key masking and cell operations on the columnar core,
+// the shared hash group-by, algorithm fallback paths, and the Section 4
+// index helper.
 
 #include <gtest/gtest.h>
 
+#include "datacube/cube/columnar.h"
 #include "datacube/cube/cube_internal.h"
 #include "datacube/cube/cube_operator.h"
 #include "datacube/cube/materialized_cube.h"
@@ -93,12 +95,23 @@ TEST(CubeContextTest, MaskedAndProjectedKeys) {
   Table t = SmallInput();
   CubeSpec spec = SumSpec({GroupCol("d0"), GroupCol("d1"), GroupCol("d2")});
   CubeContext ctx = BuildCubeContext(t, spec).value();
-  std::vector<Value> key = ctx.MaskedKey(0, 0b101);
+  ColumnarContext cc = BuildColumnarContext(ctx).value();
+  // Masking a row key to a grouping set is a bitwise AND; projecting onto a
+  // coarser set is one more AND. Aggregated-away fields decode as ALL.
+  auto mask = [&](const uint64_t* key, GroupingSet set) {
+    std::vector<uint64_t> m = cc.codec.MaskForSet(set);
+    std::vector<uint64_t> out(cc.words);
+    for (size_t w = 0; w < cc.words; ++w) out[w] = key[w] & m[w];
+    return out;
+  };
+  std::vector<uint64_t> masked = mask(cc.RowKey(0), 0b101);
+  std::vector<Value> key = cc.codec.DecodeKey(masked.data());
   EXPECT_FALSE(key[0].is_all());
   EXPECT_TRUE(key[1].is_all());
   EXPECT_FALSE(key[2].is_all());
-  std::vector<Value> projected = ctx.ProjectKey(key, 0b001);
-  EXPECT_FALSE(projected[0].is_all());
+  std::vector<uint64_t> coarser = mask(masked.data(), 0b001);
+  std::vector<Value> projected = cc.codec.DecodeKey(coarser.data());
+  EXPECT_EQ(projected[0], key[0]);
   EXPECT_TRUE(projected[1].is_all());
   EXPECT_TRUE(projected[2].is_all());
 }
@@ -113,17 +126,21 @@ TEST(CubeContextTest, KeyCardinalitiesCountDistincts) {
   spec.cube = {GroupCol("a")};
   spec.aggregates = {Agg("sum", "x", "s")};
   CubeContext ctx = BuildCubeContext(t, spec).value();
-  EXPECT_EQ(KeyCardinalities(ctx), std::vector<size_t>{3});
+  ColumnarContext cc = BuildColumnarContext(ctx).value();
+  EXPECT_EQ(cc.codec.Cardinalities(), std::vector<size_t>{3});
 }
 
 TEST(CubeContextTest, CellCountsTrackMembership) {
   Table t = SmallInput();
   CubeSpec spec = SumSpec({GroupCol("d0")});
   CubeContext ctx = BuildCubeContext(t, spec).value();
+  ColumnarContext cc = BuildColumnarContext(ctx).value();
   CubeStats stats;
-  CellMap cells = HashGroupBy(ctx, FullSet(1), &stats);
+  CellStore cells = FlatGroupBy(cc, FullSet(1), &stats);
   int64_t total = 0;
-  for (const auto& [key, cell] : cells) total += cell.count;
+  cells.ForEach([&](const uint64_t*, const char* block) {
+    total += ColumnarContext::Header(block)->count;
+  });
   EXPECT_EQ(total, static_cast<int64_t>(t.num_rows()));
   EXPECT_EQ(stats.input_scans, 1u);
   EXPECT_EQ(stats.iter_calls, t.num_rows());
@@ -133,14 +150,18 @@ TEST(CubeContextTest, MergeAccumulatesCounts) {
   Table t = SmallInput();
   CubeSpec spec = SumSpec({GroupCol("d0")});
   CubeContext ctx = BuildCubeContext(t, spec).value();
-  Cell a = ctx.NewCell();
-  Cell b = ctx.NewCell();
-  ctx.IterRow(&a, 0, nullptr);
-  ctx.IterRow(&b, 1, nullptr);
-  ctx.IterRow(&b, 2, nullptr);
-  ASSERT_TRUE(ctx.MergeCell(&a, b, nullptr).ok());
-  EXPECT_EQ(a.count, 3);
-  EXPECT_TRUE(a.has_repr);
+  ColumnarContext cc = BuildColumnarContext(ctx).value();
+  CellStore store = cc.MakeStore();
+  std::vector<uint64_t> key_a(cc.words, 0), key_b(cc.words, 0);
+  key_b[0] = 1;
+  char* a = store.FindOrInsert(key_a.data());
+  char* b = store.FindOrInsert(key_b.data());
+  cc.IterRow(a, 0, nullptr);
+  cc.IterRow(b, 1, nullptr);
+  cc.IterRow(b, 2, nullptr);
+  ASSERT_TRUE(cc.MergeCell(a, b, nullptr).ok());
+  EXPECT_EQ(ColumnarContext::Header(a)->count, 3);
+  EXPECT_TRUE(ColumnarContext::Header(a)->has_repr);
 }
 
 // ------------------------------------------------------ fallback paths

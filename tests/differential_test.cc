@@ -79,8 +79,9 @@ std::vector<SweepCase> SweepCases() {
 class DifferentialSweepTest : public ::testing::TestWithParam<SweepCase> {};
 
 // Every Section 5 algorithm (plus the parallel path at 2 and 8 threads)
-// must produce the identical cube, cell for cell, on every adversarial
-// profile. This is the tier-1 differential oracle: >= 50 fixed-seed cases.
+// must produce the cube the Section 3 reference defines, cell for cell, on
+// every adversarial profile. This is the tier-1 differential oracle: >= 50
+// fixed-seed cases.
 TEST_P(DifferentialSweepTest, AllAlgorithmsAgree) {
   const SweepCase& c = GetParam();
   Table input = MakeRandomTable(c.seed, c.profile);
@@ -110,8 +111,9 @@ class MaintenanceDifferentialTest
     : public ::testing::TestWithParam<MaintCase> {};
 
 // Replay a seeded insert/delete stream against MaterializedCube and diff
-// its incremental state against recompute-from-scratch — the Section 6
-// maintenance path, including a mid-stream checkpoint round-trip.
+// its incremental state against the reference recomputed from scratch —
+// the Section 6 maintenance path, including a mid-stream checkpoint
+// round-trip.
 TEST_P(MaintenanceDifferentialTest, IncrementalMatchesRecompute) {
   const MaintCase& c = GetParam();
   RandomTableProfile profile = AdversarialProfiles()[c.profile_index];

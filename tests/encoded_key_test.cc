@@ -1,18 +1,21 @@
 // Tests for the columnar execution core: bit-packed key encoding against
-// the legacy Value-vector masking (including NULL-vs-ALL), the multi-word
-// key fallback past 64 bits, planning invariance under encoding, the
-// use_legacy_cellmap escape hatch, and the zero-per-cell-heap-allocation
-// guarantee of the fixed-slot state layout.
+// Value-vector masking written out here (including NULL-vs-ALL), the
+// multi-word key fallback past 64 bits, planning invariance under encoding,
+// and the zero-per-cell-heap-allocation guarantee of the fixed-slot state
+// layout.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
 #include <random>
+#include <set>
 #include <vector>
 
 #include "datacube/cube/columnar.h"
 #include "datacube/cube/cube_internal.h"
 #include "datacube/cube/cube_operator.h"
+#include "datacube/testing/random_table.h"
+#include "datacube/testing/reference_cube.h"
 #include "datacube/workload/sales.h"
 
 namespace datacube {
@@ -50,6 +53,23 @@ CubeSpec TwoDimSumSpec() {
   return spec;
 }
 
+// The Value-vector form of a key: `key` in grouped positions, ALL in
+// aggregated-away ones.
+std::vector<Value> MaskValues(std::vector<Value> key, GroupingSet set) {
+  for (size_t k = 0; k < key.size(); ++k) {
+    if (!IsGrouped(set, k)) key[k] = Value::All();
+  }
+  return key;
+}
+
+std::vector<Value> RowValues(const CubeContext& ctx, size_t row) {
+  std::vector<Value> key;
+  for (size_t k = 0; k < ctx.num_keys; ++k) {
+    key.push_back(ctx.key_columns[k][row]);
+  }
+  return key;
+}
+
 // ------------------------------------------------- masking equivalence
 
 TEST(EncodedKeyTest, MaskedKeysAgreeWithLegacyOnRandomRowsAndSets) {
@@ -67,17 +87,17 @@ TEST(EncodedKeyTest, MaskedKeysAgreeWithLegacyOnRandomRowsAndSets) {
   for (int trial = 0; trial < 500; ++trial) {
     size_t row = row_dist(rng);
     GroupingSet set = ctx.value().sets[set_dist(rng)];
-    // Legacy: Value-vector masking. Columnar: bitwise AND, then decode.
-    std::vector<Value> legacy = ctx.value().MaskedKey(row, set);
+    // Value-vector masking vs bitwise AND, then decode.
+    std::vector<Value> expected = MaskValues(RowValues(ctx.value(), row), set);
     std::vector<uint64_t> mask = cc.value().codec.MaskForSet(set);
     std::vector<uint64_t> key(cc.value().words);
     for (size_t w = 0; w < cc.value().words; ++w) {
       key[w] = cc.value().RowKey(row)[w] & mask[w];
     }
     std::vector<Value> decoded = cc.value().codec.DecodeKey(key.data());
-    ASSERT_EQ(legacy.size(), decoded.size());
-    for (size_t k = 0; k < legacy.size(); ++k) {
-      EXPECT_EQ(legacy[k].Compare(decoded[k]), 0)
+    ASSERT_EQ(expected.size(), decoded.size());
+    for (size_t k = 0; k < expected.size(); ++k) {
+      EXPECT_EQ(expected[k].Compare(decoded[k]), 0)
           << "row=" << row << " set=" << set << " k=" << k;
     }
   }
@@ -93,17 +113,18 @@ TEST(EncodedKeyTest, ProjectionAgreesWithLegacyProjectKey) {
 
   // Project every row's full key onto every coarser set both ways.
   for (size_t row = 0; row < input.num_rows(); ++row) {
-    std::vector<Value> full = ctx.value().MaskedKey(row, FullSet(2));
+    std::vector<Value> full =
+        MaskValues(RowValues(ctx.value(), row), FullSet(2));
     for (GroupingSet set : ctx.value().sets) {
-      std::vector<Value> legacy = ctx.value().ProjectKey(full, set);
+      std::vector<Value> expected = MaskValues(full, set);
       std::vector<uint64_t> mask = cc.value().codec.MaskForSet(set);
       std::vector<uint64_t> key(cc.value().words);
       for (size_t w = 0; w < cc.value().words; ++w) {
         key[w] = cc.value().RowKey(row)[w] & mask[w];
       }
       std::vector<Value> decoded = cc.value().codec.DecodeKey(key.data());
-      for (size_t k = 0; k < legacy.size(); ++k) {
-        EXPECT_EQ(legacy[k].Compare(decoded[k]), 0);
+      for (size_t k = 0; k < expected.size(); ++k) {
+        EXPECT_EQ(expected[k].Compare(decoded[k]), 0);
       }
     }
   }
@@ -157,22 +178,22 @@ TEST(EncodedKeyTest, WideKeysFallBackToMultipleWords) {
   ASSERT_GT(cc.value().codec.total_bits(), 64u);
   ASSERT_GE(cc.value().words, 2u);
 
-  // The multi-word path must produce the same relation as the legacy core.
+  // The multi-word path must produce the relation the Section 3 definition
+  // gives. One grouping set, so the reference's key order is the sorted
+  // result's order; the aggregates are integer-exact.
   CubeOptions columnar;
   columnar.sort_result = true;
-  CubeOptions legacy = columnar;
-  legacy.use_legacy_cellmap = true;
   auto a = ExecuteCube(input, spec, columnar);
-  auto b = ExecuteCube(input, spec, legacy);
+  auto b = testing::ReferenceCube(input, spec);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a.value().table.num_rows(), b.value().table.num_rows());
-  ASSERT_EQ(a.value().table.num_columns(), b.value().table.num_columns());
-  for (size_t r = 0; r < a.value().table.num_rows(); ++r) {
-    for (size_t c = 0; c < a.value().table.num_columns(); ++c) {
-      EXPECT_EQ(a.value().table.GetValue(r, c).Compare(
-                    b.value().table.GetValue(r, c)),
-                0)
+  const Table& got = a.value().table;
+  const Table& want = b.value();
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  ASSERT_EQ(got.num_columns(), want.num_columns());
+  for (size_t r = 0; r < got.num_rows(); ++r) {
+    for (size_t c = 0; c < got.num_columns(); ++c) {
+      EXPECT_EQ(got.GetValue(r, c).Compare(want.GetValue(r, c)), 0)
           << "row " << r << " col " << c;
     }
   }
@@ -181,93 +202,44 @@ TEST(EncodedKeyTest, WideKeysFallBackToMultipleWords) {
 // ------------------------------------------------ planning invariance
 
 TEST(EncodedKeyTest, CardinalitiesMatchLegacySoPlansAreUnchanged) {
-  Table input = EdgeInput();
-  CubeSpec spec = TwoDimSumSpec();
-  auto ctx = BuildCubeContext(input, spec);
-  ASSERT_TRUE(ctx.ok());
-  auto cc = BuildColumnarContext(ctx.value());
-  ASSERT_TRUE(cc.ok());
-  std::vector<size_t> legacy = KeyCardinalities(ctx.value());
-  std::vector<size_t> columnar = cc.value().codec.Cardinalities();
-  ASSERT_EQ(legacy, columnar);
+  // The codec's dictionary sizes are the planner's C_i: they must equal a
+  // count of distinct Values per key column (NULL and a literal ALL count;
+  // NaN, -0.0 and int64 keys beyond 2^53 too), with the codec built from
+  // the lazily read table columns, as ExecuteCube and ExplainCube build it.
+  auto check = [](const Table& input, const CubeSpec& spec,
+                  const std::string& label) {
+    auto values = BuildCubeContext(input, spec);
+    auto lazy = BuildCubeContext(input, spec, /*materialize_ref_keys=*/false);
+    ASSERT_TRUE(values.ok()) << values.status().ToString();
+    ASSERT_TRUE(lazy.ok());
+    auto cc = BuildColumnarContext(lazy.value());
+    ASSERT_TRUE(cc.ok()) << cc.status().ToString();
+    std::vector<size_t> counted;
+    for (const std::vector<Value>& column : values.value().key_columns) {
+      std::set<Value> distinct(column.begin(), column.end());
+      counted.push_back(std::max<size_t>(1, distinct.size()));
+    }
+    std::vector<size_t> columnar = cc.value().codec.Cardinalities();
+    ASSERT_EQ(counted, columnar) << label;
 
-  LatticePlan a = PlanLattice(ctx.value().sets, legacy);
-  LatticePlan b = PlanLattice(ctx.value().sets, columnar);
-  ASSERT_EQ(a.nodes.size(), b.nodes.size());
-  for (size_t i = 0; i < a.nodes.size(); ++i) {
-    EXPECT_EQ(a.nodes[i].set, b.nodes[i].set);
-    EXPECT_EQ(a.nodes[i].parent, b.nodes[i].parent);
-    EXPECT_DOUBLE_EQ(a.nodes[i].est_cells, b.nodes[i].est_cells);
-  }
-}
-
-// -------------------------------------------------- legacy escape hatch
-
-TEST(LegacyCellMapTest, OptionKnobMatchesColumnarOnEveryAlgorithm) {
-  Table input = GenerateCubeInput({.num_rows = 400,
-                                   .num_dims = 3,
-                                   .cardinality = 5,
-                                   .seed = 123})
-                    .value();
-  CubeSpec spec;
-  spec.cube = {GroupCol("d0"), GroupCol("d1"), GroupCol("d2")};
-  // Integer-exact aggregates so legacy-vs-columnar must match bit-for-bit
-  // regardless of fold order.
-  spec.aggregates = {Agg("sum", "x", "s"), CountStar("n"),
-                     Agg("min", "x", "lo"), Agg("max", "x", "hi")};
-  for (CubeAlgorithm alg :
-       {CubeAlgorithm::kNaive2N, CubeAlgorithm::kUnionGroupBy,
-        CubeAlgorithm::kFromCore, CubeAlgorithm::kArrayCube,
-        CubeAlgorithm::kSortRollup, CubeAlgorithm::kSortFromCore}) {
-    CubeOptions columnar;
-    columnar.algorithm = alg;
-    columnar.sort_result = true;
-    CubeOptions legacy = columnar;
-    legacy.use_legacy_cellmap = true;
-    auto a = ExecuteCube(input, spec, columnar);
-    auto b = ExecuteCube(input, spec, legacy);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a.value().table.num_rows(), b.value().table.num_rows());
-    for (size_t r = 0; r < a.value().table.num_rows(); ++r) {
-      for (size_t c = 0; c < a.value().table.num_columns(); ++c) {
-        ASSERT_EQ(a.value()
-                      .table.GetValue(r, c)
-                      .Compare(b.value().table.GetValue(r, c)),
-                  0)
-            << "algorithm " << static_cast<int>(alg) << " row " << r;
-      }
+    LatticePlan a = PlanLattice(values.value().sets, counted);
+    LatticePlan b = PlanLattice(values.value().sets, columnar);
+    ASSERT_EQ(a.nodes.size(), b.nodes.size());
+    for (size_t i = 0; i < a.nodes.size(); ++i) {
+      EXPECT_EQ(a.nodes[i].set, b.nodes[i].set) << label;
+      EXPECT_EQ(a.nodes[i].parent, b.nodes[i].parent) << label;
+      EXPECT_DOUBLE_EQ(a.nodes[i].est_cells, b.nodes[i].est_cells) << label;
+    }
+  };
+  check(EdgeInput(), TwoDimSumSpec(), "edge input");
+  for (const testing::RandomTableProfile& profile :
+       testing::AdversarialProfiles()) {
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      check(testing::MakeRandomTable(seed, profile),
+            testing::MakeRandomSpec(seed, profile, /*include_holistic=*/false),
+            profile.label + " seed " + std::to_string(seed));
     }
   }
-}
-
-TEST(LegacyCellMapTest, EnvVarForcesLegacyCore) {
-  Table input = GenerateCubeInput({.num_rows = 100,
-                                   .num_dims = 2,
-                                   .cardinality = 4,
-                                   .seed = 5})
-                    .value();
-  CubeSpec spec;
-  spec.cube = {GroupCol("d0"), GroupCol("d1")};
-  spec.aggregates = {Agg("sum", "x", "s")};
-
-  // Columnar default: the flat stores report arena bytes.
-  auto columnar = ExecuteCube(input, spec);
-  ASSERT_TRUE(columnar.ok());
-  EXPECT_GT(columnar.value().stats.arena_bytes, 0u);
-
-  // Env override: legacy CellMap, which has no arenas at all.
-  ASSERT_EQ(setenv("DATACUBE_LEGACY_CELLS", "1", /*overwrite=*/1), 0);
-  auto legacy = ExecuteCube(input, spec);
-  ASSERT_EQ(unsetenv("DATACUBE_LEGACY_CELLS"), 0);
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(legacy.value().stats.arena_bytes, 0u);
-  // "0" means off, same as unset.
-  ASSERT_EQ(setenv("DATACUBE_LEGACY_CELLS", "0", /*overwrite=*/1), 0);
-  auto off = ExecuteCube(input, spec);
-  ASSERT_EQ(unsetenv("DATACUBE_LEGACY_CELLS"), 0);
-  ASSERT_TRUE(off.ok());
-  EXPECT_GT(off.value().stats.arena_bytes, 0u);
 }
 
 // -------------------------------------------- zero-heap-state guarantee

@@ -90,6 +90,21 @@ TEST(GroupingSetTest, ToStringNamesGroupedColumns) {
   EXPECT_EQ(GroupingSetToString(0, names), "{}");
 }
 
+TEST(GroupingSetTest, IsChainRecognizesRollupShapes) {
+  // A ROLLUP is a containment chain; a CUBE over two or more columns is not.
+  EXPECT_TRUE(IsChain(RollupSets(3)));
+  EXPECT_FALSE(IsChain(CubeSets(2)));
+  // A single set (plain GROUP BY) and the empty list are trivially chains.
+  EXPECT_TRUE(IsChain(GroupBySets(3)));
+  EXPECT_TRUE(IsChain({}));
+  // Duplicates break a chain until NormalizeSets removes them.
+  std::vector<GroupingSet> repeated = {0b11, 0b01, 0b01, 0b00};
+  EXPECT_FALSE(IsChain(repeated));
+  EXPECT_TRUE(IsChain(NormalizeSets(repeated)));
+  // Same popcount, neither containing the other.
+  EXPECT_FALSE(IsChain(NormalizeSets({0b110, 0b101, 0b100})));
+}
+
 class CubeSizeTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(CubeSizeTest, PowerSetSize) {

@@ -608,7 +608,8 @@ TEST(OracleBudgetConfigTest, FixedSeedBudgetDifferentialAgrees) {
   Table input = MakeRandomTable(17, profile);
   CubeSpec spec =
       testing::MakeRandomSpec(17, profile, /*include_holistic=*/false);
-  // Direct computation as baseline vs the three budgeted shapes.
+  // Direct computation and the three budgeted shapes, each diffed against
+  // the reference.
   std::vector<testing::OracleConfig> configs = {
       {"direct", CubeAlgorithm::kAuto, 1},
   };

@@ -244,22 +244,6 @@ TEST(ParallelDeterminismTest, HolisticAggregatesFallBackToSerial) {
   EXPECT_TRUE(r->table.EqualsIgnoringRowOrder(baseline));
 }
 
-TEST(ParallelDeterminismTest, LegacyCellMapParallelUsesMorselsToo) {
-  Table input = SweepInput();
-  CubeSpec spec = ThreeDimSpec();
-  Table baseline = ExecuteCube(input, spec)->table;
-  CubeOptions options;
-  options.num_threads = 4;
-  options.morsel_rows = 512;
-  options.use_legacy_cellmap = true;
-  Result<CubeResult> r = ExecuteCube(input, spec, options);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->stats.threads_used, 4);
-  EXPECT_GT(r->stats.morsels_dispatched, 0u);
-  DiffReport report = DiffResultTables(baseline, r->table, spec);
-  EXPECT_TRUE(report.ok()) << report.ToString();
-}
-
 // ------------------------------------------------ oracle wiring
 
 TEST(ParallelDeterminismTest, OracleSweepsAdversarialParallelShapes) {

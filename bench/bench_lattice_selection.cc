@@ -14,7 +14,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "datacube/cube/partial_cube.h"
+#include "datacube/cube/materialized_cube.h"
 #include "datacube/cube/view_selection.h"
 
 namespace {
@@ -44,7 +44,7 @@ CubeSpec MakeSpec() {
   return spec;
 }
 
-void AnswerAllSets(benchmark::State& state, PartialCube& cube) {
+void AnswerAllSets(benchmark::State& state, MaterializedCube& cube) {
   size_t answered = 0;
   for (auto _ : state) {
     answered = 0;
@@ -67,7 +67,8 @@ void AnswerAllSets(benchmark::State& state, PartialCube& cube) {
 void BM_FullCube_AnswerAllSets(benchmark::State& state) {
   Table t = MakeInput();
   CubeSpec spec = MakeSpec();
-  auto cube = Must(PartialCube::Build(t, spec, CubeSets(kDims)), "build");
+  auto cube =
+      Must(MaterializedCube::BuildViews(t, spec, CubeSets(kDims)), "build");
   AnswerAllSets(state, *cube);
 }
 
@@ -77,7 +78,8 @@ void BM_Budgeted_AnswerAllSets(benchmark::State& state) {
   size_t budget = static_cast<size_t>(state.range(0));
   Table t = MakeInput();
   CubeSpec spec = MakeSpec();
-  auto cube = Must(PartialCube::BuildWithBudget(t, spec, budget), "build");
+  auto cube =
+      Must(MaterializedCube::BuildWithBudget(t, spec, budget), "build");
   AnswerAllSets(state, *cube);
 }
 

@@ -9,7 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "datacube/cube/partial_cube.h"
+#include "datacube/cube/materialized_cube.h"
 #include "datacube/cube/view_selection.h"
 
 namespace {
@@ -50,7 +50,8 @@ void BM_AnswerAllSetsWithKViews(benchmark::State& state) {
   spec.aggregates = {Agg("sum", "x", "s")};
   ViewSelection sel =
       Must(SelectViewsGreedy(4, kCards, kRows, max_views), "selection");
-  auto partial = Must(PartialCube::Build(t, spec, sel.views), "build");
+  auto partial =
+      Must(MaterializedCube::BuildViews(t, spec, sel.views), "build");
 
   size_t cells_scanned = 0;
   for (auto _ : state) {

@@ -9,7 +9,7 @@
 
 #include <iostream>
 
-#include "datacube/cube/partial_cube.h"
+#include "datacube/cube/materialized_cube.h"
 #include "datacube/cube/view_selection.h"
 #include "datacube/olap/crosstab.h"
 #include "datacube/sql/engine.h"
@@ -85,8 +85,8 @@ int main() {
   CubeSpec spec;
   for (const std::string& name : names) spec.cube.push_back(GroupCol(name));
   spec.aggregates = {Agg("sum", "extendedprice", "revenue")};
-  Result<std::unique_ptr<PartialCube>> partial =
-      PartialCube::Build(*lineitem, spec, selection->views);
+  Result<std::unique_ptr<MaterializedCube>> partial =
+      MaterializedCube::BuildViews(*lineitem, spec, selection->views);
   if (!partial.ok()) return Fail(partial.status());
   std::cout << "materialized " << (*partial)->views().size() << " views, "
             << (*partial)->materialized_cells() << " cells total\n";

@@ -15,6 +15,9 @@ end-to-end:
     with the loris itself ending in 408
   * method handling: POST /metrics is 405, HEAD /metrics is headers-only
   * line protocol: one-line SQL over a raw TCP connection
+  * mounted cubes: /materialize over Sales under a small byte budget and
+    without one (the core alone); /cube answers for several grouping sets
+    must match the same GROUP BY through /query, and /tables lists both
   * ingest-under-query: one ingester streaming rows into the partitioned
     Events store while four queriers watch COUNT(*) (which must be
     monotonically non-decreasing — snapshots may lag but never travel
@@ -206,6 +209,52 @@ def check_introspection(base):
     print("ok: /healthz /tables /queries")
 
 
+def check_mounted_cubes(base):
+    keys = ["Model", "Year", "Color"]
+    aggs = urllib.parse.quote("count(*),sum(Units)")
+    cubes = {"smoke_budget": 2048, "smoke_core": 0}
+    for name, budget in cubes.items():
+        url = (f"{base}/materialize?name={name}&table=Sales"
+               f"&keys={','.join(keys)}&aggs={aggs}")
+        if budget:
+            url += f"&budget_bytes={budget}"
+        status, body = fetch(url, method="POST", data=b"")
+        if status != 200:
+            return fail(f"/materialize {name}: HTTP {status}: {body.strip()}")
+        for subset in ([], ["Model"], ["Year", "Color"], keys):
+            status, body = fetch(
+                f"{base}/cube?name={name}&set={','.join(subset)}")
+            if status != 200:
+                return fail(f"/cube {name} {subset}: HTTP {status}: {body!r}")
+            lines = body.strip().splitlines()
+            header = lines[0].split(",")
+            got = sorted(tuple(row[header.index(k)] for k in subset) +
+                         tuple(row[-2:])
+                         for row in (line.split(",") for line in lines[1:]))
+            cols = "".join(f"{k}, " for k in subset)
+            sql = f"SELECT {cols}COUNT(*), SUM(Units) FROM Sales"
+            if subset:
+                sql += " GROUP BY " + ", ".join(subset)
+            status, body = query(base, sql)
+            if status != 200:
+                return fail(f"{sql}: HTTP {status}: {body.strip()}")
+            want = sorted(tuple(line.split(","))
+                          for line in body.strip().splitlines()[1:])
+            if got != want:
+                return fail(f"/cube {name} {subset}: {got} != {want}")
+    status, body = fetch(f"{base}/tables")
+    listed = {c["name"]: c for c in json.loads(body)["cubes"]}
+    for name, budget in cubes.items():
+        entry = listed.get(name)
+        if (entry is None or entry["budget_bytes"] != budget or
+                entry["views"] < 1 or entry["cells"] < 1):
+            return fail(f"/tables cube {name}: {entry}")
+    if listed["smoke_core"]["views"] != 1:
+        return fail(f"unbudgeted cube stores more than the core: {listed}")
+    print("ok: mounted cubes (/materialize with and without a budget, "
+          "/cube vs GROUP BY, /tables)")
+
+
 def check_ingest_under_query(base, batches=30, rows_per_batch=20):
     """One ingester, four COUNT(*) queriers, one compaction forcer.
 
@@ -301,6 +350,7 @@ def main():
     check_methods(base)
     check_line_protocol(base)
     check_introspection(base)
+    check_mounted_cubes(base)
     check_ingest_under_query(base)
     if FAILURES:
         print(f"{len(FAILURES)} failure(s)", file=sys.stderr)

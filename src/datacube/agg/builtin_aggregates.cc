@@ -80,9 +80,8 @@ class CountStarFunction : public WithInlineState<CountState> {
   }
   Result<AggStatePtr> DeserializeState(const std::string& data,
                                        size_t* pos) const override {
-    DATACUBE_ASSIGN_OR_RETURN(Value n, DecodeValue(data, pos));
     auto s = std::make_unique<CountState>();
-    s->n = n.int64_value();
+    DATACUBE_ASSIGN_OR_RETURN(s->n, DecodeInt64(data, pos));
     return AggStatePtr(std::move(s));
   }
   AggStatePtr Clone(const AggState* state) const override {
@@ -143,9 +142,8 @@ class CountFunction : public WithInlineState<CountState> {
   }
   Result<AggStatePtr> DeserializeState(const std::string& data,
                                        size_t* pos) const override {
-    DATACUBE_ASSIGN_OR_RETURN(Value n, DecodeValue(data, pos));
     auto s = std::make_unique<CountState>();
-    s->n = n.int64_value();
+    DATACUBE_ASSIGN_OR_RETURN(s->n, DecodeInt64(data, pos));
     return AggStatePtr(std::move(s));
   }
   AggStatePtr Clone(const AggState* state) const override {
@@ -369,25 +367,17 @@ class SumFunction : public WithInlineState<SumState> {
   Result<AggStatePtr> DeserializeState(const std::string& data,
                                        size_t* pos) const override {
     auto s = std::make_unique<SumState>();
-    DATACUBE_ASSIGN_OR_RETURN(Value hi, DecodeValue(data, pos));
-    DATACUBE_ASSIGN_OR_RETURN(Value lo, DecodeValue(data, pos));
-    DATACUBE_ASSIGN_OR_RETURN(Value sum_d, DecodeValue(data, pos));
-    DATACUBE_ASSIGN_OR_RETURN(Value n, DecodeValue(data, pos));
-    DATACUBE_ASSIGN_OR_RETURN(Value n_float, DecodeValue(data, pos));
-    DATACUBE_ASSIGN_OR_RETURN(Value n_nan, DecodeValue(data, pos));
-    DATACUBE_ASSIGN_OR_RETURN(Value n_pinf, DecodeValue(data, pos));
-    DATACUBE_ASSIGN_OR_RETURN(Value n_ninf, DecodeValue(data, pos));
-    DATACUBE_ASSIGN_OR_RETURN(Value wide, DecodeValue(data, pos));
-    s->sum_i = (static_cast<__int128>(hi.int64_value()) << 64) |
-               static_cast<__int128>(
-                   static_cast<uint64_t>(lo.int64_value()));
-    s->sum_d = sum_d.float64_value();
-    s->n = n.int64_value();
-    s->n_float = n_float.int64_value();
-    s->n_nan = n_nan.int64_value();
-    s->n_pinf = n_pinf.int64_value();
-    s->n_ninf = n_ninf.int64_value();
-    s->wide_overflow = wide.bool_value();
+    DATACUBE_ASSIGN_OR_RETURN(int64_t hi, DecodeInt64(data, pos));
+    DATACUBE_ASSIGN_OR_RETURN(int64_t lo, DecodeInt64(data, pos));
+    s->sum_i = (static_cast<__int128>(hi) << 64) |
+               static_cast<__int128>(static_cast<uint64_t>(lo));
+    DATACUBE_ASSIGN_OR_RETURN(s->sum_d, DecodeFloat64(data, pos));
+    DATACUBE_ASSIGN_OR_RETURN(s->n, DecodeInt64(data, pos));
+    DATACUBE_ASSIGN_OR_RETURN(s->n_float, DecodeInt64(data, pos));
+    DATACUBE_ASSIGN_OR_RETURN(s->n_nan, DecodeInt64(data, pos));
+    DATACUBE_ASSIGN_OR_RETURN(s->n_pinf, DecodeInt64(data, pos));
+    DATACUBE_ASSIGN_OR_RETURN(s->n_ninf, DecodeInt64(data, pos));
+    DATACUBE_ASSIGN_OR_RETURN(s->wide_overflow, DecodeBool(data, pos));
     return AggStatePtr(std::move(s));
   }
   AggStatePtr Clone(const AggState* state) const override {
@@ -509,8 +499,7 @@ class ExtremeFunction : public WithInlineState<ExtremeState> {
                                        size_t* pos) const override {
     auto s = std::make_unique<ExtremeState>();
     DATACUBE_ASSIGN_OR_RETURN(s->best, DecodeValue(data, pos));
-    DATACUBE_ASSIGN_OR_RETURN(Value has, DecodeValue(data, pos));
-    s->has_value = has.bool_value();
+    DATACUBE_ASSIGN_OR_RETURN(s->has_value, DecodeBool(data, pos));
     return AggStatePtr(std::move(s));
   }
   AggStatePtr Clone(const AggState* state) const override {
@@ -663,16 +652,11 @@ class AvgFunction : public WithInlineState<AvgState> {
   Result<AggStatePtr> DeserializeState(const std::string& data,
                                        size_t* pos) const override {
     auto s = std::make_unique<AvgState>();
-    DATACUBE_ASSIGN_OR_RETURN(Value sum, DecodeValue(data, pos));
-    DATACUBE_ASSIGN_OR_RETURN(Value n, DecodeValue(data, pos));
-    DATACUBE_ASSIGN_OR_RETURN(Value n_nan, DecodeValue(data, pos));
-    DATACUBE_ASSIGN_OR_RETURN(Value n_pinf, DecodeValue(data, pos));
-    DATACUBE_ASSIGN_OR_RETURN(Value n_ninf, DecodeValue(data, pos));
-    s->sum = sum.float64_value();
-    s->n = n.int64_value();
-    s->n_nan = n_nan.int64_value();
-    s->n_pinf = n_pinf.int64_value();
-    s->n_ninf = n_ninf.int64_value();
+    DATACUBE_ASSIGN_OR_RETURN(s->sum, DecodeFloat64(data, pos));
+    DATACUBE_ASSIGN_OR_RETURN(s->n, DecodeInt64(data, pos));
+    DATACUBE_ASSIGN_OR_RETURN(s->n_nan, DecodeInt64(data, pos));
+    DATACUBE_ASSIGN_OR_RETURN(s->n_pinf, DecodeInt64(data, pos));
+    DATACUBE_ASSIGN_OR_RETURN(s->n_ninf, DecodeInt64(data, pos));
     return AggStatePtr(std::move(s));
   }
   AggStatePtr Clone(const AggState* state) const override {
@@ -836,16 +820,12 @@ class VarianceFunction : public WithInlineState<VarState> {
   Result<AggStatePtr> DeserializeState(const std::string& data,
                                        size_t* pos) const override {
     auto s = std::make_unique<VarState>();
-    DATACUBE_ASSIGN_OR_RETURN(Value n, DecodeValue(data, pos));
-    DATACUBE_ASSIGN_OR_RETURN(Value sx_hi, DecodeValue(data, pos));
-    DATACUBE_ASSIGN_OR_RETURN(Value sx_lo, DecodeValue(data, pos));
-    DATACUBE_ASSIGN_OR_RETURN(Value sxx_hi, DecodeValue(data, pos));
-    DATACUBE_ASSIGN_OR_RETURN(Value sxx_lo, DecodeValue(data, pos));
-    DATACUBE_ASSIGN_OR_RETURN(Value n_bad, DecodeValue(data, pos));
-    s->n = n.int64_value();
-    s->sx = {sx_hi.float64_value(), sx_lo.float64_value()};
-    s->sxx = {sxx_hi.float64_value(), sxx_lo.float64_value()};
-    s->n_bad = n_bad.int64_value();
+    DATACUBE_ASSIGN_OR_RETURN(s->n, DecodeInt64(data, pos));
+    DATACUBE_ASSIGN_OR_RETURN(s->sx.hi, DecodeFloat64(data, pos));
+    DATACUBE_ASSIGN_OR_RETURN(s->sx.lo, DecodeFloat64(data, pos));
+    DATACUBE_ASSIGN_OR_RETURN(s->sxx.hi, DecodeFloat64(data, pos));
+    DATACUBE_ASSIGN_OR_RETURN(s->sxx.lo, DecodeFloat64(data, pos));
+    DATACUBE_ASSIGN_OR_RETURN(s->n_bad, DecodeInt64(data, pos));
     return AggStatePtr(std::move(s));
   }
   AggStatePtr Clone(const AggState* state) const override {
@@ -891,11 +871,11 @@ Status SerializeMedianState(const AggState* state, std::string* out) {
 Result<AggStatePtr> DeserializeMedianState(const std::string& data,
                                            size_t* pos) {
   auto s = std::make_unique<MedianState>();
-  DATACUBE_ASSIGN_OR_RETURN(uint64_t n, DecodeCount(data, pos));
+  DATACUBE_ASSIGN_OR_RETURN(uint64_t n, DecodeListCount(data, pos, 2));
   s->values.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
-    DATACUBE_ASSIGN_OR_RETURN(Value v, DecodeValue(data, pos));
-    s->values.push_back(v.float64_value());
+    DATACUBE_ASSIGN_OR_RETURN(double v, DecodeFloat64(data, pos));
+    s->values.push_back(v);
   }
   return AggStatePtr(std::move(s));
 }
@@ -983,8 +963,8 @@ Result<AggStatePtr> DeserializeModeState(const std::string& data,
   DATACUBE_ASSIGN_OR_RETURN(uint64_t n, DecodeCount(data, pos));
   for (uint64_t i = 0; i < n; ++i) {
     DATACUBE_ASSIGN_OR_RETURN(Value v, DecodeValue(data, pos));
-    DATACUBE_ASSIGN_OR_RETURN(Value c, DecodeValue(data, pos));
-    s->counts.emplace(std::move(v), c.int64_value());
+    DATACUBE_ASSIGN_OR_RETURN(int64_t c, DecodeInt64(data, pos));
+    s->counts.emplace(std::move(v), c);
   }
   return AggStatePtr(std::move(s));
 }
@@ -1245,10 +1225,8 @@ class BoolCombineFunction : public WithInlineState<BoolState> {
   Result<AggStatePtr> DeserializeState(const std::string& data,
                                        size_t* pos) const override {
     auto s = std::make_unique<BoolState>();
-    DATACUBE_ASSIGN_OR_RETURN(Value t, DecodeValue(data, pos));
-    DATACUBE_ASSIGN_OR_RETURN(Value f, DecodeValue(data, pos));
-    s->true_count = t.int64_value();
-    s->false_count = f.int64_value();
+    DATACUBE_ASSIGN_OR_RETURN(s->true_count, DecodeInt64(data, pos));
+    DATACUBE_ASSIGN_OR_RETURN(s->false_count, DecodeInt64(data, pos));
     return AggStatePtr(std::move(s));
   }
   AggStatePtr Clone(const AggState* state) const override {
@@ -1394,10 +1372,8 @@ class CenterOfMassFunction : public WithInlineState<ComState> {
   Result<AggStatePtr> DeserializeState(const std::string& data,
                                        size_t* pos) const override {
     auto s = std::make_unique<ComState>();
-    DATACUBE_ASSIGN_OR_RETURN(Value moment, DecodeValue(data, pos));
-    DATACUBE_ASSIGN_OR_RETURN(Value mass, DecodeValue(data, pos));
-    s->moment = moment.float64_value();
-    s->mass = mass.float64_value();
+    DATACUBE_ASSIGN_OR_RETURN(s->moment, DecodeFloat64(data, pos));
+    DATACUBE_ASSIGN_OR_RETURN(s->mass, DecodeFloat64(data, pos));
     return AggStatePtr(std::move(s));
   }
   AggStatePtr Clone(const AggState* state) const override {

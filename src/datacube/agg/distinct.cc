@@ -86,15 +86,15 @@ class DistinctAggregate : public AggregateFunction {
     auto s = std::make_unique<DistinctState>();
     DATACUBE_ASSIGN_OR_RETURN(uint64_t n, DecodeCount(data, pos));
     for (uint64_t i = 0; i < n; ++i) {
-      DATACUBE_ASSIGN_OR_RETURN(uint64_t arity, DecodeCount(data, pos));
+      DATACUBE_ASSIGN_OR_RETURN(uint64_t arity, DecodeListCount(data, pos, 2));
       std::vector<Value> key;
       key.reserve(arity);
       for (uint64_t k = 0; k < arity; ++k) {
         DATACUBE_ASSIGN_OR_RETURN(Value v, DecodeValue(data, pos));
         key.push_back(std::move(v));
       }
-      DATACUBE_ASSIGN_OR_RETURN(Value count, DecodeValue(data, pos));
-      s->seen.emplace(std::move(key), count.int64_value());
+      DATACUBE_ASSIGN_OR_RETURN(int64_t count, DecodeInt64(data, pos));
+      s->seen.emplace(std::move(key), count);
     }
     return AggStatePtr(std::move(s));
   }

@@ -9,6 +9,7 @@ namespace datacube {
 namespace {
 
 Status Truncated() { return Status::ParseError("codec: truncated input"); }
+Status WrongKind() { return Status::ParseError("codec: unexpected kind"); }
 
 // Parses an integer terminated by `terminator`, advancing past it.
 Result<int64_t> ParseInt(const std::string& data, size_t* pos,
@@ -115,6 +116,30 @@ Result<Value> DecodeValue(const std::string& data, size_t* pos) {
   }
 }
 
+Result<int64_t> DecodeInt64(const std::string& data, size_t* pos) {
+  DATACUBE_ASSIGN_OR_RETURN(Value v, DecodeValue(data, pos));
+  if (v.kind() != Value::Kind::kInt64) return WrongKind();
+  return v.int64_value();
+}
+
+Result<double> DecodeFloat64(const std::string& data, size_t* pos) {
+  DATACUBE_ASSIGN_OR_RETURN(Value v, DecodeValue(data, pos));
+  if (v.kind() != Value::Kind::kFloat64) return WrongKind();
+  return v.float64_value();
+}
+
+Result<bool> DecodeBool(const std::string& data, size_t* pos) {
+  DATACUBE_ASSIGN_OR_RETURN(Value v, DecodeValue(data, pos));
+  if (v.kind() != Value::Kind::kBool) return WrongKind();
+  return v.bool_value();
+}
+
+Result<std::string> DecodeString(const std::string& data, size_t* pos) {
+  DATACUBE_ASSIGN_OR_RETURN(Value v, DecodeValue(data, pos));
+  if (v.kind() != Value::Kind::kString) return WrongKind();
+  return v.string_value();
+}
+
 void EncodeBlob(const std::string& blob, std::string* out) {
   *out += std::to_string(blob.size());
   *out += ':';
@@ -140,6 +165,16 @@ Result<uint64_t> DecodeCount(const std::string& data, size_t* pos) {
   DATACUBE_ASSIGN_OR_RETURN(int64_t v, ParseInt(data, pos, ' '));
   if (v < 0) return Status::ParseError("codec: negative count");
   return static_cast<uint64_t>(v);
+}
+
+Result<uint64_t> DecodeListCount(const std::string& data, size_t* pos,
+                                 size_t min_item_bytes) {
+  DATACUBE_ASSIGN_OR_RETURN(uint64_t n, DecodeCount(data, pos));
+  uint64_t left = data.size() - *pos;
+  if (min_item_bytes > 0 && n > left / min_item_bytes) {
+    return Status::ParseError("codec: list count exceeds the remaining input");
+  }
+  return n;
 }
 
 }  // namespace datacube

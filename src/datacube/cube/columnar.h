@@ -301,9 +301,30 @@ Result<SetStores> ColumnarParallel(const ColumnarContext& cc,
                                    const CubeOptions& options,
                                    CubeStats* stats);
 
+/// Runs the serial entry point of `algorithm`; kAuto runs ColumnarFromCore
+/// (ExecuteCube resolves kAuto through its planner first).
+Result<SetStores> RunColumnarAlgorithm(const ColumnarContext& cc,
+                                       CubeAlgorithm algorithm,
+                                       const CubeOptions& options,
+                                       CubeStats* stats);
+
 /// Folds each store's probe/arena counters into `stats` (the
 /// EXPLAIN ANALYZE kernel counters).
 void FlushStoreStats(const SetStores& stores, CubeStats* stats);
+
+/// Re-keys `stores` (stores[s] holds cc.ctx->sets[s]'s cells) after
+/// dictionary growth outgrew a bit field: re-lays-out the codec, repacks
+/// the row keys, and moves every block — adopted, not cloned — under its
+/// re-encoded key.
+void RelayoutAndRekey(ColumnarContext& cc, SetStores& stores);
+
+/// Packs the full-width Value key of a `set` cell, first growing the
+/// dictionaries with any grouped value they lack (re-keying `stores` when
+/// a code outgrows its field): how checkpoint loads and cross-cube merges
+/// bring cells into a store.
+std::vector<uint64_t> EncodeKeyOrGrow(ColumnarContext& cc, SetStores& stores,
+                                      const std::vector<Value>& key,
+                                      GroupingSet set);
 
 /// Builds the result relation from flat stores — the only place packed
 /// keys are decoded back to Values (Section 3's relational form: ALL/NULL

@@ -395,6 +395,28 @@ Result<SetStores> ColumnarSortRollup(const ColumnarContext& cc,
 // C_i + 1 slots per dimension (the extra slot is ALL), each coarser set a
 // projection of one dimension at a time. Only for the full cube of
 // mergeable aggregates within options.array_max_cells; otherwise FromCore.
+Result<SetStores> RunColumnarAlgorithm(const ColumnarContext& cc,
+                                       CubeAlgorithm algorithm,
+                                       const CubeOptions& options,
+                                       CubeStats* stats) {
+  switch (algorithm) {
+    case CubeAlgorithm::kNaive2N:
+      return ColumnarNaive2N(cc, stats);
+    case CubeAlgorithm::kUnionGroupBy:
+      return ColumnarUnionGroupBy(cc, stats);
+    case CubeAlgorithm::kAuto:
+    case CubeAlgorithm::kFromCore:
+      return ColumnarFromCore(cc, stats);
+    case CubeAlgorithm::kArrayCube:
+      return ColumnarArrayCube(cc, options, stats);
+    case CubeAlgorithm::kSortRollup:
+      return ColumnarSortRollup(cc, stats);
+    case CubeAlgorithm::kSortFromCore:
+      return ColumnarSortFromCore(cc, stats);
+  }
+  return Status::Internal("unknown cube algorithm");
+}
+
 Result<SetStores> ColumnarArrayCube(const ColumnarContext& cc,
                                     const CubeOptions& options,
                                     CubeStats* stats) {
@@ -745,11 +767,9 @@ Result<Table> AssembleColumnarResult(const ColumnarContext& cc,
                            /*allow_all=*/false});
   }
   for (size_t a = 0; a < ctx.aggs.size(); ++a) {
-    std::string name = spec.aggregates[a].output_name.empty()
-                           ? spec.aggregates[a].function
-                           : spec.aggregates[a].output_name;
-    fields.push_back(Field{std::move(name), ctx.agg_result_types[a],
-                           /*nullable=*/true, /*allow_all=*/false});
+    fields.push_back(Field{spec.aggregates[a].column_name(),
+                           ctx.agg_result_types[a], /*nullable=*/true,
+                           /*allow_all=*/false});
   }
   if (spec.add_grouping_columns) {
     for (size_t k = 0; k < ctx.num_keys; ++k) {

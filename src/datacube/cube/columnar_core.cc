@@ -622,6 +622,45 @@ CellStore FlatGroupBy(const ColumnarContext& cc, GroupingSet set,
   return cells;
 }
 
+void RelayoutAndRekey(ColumnarContext& cc, SetStores& stores) {
+  // Decode every cell key under the old layout before it changes.
+  std::vector<std::vector<std::pair<std::vector<Value>, char*>>> saved(
+      stores.size());
+  for (size_t s = 0; s < stores.size(); ++s) {
+    saved[s].reserve(stores[s].size());
+    stores[s].ForEach([&](const uint64_t* key, char* block) {
+      saved[s].emplace_back(cc.codec.DecodeKey(key), block);
+    });
+  }
+  cc.codec.Relayout();
+  cc.RepackRowKeys();
+  for (size_t s = 0; s < stores.size(); ++s) {
+    // Fresh stores pick up the new key width; the blocks themselves (and
+    // their arenas) are untouched — only the keys are re-encoded.
+    CellStore fresh = cc.MakeStore(stores[s].arena());
+    fresh.MutableStats() = stores[s].stats();
+    stores[s].ReleaseAll();
+    for (auto& [key, block] : saved[s]) {
+      // Every decoded value is still in the (grown) dictionary.
+      fresh.InsertAdopt(cc.codec.EncodeKey(key, cc.ctx->sets[s])->data(),
+                        block);
+    }
+    stores[s] = std::move(fresh);
+  }
+}
+
+std::vector<uint64_t> EncodeKeyOrGrow(ColumnarContext& cc, SetStores& stores,
+                                      const std::vector<Value>& key,
+                                      GroupingSet set) {
+  std::optional<std::vector<uint64_t>> packed = cc.codec.EncodeKey(key, set);
+  if (packed.has_value()) return std::move(*packed);
+  for (size_t k = 0; k < cc.ctx->num_keys; ++k) {
+    if (IsGrouped(set, k)) cc.codec.CodeOfOrAdd(k, key[k]);
+  }
+  if (cc.codec.needs_relayout()) RelayoutAndRekey(cc, stores);
+  return std::move(*cc.codec.EncodeKey(key, set));
+}
+
 void FlushStoreStats(const SetStores& stores, CubeStats* stats) {
   if (stats == nullptr) return;
   std::vector<const CellArena*> arenas;

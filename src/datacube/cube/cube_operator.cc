@@ -312,23 +312,8 @@ Result<CubeResult> ExecuteCube(const Table& input, const CubeSpec& spec,
       if (WouldRunParallel(ctx, options)) {
         return cube_internal::ColumnarParallel(cc, options, &stats);
       }
-      switch (algorithm) {
-        case CubeAlgorithm::kNaive2N:
-          return cube_internal::ColumnarNaive2N(cc, &stats);
-        case CubeAlgorithm::kUnionGroupBy:
-          return cube_internal::ColumnarUnionGroupBy(cc, &stats);
-        case CubeAlgorithm::kFromCore:
-          return cube_internal::ColumnarFromCore(cc, &stats);
-        case CubeAlgorithm::kArrayCube:
-          return cube_internal::ColumnarArrayCube(cc, options, &stats);
-        case CubeAlgorithm::kSortRollup:
-          return cube_internal::ColumnarSortRollup(cc, &stats);
-        case CubeAlgorithm::kSortFromCore:
-          return cube_internal::ColumnarSortFromCore(cc, &stats);
-        case CubeAlgorithm::kAuto:
-          break;
-      }
-      return Status::Internal("unresolved cube algorithm");
+      return cube_internal::RunColumnarAlgorithm(cc, algorithm, options,
+                                                 &stats);
     };
     size_t budget = cube_internal::ResolveMaterializeBudget(options);
     Result<SetStores> stores = [&]() -> Result<SetStores> {

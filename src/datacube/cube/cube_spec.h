@@ -29,6 +29,11 @@ struct AggregateSpec {
   std::vector<Value> params;
   bool distinct = false;
   std::string output_name;
+
+  /// The result column's name: output_name, else the function name.
+  const std::string& column_name() const {
+    return output_name.empty() ? function : output_name;
+  }
 };
 
 /// A decoration column (Section 3.5): an expression functionally dependent

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <limits>
 
 #include "datacube/cube/grouping_set.h"
 #include "datacube/obs/trace.h"
@@ -10,17 +9,61 @@
 namespace datacube {
 namespace cube_internal {
 
-bool LatticeRewriteEligible(const CubeContext& ctx) {
-  if (!ctx.all_mergeable || ctx.full_set_index < 0) return false;
-  if (ctx.num_keys > 16) return false;
+Status CheckFoldable(const CubeContext& ctx) {
+  bool holistic = false;
   for (const AggregateFunctionPtr& agg : ctx.aggs) {
-    // Holistic functions are excluded even when they happen to support
-    // Merge (count_distinct, mode): their super-aggregate cost is not
-    // bounded by the sub-aggregate sizes the cost model reasons about, and
-    // the paper's contract is that holistic cubes come from base data.
-    if (agg->agg_class() == AggClass::kHolistic) return false;
+    if (agg->agg_class() == AggClass::kHolistic) holistic = true;
   }
-  return true;
+  if (!ctx.all_mergeable || holistic) {
+    return Status::InvalidArgument(
+        "answering grouping sets from stored views requires mergeable "
+        "(distributive/algebraic) aggregates; holistic aggregates must be "
+        "answered from base data");
+  }
+  return Status::OK();
+}
+
+bool LatticeRewriteEligible(const CubeContext& ctx) {
+  return ctx.full_set_index >= 0 && ctx.num_keys <= 16 &&
+         CheckFoldable(ctx).ok();
+}
+
+LatticeByteCostModel ByteCostModel(const ColumnarContext& cc) {
+  LatticeByteCostModel model;
+  model.num_dims = cc.ctx->num_keys;
+  model.cardinalities = cc.codec.Cardinalities();
+  model.base_rows = cc.ctx->num_rows();
+  model.bytes_per_cell = static_cast<double>(
+      cc.words * sizeof(uint64_t) + cc.layout.block_size);
+  return model;
+}
+
+size_t SmallestAncestor(const std::vector<GroupingSet>& views,
+                        const SetStores& stores, GroupingSet target) {
+  size_t best = views.size();
+  for (size_t i = 0; i < views.size(); ++i) {
+    if ((views[i] & target) != target) continue;
+    if (best == views.size() || stores[i].size() < stores[best].size()) {
+      best = i;
+    }
+  }
+  return best;
+}
+
+Result<CellStore> FoldAncestor(const ColumnarContext& cc,
+                               const CellStore& parent, GroupingSet target,
+                               CubeStats* stats) {
+  std::vector<uint64_t> mask = cc.codec.MaskForSet(target);
+  std::vector<uint64_t> key(cc.words);
+  CellStore folded = cc.MakeStore();
+  Status merge_status = Status::OK();
+  parent.ForEach([&](const uint64_t* pkey, char* pblock) {
+    for (size_t w = 0; w < mask.size(); ++w) key[w] = pkey[w] & mask[w];
+    Status st = cc.MergeCell(folded.FindOrInsert(key.data()), pblock, stats);
+    if (!st.ok() && merge_status.ok()) merge_status = st;
+  });
+  DATACUBE_RETURN_IF_ERROR(merge_status);
+  return folded;
 }
 
 size_t ResolveMaterializeBudget(const CubeOptions& options) {
@@ -40,11 +83,7 @@ Result<LatticeRewritePlan> PlanLatticeRewrite(const CubeContext& ctx,
                                               size_t budget_bytes) {
   LatticeRewritePlan plan;
   plan.budget_bytes = budget_bytes;
-  plan.model.num_dims = ctx.num_keys;
-  plan.model.cardinalities = cc.codec.Cardinalities();
-  plan.model.base_rows = ctx.num_rows();
-  plan.model.bytes_per_cell = static_cast<double>(
-      cc.words * sizeof(uint64_t) + cc.layout.block_size);
+  plan.model = ByteCostModel(cc);
   plan.model.candidates = ctx.sets;
   DATACUBE_ASSIGN_OR_RETURN(
       plan.selection, SelectViewsByByteBudget(
@@ -55,22 +94,15 @@ Result<LatticeRewritePlan> PlanLatticeRewrite(const CubeContext& ctx,
   // that appears earlier. Re-sort the selection (views and the parallel
   // per-view arrays) before it is swapped into ctx.sets; the core keeps
   // slot 0, having the maximal popcount.
-  {
-    std::vector<size_t> order(plan.selection.views.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      GroupingSet x = plan.selection.views[a], y = plan.selection.views[b];
-      int px = PopCount(x), py = PopCount(y);
-      if (px != py) return px > py;
-      return x > y;
-    });
-    ViewSelection canonical = plan.selection;
-    for (size_t i = 0; i < order.size(); ++i) {
-      canonical.views[i] = plan.selection.views[order[i]];
-      canonical.benefits[i] = plan.selection.benefits[order[i]];
-      canonical.view_bytes[i] = plan.selection.view_bytes[order[i]];
-    }
-    plan.selection = std::move(canonical);
+  const ViewSelection picked = plan.selection;
+  plan.selection.views = NormalizeSets(picked.views);
+  for (size_t i = 0; i < picked.views.size(); ++i) {
+    size_t j = static_cast<size_t>(
+        std::find(picked.views.begin(), picked.views.end(),
+                  plan.selection.views[i]) -
+        picked.views.begin());
+    plan.selection.benefits[i] = picked.benefits[j];
+    plan.selection.view_bytes[i] = picked.view_bytes[j];
   }
   plan.planned_source.reserve(ctx.sets.size());
   for (GroupingSet target : ctx.sets) {
@@ -108,7 +140,6 @@ Result<SetStores> FoldSelectedToRequested(
   }
 
   SetStores out(requested.size());
-  std::vector<uint64_t> key(cc.words);
 
   // Pass 1: fold every non-materialized set while all selected stores are
   // still present (a materialized set may itself be the fold source of a
@@ -121,15 +152,7 @@ Result<SetStores> FoldSelectedToRequested(
       ps.materialized = true;  // store adopted in pass 2
       continue;
     }
-    // Cheapest usable ancestor by actual materialized cell count.
-    size_t best = views.size();
-    for (size_t j = 0; j < views.size(); ++j) {
-      if ((views[j] & target) != target) continue;
-      if (best == views.size() ||
-          selected_stores[j].size() < selected_stores[best].size()) {
-        best = j;
-      }
-    }
+    size_t best = SmallestAncestor(views, selected_stores, target);
     if (best == views.size()) {
       // No materialized superset — unreachable when the core was selected;
       // recompute from base data rather than fail.
@@ -139,15 +162,8 @@ Result<SetStores> FoldSelectedToRequested(
     }
     const CellStore& parent = selected_stores[best];
     obs::ScopedSpan fold_span("ancestor_fold");
-    std::vector<uint64_t> mask = cc.codec.MaskForSet(target);
-    CellStore folded = cc.MakeStore();
-    Status merge_status = Status::OK();
-    parent.ForEach([&](const uint64_t* pkey, char* pblock) {
-      for (size_t w = 0; w < mask.size(); ++w) key[w] = pkey[w] & mask[w];
-      Status st = cc.MergeCell(folded.FindOrInsert(key.data()), pblock, stats);
-      if (!st.ok() && merge_status.ok()) merge_status = st;
-    });
-    DATACUBE_RETURN_IF_ERROR(merge_status);
+    DATACUBE_ASSIGN_OR_RETURN(CellStore folded,
+                              FoldAncestor(cc, parent, target, stats));
     ps.answered_from = static_cast<int64_t>(views[best]);
     ++stats->lattice_ancestor_folds;
     stats->lattice_fold_cells += parent.size();

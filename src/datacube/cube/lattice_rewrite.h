@@ -35,13 +35,34 @@ struct LatticeRewritePlan {
   std::vector<GroupingSet> planned_source;
 };
 
-/// Whether the budgeted rewrite may apply: every aggregate merges, none is
-/// holistic (holistic super-aggregates need base data — the rewrite must
-/// never touch them, mergeable or not), the core is among the requested
-/// sets (it is the only view guaranteed to answer everything else), and the
-/// lattice is enumerable (num_keys <= 16). Ineligible requests run the
-/// normal full computation with all lattice_* stats zero.
+/// Whether grouping sets may be answered by folding stored ancestors: OK
+/// when every aggregate merges and none is holistic — holistic functions
+/// are refused even when they support Merge (count_distinct, mode), since
+/// the paper's holistic cubes come from base data — else InvalidArgument.
+Status CheckFoldable(const CubeContext& ctx);
+
+/// Whether the budgeted rewrite may apply: the aggregates fold
+/// (CheckFoldable), the core is among the requested sets (it is the only
+/// view guaranteed to answer everything else), and the lattice is
+/// enumerable (num_keys <= 16). Ineligible requests run the normal full
+/// computation with all lattice_* stats zero.
 bool LatticeRewriteEligible(const CubeContext& ctx);
+
+/// The byte cost model of cc's data (cardinalities from the codec, bytes
+/// per cell = packed key words + state block); candidates left empty.
+LatticeByteCostModel ByteCostModel(const ColumnarContext& cc);
+
+/// Index of the view ⊇ `target` whose store (parallel to `views`) has the
+/// fewest cells, or views.size() when no view covers it.
+size_t SmallestAncestor(const std::vector<GroupingSet>& views,
+                        const SetStores& stores, GroupingSet target);
+
+/// Folds `parent`, a store of a superset of `target`, into `target`'s
+/// cells: keys masked, blocks merged (Iter_super) — distributive/algebraic
+/// super-aggregates never need base data (§3).
+Result<CellStore> FoldAncestor(const ColumnarContext& cc,
+                               const CellStore& parent, GroupingSet target,
+                               CubeStats* stats);
 
 /// The effective byte budget: the CubeOptions field wins; otherwise
 /// DATACUBE_MATERIALIZE_BUDGET (decimal bytes) applies process-wide. 0 = no
@@ -56,9 +77,9 @@ Result<LatticeRewritePlan> PlanLatticeRewrite(const CubeContext& ctx,
 
 /// Serves every requested set from the materialized selection:
 /// directly-materialized sets adopt their store; every other set is folded
-/// from its cheapest (smallest actual cell count) materialized ancestor via
-/// the mask-and-Merge cascade; a set with no usable ancestor — impossible
-/// when the core was selected, kept as a safety net — recomputes from base
+/// (FoldAncestor) from its SmallestAncestor; a set with no usable ancestor
+/// — impossible when the core was selected, kept as a safety net —
+/// recomputes from base
 /// data. Fills stats->per_set provenance (answered_from / materialized) and
 /// the lattice_* counters. The returned stores are parallel to `requested`.
 Result<SetStores> FoldSelectedToRequested(

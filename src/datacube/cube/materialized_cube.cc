@@ -4,10 +4,12 @@
 #include <cstdint>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <utility>
 
 #include "datacube/common/codec.h"
+#include "datacube/cube/lattice_rewrite.h"
 #include "datacube/obs/metrics.h"
 #include "datacube/obs/trace.h"
 
@@ -15,8 +17,8 @@ namespace datacube {
 
 using cube_internal::CellHeader;
 using cube_internal::CellStore;
+using cube_internal::CheckFoldable;
 using cube_internal::ColumnarContext;
-using cube_internal::SetStores;
 
 namespace {
 
@@ -60,45 +62,130 @@ class ScopedMaintenancePublish {
   MaintenanceStats before_;
 };
 
+// One bump per Query(): hit/miss counter plus cells folded on the miss path.
+void PublishQueryStats(const MaterializedCube::QueryStats& qs) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  reg.GetCounter("datacube_partial_queries_total",
+                 "Partial-cube queries by answer source",
+                 {{"source",
+                   qs.was_materialized ? "materialized" : "ancestor"}})
+      .Inc();
+  if (qs.cells_scanned > 0) {
+    reg.GetCounter("datacube_partial_cells_scanned_total",
+                   "Ancestor cells folded to answer partial-cube queries")
+        .Inc(qs.cells_scanned);
+  }
+}
+
 }  // namespace
 
-Result<std::unique_ptr<MaterializedCube>> MaterializedCube::Build(
-    const Table& input, const CubeSpec& spec, const CubeOptions& options) {
+Result<std::unique_ptr<MaterializedCube>> MaterializedCube::Prepare(
+    Table base, const CubeSpec& spec) {
   auto cube = std::unique_ptr<MaterializedCube>(new MaterializedCube());
-  cube->base_ = std::make_unique<Table>(input);
+  cube->base_ = std::make_unique<Table>(std::move(base));
   cube->spec_ = std::make_unique<CubeSpec>(spec);
   DATACUBE_ASSIGN_OR_RETURN(
       cube->ctx_, cube_internal::BuildCubeContext(*cube->base_, *cube->spec_));
   DATACUBE_ASSIGN_OR_RETURN(cube->cc_,
                             cube_internal::BuildColumnarContext(cube->ctx_));
-
-  CubeStats build_stats;
-  Result<SetStores> stores = [&]() -> Result<SetStores> {
-    switch (options.algorithm) {
-      case CubeAlgorithm::kNaive2N:
-        return cube_internal::ColumnarNaive2N(cube->cc_, &build_stats);
-      case CubeAlgorithm::kUnionGroupBy:
-        return cube_internal::ColumnarUnionGroupBy(cube->cc_, &build_stats);
-      case CubeAlgorithm::kArrayCube:
-        return cube_internal::ColumnarArrayCube(cube->cc_, options,
-                                                &build_stats);
-      case CubeAlgorithm::kSortRollup:
-        return cube_internal::ColumnarSortRollup(cube->cc_, &build_stats);
-      case CubeAlgorithm::kAuto:
-      case CubeAlgorithm::kFromCore:
-      default:
-        return cube_internal::ColumnarFromCore(cube->cc_, &build_stats);
-    }
-  }();
-  if (!stores.ok()) return stores.status();
-  cube->stores_ = std::move(stores).value();
-
-  cube->tombstone_.assign(input.num_rows(), false);
-  cube->live_rows_ = input.num_rows();
-  for (size_t r = 0; r < input.num_rows(); ++r) {
-    cube->row_index_.emplace(input.GetRow(r), r);
-  }
+  cube->tombstone_.assign(cube->base_->num_rows(), false);
+  cube->live_rows_ = cube->base_->num_rows();
   return cube;
+}
+
+Result<std::unique_ptr<MaterializedCube>> MaterializedCube::Build(
+    const Table& input, const CubeSpec& spec, const CubeOptions& options) {
+  DATACUBE_ASSIGN_OR_RETURN(std::unique_ptr<MaterializedCube> cube,
+                            Prepare(input, spec));
+  CubeStats build_stats;
+  DATACUBE_ASSIGN_OR_RETURN(cube->stores_,
+                            cube_internal::RunColumnarAlgorithm(
+                                cube->cc_, options.algorithm, options,
+                                &build_stats));
+  return cube;
+}
+
+Result<std::unique_ptr<MaterializedCube>> MaterializedCube::BuildViews(
+    const Table& input, const CubeSpec& spec,
+    const std::vector<GroupingSet>& views) {
+  DATACUBE_ASSIGN_OR_RETURN(std::unique_ptr<MaterializedCube> cube,
+                            Prepare(input, spec));
+  DATACUBE_RETURN_IF_ERROR(cube->StoreViews(views));
+  return cube;
+}
+
+Result<std::unique_ptr<MaterializedCube>> MaterializedCube::BuildWithBudget(
+    const Table& input, const CubeSpec& spec, size_t budget_bytes,
+    const ObservedCellCounts* observed) {
+  DATACUBE_ASSIGN_OR_RETURN(std::unique_ptr<MaterializedCube> cube,
+                            Prepare(input, spec));
+  DATACUBE_RETURN_IF_ERROR(CheckFoldable(cube->ctx_));
+  // The candidates are the spec's sets plus the core, ascending — for a
+  // CUBE exactly the full lattice in the greedy's own enumeration order.
+  LatticeByteCostModel model = cube_internal::ByteCostModel(cube->cc_);
+  std::set<GroupingSet> candidates(cube->ctx_.sets.begin(),
+                                   cube->ctx_.sets.end());
+  candidates.insert(FullSet(cube->ctx_.num_keys));
+  model.candidates.assign(candidates.begin(), candidates.end());
+  // Observed-cardinality feedback: actual per-set cell counts from a prior
+  // materialization override the cardinality-product estimates, so the
+  // greedy re-prices views with what the data really did.
+  if (observed != nullptr) model.observed_cells = *observed;
+  DATACUBE_ASSIGN_OR_RETURN(
+      cube->selection_,
+      SelectViewsByByteBudget(model, static_cast<double>(budget_bytes)));
+  cube->budget_bytes_ = budget_bytes;
+  DATACUBE_RETURN_IF_ERROR(cube->StoreViews(cube->selection_.views));
+  return cube;
+}
+
+Status MaterializedCube::AdoptViews(const std::vector<GroupingSet>& views) {
+  const GroupingSet core = FullSet(ctx_.num_keys);
+  for (GroupingSet v : views) {
+    if (v >> ctx_.num_keys) {
+      return Status::InvalidArgument(
+          "stored view references unknown grouping column");
+    }
+    if (v != core &&
+        std::find(ctx_.sets.begin(), ctx_.sets.end(), v) == ctx_.sets.end()) {
+      return Status::InvalidArgument(
+          "stored view " + GroupingSetToString(v, ctx_.key_names) +
+          " is not a grouping set of the cube spec");
+    }
+  }
+  ctx_.sets = views;
+  ctx_.full_set_index = views.front() == core ? 0 : -1;  // normalized order
+  return Status::OK();
+}
+
+Status MaterializedCube::StoreViews(std::vector<GroupingSet> views) {
+  DATACUBE_RETURN_IF_ERROR(CheckFoldable(ctx_));
+  views.push_back(FullSet(ctx_.num_keys));
+  DATACUBE_RETURN_IF_ERROR(AdoptViews(NormalizeSets(std::move(views))));
+  CubeStats stats;
+  DATACUBE_ASSIGN_OR_RETURN(stores_,
+                            cube_internal::ColumnarFromCore(cc_, &stats));
+  return Status::OK();
+}
+
+size_t MaterializedCube::materialized_cells() const {
+  size_t total = 0;
+  for (const CellStore& s : stores_) total += s.size();
+  return total;
+}
+
+size_t MaterializedCube::materialized_bytes() const {
+  size_t cell_bytes = cc_.words * sizeof(uint64_t) + cc_.layout.block_size;
+  return materialized_cells() * cell_bytes;
+}
+
+MaterializedCube::ObservedCellCounts MaterializedCube::ObservedCells() const {
+  ObservedCellCounts out;
+  out.reserve(ctx_.sets.size());
+  for (size_t s = 0; s < ctx_.sets.size(); ++s) {
+    out.emplace_back(ctx_.sets[s], static_cast<double>(stores_[s].size()));
+  }
+  return out;
 }
 
 Status MaterializedCube::EvaluateRow(size_t row) {
@@ -118,48 +205,29 @@ Status MaterializedCube::EvaluateRow(size_t row) {
   return Status::OK();
 }
 
-void MaterializedCube::RelayoutAndRekey() {
-  // Decode every cell key under the old layout before it changes.
-  std::vector<std::vector<std::pair<std::vector<Value>, char*>>> saved(
-      stores_.size());
-  for (size_t s = 0; s < stores_.size(); ++s) {
-    saved[s].reserve(stores_[s].size());
-    stores_[s].ForEach([&](const uint64_t* key, char* block) {
-      saved[s].emplace_back(cc_.codec.DecodeKey(key), block);
-    });
-  }
-  cc_.codec.Relayout();
-  cc_.RepackRowKeys();
-  for (size_t s = 0; s < stores_.size(); ++s) {
-    // Fresh stores pick up the new key width; the blocks themselves (and
-    // their arenas) are untouched — only the keys are re-encoded.
-    CellStore fresh = cc_.MakeStore(stores_[s].arena());
-    fresh.MutableStats() = stores_[s].stats();
-    stores_[s].ReleaseAll();
-    for (auto& [key, block] : saved[s]) {
-      // Every decoded value is still in the (grown) dictionary.
-      std::optional<std::vector<uint64_t>> packed =
-          cc_.codec.EncodeKey(key, ctx_.sets[s]);
-      fresh.InsertAdopt(packed->data(), block);
-    }
-    stores_[s] = std::move(fresh);
-  }
-}
-
-Status MaterializedCube::AppendRowKey(size_t row_id) {
+void MaterializedCube::AppendRowKey(size_t row_id) {
   // Grow the dictionaries first: a new code can outgrow its bit field, and
   // packing must only happen under a layout that fits it.
   for (size_t k = 0; k < ctx_.num_keys; ++k) {
     cc_.codec.CodeOfOrAdd(k, ctx_.key_columns[k][row_id]);
   }
   if (cc_.codec.needs_relayout()) {
-    RelayoutAndRekey();  // RepackRowKeys covers the new row too
+    // RepackRowKeys covers the new row too.
+    cube_internal::RelayoutAndRekey(cc_, stores_);
   } else {
     cc_.row_keys.resize((row_id + 1) * cc_.words, 0);
     cc_.codec.EncodeRow(ctx_.key_columns, row_id,
                         &cc_.row_keys[row_id * cc_.words]);
   }
-  return Status::OK();
+}
+
+void MaterializedCube::IndexLiveRows() {
+  if (row_index_built_) return;
+  row_index_.reserve(live_rows_);
+  for (size_t r = 0; r < base_->num_rows(); ++r) {
+    if (!tombstone_[r]) row_index_.emplace(base_->GetRow(r), r);
+  }
+  row_index_built_ = true;
 }
 
 Status MaterializedCube::ApplyInsert(const std::vector<Value>& row) {
@@ -168,33 +236,42 @@ Status MaterializedCube::ApplyInsert(const std::vector<Value>& row) {
   DATACUBE_RETURN_IF_ERROR(base_->AppendRow(row));
   size_t row_id = base_->num_rows() - 1;
   DATACUBE_RETURN_IF_ERROR(EvaluateRow(row_id));
-  DATACUBE_RETURN_IF_ERROR(AppendRowKey(row_id));
+  AppendRowKey(row_id);
   tombstone_.push_back(false);
   ++live_rows_;
-  row_index_.emplace(row, row_id);
+  if (row_index_built_) row_index_.emplace(row, row_id);
   ++stats_.inserts;
 
-  // Visit the row's cell in each grouping set — 2^N scratchpad visits —
-  // finest set first, so the paper's short-circuit applies: once the value
-  // "loses" at some set, every subset of that set is skipped.
+  // Visit the row's cell in each stored set — 2^N scratchpad visits for a
+  // full cube — finest set first, so the paper's short-circuit applies:
+  // once the value "loses" at some set, every subset of that set is
+  // skipped.
   Value argv[8];
   std::vector<uint64_t> key(cc_.words);
   std::vector<GroupingSet> lost_at;
   for (size_t s = 0; s < ctx_.sets.size(); ++s) {
     GroupingSet set = ctx_.sets[s];
-    bool dominated = std::any_of(
-        lost_at.begin(), lost_at.end(),
-        [set](GroupingSet loser) { return (set & loser) == set; });
-    if (dominated) {
-      ++stats_.cells_skipped;
-      continue;
-    }
     std::vector<uint64_t> mask = cc_.codec.MaskForSet(set);
     const uint64_t* rk = cc_.RowKey(row_id);
     for (size_t w = 0; w < cc_.words; ++w) key[w] = rk[w] & mask[w];
+    // A dominated cell holds the losing cell's rows, so it exists; the row
+    // still joins it, and the membership count must stay exact for cell
+    // eviction even though no scratchpad is visited.
+    bool dominated = std::any_of(
+        lost_at.begin(), lost_at.end(),
+        [set](GroupingSet loser) { return (set & loser) == set; });
     bool inserted = false;
-    char* block = stores_[s].FindOrInsert(key.data(), &inserted);
+    char* block = dominated ? stores_[s].Find(key.data())
+                            : stores_[s].FindOrInsert(key.data(), &inserted);
+    if (block == nullptr) {
+      return Status::Internal("insert short-circuit lost a cube cell");
+    }
     CellHeader* header = ColumnarContext::Header(block);
+    if (dominated) {
+      ++header->count;
+      ++stats_.cells_skipped;
+      continue;
+    }
 
     // A cell can be skipped outright only when no aggregate can change.
     bool any_change = inserted;
@@ -266,19 +343,15 @@ Status MaterializedCube::RecomputeAggregate(size_t set_index,
 Status MaterializedCube::ApplyDelete(const std::vector<Value>& row) {
   ScopedMaintenancePublish publish(&stats_);
   obs::ScopedSpan span("maintain_delete");
-  // Find a live base row with these values.
-  auto range = row_index_.equal_range(row);
-  size_t row_id = base_->num_rows();
-  for (auto it = range.first; it != range.second; ++it) {
-    if (!tombstone_[it->second]) {
-      row_id = it->second;
-      row_index_.erase(it);
-      break;
-    }
-  }
-  if (row_id == base_->num_rows()) {
+  // Find a live base row with these values (the index holds live rows
+  // only).
+  IndexLiveRows();
+  auto found = row_index_.find(row);
+  if (found == row_index_.end()) {
     return Status::NotFound("ApplyDelete: no matching live base row");
   }
+  size_t row_id = found->second;
+  row_index_.erase(found);
   tombstone_[row_id] = true;
   --live_rows_;
   ++stats_.deletes;
@@ -342,17 +415,30 @@ Status MaterializedCube::ApplyUpdate(const std::vector<Value>& old_row,
                                      const std::vector<Value>& new_row) {
   // Section 6: "update is just delete plus insert". Validate the delete
   // first so a failed update leaves the cube untouched.
-  bool exists = false;
-  auto range = row_index_.equal_range(old_row);
-  for (auto it = range.first; it != range.second; ++it) {
-    if (!tombstone_[it->second]) exists = true;
-  }
-  if (!exists) {
+  IndexLiveRows();
+  if (row_index_.find(old_row) == row_index_.end()) {
     return Status::NotFound("ApplyUpdate: old row not present");
   }
   DATACUBE_RETURN_IF_ERROR(ApplyDelete(old_row));
   return ApplyInsert(new_row);
 }
+
+namespace {
+
+// The slice addressing a cell's neighbours along `dimension`: `at` there,
+// the cell's own coordinates (fixed values or ALL planes) elsewhere.
+std::vector<SliceCoord> SliceAlong(const std::vector<Value>& coords,
+                                   size_t dimension, SliceCoord at) {
+  std::vector<SliceCoord> slice;
+  for (size_t k = 0; k < coords.size(); ++k) {
+    slice.push_back(k == dimension       ? at
+                    : coords[k].is_all() ? SliceCoord::AllPlane()
+                                         : SliceCoord::Fixed(coords[k]));
+  }
+  return slice;
+}
+
+}  // namespace
 
 Result<Table> MaterializedCube::DrillDown(const std::vector<Value>& coords,
                                           size_t dimension) const {
@@ -363,17 +449,7 @@ Result<Table> MaterializedCube::DrillDown(const std::vector<Value>& coords,
     return Status::InvalidArgument(
         "DrillDown: the drilled dimension must currently be ALL");
   }
-  std::vector<SliceCoord> slice;
-  for (size_t k = 0; k < coords.size(); ++k) {
-    if (k == dimension) {
-      slice.push_back(SliceCoord::Wildcard());
-    } else if (coords[k].is_all()) {
-      slice.push_back(SliceCoord::AllPlane());
-    } else {
-      slice.push_back(SliceCoord::Fixed(coords[k]));
-    }
-  }
-  return Slice(slice);
+  return Slice(SliceAlong(coords, dimension, SliceCoord::Wildcard()));
 }
 
 Result<Table> MaterializedCube::RollUp(const std::vector<Value>& coords,
@@ -385,15 +461,7 @@ Result<Table> MaterializedCube::RollUp(const std::vector<Value>& coords,
     return Status::InvalidArgument(
         "RollUp: the rolled dimension is already ALL");
   }
-  std::vector<SliceCoord> slice;
-  for (size_t k = 0; k < coords.size(); ++k) {
-    if (k == dimension || coords[k].is_all()) {
-      slice.push_back(SliceCoord::AllPlane());
-    } else {
-      slice.push_back(SliceCoord::Fixed(coords[k]));
-    }
-  }
-  return Slice(slice);
+  return Slice(SliceAlong(coords, dimension, SliceCoord::AllPlane()));
 }
 
 Result<Table> MaterializedCube::Slice(
@@ -413,33 +481,36 @@ Result<Table> MaterializedCube::Slice(
   if (set_it == ctx_.sets.end()) {
     return Status::NotFound("grouping set not materialized in this cube");
   }
-  size_t s = static_cast<size_t>(set_it - ctx_.sets.begin());
-
-  std::vector<Field> fields;
-  for (size_t k = 0; k < ctx_.num_keys; ++k) {
-    fields.push_back(Field{ctx_.key_names[k], ctx_.key_types[k],
-                           /*nullable=*/true, /*allow_all=*/true});
-  }
-  for (size_t a = 0; a < ctx_.aggs.size(); ++a) {
-    std::string name = spec_->aggregates[a].output_name.empty()
-                           ? spec_->aggregates[a].function
-                           : spec_->aggregates[a].output_name;
-    fields.push_back(Field{std::move(name), ctx_.agg_result_types[a],
-                           /*nullable=*/true, /*allow_all=*/false});
-  }
-  Table out{Schema{std::move(fields)}};
-
+  const CellStore& cells = stores_[set_it - ctx_.sets.begin()];
   // Resolve fixed coordinates to codes once; a fixed value outside the
   // dictionary matches no cell.
   std::vector<std::pair<size_t, uint64_t>> fixed;
   for (size_t k = 0; k < coords.size(); ++k) {
     if (coords[k].kind != SliceCoord::Kind::kFixed) continue;
     std::optional<uint64_t> code = cc_.codec.CodeOf(k, coords[k].value);
-    if (!code) return out;
+    if (!code) return AssembleCells(cc_.MakeStore(), {});
     fixed.emplace_back(k, *code);
   }
+  return AssembleCells(cells, fixed);
+}
+
+Result<Table> MaterializedCube::AssembleCells(
+    const CellStore& cells,
+    const std::vector<std::pair<size_t, uint64_t>>& fixed) const {
+  std::vector<Field> fields;
+  for (size_t k = 0; k < ctx_.num_keys; ++k) {
+    fields.push_back(Field{ctx_.key_names[k], ctx_.key_types[k],
+                           /*nullable=*/true, /*allow_all=*/true});
+  }
+  for (size_t a = 0; a < ctx_.aggs.size(); ++a) {
+    fields.push_back(Field{spec_->aggregates[a].column_name(),
+                           ctx_.agg_result_types[a], /*nullable=*/true,
+                           /*allow_all=*/false});
+  }
+  Table out{Schema{std::move(fields)}};
+  if (fixed.empty()) out.Reserve(cells.size());
   Status row_status = Status::OK();
-  stores_[s].ForEach([&](const uint64_t* key, char* block) {
+  cells.ForEach([&](const uint64_t* key, char* block) {
     if (!row_status.ok()) return;
     for (const auto& [k, code] : fixed) {
       if (cc_.codec.CodeAt(key, k) != code) return;
@@ -459,6 +530,53 @@ Result<Table> MaterializedCube::Slice(
   return out;
 }
 
+Result<Table> MaterializedCube::Query(GroupingSet target) {
+  if (target >> ctx_.num_keys) {
+    return Status::InvalidArgument("query references unknown grouping column");
+  }
+  last_stats_ = QueryStats{};
+  obs::ScopedSpan span("partial_cube_query");
+  auto stored = std::find(ctx_.sets.begin(), ctx_.sets.end(), target);
+  size_t source = static_cast<size_t>(stored - ctx_.sets.begin());
+  if (stored == ctx_.sets.end()) {
+    DATACUBE_RETURN_IF_ERROR(CheckFoldable(ctx_));
+    source = cube_internal::SmallestAncestor(ctx_.sets, stores_, target);
+    if (source == ctx_.sets.size()) {
+      return Status::NotFound("no stored view covers grouping set " +
+                              GroupingSetToString(target, ctx_.key_names));
+    }
+  }
+  const CellStore& from = stores_[source];
+  const bool direct = stored != ctx_.sets.end();
+  last_stats_ = QueryStats{ctx_.sets[source], direct,
+                           direct ? size_t{0} : from.size()};
+  if (span.active()) {
+    span.Attr("target", GroupingSetToString(target, ctx_.key_names));
+    span.Attr("source", direct ? std::string("materialized")
+                               : "fold from " + GroupingSetToString(
+                                                    ctx_.sets[source],
+                                                    ctx_.key_names));
+    span.Attr("cells_scanned",
+              static_cast<uint64_t>(last_stats_.cells_scanned));
+  }
+  PublishQueryStats(last_stats_);
+  CellStore folded;
+  if (!direct) {
+    DATACUBE_ASSIGN_OR_RETURN(
+        folded, cube_internal::FoldAncestor(cc_, from, target, nullptr));
+  }
+  const CellStore& cells = direct ? from : folded;
+  if (target == 0 && cells.size() == 0) {
+    // SQL semantics: the empty grouping set yields one row even on empty
+    // input (the aggregate over the empty set).
+    CellStore one = cc_.MakeStore();
+    std::vector<uint64_t> zero(cc_.words, 0);
+    one.FindOrInsert(zero.data());
+    return AssembleCells(one, {});
+  }
+  return AssembleCells(cells, {});
+}
+
 Result<Value> MaterializedCube::ValueAt(
     const std::string& aggregate_output_name,
     const std::vector<Value>& coords) const {
@@ -467,15 +585,10 @@ Result<Value> MaterializedCube::ValueAt(
                                    std::to_string(ctx_.num_keys) +
                                    " coordinates");
   }
-  size_t agg = ctx_.aggs.size();
-  for (size_t a = 0; a < spec_->aggregates.size(); ++a) {
-    std::string name = spec_->aggregates[a].output_name.empty()
-                           ? spec_->aggregates[a].function
-                           : spec_->aggregates[a].output_name;
-    if (name == aggregate_output_name) {
-      agg = a;
-      break;
-    }
+  size_t agg = 0;
+  while (agg < ctx_.aggs.size() &&
+         spec_->aggregates[agg].column_name() != aggregate_output_name) {
+    ++agg;
   }
   if (agg == ctx_.aggs.size()) {
     return Status::NotFound("no aggregate named " + aggregate_output_name);
@@ -552,7 +665,12 @@ Result<double> MaterializedCube::Index(
 
 namespace {
 
-constexpr const char* kCheckpointMagic = "DATACUBE_CKPT_V1\n";
+// The one checkpoint format. Layout, after the magic line: base schema
+// and rows, tombstones, budget, aggregate count, the stored view list (in
+// NormalizeSets order), then per view its cells — full-width Value keys,
+// header, one scratchpad blob per aggregate. Keys are decoded to Values on
+// the way out, so the file stays codec-layout-independent.
+constexpr const char kCheckpointMagic[] = "DATACUBE_CKPT_V2";
 
 Result<DataType> DataTypeFromName(const std::string& name) {
   for (DataType t : {DataType::kBool, DataType::kInt64, DataType::kFloat64,
@@ -565,36 +683,32 @@ Result<DataType> DataTypeFromName(const std::string& name) {
 }  // namespace
 
 Status MaterializedCube::SaveToFile(const std::string& path) const {
-  std::string out = kCheckpointMagic;
-  // Base schema.
+  std::string out = std::string(kCheckpointMagic) + "\n";
   EncodeCount(base_->num_columns(), &out);
   for (size_t c = 0; c < base_->num_columns(); ++c) {
     const Field& f = base_->schema().field(c);
     EncodeValue(Value::String(f.name), &out);
     EncodeValue(Value::String(DataTypeName(f.type)), &out);
   }
-  // Base rows.
   EncodeCount(base_->num_rows(), &out);
   for (size_t r = 0; r < base_->num_rows(); ++r) {
     for (size_t c = 0; c < base_->num_columns(); ++c) {
       EncodeValue(base_->GetValue(r, c), &out);
     }
   }
-  // Tombstones.
   std::string bits(tombstone_.size(), '0');
   for (size_t i = 0; i < tombstone_.size(); ++i) {
     if (tombstone_[i]) bits[i] = '1';
   }
   EncodeBlob(bits, &out);
-  // Cells per grouping set. Keys are decoded to Values on the way out, so
-  // the checkpoint stays layout-independent (format DATACUBE_CKPT_V1).
+  EncodeCount(budget_bytes_, &out);
   EncodeCount(ctx_.aggs.size(), &out);
   EncodeCount(ctx_.sets.size(), &out);
-  for (size_t s = 0; s < ctx_.sets.size(); ++s) {
-    EncodeCount(ctx_.sets[s], &out);
-    EncodeCount(stores_[s].size(), &out);
+  for (GroupingSet set : ctx_.sets) EncodeCount(set, &out);
+  for (const CellStore& store : stores_) {
+    EncodeCount(store.size(), &out);
     Status cell_status = Status::OK();
-    stores_[s].ForEach([&](const uint64_t* key, char* block) {
+    store.ForEach([&](const uint64_t* key, char* block) {
       if (!cell_status.ok()) return;
       for (const Value& v : cc_.codec.DecodeKey(key)) EncodeValue(v, &out);
       const CellHeader* header = ColumnarContext::Header(block);
@@ -624,30 +738,36 @@ Result<std::unique_ptr<MaterializedCube>> MaterializedCube::LoadFromFile(
   std::stringstream buffer;
   buffer << file.rdbuf();
   const std::string data = buffer.str();
-  if (data.rfind(kCheckpointMagic, 0) != 0) {
-    return Status::ParseError("not a datacube checkpoint: " + path);
+  const std::string magic = data.substr(0, data.find('\n'));
+  if (magic != kCheckpointMagic || magic.size() == data.size()) {
+    bool versioned = magic.rfind("DATACUBE_", 0) == 0 && magic.size() <= 32;
+    return Status::ParseError(
+        (versioned ? "unsupported checkpoint version " + magic + " (reads " +
+                         kCheckpointMagic + ")"
+                   : std::string("not a datacube checkpoint")) +
+        ": " + path);
   }
-  size_t pos = std::string(kCheckpointMagic).size();
+  size_t pos = magic.size() + 1;
 
-  // Base schema + rows.
-  DATACUBE_ASSIGN_OR_RETURN(uint64_t ncols, DecodeCount(data, &pos));
+  // Every list count is bounded by the bytes left (an encoded Value takes
+  // at least two), so a corrupt count fails here, not in an allocation.
+  DATACUBE_ASSIGN_OR_RETURN(uint64_t ncols, DecodeListCount(data, &pos, 4));
   std::vector<Field> fields;
   for (uint64_t c = 0; c < ncols; ++c) {
-    DATACUBE_ASSIGN_OR_RETURN(Value name, DecodeValue(data, &pos));
-    DATACUBE_ASSIGN_OR_RETURN(Value type_name, DecodeValue(data, &pos));
-    DATACUBE_ASSIGN_OR_RETURN(DataType type,
-                              DataTypeFromName(type_name.string_value()));
-    fields.push_back(Field{name.string_value(), type});
+    DATACUBE_ASSIGN_OR_RETURN(std::string name, DecodeString(data, &pos));
+    DATACUBE_ASSIGN_OR_RETURN(std::string type_name, DecodeString(data, &pos));
+    DATACUBE_ASSIGN_OR_RETURN(DataType type, DataTypeFromName(type_name));
+    fields.push_back(Field{std::move(name), type});
   }
   Table base{Schema{std::move(fields)}};
-  DATACUBE_ASSIGN_OR_RETURN(uint64_t nrows, DecodeCount(data, &pos));
+  DATACUBE_ASSIGN_OR_RETURN(
+      uint64_t nrows,
+      DecodeListCount(data, &pos, 2 * std::max<uint64_t>(ncols, 1)));
   base.Reserve(nrows);
+  std::vector<Value> row(ncols);
   for (uint64_t r = 0; r < nrows; ++r) {
-    std::vector<Value> row;
-    row.reserve(ncols);
-    for (uint64_t c = 0; c < ncols; ++c) {
-      DATACUBE_ASSIGN_OR_RETURN(Value v, DecodeValue(data, &pos));
-      row.push_back(std::move(v));
+    for (Value& v : row) {
+      DATACUBE_ASSIGN_OR_RETURN(v, DecodeValue(data, &pos));
     }
     DATACUBE_RETURN_IF_ERROR(base.AppendRow(row));
   }
@@ -655,97 +775,80 @@ Result<std::unique_ptr<MaterializedCube>> MaterializedCube::LoadFromFile(
   if (bits.size() != nrows) {
     return Status::ParseError("checkpoint: tombstone bitmap size mismatch");
   }
-
-  // Rebuild the evaluation context from the caller's spec.
-  auto cube = std::unique_ptr<MaterializedCube>(new MaterializedCube());
-  cube->base_ = std::make_unique<Table>(std::move(base));
-  cube->spec_ = std::make_unique<CubeSpec>(spec);
-  DATACUBE_ASSIGN_OR_RETURN(
-      cube->ctx_, cube_internal::BuildCubeContext(*cube->base_, *cube->spec_));
-  DATACUBE_ASSIGN_OR_RETURN(cube->cc_,
-                            cube_internal::BuildColumnarContext(cube->ctx_));
-
+  DATACUBE_ASSIGN_OR_RETURN(uint64_t budget, DecodeCount(data, &pos));
   DATACUBE_ASSIGN_OR_RETURN(uint64_t naggs, DecodeCount(data, &pos));
+  DATACUBE_ASSIGN_OR_RETURN(uint64_t nviews, DecodeListCount(data, &pos, 2));
+  std::vector<GroupingSet> views;
+  for (uint64_t s = 0; s < nviews; ++s) {
+    DATACUBE_ASSIGN_OR_RETURN(uint64_t mask, DecodeCount(data, &pos));
+    views.push_back(mask);
+  }
+  if (views.empty() || views != NormalizeSets(views)) {
+    return Status::ParseError(
+        "checkpoint: stored view list is empty or out of normalized order");
+  }
+
+  DATACUBE_ASSIGN_OR_RETURN(std::unique_ptr<MaterializedCube> cube,
+                            Prepare(std::move(base), spec));
   if (naggs != cube->ctx_.aggs.size()) {
     return Status::InvalidArgument(
         "checkpoint aggregate count does not match the supplied spec");
   }
-  DATACUBE_ASSIGN_OR_RETURN(uint64_t nsets, DecodeCount(data, &pos));
-  if (nsets != cube->ctx_.sets.size()) {
-    return Status::InvalidArgument(
-        "checkpoint grouping sets do not match the supplied spec");
+  // The stored views are authoritative; aggregates that cannot fold may
+  // only back a cube that stores exactly the spec's sets.
+  const bool spec_sets = views == cube->ctx_.sets;
+  DATACUBE_RETURN_IF_ERROR(cube->AdoptViews(views));
+  if (!spec_sets) DATACUBE_RETURN_IF_ERROR(CheckFoldable(cube->ctx_));
+  cube->budget_bytes_ = static_cast<size_t>(budget);
+  cube->live_rows_ = 0;
+  for (size_t r = 0; r < nrows; ++r) {
+    cube->tombstone_[r] = bits[r] == '1';
+    if (!cube->tombstone_[r]) ++cube->live_rows_;
   }
-  // Re-encodes a checkpointed Value key under the current codec, growing
-  // the dictionaries for any key value no longer present in the base data.
-  auto encode_key = [&cube](const std::vector<Value>& key, GroupingSet set) {
-    std::optional<std::vector<uint64_t>> packed =
-        cube->cc_.codec.EncodeKey(key, set);
-    if (!packed) {
-      for (size_t k = 0; k < cube->ctx_.num_keys; ++k) {
-        if (IsGrouped(set, k)) cube->cc_.codec.CodeOfOrAdd(k, key[k]);
-      }
-      if (cube->cc_.codec.needs_relayout()) cube->RelayoutAndRekey();
-      packed = cube->cc_.codec.EncodeKey(key, set);
-    }
-    return std::move(*packed);
-  };
-  for (uint64_t s = 0; s < nsets; ++s) {
-    DATACUBE_ASSIGN_OR_RETURN(uint64_t mask, DecodeCount(data, &pos));
-    if (mask != cube->ctx_.sets[s]) {
-      return Status::InvalidArgument(
-          "checkpoint grouping sets do not match the supplied spec");
-    }
-    DATACUBE_ASSIGN_OR_RETURN(uint64_t ncells, DecodeCount(data, &pos));
-    CellStore store = cube->cc_.MakeStore();
-    cube->stores_.push_back(std::move(store));
+
+  // The context is final, so cells decode straight into their stores.
+  const size_t num_keys = cube->ctx_.num_keys;
+  std::vector<Value> key(num_keys);
+  for (GroupingSet set : views) {
+    cube->stores_.push_back(cube->cc_.MakeStore());
+    DATACUBE_ASSIGN_OR_RETURN(
+        uint64_t ncells,
+        DecodeListCount(data, &pos, 2 * (num_keys + 3 + naggs)));
     for (uint64_t i = 0; i < ncells; ++i) {
-      std::vector<Value> key;
-      key.reserve(cube->ctx_.num_keys);
-      for (size_t k = 0; k < cube->ctx_.num_keys; ++k) {
-        DATACUBE_ASSIGN_OR_RETURN(Value v, DecodeValue(data, &pos));
-        key.push_back(std::move(v));
+      for (Value& v : key) {
+        DATACUBE_ASSIGN_OR_RETURN(v, DecodeValue(data, &pos));
       }
-      DATACUBE_ASSIGN_OR_RETURN(Value count, DecodeValue(data, &pos));
-      DATACUBE_ASSIGN_OR_RETURN(Value repr, DecodeValue(data, &pos));
-      DATACUBE_ASSIGN_OR_RETURN(Value has_repr, DecodeValue(data, &pos));
-      std::vector<uint64_t> packed = encode_key(key, cube->ctx_.sets[s]);
-      char* block = cube->stores_[s].FindOrInsert(packed.data());
+      DATACUBE_ASSIGN_OR_RETURN(int64_t count, DecodeInt64(data, &pos));
+      DATACUBE_ASSIGN_OR_RETURN(int64_t repr, DecodeInt64(data, &pos));
+      DATACUBE_ASSIGN_OR_RETURN(bool has_repr, DecodeBool(data, &pos));
+      if (has_repr && (repr < 0 || static_cast<uint64_t>(repr) >= nrows)) {
+        return Status::ParseError("checkpoint: cell row out of range");
+      }
+      std::vector<uint64_t> packed = cube_internal::EncodeKeyOrGrow(
+          cube->cc_, cube->stores_, key, set);
+      char* block = cube->stores_.back().FindOrInsert(packed.data());
       CellHeader* header = ColumnarContext::Header(block);
-      header->count = count.int64_value();
-      header->repr_row = static_cast<size_t>(repr.int64_value());
-      header->has_repr = has_repr.bool_value();
-      for (size_t a = 0; a < cube->ctx_.aggs.size(); ++a) {
+      header->count = count;
+      header->repr_row = static_cast<size_t>(repr);
+      header->has_repr = has_repr;
+      for (size_t a = 0; a < naggs; ++a) {
         DATACUBE_ASSIGN_OR_RETURN(std::string blob, DecodeBlob(data, &pos));
-        size_t blob_pos = 0;
         // FindOrInsert initialized the slot; replace it with the
-        // checkpointed scratchpad.
+        // checkpointed scratchpad (re-initialized if the blob is corrupt,
+        // so the store never destroys a slot twice).
         const AggregateFunction& fn = *cube->ctx_.aggs[a];
         char* slot = block + cube->cc_.layout.slots[a].offset;
         fn.DestroyAt(slot);
-        DATACUBE_RETURN_IF_ERROR(fn.DeserializeAt(blob, &blob_pos, slot));
+        size_t blob_pos = 0;
+        Status st = fn.DeserializeAt(blob, &blob_pos, slot);
+        if (!st.ok()) {
+          fn.InitAt(slot);
+          return st;
+        }
       }
     }
   }
-
-  cube->tombstone_.assign(nrows, false);
-  for (size_t i = 0; i < nrows; ++i) cube->tombstone_[i] = bits[i] == '1';
-  cube->live_rows_ = 0;
-  for (size_t r = 0; r < nrows; ++r) {
-    if (cube->tombstone_[r]) continue;
-    ++cube->live_rows_;
-    cube->row_index_.emplace(cube->base_->GetRow(r), r);
-  }
   return cube;
-}
-
-Result<Table> MaterializedCube::QuerySet(GroupingSet target) {
-  std::vector<SliceCoord> coords;
-  coords.reserve(ctx_.num_keys);
-  for (size_t k = 0; k < ctx_.num_keys; ++k) {
-    coords.push_back(IsGrouped(target, k) ? SliceCoord::Wildcard()
-                                          : SliceCoord::AllPlane());
-  }
-  return Slice(coords);
 }
 
 void MaterializedCube::ForEachCell(

@@ -5,12 +5,13 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "datacube/cube/columnar.h"
 #include "datacube/cube/cube_internal.h"
 #include "datacube/cube/cube_operator.h"
-#include "datacube/cube/cube_store.h"
+#include "datacube/cube/view_selection.h"
 
 namespace datacube {
 
@@ -60,16 +61,23 @@ struct SliceCoord {
   Value value;
 };
 
-/// A cube computed once and maintained under base-table INSERT/DELETE — the
-/// Section 6 scenario ("customers use these operators to compute and store
-/// the cube [and] define triggers ... so that when the tables change, the
-/// cube is dynamically updated").
+/// A stored cube, computed once and maintained under base-table
+/// INSERT/DELETE — the Section 6 scenario ("customers use these operators
+/// to compute and store the cube [and] define triggers ... so that when the
+/// tables change, the cube is dynamically updated").
+///
+/// It stores every grouping set of the spec (Build), a view list
+/// (BuildViews) or a byte budget's benefit-per-byte selection
+/// (BuildWithBudget) — Section 6's pointer to Harinarayan-Rajaraman-Ullman
+/// for cubes too large to store whole; a full cube is the case where every
+/// view is stored. Query answers an unstored set by folding its smallest
+/// stored ancestor, which needs foldable (non-holistic) aggregates.
 ///
 /// Maintenance strategy per aggregate, following the paper's orthogonal
-/// hierarchy:
-///  * INSERT: visit the row's cell in every grouping set and fold the row in
-///    (2^N scratchpad visits), short-circuiting cells that provably cannot
-///    change (MAX losing a competition).
+/// hierarchy, applied to whatever views are stored:
+///  * INSERT: visit the row's cell in every stored set and fold the row in,
+///    short-circuiting cells that provably cannot change (MAX losing a
+///    competition).
 ///  * DELETE: aggregates that are algebraic/distributive *for delete*
 ///    (COUNT, SUM, AVG, VAR — DeleteClass::kDeletable) update scratchpads in
 ///    place via Remove(). Delete-holistic aggregates (MIN/MAX) recompute the
@@ -78,19 +86,40 @@ struct SliceCoord {
 ///
 /// The cube also answers the Section 4 addressing forms: cube.v(i, j, ...)
 /// point lookups with ALL coordinates, and percent-of-total.
-class MaterializedCube : public CubeStoreInterface {
+class MaterializedCube {
  public:
-  /// Computes the cube over `input` and retains a copy of the base data for
-  /// maintenance.
+  /// Computes every grouping set of `spec` over `input` and retains a copy
+  /// of the base data for maintenance. Accepts every aggregate class.
   static Result<std::unique_ptr<MaterializedCube>> Build(
       const Table& input, const CubeSpec& spec,
       const CubeOptions& options = {});
+
+  /// Stores only `views` — bitmasks over spec's grouping columns, each a
+  /// grouping set of the spec or its core; the core is added if missing —
+  /// and answers every other set by folding. Requires mergeable,
+  /// non-holistic aggregates (InvalidArgument otherwise).
+  static Result<std::unique_ptr<MaterializedCube>> BuildViews(
+      const Table& input, const CubeSpec& spec,
+      const std::vector<GroupingSet>& views);
+
+  /// Per-set observed cell counts — the feedback a re-materialization can
+  /// hand back to the cost model in place of cardinality estimates.
+  using ObservedCellCounts = std::vector<std::pair<GroupingSet, double>>;
+
+  /// Stores the HRU benefit-per-byte greedy's pick of the spec's sets under
+  /// `budget_bytes` (cells estimated from column cardinalities, bytes from
+  /// the cell layout), under BuildViews' aggregate rule; the core is kept
+  /// even when it alone exceeds the budget. `observed` (a prior build's
+  /// ObservedCells()) overrides the estimates per set.
+  static Result<std::unique_ptr<MaterializedCube>> BuildWithBudget(
+      const Table& input, const CubeSpec& spec, size_t budget_bytes,
+      const ObservedCellCounts* observed = nullptr);
 
   MaterializedCube(const MaterializedCube&) = delete;
   MaterializedCube& operator=(const MaterializedCube&) = delete;
 
   /// Applies one inserted base row (full base-table width).
-  Status ApplyInsert(const std::vector<Value>& row) override;
+  Status ApplyInsert(const std::vector<Value>& row);
 
   /// Applies one deleted base row. The row must currently exist in the base
   /// data (value-equal match).
@@ -118,10 +147,28 @@ class MaterializedCube : public CubeStoreInterface {
     listener_ = std::move(listener);
   }
 
+  /// Per-query instrumentation: a snapshot of the last Query() call. Each
+  /// query also bumps the process-wide datacube_partial_* counters in
+  /// obs::MetricsRegistry::Global() (queries by hit/miss, cells scanned).
+  struct QueryStats {
+    GroupingSet answered_from = 0;
+    bool was_materialized = false;
+    /// Ancestor cells folded to produce the answer (0 when stored).
+    size_t cells_scanned = 0;
+  };
+
+  /// GROUP BY over `target`, any subset of the grouping columns, as grouping
+  /// columns (ALL where aggregated away) + aggregates: a stored set
+  /// directly, any other folded from its stored ancestor with the fewest
+  /// cells. InvalidArgument for an unknown column, or for an unstored set
+  /// when the aggregates cannot fold.
+  Result<Table> Query(GroupingSet target);
+  const QueryStats& last_query_stats() const { return last_stats_; }
+
   /// Point addressing (Section 4's cube.v(:i, :j)): `coords` has one Value
   /// per grouping column, with Value::All() selecting the super-aggregate
   /// plane. Returns the aggregate value of that cell, or NotFound for an
-  /// empty cell.
+  /// empty cell or a grouping set the cube does not store.
   Result<Value> ValueAt(const std::string& aggregate_output_name,
                         const std::vector<Value>& coords) const;
 
@@ -143,7 +190,7 @@ class MaterializedCube : public CubeStoreInterface {
   /// one SliceCoord per grouping column — fixed values filter, wildcards
   /// enumerate concrete values, AllPlane selects the super-aggregate plane.
   /// Returns the matching cells as a relation (grouping columns +
-  /// aggregates).
+  /// aggregates), or NotFound when the plane's set is not stored.
   Result<Table> Slice(const std::vector<SliceCoord>& coords) const;
 
   /// ValueAt(coords) / ValueAt(ALL...ALL) — the Section 4 percent-of-total
@@ -162,39 +209,53 @@ class MaterializedCube : public CubeStoreInterface {
   Result<double> Index(const std::string& aggregate_output_name,
                        const std::vector<Value>& coords) const;
 
-  /// The cube's current relational form, rows in store (hash-table) order.
+  /// The stored sets' relational form (the spec's output schema), rows in
+  /// store (hash-table) order.
   Result<Table> ToTable() const;
-  Result<Table> ToTable() override {
-    return static_cast<const MaterializedCube*>(this)->ToTable();
-  }
 
-  /// CubeStoreInterface: one grouping set's plane, via Slice with
-  /// wildcards in grouped positions and ALL elsewhere. `target` must be
-  /// one of the spec's grouping sets.
-  Result<Table> QuerySet(GroupingSet target) override;
-
-  /// Checkpoints the cube — base data, tombstones, and every cell's exact
-  /// scratchpad — to `path`. The Section 6 customers "compute and store the
+  /// Checkpoints the cube — base data, tombstones, the budget, the stored
+  /// view list and every cell's exact scratchpad — to `path` (format
+  /// DATACUBE_CKPT_V2). The Section 6 customers "compute and store the
   /// cube"; persisting scratchpads (not just final values) means algebraic
   /// aggregates keep maintaining correctly after a reload. Requires every
   /// aggregate to implement SerializeState (all built-ins do).
   Status SaveToFile(const std::string& path) const;
 
-  /// Restores a cube checkpointed by SaveToFile. The caller supplies the
-  /// same CubeSpec the cube was built with (expressions are not serialized);
-  /// mismatched aggregate lists are detected.
+  /// Restores a cube checkpointed by SaveToFile under the spec it was built
+  /// with (expressions are not serialized). The STORED view list is
+  /// authoritative, but each view must be a set of `spec` or its core, the
+  /// aggregate count must match, and non-foldable aggregates load only when
+  /// the views are the spec's sets. Corrupt input and other format
+  /// versions fail with a Status.
   static Result<std::unique_ptr<MaterializedCube>> LoadFromFile(
       const CubeSpec& spec, const std::string& path);
 
   /// Number of live base rows.
-  size_t num_base_rows() const override { return live_rows_; }
+  size_t num_base_rows() const { return live_rows_; }
 
   const MaintenanceStats& maintenance_stats() const { return stats_; }
-  const CubeSpec& spec() const override { return *spec_; }
-  const char* kind() const override { return "materialized"; }
+  const CubeSpec& spec() const { return *spec_; }
 
-  /// The normalized grouping-set list, in store order.
-  const std::vector<GroupingSet>& grouping_sets() const { return ctx_.sets; }
+  /// The stored grouping sets, in store (NormalizeSets) order.
+  const std::vector<GroupingSet>& views() const { return ctx_.sets; }
+
+  /// Total cells across all stored views.
+  size_t materialized_cells() const;
+
+  /// Bytes resident across all stored views (cells × the columnar cell
+  /// footprint: packed key words + aggregate state block).
+  size_t materialized_bytes() const;
+
+  /// Exact cell count per stored view, in views() order — BuildWithBudget's
+  /// `observed` for the next materialization of the same spec.
+  ObservedCellCounts ObservedCells() const;
+
+  /// The byte budget this cube was built under (0 for Build / BuildViews).
+  size_t budget_bytes() const { return budget_bytes_; }
+
+  /// The greedy selection BuildWithBudget ran (empty otherwise, and for
+  /// loaded checkpoints, whose stored views are authoritative).
+  const ViewSelection& selection() const { return selection_; }
 
   /// The columnar view (codec + state layout). The state layout depends
   /// only on the aggregate list, so two cubes built from the same spec
@@ -202,11 +263,11 @@ class MaterializedCube : public CubeStoreInterface {
   /// (PartitionedCube) relies on.
   const cube_internal::ColumnarContext& columnar() const { return cc_; }
 
-  /// Visits every maintained cell of grouping set `set_index` (an index
-  /// into grouping_sets()): the decoded full-width key (ALL in
-  /// aggregated-away positions) and the cell's state block. Read-only —
-  /// callers may Merge the block's states into another same-spec cube's
-  /// cells but must not mutate this one.
+  /// Visits every maintained cell of stored view `set_index` (an index
+  /// into views()): the decoded full-width key (ALL in aggregated-away
+  /// positions) and the cell's state block. Read-only — callers may Merge
+  /// the block's states into another same-spec cube's cells but must not
+  /// mutate this one.
   void ForEachCell(size_t set_index,
                    const std::function<void(const std::vector<Value>& key,
                                             const char* block)>& fn) const;
@@ -217,6 +278,18 @@ class MaterializedCube : public CubeStoreInterface {
  private:
   MaterializedCube() = default;
 
+  // A cube over `base` with the evaluation and columnar contexts built
+  // for spec's own grouping sets, every row live, nothing stored yet.
+  static Result<std::unique_ptr<MaterializedCube>> Prepare(
+      Table base, const CubeSpec& spec);
+
+  // Makes `views` (normalized; each a set of the spec or its core) the
+  // stored sets; codec, layout and row keys do not depend on the sets.
+  Status AdoptViews(const std::vector<GroupingSet>& views);
+
+  // Stores `views` plus the core, computed from the core.
+  Status StoreViews(std::vector<GroupingSet> views);
+
   // Evaluates key/agg expressions for base row `row` into the context's
   // column caches (rows appended by ApplyInsert).
   Status EvaluateRow(size_t row);
@@ -224,30 +297,41 @@ class MaterializedCube : public CubeStoreInterface {
   // Grows the key dictionaries with row `row_id`'s key values and packs its
   // encoded key, re-laying-out the codec (and re-keying every store) when a
   // new code outgrows its bit field.
-  Status AppendRowKey(size_t row_id);
+  void AppendRowKey(size_t row_id);
 
-  // Re-encodes every store's keys after a codec Relayout. Blocks are
-  // adopted across, not cloned.
-  void RelayoutAndRekey();
+  // Builds the delete index over the live rows on first use.
+  void IndexLiveRows();
 
   // Recomputes aggregate `agg` of the cell keyed by packed `key` in set
   // `set_index` from live base rows.
   Status RecomputeAggregate(size_t set_index, const uint64_t* key,
                             size_t agg);
 
+  // One store's cells as grouping columns + aggregates, keeping only cells
+  // with code `second` in column `first` for every `fixed` pair.
+  Result<Table> AssembleCells(
+      const cube_internal::CellStore& cells,
+      const std::vector<std::pair<size_t, uint64_t>>& fixed) const;
+
   std::unique_ptr<Table> base_;
   std::unique_ptr<CubeSpec> spec_;
   cube_internal::CubeContext ctx_;
   // The columnar view (key codec + state layout + packed row keys) and the
-  // maintained per-set flat stores. cc_ must outlive stores_ — stores
-  // destroy their cells through it — so declaration order matters here.
+  // per-view flat stores, parallel to ctx_.sets. cc_ must outlive stores_ —
+  // stores destroy their cells through it — so declaration order matters.
   cube_internal::ColumnarContext cc_;
   cube_internal::SetStores stores_;
   std::vector<bool> tombstone_;
   size_t live_rows_ = 0;
-  // Value-equality index over live base rows, for delete lookup.
+  // Value-equality index over live base rows, for delete lookup. Only
+  // deletes read it, so it is built on the first ApplyDelete/ApplyUpdate
+  // and kept current by ApplyInsert from then on.
   std::unordered_multimap<std::vector<Value>, size_t, ValueVectorHash>
       row_index_;
+  bool row_index_built_ = false;
+  size_t budget_bytes_ = 0;
+  ViewSelection selection_;
+  QueryStats last_stats_;
   MaintenanceStats stats_;
   ChangeListener listener_;
 };

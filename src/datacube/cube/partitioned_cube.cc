@@ -20,7 +20,6 @@ namespace {
 
 using cube_internal::BuildColumnarContext;
 using cube_internal::BuildCubeContext;
-using cube_internal::CellStore;
 using cube_internal::ColumnarContext;
 using cube_internal::CubeContext;
 using cube_internal::ParallelStatusFor;
@@ -58,33 +57,6 @@ struct MergeSink {
   SetStores stores;
 };
 
-/// Re-encodes every sink store's keys after dictionary growth forced a
-/// codec Relayout (the MaterializedCube::RelayoutAndRekey dance, minus row
-/// keys — the sink's base table is empty).
-void RekeySinkStores(MergeSink& sink) {
-  std::vector<std::vector<std::pair<std::vector<Value>, char*>>> saved(
-      sink.stores.size());
-  for (size_t s = 0; s < sink.stores.size(); ++s) {
-    saved[s].reserve(sink.stores[s].size());
-    sink.stores[s].ForEach([&](const uint64_t* key, char* block) {
-      saved[s].emplace_back(sink.cc.codec.DecodeKey(key), block);
-    });
-  }
-  sink.cc.codec.Relayout();
-  sink.cc.RepackRowKeys();
-  for (size_t s = 0; s < sink.stores.size(); ++s) {
-    CellStore fresh = sink.cc.MakeStore(sink.stores[s].arena());
-    fresh.MutableStats() = sink.stores[s].stats();
-    sink.stores[s].ReleaseAll();
-    for (auto& [key, block] : saved[s]) {
-      std::optional<std::vector<uint64_t>> packed =
-          sink.cc.codec.EncodeKey(key, sink.ctx.sets[s]);
-      fresh.InsertAdopt(packed->data(), block);
-    }
-    sink.stores[s] = std::move(fresh);
-  }
-}
-
 /// Deep-copies the spec's expression trees. Expr::Bind caches column
 /// indexes inside the nodes, so sinks and deltas built concurrently from
 /// one shared spec must each bind a private copy — a clone shares no
@@ -111,15 +83,11 @@ CubeSpec CloneSpecExprs(const CubeSpec& spec) {
   return out;
 }
 
-Result<std::unique_ptr<MergeSink>> MakeSink(
-    const Schema& schema, const CubeSpec& spec,
-    const std::optional<GroupingSet>& only) {
+Result<std::unique_ptr<MergeSink>> MakeSink(const Schema& schema,
+                                             const CubeSpec& spec) {
   auto sink = std::make_unique<MergeSink>();
   sink->empty = Table(schema);
   sink->spec = CloneSpecExprs(spec);
-  if (only.has_value()) {
-    sink->spec.explicit_sets = std::vector<GroupingSet>{*only};
-  }
   DATACUBE_ASSIGN_OR_RETURN(sink->ctx,
                             BuildCubeContext(sink->empty, sink->spec));
   DATACUBE_ASSIGN_OR_RETURN(sink->cc, BuildColumnarContext(sink->ctx));
@@ -130,61 +98,41 @@ Result<std::unique_ptr<MergeSink>> MakeSink(
   return sink;
 }
 
+/// Merges one cell — its full-width Value key and state block — into the
+/// sink's store `s`, growing the sink's dictionaries as new values arrive.
+Status FoldCell(MergeSink& sink, size_t s, const std::vector<Value>& key,
+                const char* block) {
+  std::vector<uint64_t> packed = cube_internal::EncodeKeyOrGrow(
+      sink.cc, sink.stores, key, sink.ctx.sets[s]);
+  return sink.cc.MergeCell(sink.stores[s].FindOrInsert(packed.data()), block,
+                           nullptr);
+}
+
 /// Folds every cell of `src` into the sink: decode the key under src's
-/// codec, re-encode under the sink's (growing its dictionaries as new
-/// values arrive), and Merge the state blocks.
+/// codec, re-encode under the sink's, and Merge the state blocks. Deltas
+/// and sinks come from one spec, so their grouping sets match one to one.
 Status FoldCube(MergeSink& sink, const MaterializedCube& src) {
-  const std::vector<GroupingSet>& src_sets = src.grouping_sets();
+  if (src.views() != sink.ctx.sets) {
+    return Status::Internal("partition delta stores other grouping sets");
+  }
   for (size_t s = 0; s < sink.ctx.sets.size(); ++s) {
-    GroupingSet set = sink.ctx.sets[s];
-    auto it = std::find(src_sets.begin(), src_sets.end(), set);
-    if (it == src_sets.end()) {
-      return Status::Internal("partition delta is missing a grouping set");
-    }
-    size_t src_idx = static_cast<size_t>(it - src_sets.begin());
     Status st = Status::OK();
-    src.ForEachCell(
-        src_idx, [&](const std::vector<Value>& key, const char* block) {
-          if (!st.ok()) return;
-          std::optional<std::vector<uint64_t>> packed =
-              sink.cc.codec.EncodeKey(key, set);
-          if (!packed.has_value()) {
-            for (size_t k = 0; k < sink.ctx.num_keys; ++k) {
-              if (IsGrouped(set, k)) sink.cc.codec.CodeOfOrAdd(k, key[k]);
-            }
-            if (sink.cc.codec.needs_relayout()) RekeySinkStores(sink);
-            packed = sink.cc.codec.EncodeKey(key, set);
-          }
-          char* dst = sink.stores[s].FindOrInsert(packed->data());
-          st = sink.cc.MergeCell(dst, block, nullptr);
-        });
+    src.ForEachCell(s, [&](const std::vector<Value>& key, const char* block) {
+      if (st.ok()) st = FoldCell(sink, s, key, block);
+    });
     DATACUBE_RETURN_IF_ERROR(st);
   }
   return Status::OK();
 }
 
 /// FoldCube's sink-to-sink form: folds every cell of a shard sink into
-/// `dst`. Both sinks were built from the same spec and `only` restriction,
-/// so their grouping-set order is identical by construction. Used by the
-/// partition-parallel merged read to combine per-shard results.
+/// `dst`. Used by the partition-parallel merged read to combine per-shard
+/// results.
 Status FoldSink(MergeSink& dst, const MergeSink& src) {
   for (size_t s = 0; s < dst.ctx.sets.size(); ++s) {
-    GroupingSet set = dst.ctx.sets[s];
     Status st = Status::OK();
     src.stores[s].ForEach([&](const uint64_t* key, char* block) {
-      if (!st.ok()) return;
-      std::vector<Value> decoded = src.cc.codec.DecodeKey(key);
-      std::optional<std::vector<uint64_t>> packed =
-          dst.cc.codec.EncodeKey(decoded, set);
-      if (!packed.has_value()) {
-        for (size_t k = 0; k < dst.ctx.num_keys; ++k) {
-          if (IsGrouped(set, k)) dst.cc.codec.CodeOfOrAdd(k, decoded[k]);
-        }
-        if (dst.cc.codec.needs_relayout()) RekeySinkStores(dst);
-        packed = dst.cc.codec.EncodeKey(decoded, set);
-      }
-      char* cell = dst.stores[s].FindOrInsert(packed->data());
-      st = dst.cc.MergeCell(cell, block, nullptr);
+      if (st.ok()) st = FoldCell(dst, s, src.cc.codec.DecodeKey(key), block);
     });
     DATACUBE_RETURN_IF_ERROR(st);
   }
@@ -300,25 +248,6 @@ Status PartitionedCube::IngestRowLocked(const std::vector<Value>& row,
     max_window_ = max_window_.has_value() ? std::max(*max_window_, wk.id)
                                           : wk.id;
   }
-  return Status::OK();
-}
-
-Status PartitionedCube::ApplyInsert(const std::vector<Value>& row) {
-  size_t late = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    DATACUBE_RETURN_IF_ERROR(IngestRowLocked(row, &late));
-    UpdateGaugesLocked();
-  }
-  PartCounter("datacube_partition_ingest_rows_total",
-              "Rows ingested into the partitioned store")
-      .Inc(1);
-  if (late > 0) {
-    PartCounter("datacube_partition_late_rows_total",
-                "Rows that arrived behind the newest window")
-        .Inc(late);
-  }
-  MaybeScheduleCompaction();
   return Status::OK();
 }
 
@@ -686,25 +615,20 @@ Result<Table> PartitionedCube::PrunedRows(const std::optional<int64_t>& lo,
   return out;
 }
 
-Result<Table> PartitionedCube::MergedTable(
-    const std::optional<GroupingSet>& only) {
+Result<Table> PartitionedCube::ToTable() {
   if (!mergeable_) {
     // Holistic aggregates cannot merge partition scratchpads; recompute
     // over the concatenated live rows instead.
     DATACUBE_ASSIGN_OR_RETURN(Table rows,
                               PrunedRows(std::nullopt, std::nullopt));
-    CubeSpec qspec = CloneSpecExprs(*spec_);
-    if (only.has_value()) {
-      qspec.explicit_sets = std::vector<GroupingSet>{*only};
-    }
-    DATACUBE_ASSIGN_OR_RETURN(CubeResult r,
-                              ExecuteCube(rows, qspec, options_.cube));
+    DATACUBE_ASSIGN_OR_RETURN(
+        CubeResult r, ExecuteCube(rows, CloneSpecExprs(*spec_), options_.cube));
     return std::move(r.table);
   }
 
   obs::ScopedSpan span("partition_merge_read");
   DATACUBE_ASSIGN_OR_RETURN(std::unique_ptr<MergeSink> sink,
-                            MakeSink(base_schema_, *spec_, only));
+                            MakeSink(base_schema_, *spec_));
   std::vector<std::shared_ptr<const MaterializedCube>> frozen;
   size_t open_folded = 0;
   {
@@ -732,7 +656,7 @@ Result<Table> PartitionedCube::MergedTable(
     DATACUBE_RETURN_IF_ERROR(ParallelStatusFor(
         ThreadPool::Global(), shards, [&](size_t i) -> Status {
           DATACUBE_ASSIGN_OR_RETURN(shard_sinks[i],
-                                    MakeSink(base_schema_, *spec_, only));
+                                    MakeSink(base_schema_, *spec_));
           for (size_t d = i; d < frozen.size(); d += shards) {
             DATACUBE_RETURN_IF_ERROR(FoldCube(*shard_sinks[i], *frozen[d]));
           }
@@ -755,16 +679,6 @@ Result<Table> PartitionedCube::MergedTable(
   return AssembleColumnarResult(sink->cc, sink->stores, /*ordered=*/false,
                                 &stats);
 }
-
-Result<Table> PartitionedCube::QuerySet(GroupingSet target) {
-  std::vector<GroupingSet> sets = spec_->GroupingSets();
-  if (std::find(sets.begin(), sets.end(), target) == sets.end()) {
-    return Status::NotFound("grouping set is not part of this cube's spec");
-  }
-  return MergedTable(target);
-}
-
-Result<Table> PartitionedCube::ToTable() { return MergedTable(std::nullopt); }
 
 size_t PartitionedCube::num_base_rows() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -909,8 +823,9 @@ Result<std::unique_ptr<PartitionedCube>> PartitionedCube::LoadFromDir(
   if (!(in >> word >> num_parts) || word != "partitions") {
     return Status::ParseError("bad partition manifest: partitions");
   }
+  // No count read from the manifest sizes an allocation: a corrupt one
+  // fails on the first part entry or delta file that is not there.
   std::vector<std::shared_ptr<const Partition>> parts;
-  parts.reserve(num_parts);
   for (size_t i = 0; i < num_parts; ++i) {
     int null_window = 0;
     int64_t id = 0;

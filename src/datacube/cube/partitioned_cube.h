@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "datacube/cube/cube_store.h"
 #include "datacube/cube/materialized_cube.h"
 #include "datacube/cube/thread_pool.h"
 
@@ -64,7 +63,7 @@ struct PartitionedCubeOptions {
 /// never observes a half-compacted store; compaction and retention swap
 /// whole lists, and readers that pinned a dropped partition keep it alive
 /// through their shared_ptrs.
-class PartitionedCube : public CubeStoreInterface {
+class PartitionedCube {
  public:
   /// An empty store for streaming ingest. The partition column must be an
   /// INT64 column of `base_schema`; decorations are not supported (merged
@@ -84,20 +83,18 @@ class PartitionedCube : public CubeStoreInterface {
       const Schema& base_schema, const CubeSpec& spec,
       const PartitionedCubeOptions& options, const std::string& path);
 
-  ~PartitionedCube() override;
+  ~PartitionedCube();
   PartitionedCube(const PartitionedCube&) = delete;
   PartitionedCube& operator=(const PartitionedCube&) = delete;
 
-  // CubeStoreInterface.
-  const CubeSpec& spec() const override { return *spec_; }
-  const char* kind() const override { return "partitioned"; }
-  size_t num_base_rows() const override;
-  Status ApplyInsert(const std::vector<Value>& row) override;
-  Result<Table> QuerySet(GroupingSet target) override;
-  Result<Table> ToTable() override;
-  /// Checkpoints to directory `path`: a manifest plus one DATACUBE_CKPT_V1
-  /// file per partition delta.
-  Status SaveToFile(const std::string& path) const override;
+  const CubeSpec& spec() const { return *spec_; }
+  /// Live base rows across every window.
+  size_t num_base_rows() const;
+  /// The merged relational form: every window's cells folded together.
+  Result<Table> ToTable();
+  /// Checkpoints to directory `path`: a manifest plus one MaterializedCube
+  /// checkpoint (DATACUBE_CKPT_V2) per partition delta.
+  Status SaveToFile(const std::string& path) const;
 
   /// Batched ingest; each row must match the base schema.
   Status IngestRows(const Table& rows);
@@ -186,10 +183,6 @@ class PartitionedCube : public CubeStoreInterface {
   PartitionedCube() = default;
 
   Result<WindowKey> WindowOf(const Value& v) const;
-
-  /// Merged relational read over every partition (optionally restricted
-  /// to one grouping set).
-  Result<Table> MergedTable(const std::optional<GroupingSet>& only);
 
   // All *Locked members require mu_.
   Status IngestRowLocked(const std::vector<Value>& row, size_t* late_rows);

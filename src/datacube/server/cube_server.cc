@@ -399,7 +399,8 @@ obs::HttpResponse CubeServer::HandleTables() const {
             obs::JsonEscape(e.table) +
             "\",\"views\":" + std::to_string(e.cube->views().size()) +
             ",\"cells\":" + std::to_string(e.cube->materialized_cells()) +
-            ",\"budget_bytes\":" + std::to_string(e.budget_bytes) + "}";
+            ",\"budget_bytes\":" + std::to_string(e.cube->budget_bytes()) +
+            "}";
   }
   json += "]}";
   return JsonResponse(std::move(json));
@@ -435,8 +436,8 @@ obs::HttpResponse CubeServer::HandleMaterialize(const HttpRequest& request) {
   // Re-materialization feedback: when a same-name cube over the same table
   // is being replaced, its observed per-view cell counts supersede the
   // cost model's cardinality-product estimates.
-  PartialCube::ObservedCellCounts observed;
-  const PartialCube::ObservedCellCounts* observed_ptr = nullptr;
+  MaterializedCube::ObservedCellCounts observed;
+  const MaterializedCube::ObservedCellCounts* observed_ptr = nullptr;
   const MaterializedCubeEntry* prior = snap->FindCube(name);
   if (prior != nullptr && budget_bytes > 0 &&
       EqualsIgnoreCase(prior->table, table_name)) {
@@ -445,20 +446,19 @@ obs::HttpResponse CubeServer::HandleMaterialize(const HttpRequest& request) {
     observed_ptr = &observed;
   }
 
-  Result<std::unique_ptr<PartialCube>> cube =
+  Result<std::unique_ptr<MaterializedCube>> cube =
       budget_bytes > 0
-          ? PartialCube::BuildWithBudget(*table.value(), spec, budget_bytes,
-                                         observed_ptr)
-          : PartialCube::Build(*table.value(), spec, /*views=*/{});
+          ? MaterializedCube::BuildWithBudget(*table.value(), spec,
+                                              budget_bytes, observed_ptr)
+          : MaterializedCube::BuildViews(*table.value(), spec, /*views=*/{});
   if (!cube.ok()) return ErrorResponse(cube.status());
 
   MaterializedCubeEntry entry;
   entry.name = name;
   entry.table = table_name;
   entry.keys = keys;
-  entry.cube = std::shared_ptr<PartialCube>(std::move(cube).value());
+  entry.cube = std::shared_ptr<MaterializedCube>(std::move(cube).value());
   entry.mu = std::make_shared<std::mutex>();
-  entry.budget_bytes = budget_bytes;
   size_t views = entry.cube->views().size();
   size_t cells = entry.cube->materialized_cells();
 
@@ -505,7 +505,7 @@ obs::HttpResponse CubeServer::HandleCubeQuery(const HttpRequest& request) {
     target |= GroupingSet{1}
               << static_cast<size_t>(it - entry->keys.begin());
   }
-  // PartialCube::Query mutates its per-query stats; readers of one cube
+  // MaterializedCube::Query mutates its per-query stats; readers of one cube
   // serialize here while the snapshot itself stays lock-free.
   std::lock_guard<std::mutex> lock(*entry->mu);
   Result<Table> result = entry->cube->Query(target);

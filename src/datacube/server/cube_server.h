@@ -32,9 +32,10 @@
 //   POST     /drop        ?name=<table>
 //   GET      /tables      registered tables with row counts (JSON)
 //   POST     /materialize ?name=<cube>&table=<t>&keys=a,b&aggs=sum(x)
-//                         [&budget_bytes=N] → budgeted PartialCube
+//                         [&budget_bytes=N] → a stored MaterializedCube:
+//                         the core alone, or the budget's view selection
 //   GET      /cube        ?name=<cube>[&set=a,b] → answers GROUP BY over
-//                         the listed key subset from the partial cube
+//                         the listed key subset from the stored cube
 //   POST     /ingest      ?table=<t>, CSV body → appends rows to a
 //                         partitioned store (headerless with ?header=0);
 //                         visible to readers without a snapshot swap

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "datacube/common/result.h"
-#include "datacube/cube/partial_cube.h"
+#include "datacube/cube/materialized_cube.h"
 #include "datacube/sql/catalog.h"
 
 // Immutable serving state for the cube server, swapped atomically so reads
@@ -23,18 +23,18 @@
 
 namespace datacube::server {
 
-/// One budgeted partial cube mounted in the snapshot. PartialCube::Query
-/// mutates per-cube stats, so concurrent readers of the *same* cube
-/// serialize on `mu`; the cube and its mutex are shared across snapshot
-/// versions until the cube is replaced or dropped.
+/// One stored cube mounted in the snapshot (/materialize): the core alone,
+/// or a byte-budget view selection. MaterializedCube::Query mutates
+/// per-cube stats, so concurrent readers of the *same* cube serialize on
+/// `mu`; the cube and its mutex are shared across snapshot versions until
+/// the cube is replaced or dropped.
 struct MaterializedCubeEntry {
   std::string name;
   std::string table;  // source table at build time
   /// Grouping-key column names, in bit order of the cube's GroupingSets.
   std::vector<std::string> keys;
-  std::shared_ptr<PartialCube> cube;
+  std::shared_ptr<MaterializedCube> cube;
   std::shared_ptr<std::mutex> mu;
-  size_t budget_bytes = 0;
 };
 
 /// One immutable version of the serving state.

@@ -9,6 +9,7 @@
 #include <set>
 #include <sstream>
 
+#include "datacube/cube/lattice_rewrite.h"
 #include "datacube/cube/materialized_cube.h"
 #include "datacube/table/csv.h"
 #include "datacube/testing/reference_cube.h"
@@ -398,11 +399,14 @@ DiffReport RunMaintenanceDifferential(uint64_t seed,
                                       const RandomTableProfile& profile,
                                       const CubeSpec& spec,
                                       const MaintenanceOptions& options) {
+  constexpr const char* kFullLabel = "materialized_maintenance";
+  constexpr const char* kTwinLabel = "core_only_twin";
   DiffReport report;
   report.baseline_label = "reference_recompute";
-  report.other_label = "materialized_maintenance";
-  auto fail = [&](std::string what) {
+  report.other_label = kFullLabel;
+  auto fail = [&](const char* label, std::string what) {
     report.agreed = false;
+    report.other_label = label;
     report.mismatch = std::move(what);
     return report;
   };
@@ -410,8 +414,24 @@ DiffReport RunMaintenanceDifferential(uint64_t seed,
   Table initial = MakeRandomTable(seed, profile);
   Result<std::unique_ptr<MaterializedCube>> built =
       MaterializedCube::Build(initial, spec, {});
-  if (!built.ok()) return fail("Build failed: " + built.status().ToString());
-  std::unique_ptr<MaterializedCube> cube = std::move(built).value();
+  if (!built.ok()) {
+    return fail(kFullLabel, "Build failed: " + built.status().ToString());
+  }
+  // The replayed cubes with their report labels: the full cube and —
+  // whenever the aggregates fold — a twin storing only the core. The twin
+  // takes the same stream (deletes and MIN/MAX recomputes on a one-view
+  // store, a view-list checkpoint), and every check reads each spec set
+  // through its Query: an ancestor fold for every set but the core.
+  std::vector<std::pair<std::unique_ptr<MaterializedCube>, const char*>>
+      replayed;
+  replayed.emplace_back(std::move(built).value(), kFullLabel);
+  if (cube_internal::CheckFoldable(*replayed[0].first->columnar().ctx).ok()) {
+    built = MaterializedCube::BuildViews(initial, spec, {});
+    if (!built.ok()) {
+      return fail(kTwinLabel, "Build failed: " + built.status().ToString());
+    }
+    replayed.emplace_back(std::move(built).value(), kTwinLabel);
+  }
 
   std::vector<std::vector<Value>> live;
   live.reserve(initial.num_rows());
@@ -428,6 +448,26 @@ DiffReport RunMaintenanceDifferential(uint64_t seed,
   std::mt19937_64 rng(seed ^ 0xa5a5a5a5deadbeefULL);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
 
+  // Diffs one maintained answer against the reference; on disagreement
+  // fills the report and returns false.
+  auto agrees = [&](const Outcome& expected, const Outcome& actual,
+                    const CubeSpec& diff_spec, const char* label,
+                    const std::string& where, const Table& current) {
+    DiffReport attempt;
+    attempt.baseline_label = report.baseline_label;
+    attempt.other_label = label;
+    if (CompareOutcomes(expected, actual, diff_spec, options.abs_tol,
+                        options.rel_tol, /*max_diffs=*/5, &attempt)) {
+      return true;
+    }
+    attempt.agreed = false;
+    attempt.mismatch =
+        where + (attempt.mismatch.empty() ? "" : ": " + attempt.mismatch);
+    attempt.counterexample = WriteCsvString(current);
+    report = std::move(attempt);
+    return false;
+  };
+
   auto check = [&](size_t op) -> bool {
     Table current{initial.schema()};
     current.Reserve(live.size());
@@ -438,58 +478,73 @@ DiffReport RunMaintenanceDifferential(uint64_t seed,
         return false;
       }
     }
-    Outcome expected = RunReference(current, spec);
-    Outcome actual = ToOutcome(cube->ToTable());
-    DiffReport attempt;
-    attempt.baseline_label = report.baseline_label;
-    attempt.other_label = report.other_label;
-    if (CompareOutcomes(expected, actual, spec, options.abs_tol,
-                        options.rel_tol, /*max_diffs=*/5, &attempt)) {
-      return true;
+    std::string where = "after op " + std::to_string(op) + " (" +
+                        std::to_string(live.size()) + " live rows)";
+    if (!agrees(RunReference(current, spec),
+                ToOutcome(replayed[0].first->ToTable()), spec, kFullLabel,
+                where, current)) {
+      return false;
     }
-    attempt.agreed = false;
-    attempt.mismatch =
-        "after op " + std::to_string(op) + " (" + std::to_string(live.size()) +
-        " live rows)" +
-        (attempt.mismatch.empty() ? "" : ": " + attempt.mismatch);
-    attempt.counterexample = WriteCsvString(current);
-    report = std::move(attempt);
-    return false;
+    if (replayed.size() == 1) return true;
+    // Query's relational form: grouping columns (ALL where aggregated
+    // away) and aggregates, one grouping set at a time.
+    CubeSpec one = spec;
+    one.decorations.clear();
+    one.all_mode = AllMode::kAllToken;
+    one.add_grouping_columns = one.add_grouping_id = false;
+    for (GroupingSet set : spec.GroupingSets()) {
+      one.explicit_sets = std::vector<GroupingSet>{set};
+      if (!agrees(RunReference(current, one),
+                  ToOutcome(replayed[1].first->Query(set)), one, kTwinLabel,
+                  where + ", set " + std::to_string(set), current)) {
+        return false;
+      }
+    }
+    return true;
   };
 
   for (size_t op = 1; op <= options.ops; ++op) {
     bool do_delete = !live.empty() && unit(rng) < options.delete_rate;
+    size_t idx = 0;
+    std::vector<Value> row;
     if (do_delete) {
-      size_t idx = rng() % live.size();
-      Status s = cube->ApplyDelete(live[idx]);
-      if (!s.ok()) return fail("ApplyDelete failed at op " +
-                               std::to_string(op) + ": " + s.ToString());
+      idx = rng() % live.size();
+    } else {
+      row = MakeRandomTable(seed * 1315423911ULL + op, row_profile).GetRow(0);
+    }
+    for (auto& [c, label] : replayed) {
+      Status s = do_delete ? c->ApplyDelete(live[idx]) : c->ApplyInsert(row);
+      if (!s.ok()) {
+        std::string what = do_delete ? "ApplyDelete" : "ApplyInsert";
+        return fail(label, what + " failed at op " + std::to_string(op) +
+                               ": " + s.ToString());
+      }
+    }
+    if (do_delete) {
       live[idx] = std::move(live.back());
       live.pop_back();
     } else {
-      std::vector<Value> row =
-          MakeRandomTable(seed * 1315423911ULL + op, row_profile).GetRow(0);
-      Status s = cube->ApplyInsert(row);
-      if (!s.ok()) return fail("ApplyInsert failed at op " +
-                               std::to_string(op) + ": " + s.ToString());
       live.push_back(std::move(row));
     }
 
     if (options.checkpoint_roundtrip && op == options.ops / 2) {
       // Replays with the same seed but different profiles run as separate
       // test processes at the same time, so the name carries all three.
-      std::string path = options.checkpoint_dir + "/datacube_maint_" +
-                         std::to_string(::getpid()) + "_" + profile.label +
-                         "_" + std::to_string(seed) + ".ckpt";
-      Status s = cube->SaveToFile(path);
-      if (!s.ok()) return fail("SaveToFile failed: " + s.ToString());
-      Result<std::unique_ptr<MaterializedCube>> loaded =
-          MaterializedCube::LoadFromFile(spec, path);
-      std::remove(path.c_str());
-      if (!loaded.ok()) {
-        return fail("LoadFromFile failed: " + loaded.status().ToString());
+      for (auto& [c, label] : replayed) {
+        std::string path = options.checkpoint_dir + "/datacube_maint_" +
+                           std::to_string(::getpid()) + "_" + profile.label +
+                           "_" + std::to_string(seed) + "_" + label + ".ckpt";
+        Status s = c->SaveToFile(path);
+        if (!s.ok()) return fail(label, "SaveToFile failed: " + s.ToString());
+        Result<std::unique_ptr<MaterializedCube>> loaded =
+            MaterializedCube::LoadFromFile(spec, path);
+        std::remove(path.c_str());
+        if (!loaded.ok()) {
+          return fail(label,
+                      "LoadFromFile failed: " + loaded.status().ToString());
+        }
+        c = std::move(loaded).value();  // keep maintaining the reloaded cube
       }
-      cube = std::move(loaded).value();  // keep maintaining the reloaded cube
     }
 
     if (op % options.check_every == 0 || op == options.ops) {

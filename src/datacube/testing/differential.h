@@ -133,8 +133,11 @@ struct MaintenanceOptions {
 /// Second oracle mode (Section 6): replays a seeded random insert/delete
 /// stream against a MaterializedCube and periodically diffs its incremental
 /// state (ToTable) against testing::ReferenceCube recomputed from the
-/// surviving base rows. Inserted rows come from the same adversarial
-/// generator as the initial table.
+/// surviving base rows. Whenever the aggregates fold, a twin storing only
+/// the core replays the same stream (checkpoint included), and each check
+/// also diffs its Query of every spec set against the reference over that
+/// one set; its failures carry the label "core_only_twin". Inserted rows
+/// come from the same adversarial generator as the initial table.
 DiffReport RunMaintenanceDifferential(uint64_t seed,
                                       const RandomTableProfile& profile,
                                       const CubeSpec& spec,

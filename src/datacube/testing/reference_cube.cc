@@ -36,11 +36,9 @@ Result<Table> ReferenceCube(const Table& input, const CubeSpec& spec) {
                            /*allow_all=*/false});
   }
   for (size_t a = 0; a < ctx.aggs.size(); ++a) {
-    std::string name = spec.aggregates[a].output_name.empty()
-                           ? spec.aggregates[a].function
-                           : spec.aggregates[a].output_name;
-    fields.push_back(Field{std::move(name), ctx.agg_result_types[a],
-                           /*nullable=*/true, /*allow_all=*/false});
+    fields.push_back(Field{spec.aggregates[a].column_name(),
+                           ctx.agg_result_types[a], /*nullable=*/true,
+                           /*allow_all=*/false});
   }
   if (spec.add_grouping_columns) {
     for (size_t k = 0; k < ctx.num_keys; ++k) {

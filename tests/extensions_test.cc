@@ -1,5 +1,5 @@
-// Tests for the extension surfaces: greedy view selection and the
-// PartialCube (Section 6's Harinarayan-Rajaraman-Ullman reference), the
+// Tests for the extension surfaces: greedy view selection and partially
+// stored cubes (Section 6's Harinarayan-Rajaraman-Ullman reference), the
 // relational pivot operator (footnote 5), cube slicing, and GROUPING_ID.
 
 #include <gtest/gtest.h>
@@ -7,7 +7,6 @@
 #include <random>
 
 #include "datacube/cube/materialized_cube.h"
-#include "datacube/cube/partial_cube.h"
 #include "datacube/cube/view_selection.h"
 #include "datacube/olap/pivot_table.h"
 #include "datacube/sql/engine.h"
@@ -136,7 +135,8 @@ TEST(PartialCubeTest, QueriesMatchFullCube) {
   spec.aggregates = {Agg("sum", "x", "s"), CountStar("n")};
 
   // Materialize only 3 of the 8 views.
-  auto partial = PartialCube::Build(t, spec, {0b111, 0b011, 0b001});
+  auto partial =
+      MaterializedCube::BuildViews(t, spec, {0b111, 0b011, 0b001});
   ASSERT_TRUE(partial.ok()) << partial.status().ToString();
 
   // Every one of the 8 grouping sets must answer identically to a direct
@@ -164,7 +164,8 @@ TEST(PartialCubeTest, AnswersFromCheapestMaterializedAncestor) {
   CubeSpec spec;
   spec.cube = {GroupCol("d0"), GroupCol("d1"), GroupCol("d2")};
   spec.aggregates = {Agg("sum", "x", "s")};
-  auto partial = PartialCube::Build(t, spec, {0b111, 0b011}).value();
+  auto partial =
+      MaterializedCube::BuildViews(t, spec, {0b111, 0b011}).value();
 
   // Materialized view: answered directly.
   ASSERT_TRUE(partial->Query(0b011).ok());
@@ -188,7 +189,7 @@ TEST(PartialCubeTest, RejectsHolisticAggregates) {
   CubeSpec spec;
   spec.cube = {GroupCol("d0"), GroupCol("d1")};
   spec.aggregates = {Agg("median", "x", "m")};
-  EXPECT_FALSE(PartialCube::Build(t, spec, {0b11}).ok());
+  EXPECT_FALSE(MaterializedCube::BuildViews(t, spec, {0b11}).ok());
 }
 
 TEST(PartialCubeTest, MaterializedCellsScaleWithViews) {
@@ -200,9 +201,9 @@ TEST(PartialCubeTest, MaterializedCellsScaleWithViews) {
   CubeSpec spec;
   spec.cube = {GroupCol("d0"), GroupCol("d1"), GroupCol("d2")};
   spec.aggregates = {Agg("sum", "x", "s")};
-  auto few = PartialCube::Build(t, spec, {0b111}).value();
+  auto few = MaterializedCube::BuildViews(t, spec, {0b111}).value();
   std::vector<GroupingSet> all_sets = CubeSets(3);
-  auto many = PartialCube::Build(t, spec, all_sets).value();
+  auto many = MaterializedCube::BuildViews(t, spec, all_sets).value();
   EXPECT_LT(few->materialized_cells(), many->materialized_cells());
 }
 

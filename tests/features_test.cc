@@ -1,14 +1,14 @@
 // Tests for the second-wave features: LIKE and CASE expressions (in the
 // expression layer and through SQL), the percentile aggregate, calendar
-// hierarchies (TimeRollupSpec with the weeks-don't-nest rule), PartialCube
-// insert maintenance, and the TPC-D-like workload.
+// hierarchies (TimeRollupSpec with the weeks-don't-nest rule), insert
+// maintenance of a partially stored cube, and the TPC-D-like workload.
 
 #include <gtest/gtest.h>
 
 #include "datacube/agg/builtin_aggregates.h"
 #include "datacube/agg/registry.h"
 #include "datacube/cube/cube_operator.h"
-#include "datacube/cube/partial_cube.h"
+#include "datacube/cube/materialized_cube.h"
 #include "datacube/schema/star.h"
 #include "datacube/sql/engine.h"
 #include "datacube/workload/sales.h"
@@ -277,7 +277,7 @@ TEST(PartialCubeInsertTest, MaintainedViewsMatchRebuild) {
   spec.cube = {GroupCol("d0"), GroupCol("d1"), GroupCol("d2")};
   spec.aggregates = {Agg("sum", "x", "s"), CountStar("n")};
   std::vector<GroupingSet> views = {0b111, 0b011, 0b100};
-  auto partial = PartialCube::Build(t, spec, views).value();
+  auto partial = MaterializedCube::BuildViews(t, spec, views).value();
 
   std::vector<Value> row = {Value::String("v0"), Value::String("v1"),
                             Value::String("v2"), Value::Int64(999),
@@ -285,7 +285,7 @@ TEST(PartialCubeInsertTest, MaintainedViewsMatchRebuild) {
   ASSERT_TRUE(partial->ApplyInsert(row).ok());
   ASSERT_TRUE(t.AppendRow(row).ok());
 
-  auto rebuilt = PartialCube::Build(t, spec, views).value();
+  auto rebuilt = MaterializedCube::BuildViews(t, spec, views).value();
   for (GroupingSet target = 0; target < 8; ++target) {
     Result<Table> maintained = partial->Query(target);
     Result<Table> fresh = rebuilt->Query(target);

@@ -3,8 +3,9 @@
 // from any materialized ancestor must equal a direct group-by for every
 // distributive/algebraic aggregate, including the numeric edge cases
 // (NaN/-0.0 floats, int64 near-overflow, double-double variance) — the
-// budgeted ExecuteCube rewrite, holistic refusal, and the PartialCube
-// checkpoint round-trip (including the stale-selection case).
+// budgeted ExecuteCube rewrite, holistic refusal, and the view-list
+// MaterializedCube checkpoint round-trip (including the stale-selection
+// case).
 
 #include <gtest/gtest.h>
 
@@ -16,7 +17,7 @@
 #include <vector>
 
 #include "datacube/cube/cube_operator.h"
-#include "datacube/cube/partial_cube.h"
+#include "datacube/cube/materialized_cube.h"
 #include "datacube/cube/view_selection.h"
 #include "datacube/testing/differential.h"
 #include "datacube/testing/random_table.h"
@@ -204,10 +205,10 @@ TEST_P(AncestorAnsweringTest, FoldEqualsDirectForEveryGroupingSet) {
   for (GroupingSet v = 0; v < full; ++v) {
     if (rng() % 3 == 0) views.push_back(v);
   }
-  Result<std::unique_ptr<PartialCube>> built =
-      PartialCube::Build(t, spec, views);
+  Result<std::unique_ptr<MaterializedCube>> built =
+      MaterializedCube::BuildViews(t, spec, views);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  PartialCube& partial = **built;
+  MaterializedCube& partial = **built;
 
   for (GroupingSet target = 0; target <= full; ++target) {
     CubeSpec direct = spec;
@@ -256,16 +257,16 @@ TEST(HolisticRefusalTest, PartialCubeBuildRejectsHolisticAggregates) {
 
   // median: cannot merge at all.
   spec.aggregates = {Agg("median", "x", "m")};
-  Result<std::unique_ptr<PartialCube>> median =
-      PartialCube::Build(t, spec, {0b11});
+  Result<std::unique_ptr<MaterializedCube>> median =
+      MaterializedCube::BuildViews(t, spec, {0b11});
   ASSERT_FALSE(median.ok());
   EXPECT_NE(median.status().ToString().find("holistic"), std::string::npos);
 
   // count_distinct: merge-capable but still holistic — a super-aggregate
   // needs the full value set, not the ancestor's finalized counts.
   spec.aggregates = {Agg("count_distinct", "x", "dx")};
-  EXPECT_FALSE(PartialCube::Build(t, spec, {0b11}).ok());
-  EXPECT_FALSE(PartialCube::BuildWithBudget(t, spec, 1 << 20).ok());
+  EXPECT_FALSE(MaterializedCube::BuildViews(t, spec, {0b11}).ok());
+  EXPECT_FALSE(MaterializedCube::BuildWithBudget(t, spec, 1 << 20).ok());
 }
 
 TEST(HolisticRefusalTest, BudgetedExecutionFallsBackToDirectComputation) {
@@ -429,15 +430,15 @@ TEST(PartialCubeCheckpointTest, SaveLoadRoundTripServesIdenticalAnswers) {
                                .seed = 21})
                 .value();
   CubeSpec spec = MergeableBenchSpec();
-  Result<std::unique_ptr<PartialCube>> built =
-      PartialCube::Build(t, spec, {0b111, 0b101, 0b010});
+  Result<std::unique_ptr<MaterializedCube>> built =
+      MaterializedCube::BuildViews(t, spec, {0b111, 0b101, 0b010});
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  PartialCube& original = **built;
+  MaterializedCube& original = **built;
 
   std::string path = ::testing::TempDir() + "pcube_roundtrip.ckpt";
   ASSERT_TRUE(original.SaveToFile(path).ok());
-  Result<std::unique_ptr<PartialCube>> loaded =
-      PartialCube::LoadFromFile(spec, path);
+  Result<std::unique_ptr<MaterializedCube>> loaded =
+      MaterializedCube::LoadFromFile(spec, path);
   std::remove(path.c_str());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
@@ -466,14 +467,14 @@ TEST(PartialCubeCheckpointTest, ApplyInsertAfterLoadKeepsMaintaining) {
   spec.cube = {GroupCol("d0"), GroupCol("d1")};
   spec.aggregates = {CountStar("n"), Agg("sum", "x", "sx"),
                      Agg("avg", "y", "ay")};
-  Result<std::unique_ptr<PartialCube>> built =
-      PartialCube::Build(t, spec, {0b11, 0b01});
+  Result<std::unique_ptr<MaterializedCube>> built =
+      MaterializedCube::BuildViews(t, spec, {0b11, 0b01});
   ASSERT_TRUE(built.ok());
 
   std::string path = ::testing::TempDir() + "pcube_maintain.ckpt";
   ASSERT_TRUE((*built)->SaveToFile(path).ok());
-  Result<std::unique_ptr<PartialCube>> loaded =
-      PartialCube::LoadFromFile(spec, path);
+  Result<std::unique_ptr<MaterializedCube>> loaded =
+      MaterializedCube::LoadFromFile(spec, path);
   std::remove(path.c_str());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
@@ -515,8 +516,8 @@ TEST(PartialCubeCheckpointTest, StoredSelectionStaysAuthoritativeOnLoad) {
 
   // Build under a budget that prunes the lattice, so the stored selection
   // is a real strict subset.
-  Result<std::unique_ptr<PartialCube>> built =
-      PartialCube::BuildWithBudget(t, spec, 16 * 1024);
+  Result<std::unique_ptr<MaterializedCube>> built =
+      MaterializedCube::BuildWithBudget(t, spec, 16 * 1024);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   std::vector<GroupingSet> saved_views = (*built)->views();
   ASSERT_GE(saved_views.size(), 1u);
@@ -526,8 +527,8 @@ TEST(PartialCubeCheckpointTest, StoredSelectionStaysAuthoritativeOnLoad) {
 
   std::string path = ::testing::TempDir() + "pcube_stale.ckpt";
   ASSERT_TRUE((*built)->SaveToFile(path).ok());
-  Result<std::unique_ptr<PartialCube>> loaded =
-      PartialCube::LoadFromFile(spec, path);
+  Result<std::unique_ptr<MaterializedCube>> loaded =
+      MaterializedCube::LoadFromFile(spec, path);
   std::remove(path.c_str());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
@@ -563,10 +564,10 @@ TEST(PartialCubeCheckpointTest, BudgetedBuildAnswersAllSetsWithinBudget) {
                GroupCol("d3")};
   spec.aggregates = {CountStar("n"), Agg("sum", "x", "sx")};
 
-  Result<std::unique_ptr<PartialCube>> built =
-      PartialCube::BuildWithBudget(t, spec, 256 * 1024);
+  Result<std::unique_ptr<MaterializedCube>> built =
+      MaterializedCube::BuildWithBudget(t, spec, 256 * 1024);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  PartialCube& cube = **built;
+  MaterializedCube& cube = **built;
   EXPECT_LE(cube.materialized_bytes(), size_t{256 * 1024});
 
   // Every one of the 2^4 grouping sets is answerable.

@@ -144,6 +144,22 @@ TEST(MaterializedCubeTest, MaxInsertShortCircuit) {
   ExpectMatchesRecompute(*cube, base);
 }
 
+TEST(MaterializedCubeTest, MaxShortCircuitKeepsMembershipCounts) {
+  // One row per group, so every cell of the losing row's group holds one
+  // row before the insert. The skipped coarser cells must still count the
+  // new member: deleting it again may not empty (and evict) them.
+  Table base{Table3SalesTable().value().schema()};
+  ASSERT_TRUE(base.AppendRow(SalesRow("Chevy", 1994, "black", 50)).ok());
+  CubeSpec spec = SalesCubeSpec({Agg("max", "Units", "m")});
+  auto cube = MaterializedCube::Build(base, spec).value();
+  std::vector<Value> loser = SalesRow("Chevy", 1994, "black", 1);
+  ASSERT_TRUE(cube->ApplyInsert(loser).ok());
+  EXPECT_EQ(cube->maintenance_stats().cells_skipped, 8u);
+  ASSERT_TRUE(cube->ApplyDelete(loser).ok());
+  ExpectMatchesRecompute(*cube, base);
+  EXPECT_TRUE(cube->ApplyDelete(SalesRow("Chevy", 1994, "black", 50)).ok());
+}
+
 TEST(MaterializedCubeTest, DeleteUnknownRowFails) {
   Table sales = Table3SalesTable().value();
   CubeSpec spec = SalesCubeSpec({Agg("sum", "Units", "s")});

@@ -4,16 +4,20 @@
 // continuing correctly after a reload.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <random>
+#include <sstream>
 
 #include "datacube/agg/builtin_aggregates.h"
 #include "datacube/agg/distinct.h"
 #include "datacube/agg/registry.h"
 #include "datacube/common/codec.h"
 #include "datacube/cube/materialized_cube.h"
+#include "datacube/cube/partitioned_cube.h"
 #include "datacube/workload/sales.h"
 
 namespace datacube {
@@ -144,8 +148,13 @@ TEST(StateRoundTripTest, ParameterizedAndDistinctWrapper) {
 
 class CheckpointTest : public ::testing::Test {
  protected:
+  // One file per test and process: ctest runs these tests as concurrent
+  // processes, and the corrupt-input tests rewrite their file thousands of
+  // times.
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/cube_checkpoint_test.dat";
+    path_ = ::testing::TempDir() + "/cube_checkpoint_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid()) + ".dat";
   }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;
@@ -256,6 +265,101 @@ TEST_F(CheckpointTest, DatesAndFloatsSurvive) {
       "a", {Value::FromDate(DateFromCivil(1996, 6, 1))});
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->float64_value(), 0.30000000000000004);
+}
+
+// --------------------------------------------- corrupt checkpoint inputs
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+// A corrupt checkpoint may load or fail, but the loader must return: no
+// abort, no exception, nothing a sanitizer flags.
+Status LoadBytes(const CubeSpec& spec, const std::string& path,
+                 const std::string& bytes) {
+  WriteFile(path, bytes);
+  return MaterializedCube::LoadFromFile(spec, path).status();
+}
+
+TEST_F(CheckpointTest, CorruptCheckpointsReturnStatus) {
+  Table sales = Table3SalesTable().value();
+  CubeSpec spec = CheckpointSpec();
+  auto full = MaterializedCube::Build(sales, spec).value();
+  auto views = MaterializedCube::BuildViews(sales, spec, {0b011, 0b100});
+  ASSERT_TRUE(views.ok()) << views.status().ToString();
+  for (const MaterializedCube* cube : {full.get(), views->get()}) {
+    ASSERT_TRUE(cube->SaveToFile(path_).ok());
+    const std::string good = ReadFile(path_);
+    ASSERT_TRUE(LoadBytes(spec, path_, good).ok());
+
+    for (size_t n = 0; n < good.size(); ++n) {
+      EXPECT_FALSE(LoadBytes(spec, path_, good.substr(0, n)).ok()) << n;
+    }
+    std::mt19937_64 rng(2400);
+    for (int i = 0; i < 2000; ++i) {
+      std::string flipped = good;
+      flipped[rng() % flipped.size()] = static_cast<char>(rng() % 256);
+      (void)LoadBytes(spec, path_, flipped);
+    }
+
+    // Fields whose corruption used to throw: the row count (an allocation
+    // sized by it) and the first column name re-tagged as an integer.
+    size_t pos = good.find('\n') + 1;
+    const size_t ncols = DecodeCount(good, &pos).value();
+    const size_t name_at = pos;
+    ASSERT_TRUE(DecodeValue(good, &pos).ok());
+    std::string retagged = good.substr(0, name_at) + "I7;" + good.substr(pos);
+    EXPECT_FALSE(LoadBytes(spec, path_, retagged).ok());
+    pos = name_at;
+    for (size_t i = 0; i < 2 * ncols; ++i) {
+      ASSERT_TRUE(DecodeValue(good, &pos).ok());
+    }
+    std::string huge = good.substr(0, pos) + "999999999999999" +
+                       good.substr(good.find(' ', pos));
+    EXPECT_FALSE(LoadBytes(spec, path_, huge).ok());
+
+    // The formats before DATACUBE_CKPT_V2 are refused by name.
+    for (std::string magic : {"DATACUBE_CKPT_V1", "DATACUBE_PCUBE_V1"}) {
+      Status st = LoadBytes(spec, path_,
+                            magic + good.substr(good.find('\n')));
+      EXPECT_EQ(st.code(), StatusCode::kParseError);
+      EXPECT_NE(st.message().find(magic), std::string::npos) << st.message();
+    }
+  }
+}
+
+TEST_F(CheckpointTest, CorruptPartitionManifestReturnsStatus) {
+  Table sales = Table3SalesTable().value();
+  CubeSpec spec = CheckpointSpec();
+  PartitionedCubeOptions options;
+  options.partition_column = "Year";
+  options.window_width = 1;
+  options.background_compaction = false;
+  auto store = PartitionedCube::Build(sales, spec, options).value();
+  const std::string dir = path_ + "_dir";
+  ASSERT_TRUE(store->SaveToFile(dir).ok());
+  const std::string manifest = dir + "/MANIFEST";
+  const std::string good = ReadFile(manifest);
+  auto load = [&](const std::string& bytes) {
+    WriteFile(manifest, bytes);
+    return PartitionedCube::LoadFromDir(sales.schema(), spec, options, dir)
+        .status();
+  };
+  ASSERT_TRUE(load(good).ok());
+  for (size_t n = 0; n < good.size(); ++n) (void)load(good.substr(0, n));
+  size_t at = good.find("partitions ") + std::string("partitions ").size();
+  EXPECT_FALSE(load(good.substr(0, at) + "999999999999999" +
+                    good.substr(good.find('\n', at)))
+                   .ok());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

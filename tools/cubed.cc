@@ -19,12 +19,11 @@
 // (config smoke). Example session:
 //
 //   $ cubed --port 8080 &
-//   $ curl 'localhost:8080/query?q=SELECT+Model,SUM(Units)+FROM+Sales\
-//       +GROUP+BY+CUBE+Model'
-//   $ echo 'SELECT Model, SUM(Units) FROM Sales GROUP BY CUBE Model' \
-//       | nc localhost 8080
-//   $ curl -XPOST 'localhost:8080/ingest?table=Events&header=0' \
-//       --data-binary '4096,web,click,3'
+//   $ Q='SELECT+Model,SUM(Units)+FROM+Sales+GROUP+BY+CUBE+Model'
+//   $ curl "localhost:8080/query?q=$Q"
+//   $ echo 'SELECT Model, SUM(Units) FROM Sales GROUP BY CUBE Model' |
+//       nc localhost 8080
+//   $ curl -d 4096,web,click,3 'localhost:8080/ingest?table=Events&header=0'
 //   $ echo 'INGEST Events 4097,app,view,1' | nc localhost 8080
 
 #include <unistd.h>

@@ -22,6 +22,11 @@ end-to-end:
     Events store while four queriers watch COUNT(*) (which must be
     monotonically non-decreasing — snapshots may lag but never travel
     backwards) and one client forces compaction passes throughout
+  * WHERE paths: four concurrent clients run equality-WHERE GROUP BYs
+    whose predicates run on the vectorized kernels, each checked against
+    the same query with the predicate rewritten onto the interpreter
+    (EXPLAIN must name both paths); a non-boolean WHERE is a 400 and
+    /healthz still answers afterwards
 
 Exits nonzero with a message on the first failure.
 """
@@ -338,6 +343,81 @@ def check_ingest_under_query(base, batches=30, rows_per_batch=20):
           "compaction forced throughout)")
 
 
+# Per table: (vectorized WHERE, the same predicate written so that it runs
+# on the interpreter).
+WHERE_PAIRS = {
+    "Sales": [
+        ("Model = 'Chevy'", "Model LIKE 'Chevy'"),
+        ("Units > 50", "Units + 0 > 50"),
+        ("Year = 1994 AND Color <> 'white'",
+         "Year + 0 = 1994 AND NOT (Color LIKE 'white')"),
+        ("Color = 'black' OR Units IS NULL",
+         "Color LIKE 'black' OR Units IS NULL"),
+    ],
+    "BigSales": [
+        ("Model = 'model1'", "Model LIKE 'model1'"),
+        ("Units > 50", "Units + 0 > 50"),
+        ("Year >= 1992 AND Color <> 'color0'",
+         "Year + 0 >= 1992 AND NOT (Color LIKE 'color0')"),
+        ("NOT (Price < 30000.0) OR Dealer IS NULL",
+         "NOT (Price + 0 < 30000.0) OR Dealer IS NULL"),
+    ],
+}
+
+
+def where_groupby(table, predicate):
+    return (f"SELECT Color, COUNT(*), SUM(Units) FROM {table} "
+            f"WHERE {predicate} GROUP BY Color")
+
+
+def check_where_paths(base, num_clients=4, rounds=3):
+    fast, slow = WHERE_PAIRS["Sales"][0]
+    for predicate, path in ((fast, "vectorized"), (slow, "interpreted")):
+        status, body = query(base,
+                             "EXPLAIN " + where_groupby("Sales", predicate))
+        if status != 200 or f"where: path={path}" not in body:
+            return fail(f"EXPLAIN WHERE {predicate}: HTTP {status}: "
+                        f"expected path={path}: {body!r}")
+    errors = []
+
+    def client(idx):
+        for r in range(rounds):
+            table = "Sales" if (idx + r) % 2 == 0 else "BigSales"
+            pairs = WHERE_PAIRS[table]
+            fast, slow = pairs[(idx + r) % len(pairs)]
+            answers = []
+            for predicate in (fast, slow):
+                status, body = query(base, where_groupby(table, predicate))
+                if status != 200:
+                    errors.append(f"client {idx}: WHERE {predicate}: "
+                                  f"HTTP {status}: {body.strip()}")
+                    return
+                answers.append(sorted(body.strip().splitlines()))
+            if answers[0] != answers[1] or len(answers[0]) < 2:
+                errors.append(f"client {idx}: {table} WHERE {fast}: "
+                              f"{answers[0]} != {answers[1]}")
+                return
+
+    threads = [threading.Thread(target=client, args=(i,))
+               for i in range(num_clients)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for e in errors:
+        fail(e)
+    if errors:
+        return
+    status, body = query(base, "SELECT COUNT(*) FROM Sales WHERE Units")
+    if status != 400:
+        return fail(f"non-boolean WHERE: expected 400, got {status}: {body!r}")
+    status, body = fetch(f"{base}/healthz")
+    if status != 200:
+        return fail(f"/healthz after a non-boolean WHERE: HTTP {status}")
+    print(f"ok: WHERE paths ({num_clients} clients, vectorized == "
+          "interpreted answers; non-boolean WHERE -> 400)")
+
+
 def main():
     if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -352,6 +432,7 @@ def main():
     check_introspection(base)
     check_mounted_cubes(base)
     check_ingest_under_query(base)
+    check_where_paths(base)
     if FAILURES:
         print(f"{len(FAILURES)} failure(s)", file=sys.stderr)
         return 1

@@ -1,6 +1,7 @@
 #ifndef DATACUBE_COMMON_VALUE_H_
 #define DATACUBE_COMMON_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -25,6 +26,35 @@ const char* DataTypeName(DataType type);
 
 /// True if the type is kInt64 or kFloat64.
 bool IsNumeric(DataType type);
+
+/// Total order over doubles: -inf < finite < +inf < NaN, with -0.0 == +0.0
+/// and every NaN equal to every other NaN. Plain operator< breaks the strict
+/// weak ordering sorted algorithms rely on when NaN appears in a key column
+/// (NaN would compare "equal" to everything), making sorted and hashed
+/// group-bys disagree. Returns <0, 0, >0. Value::Compare and the predicate
+/// kernels both compare doubles through this.
+inline int CmpDouble(double a, double b) {
+  bool na = std::isnan(a), nb = std::isnan(b);
+  if (na || nb) return (na ? 1 : 0) - (nb ? 1 : 0);
+  return a < b ? -1 : (b < a ? 1 : 0);  // IEEE compare; -0.0 == +0.0
+}
+
+/// Exact int64 vs double comparison. Widening the int64 to double loses
+/// precision beyond 2^53, silently equating distinct keys such as 2^53 and
+/// 2^53+1. Returns <0, 0, >0.
+inline int CmpInt64Double(int64_t i, double d) {
+  if (std::isnan(d)) return -1;  // every number < NaN
+  // 2^63 as a double is exact; any double >= it exceeds every int64, and
+  // any double < -2^63 is below every int64 (-2^63 itself is an int64).
+  if (d >= 9223372036854775808.0) return -1;
+  if (d < -9223372036854775808.0) return 1;
+  // Now floor(d) fits in int64 exactly (doubles in range are either integral
+  // or have an in-range integral floor).
+  double fl = std::floor(d);
+  int64_t fi = static_cast<int64_t>(fl);
+  if (i != fi) return i < fi ? -1 : 1;
+  return d > fl ? -1 : 0;  // equal integer part: fractional d is larger
+}
 
 /// A single dynamically-typed cell value.
 ///

@@ -861,14 +861,15 @@ void MaterializedCube::ForEachCell(
   });
 }
 
-Result<Table> MaterializedCube::LiveRows() const {
-  Table out{base_->schema()};
-  out.Reserve(live_rows_);
+Status MaterializedCube::LiveRows(Table* out) const {
+  if (live_rows_ == base_->num_rows()) return out->AppendTable(*base_);
+  std::vector<size_t> live;
+  live.reserve(live_rows_);
   for (size_t r = 0; r < base_->num_rows(); ++r) {
-    if (tombstone_[r]) continue;
-    DATACUBE_RETURN_IF_ERROR(out.AppendRow(base_->GetRow(r)));
+    if (!tombstone_[r]) live.push_back(r);
   }
-  return out;
+  DATACUBE_ASSIGN_OR_RETURN(Table rows, base_->TakeRows(live));
+  return out->AppendTable(rows);
 }
 
 Result<Table> MaterializedCube::ToTable() const {

@@ -272,8 +272,10 @@ class MaterializedCube {
                    const std::function<void(const std::vector<Value>& key,
                                             const char* block)>& fn) const;
 
-  /// Live (non-tombstoned) base rows, copied out as a table.
-  Result<Table> LiveRows() const;
+  /// Appends the live (non-tombstoned) base rows to `out`, which must have
+  /// the base schema: one typed range append when no row is tombstoned,
+  /// else a gather of the live rows.
+  Status LiveRows(Table* out) const;
 
  private:
   MaterializedCube() = default;

@@ -404,10 +404,14 @@ size_t PartitionedCube::CompactPass(bool seal_newest) {
     // Rebuild off-lock from the concatenated delta rows; readers keep
     // merging the old deltas meanwhile.
     Table rows(base_schema_);
+    size_t total = 0;
+    for (const std::shared_ptr<const MaterializedCube>& d : c.deltas) {
+      total += d->num_base_rows();
+    }
+    rows.Reserve(total);
     bool ok = true;
     for (const std::shared_ptr<const MaterializedCube>& d : c.deltas) {
-      Result<Table> live = d->LiveRows();
-      if (!live.ok() || !rows.AppendTable(live.value()).ok()) {
+      if (!d->LiveRows(&rows).ok()) {
         ok = false;
         break;
       }
@@ -573,13 +577,14 @@ Result<Table> PartitionedCube::PrunedRows(const std::optional<int64_t>& lo,
   std::set<std::pair<bool, int64_t>> scanned_windows;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    std::vector<const MaterializedCube*> open;
+    size_t total = 0;
     for (const auto& [wk, delta] : open_) {
       all_windows.emplace(wk.null_window, wk.id);
       if (!selected(wk)) continue;
       scanned_windows.emplace(wk.null_window, wk.id);
-      // Open deltas are mutable: copy their rows out under the lock.
-      DATACUBE_ASSIGN_OR_RETURN(Table live, delta->LiveRows());
-      DATACUBE_RETURN_IF_ERROR(out.AppendTable(live));
+      open.push_back(delta.get());
+      total += delta->num_base_rows();
     }
     for (const std::shared_ptr<const Partition>& p : list_->parts) {
       all_windows.emplace(p->key.null_window, p->key.id);
@@ -587,13 +592,18 @@ Result<Table> PartitionedCube::PrunedRows(const std::optional<int64_t>& lo,
       scanned_windows.emplace(p->key.null_window, p->key.id);
       for (const std::shared_ptr<const MaterializedCube>& d : p->deltas) {
         frozen.push_back(d);
+        total += d->num_base_rows();
       }
+    }
+    out.Reserve(total);
+    // Open deltas are mutable: copy their rows out under the lock.
+    for (const MaterializedCube* delta : open) {
+      DATACUBE_RETURN_IF_ERROR(delta->LiveRows(&out));
     }
   }
   // Sealed deltas are immutable; read them off-lock.
   for (const std::shared_ptr<const MaterializedCube>& d : frozen) {
-    DATACUBE_ASSIGN_OR_RETURN(Table live, d->LiveRows());
-    DATACUBE_RETURN_IF_ERROR(out.AppendTable(live));
+    DATACUBE_RETURN_IF_ERROR(d->LiveRows(&out));
   }
   const size_t total = all_windows.size();
   const size_t scanned = scanned_windows.size();

@@ -84,6 +84,9 @@ class Expr {
   /// Output type; valid after Bind.
   DataType output_type() const { return output_type_; }
 
+  /// True once Bind has succeeded.
+  bool is_bound() const { return bound_; }
+
   /// Evaluates this expression on row `row` of `table` (which must have the
   /// schema passed to Bind).
   Result<Value> Evaluate(const Table& table, size_t row) const;

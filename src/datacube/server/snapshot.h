@@ -1,7 +1,6 @@
 #ifndef DATACUBE_SERVER_SNAPSHOT_H_
 #define DATACUBE_SERVER_SNAPSHOT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -52,17 +51,22 @@ struct ServerSnapshot {
   }
 };
 
-/// Holder of the authoritative snapshot. Readers call Get() (one atomic
-/// shared_ptr load, wait-free with respect to writers); writers call
-/// Update(), which serializes writers on a mutex but never makes a reader
-/// wait.
+/// Holder of the authoritative snapshot. Readers call Get(), which copies
+/// the current pointer under a mutex held for nothing else; writers call
+/// Update(), which serializes writers on a second mutex and takes the
+/// reader mutex only to swap in the new pointer, so a reader never waits
+/// behind a copy-edit cycle. (GCC 12's std::atomic<std::shared_ptr> ends a
+/// load by releasing its internal lock with a relaxed fetch_sub, so the
+/// load's read of the pointer races the next store; ThreadSanitizer
+/// reports it.)
 class SnapshotHolder {
  public:
   SnapshotHolder()
       : current_(std::make_shared<const ServerSnapshot>()) {}
 
   std::shared_ptr<const ServerSnapshot> Get() const {
-    return current_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(current_mu_);
+    return current_;
   }
 
   /// Reader entry point: pins the current snapshot for the duration of one
@@ -80,17 +84,22 @@ class SnapshotHolder {
   /// nothing is published.
   Status Update(const std::function<Status(ServerSnapshot&)>& edit) {
     std::lock_guard<std::mutex> lock(writer_mu_);
-    auto next = std::make_shared<ServerSnapshot>(
-        *current_.load(std::memory_order_acquire));
+    auto next = std::make_shared<ServerSnapshot>(*Get());
     DATACUBE_RETURN_IF_ERROR(edit(*next));
     next->version += 1;
-    current_.store(std::shared_ptr<const ServerSnapshot>(std::move(next)),
-                   std::memory_order_release);
+    std::shared_ptr<const ServerSnapshot> previous(std::move(next));
+    {
+      std::lock_guard<std::mutex> swap(current_mu_);
+      current_.swap(previous);
+    }
+    // `previous` may hold the last reference to the old version; it is
+    // released here, outside the reader mutex.
     return Status::OK();
   }
 
  private:
-  std::atomic<std::shared_ptr<const ServerSnapshot>> current_;
+  mutable std::mutex current_mu_;  // guards current_ only
+  std::shared_ptr<const ServerSnapshot> current_;
   std::mutex writer_mu_;  // serializes Update() copy-edit-publish cycles
 };
 

@@ -12,6 +12,7 @@
 #include "datacube/cube/cube_operator.h"
 #include "datacube/cube/grouping_set.h"
 #include "datacube/cube/partitioned_cube.h"
+#include "datacube/expr/predicate.h"
 #include "datacube/obs/metrics.h"
 #include "datacube/obs/query_profile.h"
 #include "datacube/obs/trace.h"
@@ -367,9 +368,15 @@ Result<std::vector<Value>> NTileColumn(const Table& table, ExprPtr value_expr,
   return out;
 }
 
+// The rows a statement reads: the catalog's own table, a partitioned
+// store's pruned rows, or the rows a WHERE kept. Shared and never mutated,
+// so a query copies its source only when it has to drop or add something.
+using Source = std::shared_ptr<const Table>;
+
 // Expands every N_tile call in the statement over `filtered`, returning the
-// augmented table and rewriting the statement's expressions in place.
-Result<Table> ExpandNTiles(SelectStatement* stmt, Table filtered) {
+// augmented table (the input itself when the statement has no N_tile) and
+// rewriting the statement's expressions in place.
+Result<Source> ExpandNTiles(SelectStatement* stmt, Source filtered) {
   NTileExpansion expansion;
   for (SelectItem& item : stmt->select_list) {
     if (item.star) continue;
@@ -405,42 +412,54 @@ Result<Table> ExpandNTiles(SelectStatement* stmt, Table filtered) {
     fields.push_back(Field{name, DataType::kInt64});
   }
   Table hidden{Schema{std::move(fields)}};
-  hidden.Reserve(filtered.num_rows());
+  hidden.Reserve(filtered->num_rows());
   std::vector<std::vector<Value>> columns;
   for (size_t i = 0; i < expansion.names.size(); ++i) {
     DATACUBE_ASSIGN_OR_RETURN(
         std::vector<Value> col,
-        NTileColumn(filtered, expansion.value_exprs[i], expansion.buckets[i]));
+        NTileColumn(*filtered, expansion.value_exprs[i], expansion.buckets[i]));
     columns.push_back(std::move(col));
   }
-  for (size_t r = 0; r < filtered.num_rows(); ++r) {
+  for (size_t r = 0; r < filtered->num_rows(); ++r) {
     std::vector<Value> row;
     for (const std::vector<Value>& col : columns) row.push_back(col[r]);
     DATACUBE_RETURN_IF_ERROR(hidden.AppendRow(row));
   }
-  return filtered.ConcatColumns(hidden);
+  DATACUBE_ASSIGN_OR_RETURN(Table expanded, filtered->ConcatColumns(hidden));
+  return std::make_shared<const Table>(std::move(expanded));
 }
 
-// Applies WHERE: returns the filtered table.
-Result<Table> ApplyWhere(const Table& input, const ExprPtr& where) {
+// What the WHERE did, for EXPLAIN's `where:` line.
+struct WhereInfo {
+  bool applied = false;
+  PredicatePath path = PredicatePath::kInterpreted;
+  size_t rows_in = 0;
+  size_t rows_out = 0;
+};
+
+// Applies WHERE: returns `input` itself when no row is dropped, else the
+// kept rows.
+Result<Source> ApplyWhere(Source input, const ExprPtr& where,
+                          WhereInfo* info) {
   if (where == nullptr) return input;
   if (ContainsAggregate(where)) {
     return Status::InvalidArgument("aggregates are not allowed in WHERE");
   }
   obs::ScopedSpan span("where_filter");
-  DATACUBE_RETURN_IF_ERROR(where->Bind(input.schema()));
-  std::vector<bool> mask(input.num_rows());
-  size_t kept = 0;
-  for (size_t r = 0; r < input.num_rows(); ++r) {
-    DATACUBE_ASSIGN_OR_RETURN(Value v, where->Evaluate(input, r));
-    mask[r] = !v.is_special() && v.bool_value();
-    kept += mask[r] ? 1 : 0;
-  }
+  DATACUBE_RETURN_IF_ERROR(where->Bind(input->schema()));
+  DATACUBE_ASSIGN_OR_RETURN(Selection sel, SelectRows(*where, *input));
+  info->applied = true;
+  info->path = sel.path;
+  info->rows_in = input->num_rows();
+  info->rows_out = sel.rows.size();
   if (span.active()) {
-    span.Attr("rows_in", static_cast<uint64_t>(input.num_rows()));
-    span.Attr("rows_out", static_cast<uint64_t>(kept));
+    span.Attr("path", PredicatePathName(sel.path));
+    span.Attr("rows_in", static_cast<uint64_t>(info->rows_in));
+    span.Attr("rows_out", static_cast<uint64_t>(info->rows_out));
   }
-  return input.FilterRows(mask);
+  if (sel.rows.size() == input->num_rows()) return input;
+  DATACUBE_ASSIGN_OR_RETURN(Table kept, input->TakeRows(sel.rows));
+  return std::make_shared<const Table>(std::move(kept));
 }
 
 // ---- Partition pruning ----------------------------------------------------
@@ -527,19 +546,21 @@ void ExtractPartitionBounds(const ExprPtr& e, const std::string& column,
 struct ScanInfo {
   bool partitioned = false;
   PartitionPruneStats prune;
+  WhereInfo where;
 };
 
-// Resolves the FROM source and applies WHERE: plain tables filter in
-// place; a partitioned store scans only the windows surviving its
-// partition-key bounds (then the full WHERE runs over the survivors).
-Result<Table> ResolveScanAndFilter(const SelectStatement& stmt,
-                                   const Catalog& catalog, ScanInfo* info) {
+// Resolves the FROM source and applies WHERE: a plain table is read in
+// place from the catalog; a partitioned store scans only the windows
+// surviving its partition-key bounds (then the full WHERE runs over the
+// survivors).
+Result<Source> ResolveScanAndFilter(const SelectStatement& stmt,
+                                    const Catalog& catalog, ScanInfo* info) {
   std::shared_ptr<PartitionedCube> store =
       catalog.GetPartitioned(stmt.from_table);
   if (store == nullptr) {
-    DATACUBE_ASSIGN_OR_RETURN(const Table* base,
-                              catalog.Get(stmt.from_table));
-    return ApplyWhere(*base, stmt.where);
+    DATACUBE_ASSIGN_OR_RETURN(Source base,
+                              catalog.GetShared(stmt.from_table));
+    return ApplyWhere(std::move(base), stmt.where, &info->where);
   }
   info->partitioned = true;
   std::optional<int64_t> lo;
@@ -548,7 +569,17 @@ Result<Table> ResolveScanAndFilter(const SelectStatement& stmt,
                          &hi);
   DATACUBE_ASSIGN_OR_RETURN(Table rows,
                             store->PrunedRows(lo, hi, &info->prune));
-  return ApplyWhere(rows, stmt.where);
+  return ApplyWhere(std::make_shared<const Table>(std::move(rows)),
+                    stmt.where, &info->where);
+}
+
+// EXPLAIN's account of the WHERE: which evaluator ran and how many rows it
+// kept. Empty when the statement has no WHERE.
+std::string WhereLine(const WhereInfo& where) {
+  if (!where.applied) return "";
+  return std::string("where: path=") + PredicatePathName(where.path) +
+         "  rows_in=" + std::to_string(where.rows_in) +
+         "  rows_out=" + std::to_string(where.rows_out) + "\n";
 }
 
 void FillPartitionStats(const ScanInfo& info, CubeStats* stats) {
@@ -643,7 +674,8 @@ Result<Table> ApplyOrderAndLimit(Table table,
 // Non-aggregate SELECT: projection over the filtered base table. ORDER BY
 // is evaluated over the pre-projection rows, so sorting by base columns
 // that are not selected works (standard SQL behavior).
-Result<Table> ExecuteProjection(const SelectStatement& stmt, Table filtered) {
+Result<Table> ExecuteProjection(const SelectStatement& stmt,
+                                const Table& filtered) {
   std::vector<ExprPtr> exprs;
   std::vector<std::string> names;
   for (const SelectItem& item : stmt.select_list) {
@@ -663,6 +695,9 @@ Result<Table> ExecuteProjection(const SelectStatement& stmt, Table filtered) {
     DATACUBE_RETURN_IF_ERROR(e->Bind(filtered.schema()));
   }
 
+  // The shared source, or its rows in ORDER BY order.
+  const Table* rows = &filtered;
+  Table sorted;
   if (!stmt.order_by.empty()) {
     std::vector<std::vector<Value>> keys;
     std::vector<bool> ascending;
@@ -702,10 +737,11 @@ Result<Table> ExecuteProjection(const SelectStatement& stmt, Table filtered) {
       }
       return false;
     });
-    DATACUBE_ASSIGN_OR_RETURN(filtered, filtered.TakeRows(indices));
+    DATACUBE_ASSIGN_OR_RETURN(sorted, filtered.TakeRows(indices));
+    rows = &sorted;
   }
 
-  DATACUBE_ASSIGN_OR_RETURN(Table out, Project(filtered, exprs, names));
+  DATACUBE_ASSIGN_OR_RETURN(Table out, Project(*rows, exprs, names));
   return ApplyOrderAndLimit(std::move(out), /*order_by=*/{}, stmt.limit);
 }
 
@@ -871,16 +907,14 @@ Result<Table> ExecuteAggregation(const SelectStatement& stmt,
   if (ap.having != nullptr) {
     obs::ScopedSpan span("having_filter");
     DATACUBE_RETURN_IF_ERROR(ap.having->Bind(result.schema()));
-    std::vector<bool> mask(result.num_rows());
-    for (size_t r = 0; r < result.num_rows(); ++r) {
-      DATACUBE_ASSIGN_OR_RETURN(Value v, ap.having->Evaluate(result, r));
-      mask[r] = !v.is_special() && v.bool_value();
-    }
-    size_t before = result.num_rows();
-    DATACUBE_ASSIGN_OR_RETURN(result, result.FilterRows(mask));
+    DATACUBE_ASSIGN_OR_RETURN(Selection sel, SelectRows(*ap.having, result));
     if (span.active()) {
-      span.Attr("rows_in", static_cast<uint64_t>(before));
-      span.Attr("rows_out", static_cast<uint64_t>(result.num_rows()));
+      span.Attr("path", PredicatePathName(sel.path));
+      span.Attr("rows_in", static_cast<uint64_t>(result.num_rows()));
+      span.Attr("rows_out", static_cast<uint64_t>(sel.rows.size()));
+    }
+    if (sel.rows.size() != result.num_rows()) {
+      DATACUBE_ASSIGN_OR_RETURN(result, result.TakeRows(sel.rows));
     }
   }
 
@@ -929,11 +963,11 @@ Result<Table> ExecuteSelectImpl(const SelectStatement& stmt,
   // re-polls the same control at its work boundaries.
   DATACUBE_RETURN_IF_ERROR(CheckControl(options.cube.control));
   ScanInfo scan;
-  DATACUBE_ASSIGN_OR_RETURN(Table filtered,
+  DATACUBE_ASSIGN_OR_RETURN(Source filtered,
                             ResolveScanAndFilter(stmt, catalog, &scan));
   if (span.active()) {
     span.Attr("table", stmt.from_table);
-    span.Attr("rows", static_cast<uint64_t>(filtered.num_rows()));
+    span.Attr("rows", static_cast<uint64_t>(filtered->num_rows()));
     if (scan.partitioned) {
       span.Attr("partitions_scanned",
                 static_cast<uint64_t>(scan.prune.scanned));
@@ -962,8 +996,8 @@ Result<Table> ExecuteSelectImpl(const SelectStatement& stmt,
     // Projections bypass ExecuteCube, so they emit their (thin) profile
     // here; aggregations profile inside the cube operator.
     auto start = std::chrono::steady_clock::now();
-    uint64_t input_rows = filtered.num_rows();
-    Result<Table> out = ExecuteProjection(prepared, std::move(filtered));
+    uint64_t input_rows = filtered->num_rows();
+    Result<Table> out = ExecuteProjection(prepared, *filtered);
     if (out.ok()) {
       obs::QueryProfileLog& log = obs::QueryProfileLog::Global();
       obs::QueryProfile p;
@@ -984,7 +1018,7 @@ Result<Table> ExecuteSelectImpl(const SelectStatement& stmt,
     }
     return out;
   }
-  Result<Table> out = ExecuteAggregation(prepared, filtered, options,
+  Result<Table> out = ExecuteAggregation(prepared, *filtered, options,
                                          stats_out);
   // ExecuteAggregation overwrites *stats_out wholesale; the partition
   // accounting belongs to the scan we already did, so restore it on top.
@@ -1002,20 +1036,21 @@ Result<std::string> ExplainSelectText(const SelectStatement& stmt,
                                       const EngineOptions& options,
                                       bool analyze) {
   ScanInfo scan;
-  DATACUBE_ASSIGN_OR_RETURN(Table filtered,
+  DATACUBE_ASSIGN_OR_RETURN(Source filtered,
                             ResolveScanAndFilter(stmt, catalog, &scan));
   SelectStatement prepared = stmt;
   DATACUBE_ASSIGN_OR_RETURN(filtered,
                             ExpandNTiles(&prepared, std::move(filtered)));
 
-  // One line of partition accounting whenever the source is partitioned —
-  // the EXPLAIN proof that WHERE on the partition key skipped windows.
-  std::string partition_line;
+  // The source's account: the WHERE line, plus one line of partition
+  // accounting whenever the source is partitioned — the EXPLAIN proof that
+  // WHERE on the partition key skipped windows.
+  std::string source_lines = WhereLine(scan.where);
   if (scan.partitioned) {
-    partition_line = "partitions: scanned=" +
-                     std::to_string(scan.prune.scanned) +
-                     "  pruned=" + std::to_string(scan.prune.pruned) +
-                     "  total=" + std::to_string(scan.prune.total) + "\n";
+    source_lines += "partitions: scanned=" +
+                    std::to_string(scan.prune.scanned) +
+                    "  pruned=" + std::to_string(scan.prune.pruned) +
+                    "  total=" + std::to_string(scan.prune.total) + "\n";
   }
 
   bool any_aggregate = prepared.having != nullptr;
@@ -1025,14 +1060,14 @@ Result<std::string> ExplainSelectText(const SelectStatement& stmt,
   std::string out;
   if (prepared.group_by.empty() && !any_aggregate) {
     out += "projection over " + prepared.from_table + " (" +
-           std::to_string(filtered.num_rows()) + " rows after WHERE)\n";
-    out += partition_line;
+           std::to_string(filtered->num_rows()) + " rows after WHERE)\n";
+    out += source_lines;
     if (!analyze) return out;
     obs::Trace trace("query");
     {
       obs::TraceScope scope(&trace);
       DATACUBE_ASSIGN_OR_RETURN(Table discarded,
-                                ExecuteProjection(prepared, filtered));
+                                ExecuteProjection(prepared, *filtered));
       (void)discarded;
     }
     out += "trace:\n" + trace.Render();
@@ -1042,9 +1077,9 @@ Result<std::string> ExplainSelectText(const SelectStatement& stmt,
   DATACUBE_ASSIGN_OR_RETURN(AggregationPlan ap,
                             PlanAggregation(prepared, options));
   DATACUBE_ASSIGN_OR_RETURN(std::string plan_text,
-                            ExplainCube(filtered, ap.spec, options.cube));
+                            ExplainCube(*filtered, ap.spec, options.cube));
   out += plan_text;
-  out += partition_line;
+  out += source_lines;
   if (!analyze) return out;
 
   CubeStats stats;
@@ -1053,7 +1088,7 @@ Result<std::string> ExplainSelectText(const SelectStatement& stmt,
     obs::TraceScope scope(&trace);
     DATACUBE_ASSIGN_OR_RETURN(
         Table discarded,
-        ExecuteAggregation(prepared, filtered, options, &stats));
+        ExecuteAggregation(prepared, *filtered, options, &stats));
     (void)discarded;
   }
   std::vector<std::string> names;

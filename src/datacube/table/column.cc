@@ -1,5 +1,6 @@
 #include "datacube/table/column.h"
 
+#include <type_traits>
 #include <unordered_set>
 
 namespace datacube {
@@ -79,6 +80,65 @@ void Column::AppendNulls(size_t count) {
     AppendDefaultSlot();
   }
   null_count_ += count;
+}
+
+void Column::AppendRange(const Column& src, size_t begin, size_t count) {
+  if (&src == this) {
+    Column copy = src;
+    AppendRange(copy, begin, count);
+    return;
+  }
+  const uint8_t* from = src.states_.data() + begin;
+  states_.insert(states_.end(), from, from + count);
+  if (count == src.size()) {
+    null_count_ += src.null_count_;
+    all_count_ += src.all_count_;
+  } else if (src.null_count_ + src.all_count_ > 0) {
+    for (size_t i = 0; i < count; ++i) {
+      null_count_ += from[i] == kStateNull;
+      all_count_ += from[i] == kStateAll;
+    }
+  }
+  std::visit(
+      [&](auto& buf) {
+        using Vec = std::decay_t<decltype(buf)>;
+        const Vec& values = std::get<Vec>(src.buffer_);
+        auto first = values.begin() + static_cast<ptrdiff_t>(begin);
+        buf.insert(buf.end(), first, first + static_cast<ptrdiff_t>(count));
+      },
+      buffer_);
+}
+
+void Column::AppendGather(const Column& src, const std::vector<size_t>& ids) {
+  // Safe when src is this column: every read indexes the buffers afresh,
+  // ids stay below the old size, and push_back has room reserved.
+  const size_t n = ids.size();
+  const size_t old = states_.size();
+  states_.resize(old + n, kStateValue);
+  if (src.null_count_ + src.all_count_ > 0) {
+    uint8_t* out = states_.data() + old;
+    for (size_t i = 0; i < n; ++i) {
+      const uint8_t s = src.states_[ids[i]];
+      out[i] = s;
+      null_count_ += s == kStateNull;
+      all_count_ += s == kStateAll;
+    }
+  }
+  std::visit(
+      [&](auto& buf) {
+        using Vec = std::decay_t<decltype(buf)>;
+        using T = typename Vec::value_type;
+        const Vec& values = std::get<Vec>(src.buffer_);
+        if constexpr (std::is_trivially_copyable_v<T>) {
+          buf.resize(old + n);
+          T* out = buf.data() + old;
+          for (size_t i = 0; i < n; ++i) out[i] = values[ids[i]];
+        } else {
+          buf.reserve(old + n);
+          for (size_t id : ids) buf.push_back(values[id]);
+        }
+      },
+      buffer_);
 }
 
 Value Column::Get(size_t i) const {

@@ -31,6 +31,16 @@ class Column {
   /// Appends `count` copies of NULL.
   void AppendNulls(size_t count);
 
+  /// Appends rows [begin, begin + count) of `src`, which must have this
+  /// column's type and hold at least begin + count rows. State bytes and
+  /// typed slots copy as they are, so NULL and ALL cells carry over and
+  /// null_count() / all_count() stay exact.
+  void AppendRange(const Column& src, size_t begin, size_t count);
+
+  /// Appends `src`'s rows `ids`, in that order (ids may repeat). Same rules
+  /// as AppendRange; every id must be < src.size().
+  void AppendGather(const Column& src, const std::vector<size_t>& ids);
+
   /// Reads row `i` back as a Value.
   Value Get(size_t i) const;
 

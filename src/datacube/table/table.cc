@@ -73,15 +73,17 @@ std::vector<Value> Table::GetRow(size_t row) const {
 }
 
 Result<Table> Table::TakeRows(const std::vector<size_t>& indices) const {
-  Table out(schema_);
-  out.Reserve(indices.size());
   for (size_t idx : indices) {
     if (idx >= num_rows_) {
       return Status::OutOfRange("TakeRows index " + std::to_string(idx) +
                                 " >= " + std::to_string(num_rows_));
     }
-    DATACUBE_RETURN_IF_ERROR(out.AppendRow(GetRow(idx)));
   }
+  Table out(schema_);
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    out.columns_[c].AppendGather(columns_[c], indices);
+  }
+  out.num_rows_ = indices.size();
   return out;
 }
 
@@ -106,9 +108,11 @@ Status Table::AppendTable(const Table& other) {
                                std::to_string(c));
     }
   }
-  for (size_t r = 0; r < other.num_rows(); ++r) {
-    DATACUBE_RETURN_IF_ERROR(AppendRow(other.GetRow(r)));
+  const size_t n = other.num_rows_;
+  for (size_t c = 0; c < num_columns(); ++c) {
+    columns_[c].AppendRange(other.columns_[c], 0, n);
   }
+  num_rows_ += n;
   return Status::OK();
 }
 
@@ -128,14 +132,14 @@ Result<Table> Table::ConcatColumns(const Table& other) const {
       }
     }
   }
-  Table out(merged);
-  out.Reserve(num_rows_);
-  for (size_t r = 0; r < num_rows_; ++r) {
-    std::vector<Value> row = GetRow(r);
-    std::vector<Value> tail = other.GetRow(r);
-    row.insert(row.end(), tail.begin(), tail.end());
-    DATACUBE_RETURN_IF_ERROR(out.AppendRow(row));
+  Table out(std::move(merged));
+  for (size_t c = 0; c < out.columns_.size(); ++c) {
+    const Column& src = c < columns_.size()
+                            ? columns_[c]
+                            : other.columns_[c - columns_.size()];
+    out.columns_[c].AppendRange(src, 0, num_rows_);
   }
+  out.num_rows_ = num_rows_;
   return out;
 }
 

@@ -143,6 +143,21 @@ DiffReport RunMaintenanceDifferential(uint64_t seed,
                                       const CubeSpec& spec,
                                       const MaintenanceOptions& options = {});
 
+/// Third oracle mode: the vectorized predicate path against the row
+/// interpreter. Draws `num_predicates` random predicates of the shapes
+/// SelectRows runs vectorized over every column of MakeRandomTable(seed,
+/// profile), then as many again over that table's CUBE result, whose key
+/// columns hold ALL cells. Shapes: column-vs-literal comparisons on either
+/// side (literals drawn from the column, plus NaN, -0.0, ±inf, ±INT64
+/// extremes, 2^53+1, '' and NULL, some written as a negated literal), IS
+/// [NOT] NULL, bare BOOL columns and literals, and AND/OR/NOT nested up to
+/// depth 3. Each predicate must take the vectorized path and select exactly
+/// the rows where Expr::Evaluate yields TRUE; the report names the first
+/// predicate that does not, labelled "interpreter" vs "vectorized".
+DiffReport RunPredicateDifferential(uint64_t seed,
+                                    const RandomTableProfile& profile,
+                                    size_t num_predicates = 50);
+
 }  // namespace testing
 }  // namespace datacube
 

@@ -429,6 +429,22 @@ TEST(CubeServerTest, ErrorsMapToMeaningfulHttpStatuses) {
   EXPECT_EQ(StatusOf(Query(server->port(), "SELEKT nonsense")), 400);
   EXPECT_EQ(StatusOf(Get(server->port(), "/query")), 400);
   EXPECT_EQ(StatusOf(Get(server->port(), "/definitely-not-a-route")), 404);
+  // A WHERE or HAVING that is not BOOL is a 400, and the server keeps
+  // answering afterwards.
+  ASSERT_TRUE(
+      server->RegisterTable("Sales", Table3SalesTable().value()).ok());
+  for (const char* sql :
+       {"SELECT COUNT(*) FROM Sales WHERE Units",
+        "SELECT Model FROM Sales WHERE Year + 1",
+        "SELECT Model, SUM(Units) FROM Sales GROUP BY Model HAVING SUM(Units)",
+        "EXPLAIN SELECT COUNT(*) FROM Sales WHERE Units"}) {
+    EXPECT_EQ(StatusOf(Query(server->port(), sql)), 400) << sql;
+  }
+  std::string ok = Query(server->port(),
+                         "SELECT Model, SUM(Units) FROM Sales "
+                         "WHERE Model = 'Chevy' GROUP BY Model");
+  EXPECT_EQ(StatusOf(ok), 200) << ok;
+  EXPECT_NE(ok.find("Chevy,290"), std::string::npos) << ok;
 }
 
 TEST(CubeServerTest, StopIsCleanWithInFlightWork) {

@@ -142,6 +142,29 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.label;
     });
 
+// ------------------------------------------------ predicate kernels
+
+// The parameter indexes AdversarialProfiles(), so test names stay stable.
+class PredicateDifferentialTest : public ::testing::TestWithParam<size_t> {};
+
+// The vectorized WHERE/HAVING path must select exactly the interpreter's
+// TRUE rows: 50 random kernel-shaped predicates per table, over each
+// profile's input and its CUBE result (ALL cells), for seeds 1-20.
+TEST_P(PredicateDifferentialTest, KernelMatchesInterpreter) {
+  const RandomTableProfile profile = AdversarialProfiles()[GetParam()];
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    DiffReport report = RunPredicateDifferential(seed, profile);
+    ASSERT_TRUE(report.ok()) << report.ToString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Adversarial, PredicateDifferentialTest,
+    ::testing::Range<size_t>(0, AdversarialProfiles().size()),
+    [](const ::testing::TestParamInfo<size_t>& info) {
+      return AdversarialProfiles()[info.param].label;
+    });
+
 // -------------------------------------------------- oracle sensitivity
 
 // The oracle is only trustworthy if it actually fires. Perturb one cell of
@@ -236,6 +259,8 @@ TEST(DifferentialSoakTest, EnvDrivenIterations) {
     ASSERT_TRUE(report.ok())
         << "profile=" << profile.label << " seed=" << seed << "\n"
         << report.ToString();
+    DiffReport predicates = RunPredicateDifferential(seed, profile);
+    ASSERT_TRUE(predicates.ok()) << predicates.ToString();
     if (i % 4 == 3) {
       DiffReport maint = RunMaintenanceDifferential(seed, profile, spec);
       ASSERT_TRUE(maint.ok())

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "datacube/expr/expr.h"
+#include "datacube/expr/predicate.h"
 #include "datacube/expr/scalar_function.h"
 #include "datacube/workload/weather.h"
 
@@ -258,6 +261,154 @@ TEST(WeatherWorkloadTest, NationResolvesForAllRows) {
     ASSERT_TRUE(v.ok());
     EXPECT_FALSE(v->is_null()) << "station outside every nation box, row " << r;
   }
+}
+
+// ------------------------------------------------------------ SelectRows
+
+// Rows 0-5 hold the comparison edge cases; row 5 is ALL in every column,
+// as a super-aggregate row of a CUBE result is.
+Table EdgeTable() {
+  const int64_t two53 = int64_t{1} << 53;
+  TableBuilder b({Field{"i", DataType::kInt64}, Field{"f", DataType::kFloat64},
+                  Field{"s", DataType::kString}, Field{"d", DataType::kDate},
+                  Field{"b", DataType::kBool}});
+  b.Row({Value::Int64(two53 + 1),
+         Value::Float64(std::numeric_limits<double>::quiet_NaN()),
+         Value::String("a"), Value::FromDate(Date{10}), Value::Bool(true)});
+  b.Row({Value::Int64(two53), Value::Float64(-0.0), Value::String(""),
+         Value::FromDate(Date{-1}), Value::Bool(false)});
+  b.Row({Value::Int64(-5), Value::Float64(0.0), Value::String("b"),
+         Value::FromDate(Date{0}), Value::Null()});
+  b.Row({Value::Null(), Value::Float64(std::numeric_limits<double>::infinity()),
+         Value::Null(), Value::Null(), Value::Bool(true)});
+  b.Row({Value::Int64(std::numeric_limits<int64_t>::min()), Value::Null(),
+         Value::String("a"), Value::FromDate(Date{10}), Value::Bool(false)});
+  b.Row({Value::All(), Value::All(), Value::All(), Value::All(), Value::All()});
+  return std::move(b).Build().value();
+}
+
+// Binds `e` over `t` and runs SelectRows, checking its rows against the
+// interpreter's TRUE rows before returning them.
+Selection Select(const ExprPtr& e, const Table& t) {
+  EXPECT_TRUE(e->Bind(t.schema()).ok()) << e->ToString();
+  Result<Selection> sel = SelectRows(*e, t);
+  EXPECT_TRUE(sel.ok()) << sel.status().ToString();
+  if (!sel.ok()) return {};
+  std::vector<size_t> interpreted;
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    Result<Value> v = e->Evaluate(t, r);
+    if (v.ok() && v->kind() == Value::Kind::kBool && v->bool_value()) {
+      interpreted.push_back(r);
+    }
+  }
+  EXPECT_EQ(sel->rows, interpreted) << e->ToString();
+  return *sel;
+}
+
+std::vector<size_t> Rows(const ExprPtr& e, const Table& t) {
+  Selection sel = Select(e, t);
+  EXPECT_EQ(sel.path, PredicatePath::kVectorized) << e->ToString();
+  return sel.rows;
+}
+
+ExprPtr Cmp(BinaryOp op, const char* column, Value literal) {
+  return Expr::Binary(op, Expr::Column(column), Expr::Lit(std::move(literal)));
+}
+
+TEST(PredicateTest, ComparisonsFollowValueCompareNotIeee) {
+  Table t = EdgeTable();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  using V = std::vector<size_t>;
+  // NaN sorts above every number, +inf included, and equals NaN.
+  EXPECT_EQ(Rows(Cmp(BinaryOp::kGt, "f", Value::Float64(1e300)), t), V({0, 3}));
+  EXPECT_EQ(Rows(Cmp(BinaryOp::kEq, "f", Value::Float64(nan)), t), V({0}));
+  EXPECT_EQ(Rows(Cmp(BinaryOp::kLt, "f", Value::Float64(nan)), t),
+            V({1, 2, 3}));
+  // -0.0 equals 0.0, from either side.
+  EXPECT_EQ(Rows(Cmp(BinaryOp::kEq, "f", Value::Float64(0.0)), t), V({1, 2}));
+  EXPECT_EQ(Rows(Cmp(BinaryOp::kGe, "f", Value::Float64(-0.0)), t),
+            V({0, 1, 2, 3}));
+  // INT64 against FLOAT64 compares exactly: 2^53 + 1 is not 2^53.
+  const double two53 = 9007199254740992.0;
+  EXPECT_EQ(Rows(Cmp(BinaryOp::kEq, "i", Value::Float64(two53)), t), V({1}));
+  EXPECT_EQ(Rows(Cmp(BinaryOp::kGt, "i", Value::Float64(two53)), t), V({0}));
+  EXPECT_EQ(Rows(Cmp(BinaryOp::kLt, "i", Value::Float64(nan)), t),
+            V({0, 1, 2, 4}));
+  EXPECT_EQ(Rows(Cmp(BinaryOp::kGt, "f", Value::Int64(int64_t{1} << 53)), t),
+            V({0, 3}));
+  // Literal on the left mirrors the operator; `i > -5` parses as unary
+  // minus over a literal and still runs on the kernel.
+  EXPECT_EQ(Rows(Expr::Binary(BinaryOp::kLt, Expr::Lit(Value::Int64(0)),
+                              Expr::Column("i")),
+                 t),
+            V({0, 1}));
+  EXPECT_EQ(Rows(Expr::Binary(BinaryOp::kGe, Expr::Column("i"),
+                              Expr::Unary(UnaryOp::kNeg,
+                                          Expr::Lit(Value::Int64(5)))),
+                 t),
+            V({0, 1, 2}));
+  EXPECT_EQ(Rows(Cmp(BinaryOp::kLe, "s", Value::String("a")), t), V({0, 1, 4}));
+  EXPECT_EQ(Rows(Cmp(BinaryOp::kNe, "s", Value::String("a")), t), V({1, 2}));
+  EXPECT_EQ(Rows(Cmp(BinaryOp::kGt, "d", Value::FromDate(Date{0})), t),
+            V({0, 4}));
+  EXPECT_EQ(Rows(Cmp(BinaryOp::kLt, "b", Value::Bool(true)), t), V({1, 4}));
+  // A NULL literal makes every comparison unknown.
+  EXPECT_EQ(Rows(Cmp(BinaryOp::kNe, "s", Value::Null()), t), V({}));
+}
+
+TEST(PredicateTest, NullTestsAndThreeValuedLogic) {
+  Table t = EdgeTable();
+  using V = std::vector<size_t>;
+  // IS NULL is false on ALL; IS NOT NULL is true there.
+  EXPECT_EQ(Rows(Expr::Unary(UnaryOp::kIsNull, Expr::Column("s")), t), V({3}));
+  EXPECT_EQ(Rows(Expr::Unary(UnaryOp::kIsNotNull, Expr::Column("s")), t),
+            V({0, 1, 2, 4, 5}));
+  EXPECT_EQ(Rows(Expr::Column("b"), t), V({0, 3}));
+  // unknown OR true is true; unknown AND false is false (so NOT of it is
+  // true); NOT unknown stays unknown.
+  ExprPtr unknown = Cmp(BinaryOp::kGt, "i", Value::Int64(0));  // NULL in row 3
+  EXPECT_EQ(Rows(Expr::Binary(BinaryOp::kOr, unknown, Expr::Column("b")), t),
+            V({0, 1, 3}));
+  EXPECT_EQ(Rows(Expr::Unary(UnaryOp::kNot,
+                             Expr::Binary(BinaryOp::kAnd, unknown,
+                                          Cmp(BinaryOp::kEq, "b",
+                                              Value::Bool(false)))),
+                 t),
+            V({0, 2, 3, 4}));
+  EXPECT_EQ(Rows(Expr::Unary(UnaryOp::kNot, unknown), t), V({2, 4}));
+  EXPECT_EQ(Rows(Expr::Lit(Value::Bool(true)), t), V({0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(Rows(Expr::Lit(Value::Null()), t), V({}));
+}
+
+TEST(PredicateTest, OtherShapesRunTheInterpreter) {
+  Table t = EdgeTable();
+  for (ExprPtr e :
+       {Expr::Binary(BinaryOp::kGt,
+                     Expr::Binary(BinaryOp::kAdd, Expr::Column("i"),
+                                  Expr::Lit(Value::Int64(0))),
+                     Expr::Lit(Value::Int64(0))),
+        Expr::Binary(BinaryOp::kEq, Expr::Column("i"), Expr::Column("i")),
+        Expr::Binary(BinaryOp::kLike, Expr::Column("s"),
+                     Expr::Lit(Value::String("a%"))),
+        // One interpreted operand sends the whole predicate there.
+        Expr::Binary(BinaryOp::kAnd, Expr::Column("b"),
+                     Expr::Binary(BinaryOp::kEq, Expr::Column("i"),
+                                  Expr::Column("i")))}) {
+    EXPECT_EQ(Select(e, t).path, PredicatePath::kInterpreted) << e->ToString();
+  }
+  EXPECT_STREQ(PredicatePathName(PredicatePath::kVectorized), "vectorized");
+  EXPECT_STREQ(PredicatePathName(PredicatePath::kInterpreted), "interpreted");
+}
+
+TEST(PredicateTest, RejectsNonBooleanAndUnboundPredicates) {
+  Table t = EdgeTable();
+  ExprPtr number = Expr::Column("i");
+  ASSERT_TRUE(number->Bind(t.schema()).ok());
+  Result<Selection> sel = SelectRows(*number, t);
+  ASSERT_FALSE(sel.ok());
+  EXPECT_EQ(sel.status().code(), StatusCode::kTypeError);
+  ExprPtr unbound = Expr::Column("b");
+  EXPECT_EQ(SelectRows(*unbound, t).status().code(), StatusCode::kInternal);
 }
 
 }  // namespace

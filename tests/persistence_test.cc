@@ -197,7 +197,10 @@ TEST_F(CheckpointTest, MaintenanceContinuesAfterReload) {
                                  Value::String("white"), Value::Int64(10)})
                   .ok());
   ASSERT_TRUE(cube->SaveToFile(path_).ok());
-  auto loaded = MaterializedCube::LoadFromFile(spec, path_).value();
+  Result<std::unique_ptr<MaterializedCube>> reloaded =
+      MaterializedCube::LoadFromFile(spec, path_);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  std::unique_ptr<MaterializedCube> loaded = std::move(reloaded).value();
 
   std::vector<Value> more = {Value::String("Chevy"), Value::Int64(1995),
                              Value::String("white"), Value::Int64(5)};
@@ -260,7 +263,10 @@ TEST_F(CheckpointTest, DatesAndFloatsSurvive) {
   spec.aggregates = {Agg("avg", "temp", "a")};
   auto cube = MaterializedCube::Build(weather, spec).value();
   ASSERT_TRUE(cube->SaveToFile(path_).ok());
-  auto loaded = MaterializedCube::LoadFromFile(spec, path_).value();
+  Result<std::unique_ptr<MaterializedCube>> reloaded =
+      MaterializedCube::LoadFromFile(spec, path_);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  std::unique_ptr<MaterializedCube> loaded = std::move(reloaded).value();
   Result<Value> v = loaded->ValueAt(
       "a", {Value::FromDate(DateFromCivil(1996, 6, 1))});
   ASSERT_TRUE(v.ok());

@@ -2,7 +2,9 @@
 // CUBE/ROLLUP/compound queries are executed twice — once as SQL text through
 // the parser/planner, once directly through the cube-operator API — and the
 // results must be identical bags of rows. Any divergence indicates a bug in
-// the parser, the planner's rewrite, or the operator itself.
+// the parser, the planner's rewrite, or the operator itself. The random
+// WHEREs run on the vectorized predicate kernels through SQL and on the row
+// interpreter plus FilterRows on the API side, so they also diff the two.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,91 @@ struct RandomQuery {
   CubeSpec spec;          // the equivalent direct-API request
   ExprPtr where;          // applied to the base table for the API path
 };
+
+// A WHERE predicate as SQL text plus the same tree built through the API.
+struct RandomPredicate {
+  std::string sql;
+  ExprPtr expr;
+};
+
+// One comparison or null test over a GenerateCubeInput table: `x < k`,
+// string = / <> on a dimension, y against a float or integer literal on
+// either side, or IS [NOT] NULL on any column.
+RandomPredicate MakeLeaf(std::mt19937_64& rng, size_t num_dims) {
+  switch (rng() % 4) {
+    case 0: {
+      int64_t k = static_cast<int64_t>(rng() % 1000);
+      return {"x < " + std::to_string(k),
+              Expr::Binary(BinaryOp::kLt, Expr::Column("x"),
+                           Expr::Lit(Value::Int64(k)))};
+    }
+    case 1: {
+      std::string dim = "d" + std::to_string(rng() % num_dims);
+      std::string v = "v" + std::to_string(rng() % 6);
+      bool eq = rng() % 2 == 0;
+      return {dim + (eq ? " = '" : " <> '") + v + "'",
+              Expr::Binary(eq ? BinaryOp::kEq : BinaryOp::kNe,
+                           Expr::Column(dim), Expr::Lit(Value::String(v)))};
+    }
+    case 2: {
+      static const BinaryOp kOps[] = {BinaryOp::kEq, BinaryOp::kNe,
+                                      BinaryOp::kLt, BinaryOp::kLe,
+                                      BinaryOp::kGt, BinaryOp::kGe};
+      static const char* kOpSql[] = {"=", "<>", "<", "<=", ">", ">="};
+      size_t op = rng() % std::size(kOps);
+      Value lit;
+      std::string lit_sql;
+      if (rng() % 2 == 0) {
+        int64_t k = static_cast<int64_t>(rng() % 101);
+        lit = Value::Int64(k);
+        lit_sql = std::to_string(k);
+      } else {
+        // Quarter steps print exactly and parse back to the same double.
+        double v = static_cast<double>(rng() % 401) / 4.0;
+        lit = Value::Float64(v);
+        std::ostringstream os;
+        os << v;
+        lit_sql = os.str();
+        if (lit_sql.find('.') == std::string::npos) lit_sql += ".0";
+      }
+      if (rng() % 2 == 0) {
+        return {"y " + std::string(kOpSql[op]) + " " + lit_sql,
+                Expr::Binary(kOps[op], Expr::Column("y"), Expr::Lit(lit))};
+      }
+      return {lit_sql + " " + kOpSql[op] + " y",
+              Expr::Binary(kOps[op], Expr::Lit(lit), Expr::Column("y"))};
+    }
+    default: {
+      size_t pick = rng() % (num_dims + 2);
+      std::string col = pick < num_dims ? "d" + std::to_string(pick)
+                                        : (pick == num_dims ? "x" : "y");
+      bool is_null = rng() % 2 == 0;
+      return {col + (is_null ? " IS NULL" : " IS NOT NULL"),
+              Expr::Unary(is_null ? UnaryOp::kIsNull : UnaryOp::kIsNotNull,
+                          Expr::Column(col))};
+    }
+  }
+}
+
+// AND, OR and NOT over leaves, nested up to `depth` levels.
+RandomPredicate MakePredicate(std::mt19937_64& rng, size_t num_dims,
+                              int depth) {
+  if (depth == 0 || rng() % 3 == 0) return MakeLeaf(rng, num_dims);
+  switch (rng() % 3) {
+    case 0: {
+      RandomPredicate p = MakePredicate(rng, num_dims, depth - 1);
+      return {"NOT (" + p.sql + ")", Expr::Unary(UnaryOp::kNot, p.expr)};
+    }
+    default: {
+      bool is_and = rng() % 2 == 0;
+      RandomPredicate a = MakePredicate(rng, num_dims, depth - 1);
+      RandomPredicate b = MakePredicate(rng, num_dims, depth - 1);
+      return {"(" + a.sql + (is_and ? ") AND (" : ") OR (") + b.sql + ")",
+              Expr::Binary(is_and ? BinaryOp::kAnd : BinaryOp::kOr, a.expr,
+                           b.expr)};
+    }
+  }
+}
 
 // Builds a random query over a GenerateCubeInput table with dims d0..d{n-1}.
 RandomQuery MakeQuery(std::mt19937_64& rng, size_t num_dims) {
@@ -69,9 +156,10 @@ RandomQuery MakeQuery(std::mt19937_64& rng, size_t num_dims) {
     if (!duplicate) agg_choices.push_back(c);
   }
 
-  // Optional WHERE on the measure.
+  // Optional WHERE.
   bool with_where = rng() % 2 == 0;
-  int64_t threshold = static_cast<int64_t>(rng() % 1000);
+  RandomPredicate where;
+  if (with_where) where = MakePredicate(rng, num_dims, 2);
 
   // --- SQL text --- (select dims in clause order: plain, rollup, cube — the
   // operator's output layout)
@@ -88,7 +176,7 @@ RandomQuery MakeQuery(std::mt19937_64& rng, size_t num_dims) {
     sql << agg_choices[i]->sql << " AS a" << i;
   }
   sql << " FROM T";
-  if (with_where) sql << " WHERE x < " << threshold;
+  if (with_where) sql << " WHERE " << where.sql;
   sql << " GROUP BY ";
   bool first_part = true;
   auto emit_part = [&](const char* kw, const std::vector<std::string>& cols) {
@@ -116,10 +204,7 @@ RandomQuery MakeQuery(std::mt19937_64& rng, size_t num_dims) {
     a.output_name = "a" + std::to_string(i);
     q.spec.aggregates.push_back(std::move(a));
   }
-  if (with_where) {
-    q.where = Expr::Binary(BinaryOp::kLt, Expr::Column("x"),
-                           Expr::Lit(Value::Int64(threshold)));
-  }
+  q.where = where.expr;
   q.sql = sql.str();
   return q;
 }

@@ -2,6 +2,7 @@
 
 #include <tuple>
 
+#include "datacube/obs/trace.h"
 #include "datacube/sql/engine.h"
 #include "datacube/sql/lexer.h"
 #include "datacube/sql/parser.h"
@@ -327,6 +328,20 @@ TEST(EngineTest, ErrorMessages) {
   EXPECT_FALSE(
       ExecuteSql("SELECT frobnicate(Units) FROM Sales GROUP BY Model", catalog)
           .ok());
+  // A WHERE or HAVING that is not BOOL is a type error, not a crash.
+  for (const char* sql :
+       {"SELECT COUNT(*) FROM Sales WHERE Units",
+        "SELECT Model FROM Sales WHERE Year + 1",
+        "SELECT Model, SUM(Units) FROM Sales GROUP BY Model HAVING SUM(Units)",
+        "EXPLAIN SELECT COUNT(*) FROM Sales WHERE Units"}) {
+    Result<Table> r = ExecuteSql(sql, catalog);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kTypeError)
+        << sql << ": " << r.status().ToString();
+  }
+  // A bare NULL is unknown on every row: no rows, no error.
+  Table none = MustRun("SELECT Model FROM Sales WHERE NULL", catalog);
+  EXPECT_EQ(none.num_rows(), 0u);
 }
 
 TEST(EngineTest, OrderByOrdinalOutOfRange) {
@@ -707,6 +722,41 @@ TEST(ExplainTest, AnalyzeParallelQueryShowsStitchedTaskSpans) {
   EXPECT_NE(text.find("parallel_cascade"), std::string::npos) << text;
   EXPECT_NE(text.find("cascade_set"), std::string::npos) << text;
   EXPECT_NE(text.find("cells_absorbed="), std::string::npos) << text;
+}
+
+TEST(ExplainTest, ReportsWherePathAndRowCounts) {
+  Catalog catalog = TestCatalog();
+  // Column-vs-literal runs on the kernels; arithmetic falls back to the
+  // interpreter. Both keep the same 4 of the 8 rows.
+  std::string vectorized = PlanText(MustRun(
+      "EXPLAIN SELECT Model, SUM(Units) FROM Sales WHERE Units > 50 "
+      "GROUP BY Model",
+      catalog));
+  EXPECT_NE(vectorized.find("where: path=vectorized  rows_in=8  rows_out=4"),
+            std::string::npos)
+      << vectorized;
+  std::string interpreted = PlanText(MustRun(
+      "EXPLAIN ANALYZE SELECT Model FROM Sales WHERE Units + 0 > 50",
+      catalog));
+  EXPECT_NE(interpreted.find("where: path=interpreted  rows_in=8  rows_out=4"),
+            std::string::npos)
+      << interpreted;
+  std::string unfiltered = PlanText(MustRun(
+      "EXPLAIN SELECT Model, SUM(Units) FROM Sales GROUP BY Model", catalog));
+  EXPECT_EQ(unfiltered.find("where:"), std::string::npos) << unfiltered;
+
+  // The where_filter span carries the same attributes.
+  obs::Trace trace("query");
+  {
+    obs::TraceScope scope(&trace);
+    MustRun("SELECT Model FROM Sales WHERE Model = 'Chevy'", catalog);
+  }
+  std::string json = trace.ToJson();
+  EXPECT_NE(json.find("\"name\":\"where_filter\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"path\":\"vectorized\",\"rows_in\":\"8\","
+                      "\"rows_out\":\"4\""),
+            std::string::npos)
+      << json;
 }
 
 TEST(ExplainTest, AnalyzeProjectionQuery) {

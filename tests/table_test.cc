@@ -190,6 +190,177 @@ TEST(TableTest, EqualsIgnoringRowOrder) {
   EXPECT_FALSE(t.EqualsIgnoringRowOrder(*fewer));
 }
 
+// ------------------------------------------- typed gather and range append
+
+// One column per type; every column holds NULL and ALL cells.
+Schema AllTypesSchema() {
+  return Schema({Field{"b", DataType::kBool}, Field{"i", DataType::kInt64},
+                 Field{"f", DataType::kFloat64}, Field{"s", DataType::kString},
+                 Field{"d", DataType::kDate}});
+}
+
+std::vector<std::vector<Value>> AllTypesRows() {
+  const Value kNull = Value::Null();
+  const Value kAll = Value::All();
+  return {
+      {Value::Bool(true), Value::Int64(1), Value::Float64(0.5),
+       Value::String("a"), Value::FromDate(Date{1})},
+      {kNull, kAll, Value::Float64(std::numeric_limits<double>::quiet_NaN()),
+       Value::String(""), kNull},
+      {kAll, kNull, kNull, kAll, Value::FromDate(Date{-3})},
+      {Value::Bool(false), Value::Int64(std::numeric_limits<int64_t>::min()),
+       kAll, kNull, kAll},
+      {Value::Bool(true), Value::Int64(-7), Value::Float64(-0.0),
+       Value::String("a string longer than any small-string buffer"),
+       Value::FromDate(Date{40000})},
+  };
+}
+
+// The expected result, built one Value row at a time.
+Table TableOfRows(const std::vector<std::vector<Value>>& rows) {
+  Table t(AllTypesSchema());
+  for (const std::vector<Value>& row : rows) {
+    EXPECT_TRUE(t.AppendRow(row).ok());
+  }
+  return t;
+}
+
+// Exact equality plus every column's null and all counts: against the
+// Value-row construction, and recounted from the cells.
+void ExpectSameTable(const Table& got, const Table& want) {
+  EXPECT_TRUE(got.EqualsExact(want));
+  ASSERT_EQ(got.num_columns(), want.num_columns());
+  for (size_t c = 0; c < got.num_columns(); ++c) {
+    const Column& col = got.column(c);
+    size_t nulls = 0, alls = 0;
+    for (size_t r = 0; r < col.size(); ++r) {
+      nulls += col.IsNull(r) ? 1 : 0;
+      alls += col.IsAll(r) ? 1 : 0;
+    }
+    EXPECT_EQ(col.size(), got.num_rows()) << "column " << c;
+    EXPECT_EQ(col.null_count(), want.column(c).null_count()) << "column " << c;
+    EXPECT_EQ(col.all_count(), want.column(c).all_count()) << "column " << c;
+    EXPECT_EQ(col.null_count(), nulls) << "column " << c;
+    EXPECT_EQ(col.all_count(), alls) << "column " << c;
+  }
+}
+
+TEST(ColumnTest, GatherAndRangeAppendKeepCellsAndCounts) {
+  const Table src = TableOfRows(AllTypesRows());
+  const std::vector<std::vector<size_t>> selections = {
+      {}, {0, 1, 2, 3, 4}, {4, 2, 2, 0, 3, 3, 1}, {1, 1, 1}, {3}};
+  for (size_t c = 0; c < src.num_columns(); ++c) {
+    for (const std::vector<size_t>& ids : selections) {
+      Column gathered(src.column(c).type());
+      gathered.AppendGather(src.column(c), ids);
+      Column want(src.column(c).type());
+      for (size_t id : ids) {
+        ASSERT_TRUE(want.Append(src.column(c).Get(id)).ok());
+      }
+      ASSERT_EQ(gathered.size(), want.size());
+      for (size_t r = 0; r < want.size(); ++r) {
+        EXPECT_EQ(gathered.Get(r), want.Get(r)) << "column " << c;
+      }
+      EXPECT_EQ(gathered.null_count(), want.null_count());
+      EXPECT_EQ(gathered.all_count(), want.all_count());
+    }
+    for (size_t begin = 0; begin <= src.num_rows(); ++begin) {
+      for (size_t count = 0; begin + count <= src.num_rows(); ++count) {
+        Column ranged(src.column(c).type());
+        ASSERT_TRUE(ranged.Append(Value::All()).ok());  // appends after it
+        ranged.AppendRange(src.column(c), begin, count);
+        Column want(src.column(c).type());
+        ASSERT_TRUE(want.Append(Value::All()).ok());
+        for (size_t r = begin; r < begin + count; ++r) {
+          ASSERT_TRUE(want.Append(src.column(c).Get(r)).ok());
+        }
+        ASSERT_EQ(ranged.size(), want.size());
+        for (size_t r = 0; r < want.size(); ++r) {
+          EXPECT_EQ(ranged.Get(r), want.Get(r)) << "column " << c;
+        }
+        EXPECT_EQ(ranged.null_count(), want.null_count());
+        EXPECT_EQ(ranged.all_count(), want.all_count());
+      }
+    }
+  }
+}
+
+TEST(TableTest, TakeAndFilterRowsMatchValueRowConstruction) {
+  const std::vector<std::vector<Value>> rows = AllTypesRows();
+  const Table src = TableOfRows(rows);
+  const std::vector<std::vector<size_t>> selections = {
+      {}, {0, 1, 2, 3, 4}, {4, 2, 2, 0, 3, 3, 1}, {2, 2, 2}};
+  for (const std::vector<size_t>& ids : selections) {
+    std::vector<std::vector<Value>> want;
+    for (size_t id : ids) want.push_back(rows[id]);
+    Result<Table> taken = src.TakeRows(ids);
+    ASSERT_TRUE(taken.ok());
+    ExpectSameTable(*taken, TableOfRows(want));
+  }
+  Result<Table> bad = src.TakeRows({0, 7, 9});
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kOutOfRange);
+  EXPECT_NE(bad.status().message().find("index 7"), std::string::npos)
+      << bad.status().ToString();
+
+  const std::vector<std::vector<bool>> masks = {
+      {false, false, false, false, false},
+      {true, true, true, true, true},
+      {false, true, true, false, true}};
+  for (const std::vector<bool>& mask : masks) {
+    std::vector<std::vector<Value>> want;
+    for (size_t r = 0; r < rows.size(); ++r) {
+      if (mask[r]) want.push_back(rows[r]);
+    }
+    Result<Table> filtered = src.FilterRows(mask);
+    ASSERT_TRUE(filtered.ok());
+    ExpectSameTable(*filtered, TableOfRows(want));
+  }
+}
+
+TEST(TableTest, AppendTableAndConcatColumnsMatchValueRowConstruction) {
+  const std::vector<std::vector<Value>> rows = AllTypesRows();
+  Table grown = TableOfRows({rows[2]});
+  ASSERT_TRUE(grown.AppendTable(TableOfRows({})).ok());
+  ASSERT_TRUE(grown.AppendTable(TableOfRows(rows)).ok());
+  ASSERT_TRUE(grown.AppendTable(grown).ok());  // self-append doubles
+  std::vector<std::vector<Value>> want = {rows[2]};
+  want.insert(want.end(), rows.begin(), rows.end());
+  std::vector<std::vector<Value>> twice = want;
+  twice.insert(twice.end(), want.begin(), want.end());
+  ExpectSameTable(grown, TableOfRows(twice));
+
+  // Side by side: the five typed columns, then the same five renamed.
+  const Table left = TableOfRows(rows);
+  const Schema schema = AllTypesSchema();
+  std::vector<Field> renamed;
+  for (const Field& f : schema.fields()) {
+    renamed.push_back(Field{f.name + "2", f.type});
+  }
+  Table right{Schema(renamed)};
+  for (size_t r = rows.size(); r-- > 0;) {
+    ASSERT_TRUE(right.AppendRow(rows[r]).ok());
+  }
+  Result<Table> both = left.ConcatColumns(right);
+  ASSERT_TRUE(both.ok()) << both.status().ToString();
+  std::vector<Field> all_fields = schema.fields();
+  all_fields.insert(all_fields.end(), renamed.begin(), renamed.end());
+  Table want_both{Schema(all_fields)};
+  for (size_t r = 0; r < rows.size(); ++r) {
+    std::vector<Value> row = rows[r];
+    row.insert(row.end(), rows[rows.size() - 1 - r].begin(),
+               rows[rows.size() - 1 - r].end());
+    ASSERT_TRUE(want_both.AppendRow(row).ok());
+  }
+  ExpectSameTable(*both, want_both);
+
+  Result<Table> empty_both =
+      TableOfRows({}).ConcatColumns(Table{Schema(renamed)});
+  ASSERT_TRUE(empty_both.ok());
+  EXPECT_EQ(empty_both->num_rows(), 0u);
+  EXPECT_EQ(empty_both->num_columns(), 10u);
+}
+
 // -------------------------------------------------------------------- CSV
 
 TEST(CsvTest, ParseWithTypeInference) {

@@ -1,8 +1,9 @@
 // The time-partitioned store, measured against the monolithic cube it
 // refactors:
 //
-//  * streaming ingest throughput (rows/s into the newest window's open
-//    delta, batched) at 1 / 8 / 64 partitions, vs ApplyInsert row-at-a-time
+//  * streaming ingest throughput (rows/s into the windows' open deltas) at
+//    1 / 8 / 64 partitions and 1 / 16 / 512 / 4096 rows per IngestRows
+//    call, so the fixed cost of a call shows, vs ApplyInsert row-at-a-time
 //    into one MaterializedCube
 //  * merged-read latency (ToTable across all partitions through the Merge
 //    protocol) at 1 / 8 / 64 partitions, vs one cube's ToTable
@@ -117,6 +118,7 @@ void BM_MonolithicQuery(benchmark::State& state) {
 
 void BM_PartitionedIngest(benchmark::State& state) {
   const int64_t partitions = state.range(0);
+  const size_t rows_per_call = static_cast<size_t>(state.range(1));
   auto cube = Must(
       PartitionedCube::Create(EventSchema(), EventSpec(),
                               PartOptions(partitions)),
@@ -124,14 +126,14 @@ void BM_PartitionedIngest(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    Table batch = EventRows(i, kBatchRows);
-    i += kBatchRows;
+    Table batch = EventRows(i, rows_per_call);
+    i += rows_per_call;
     state.ResumeTiming();
     if (!cube->IngestRows(batch).ok()) std::abort();
   }
   state.counters["partitions"] = static_cast<double>(cube->num_partitions());
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kBatchRows));
+                          static_cast<int64_t>(rows_per_call));
 }
 
 void BM_PartitionedQuery(benchmark::State& state) {
@@ -182,7 +184,9 @@ void BM_PartitionedFullScan(benchmark::State& state) {
 
 BENCHMARK(BM_MonolithicIngest);
 BENCHMARK(BM_MonolithicQuery);
-BENCHMARK(BM_PartitionedIngest)->Arg(1)->Arg(8)->Arg(64);
+BENCHMARK(BM_PartitionedIngest)
+    ->ArgNames({"partitions", "rows_per_call"})
+    ->ArgsProduct({{1, 8, 64}, {1, 16, 512, 4096}});
 BENCHMARK(BM_PartitionedQuery)->Arg(1)->Arg(8)->Arg(64);
 BENCHMARK(BM_PartitionedPrunedScan);
 BENCHMARK(BM_PartitionedFullScan);
@@ -190,6 +194,7 @@ BENCHMARK(BM_PartitionedFullScan);
 }  // namespace
 
 DATACUBE_BENCH_MAIN(
-    "Time-partitioned store vs the monolithic cube: batched ingest rows/s\n"
-    "at 1/8/64 partitions, merged-read latency, and the partition-pruning\n"
-    "payoff of a one-window scan against a 64-partition full scan.\n\n")
+    "Time-partitioned store vs the monolithic cube: ingest rows/s at\n"
+    "1/8/64 partitions and 1/16/512/4096 rows per call, merged-read\n"
+    "latency, and the partition-pruning payoff of a one-window scan\n"
+    "against a 64-partition full scan.\n\n")

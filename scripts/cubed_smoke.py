@@ -22,6 +22,11 @@ end-to-end:
     Events store while four queriers watch COUNT(*) (which must be
     monotonically non-decreasing — snapshots may lag but never travel
     backwards) and one client forces compaction passes throughout
+  * multi-window ingest: one /ingest POST spanning three windows, a NULL
+    ts and a row behind the newest window; a CUBE over exactly those rows
+    must return the same CSV bytes as the same CSV /register-ed as a plain
+    table (runs after ingest-under-query, at keys above it, so that
+    scenario's windows stay in order)
   * WHERE paths: four concurrent clients run equality-WHERE GROUP BYs
     whose predicates run on the vectorized kernels, each checked against
     the same query with the predicate rewritten onto the interpreter
@@ -343,6 +348,53 @@ def check_ingest_under_query(base, batches=30, rows_per_batch=20):
           "compaction forced throughout)")
 
 
+MULTI_WINDOW_ROWS = [
+    # ts (window width 1000 in cubed), source, kind, units
+    ("300010", "web", "mw_view", 3),
+    ("300500", "app", "mw_click", 5),
+    ("301200", "web", "mw_click", 2),
+    ("302700", "api", "mw_view", 7),
+    ("", "app", "mw_view", 11),       # NULL ts: the NULL window
+    ("300900", "web", "mw_view", 13),  # behind the newest window (302)
+    ("301999", "api", "mw_click", 17),
+]
+
+
+def check_multi_window_ingest(base):
+    csv = "".join(f"{ts},{src},{kind},{units}\n"
+                  for ts, src, kind, units in MULTI_WINDOW_ROWS)
+    status, body = fetch(f"{base}/ingest?table=Events&header=0",
+                         method="POST", data=csv.encode())
+    if status != 200:
+        return fail(f"multi-window /ingest: HTTP {status}: {body.strip()}")
+    status, body = fetch(f"{base}/register?name=smoke_multiwin",
+                         method="POST",
+                         data=("ts,source,kind,units\n" + csv).encode())
+    if status != 200:
+        return fail(f"/register smoke_multiwin: HTTP {status}: {body.strip()}")
+    answers = {}
+    for table in ("Events", "smoke_multiwin"):
+        status, body = query(
+            base, f"SELECT source, kind, COUNT(*), SUM(units) FROM {table} "
+                  "WHERE kind = 'mw_view' OR kind = 'mw_click' "
+                  "GROUP BY CUBE source, kind")
+        if status != 200:
+            return fail(f"multi-window CUBE over {table}: HTTP {status}: "
+                        f"{body.strip()}")
+        answers[table] = body
+    if answers["Events"] != answers["smoke_multiwin"]:
+        return fail(f"multi-window ingest: partitioned CUBE "
+                    f"{answers['Events']!r} != plain table "
+                    f"{answers['smoke_multiwin']!r}")
+    total = f"ALL,ALL,{len(MULTI_WINDOW_ROWS)},"
+    if total not in answers["Events"]:
+        return fail(f"multi-window ingest: no {total!r} row in "
+                    f"{answers['Events']!r}")
+    fetch(f"{base}/drop?name=smoke_multiwin", method="POST")
+    print(f"ok: multi-window ingest ({len(MULTI_WINDOW_ROWS)} rows over "
+          "3 windows, NULL ts and a late row; CUBE == plain-table CUBE)")
+
+
 # Per table: (vectorized WHERE, the same predicate written so that it runs
 # on the interpreter).
 WHERE_PAIRS = {
@@ -432,6 +484,7 @@ def main():
     check_introspection(base)
     check_mounted_cubes(base)
     check_ingest_under_query(base)
+    check_multi_window_ingest(base)
     check_where_paths(base)
     if FAILURES:
         print(f"{len(FAILURES)} failure(s)", file=sys.stderr)

@@ -183,6 +183,12 @@ class AggregateFunction {
     return true;
   }
 
+  /// Whether InsertMightChange can answer false — a new value can "lose a
+  /// competition" (MIN, MAX). Maintenance consults InsertMightChange only
+  /// when every aggregate of a spec has this trait, and folds other specs
+  /// through the batch kernels; override the two together.
+  virtual bool insert_can_lose() const { return false; }
+
   /// Maintenance hint (Section 6): can removing `args` change the result?
   /// MAX answers true only when the deleted value ties the current maximum —
   /// the delete-holistic recompute can be skipped otherwise. Conservative

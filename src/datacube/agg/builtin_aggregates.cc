@@ -481,6 +481,7 @@ class ExtremeFunction : public WithInlineState<ExtremeState> {
     const auto* s = As<ExtremeState>(state);
     return !s->has_value || Better(args[0], s->best);
   }
+  bool insert_can_lose() const override { return true; }
   bool RemoveMightChange(const AggState* state, const Value* args,
                          size_t) const override {
     if (args[0].is_special()) return false;

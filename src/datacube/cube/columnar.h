@@ -244,6 +244,11 @@ struct ColumnarContext {
   /// dictionary growth forced a Relayout).
   void RepackRowKeys();
 
+  /// Points batch_args at the context's current argument columns. Appending
+  /// rows can move both the Value caches and the typed buffers, so stored
+  /// cubes rebind after every insert batch.
+  void BindBatchArgs();
+
   /// Allocates and initializes a fresh cell block straight from `arena`
   /// (the dense-array fill path, where blocks live outside any store until
   /// they are adopted). Counts compat allocations into `stats` if given.

@@ -397,37 +397,8 @@ Result<ColumnarContext> BuildColumnarContext(const CubeContext& ctx) {
     cc.codec.SetCodesBatch(k, row_codes[k].data(), ctx.num_rows(),
                            cc.row_keys.data(), cc.words);
   }
-  // Batch-kernel plan: one argument descriptor per (aggregate, arg). The
-  // materialized Value column is always present; the raw typed buffer and
-  // state codes ride along when the argument is a plain column reference,
-  // letting type-specialized kernels skip Value dispatch entirely.
   cc.use_batch = !ScalarKernelsForced();
-  cc.batch_args.resize(ctx.aggs.size());
-  for (size_t a = 0; a < ctx.aggs.size(); ++a) {
-    const auto& arg_columns = ctx.agg_args[a];
-    cc.batch_args[a].resize(arg_columns.size());
-    for (size_t i = 0; i < arg_columns.size(); ++i) {
-      AggBatchArg& ba = cc.batch_args[a][i];
-      ba.values = arg_columns[i].data();
-      const Column* col = a < ctx.agg_source_columns.size() &&
-                                  i < ctx.agg_source_columns[a].size()
-                              ? ctx.agg_source_columns[a][i]
-                              : nullptr;
-      if (col == nullptr || col->size() != ctx.num_rows()) continue;
-      ba.type = col->type();
-      ba.states = col->state_codes();
-      switch (col->type()) {
-        case DataType::kInt64:
-          ba.data = col->raw<int64_t>().data();
-          break;
-        case DataType::kFloat64:
-          ba.data = col->raw<double>().data();
-          break;
-        default:
-          break;  // Kernels take the Value view for other types.
-      }
-    }
-  }
+  cc.BindBatchArgs();
   if (span.active()) {
     span.Attr("key_bits", static_cast<uint64_t>(cc.codec.total_bits()));
     span.Attr("key_words", static_cast<uint64_t>(cc.words));
@@ -443,6 +414,40 @@ void ColumnarContext::RepackRowKeys() {
   row_keys.assign(ctx->num_rows() * words, 0);
   for (size_t row = 0; row < ctx->num_rows(); ++row) {
     codec.EncodeRow(ctx->key_columns, row, &row_keys[row * words]);
+  }
+}
+
+void ColumnarContext::BindBatchArgs() {
+  // Batch-kernel plan: one argument descriptor per (aggregate, arg). The
+  // materialized Value column is always present; the raw typed buffer and
+  // state codes ride along when the argument is a plain column reference,
+  // letting type-specialized kernels skip Value dispatch entirely.
+  batch_args.resize(ctx->aggs.size());
+  for (size_t a = 0; a < ctx->aggs.size(); ++a) {
+    const auto& arg_columns = ctx->agg_args[a];
+    batch_args[a].resize(arg_columns.size());
+    for (size_t i = 0; i < arg_columns.size(); ++i) {
+      AggBatchArg& ba = batch_args[a][i];
+      ba = AggBatchArg{};
+      ba.values = arg_columns[i].data();
+      const Column* col = a < ctx->agg_source_columns.size() &&
+                                  i < ctx->agg_source_columns[a].size()
+                              ? ctx->agg_source_columns[a][i]
+                              : nullptr;
+      if (col == nullptr || col->size() != ctx->num_rows()) continue;
+      ba.type = col->type();
+      ba.states = col->state_codes();
+      switch (col->type()) {
+        case DataType::kInt64:
+          ba.data = col->raw<int64_t>().data();
+          break;
+        case DataType::kFloat64:
+          ba.data = col->raw<double>().data();
+          break;
+        default:
+          break;  // Kernels take the Value view for other types.
+      }
+    }
   }
 }
 

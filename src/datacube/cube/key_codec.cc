@@ -319,7 +319,8 @@ uint64_t KeyCodec::CodeOfOrAdd(size_t k, const Value& v) {
     return kNullCode;
   }
   Column& col = cols_[k];
-  auto [it, inserted] = col.codes.emplace(v, col.values.size() + 2);
+  // try_emplace probes before building a node: a hit allocates nothing.
+  auto [it, inserted] = col.codes.try_emplace(v, col.values.size() + 2);
   if (inserted) col.values.push_back(v);
   return it->second;
 }

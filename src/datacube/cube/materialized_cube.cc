@@ -1,8 +1,10 @@
 #include "datacube/cube/materialized_cube.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -188,39 +190,6 @@ MaterializedCube::ObservedCellCounts MaterializedCube::ObservedCells() const {
   return out;
 }
 
-Status MaterializedCube::EvaluateRow(size_t row) {
-  std::vector<GroupExpr> group_exprs = spec_->AllGroupExprs();
-  for (size_t k = 0; k < ctx_.num_keys; ++k) {
-    DATACUBE_ASSIGN_OR_RETURN(Value v,
-                              group_exprs[k].expr->Evaluate(*base_, row));
-    ctx_.key_columns[k].push_back(std::move(v));
-  }
-  for (size_t a = 0; a < spec_->aggregates.size(); ++a) {
-    const AggregateSpec& agg = spec_->aggregates[a];
-    for (size_t i = 0; i < agg.args.size(); ++i) {
-      DATACUBE_ASSIGN_OR_RETURN(Value v, agg.args[i]->Evaluate(*base_, row));
-      ctx_.agg_args[a][i].push_back(std::move(v));
-    }
-  }
-  return Status::OK();
-}
-
-void MaterializedCube::AppendRowKey(size_t row_id) {
-  // Grow the dictionaries first: a new code can outgrow its bit field, and
-  // packing must only happen under a layout that fits it.
-  for (size_t k = 0; k < ctx_.num_keys; ++k) {
-    cc_.codec.CodeOfOrAdd(k, ctx_.key_columns[k][row_id]);
-  }
-  if (cc_.codec.needs_relayout()) {
-    // RepackRowKeys covers the new row too.
-    cube_internal::RelayoutAndRekey(cc_, stores_);
-  } else {
-    cc_.row_keys.resize((row_id + 1) * cc_.words, 0);
-    cc_.codec.EncodeRow(ctx_.key_columns, row_id,
-                        &cc_.row_keys[row_id * cc_.words]);
-  }
-}
-
 void MaterializedCube::IndexLiveRows() {
   if (row_index_built_) return;
   row_index_.reserve(live_rows_);
@@ -230,76 +199,182 @@ void MaterializedCube::IndexLiveRows() {
   row_index_built_ = true;
 }
 
-Status MaterializedCube::ApplyInsert(const std::vector<Value>& row) {
-  ScopedMaintenancePublish publish(&stats_);
-  obs::ScopedSpan span("maintain_insert");
-  DATACUBE_RETURN_IF_ERROR(base_->AppendRow(row));
-  size_t row_id = base_->num_rows() - 1;
-  DATACUBE_RETURN_IF_ERROR(EvaluateRow(row_id));
-  AppendRowKey(row_id);
-  tombstone_.push_back(false);
-  ++live_rows_;
-  if (row_index_built_) row_index_.emplace(row, row_id);
-  ++stats_.inserts;
+Status MaterializedCube::AppendBatch(const Table& rows) {
+  // Validate and evaluate before appending anything, so a rejected batch
+  // leaves the cube as it was.
+  DATACUBE_RETURN_IF_ERROR(base_->schema().CheckAppendable(rows.schema()));
+  std::vector<GroupExpr> group_exprs = spec_->AllGroupExprs();
+  std::vector<std::vector<Value>> keys(ctx_.num_keys);
+  for (size_t k = 0; k < ctx_.num_keys; ++k) {
+    DATACUBE_ASSIGN_OR_RETURN(keys[k], group_exprs[k].expr->EvaluateAll(rows));
+  }
+  std::vector<std::vector<std::vector<Value>>> args(ctx_.aggs.size());
+  for (size_t a = 0; a < ctx_.aggs.size(); ++a) {
+    for (const ExprPtr& arg : spec_->aggregates[a].args) {
+      DATACUBE_ASSIGN_OR_RETURN(args[a].emplace_back(),
+                                arg->EvaluateAll(rows));
+    }
+  }
 
-  // Visit the row's cell in each stored set — 2^N scratchpad visits for a
-  // full cube — finest set first, so the paper's short-circuit applies:
-  // once the value "loses" at some set, every subset of that set is
-  // skipped.
+  // Capacities grow in powers of two, as push_back grows them; a range
+  // insert grows to old + max(old, added), up to twice what is needed.
+  const size_t first = base_->num_rows();
+  const size_t n = rows.num_rows();
+  const size_t capacity = std::bit_ceil(first + n);
+  auto append = [capacity](std::vector<Value>& dst, std::vector<Value>& src) {
+    dst.reserve(capacity);
+    dst.insert(dst.end(), std::make_move_iterator(src.begin()),
+               std::make_move_iterator(src.end()));
+  };
+  base_->Reserve(capacity);
+  DATACUBE_RETURN_IF_ERROR(base_->AppendTable(rows));
+  for (size_t k = 0; k < ctx_.num_keys; ++k) {
+    append(ctx_.key_columns[k], keys[k]);
+  }
+  for (size_t a = 0; a < ctx_.aggs.size(); ++a) {
+    for (size_t i = 0; i < args[a].size(); ++i) {
+      append(ctx_.agg_args[a][i], args[a][i]);
+    }
+  }
+  tombstone_.reserve(capacity);
+  tombstone_.resize(first + n, false);
+  live_rows_ += n;
+  for (size_t r = first; row_index_built_ && r < first + n; ++r) {
+    row_index_.emplace(base_->GetRow(r), r);
+  }
+
+  // Grow the dictionaries for the whole batch first: packing must happen
+  // under a layout whose bit fields fit every new code.
+  std::vector<std::vector<uint32_t>> codes(ctx_.num_keys,
+                                           std::vector<uint32_t>(n));
+  for (size_t k = 0; k < ctx_.num_keys; ++k) {
+    const std::vector<Value>& column = ctx_.key_columns[k];
+    for (size_t i = 0; i < n; ++i) {
+      codes[k][i] =
+          static_cast<uint32_t>(cc_.codec.CodeOfOrAdd(k, column[first + i]));
+    }
+  }
+  if (cc_.codec.needs_relayout()) {
+    // RepackRowKeys covers the new rows too.
+    cube_internal::RelayoutAndRekey(cc_, stores_);
+  } else {
+    cc_.row_keys.reserve(capacity * cc_.words);
+    cc_.row_keys.resize((first + n) * cc_.words, 0);
+    for (size_t k = 0; k < ctx_.num_keys; ++k) {
+      cc_.codec.SetCodesBatch(k, codes[k].data(), n,
+                              cc_.row_keys.data() + first * cc_.words,
+                              cc_.words);
+    }
+  }
+  cc_.BindBatchArgs();
+  return Status::OK();
+}
+
+void MaterializedCube::FoldWithKernels(size_t first, size_t n) {
+  // kBatchRows chunks, as FlatGroupBy scans: BatchUpsert keeps its hash
+  // scratch at the largest chunk it has seen.
+  const size_t chunk = std::min(n, cube_internal::kBatchRows);
+  std::vector<uint64_t> masked(chunk * cc_.words);
+  std::vector<char*> blocks(chunk);
+  for (size_t s = 0; s < ctx_.sets.size(); ++s) {
+    std::vector<uint64_t> mask = cc_.codec.MaskForSet(ctx_.sets[s]);
+    for (size_t row = first; row < first + n; row += chunk) {
+      size_t m = std::min(chunk, first + n - row);
+      cube_internal::KeyCodec::MaskKeysBatch(cc_.RowKey(row), m, cc_.words,
+                                             mask.data(), masked.data());
+      stores_[s].BatchUpsert(masked.data(), m, blocks.data());
+      cc_.BatchIterRows(blocks.data(), nullptr, row, m, nullptr);
+    }
+  }
+  stats_.cells_updated += n * ctx_.sets.size();
+}
+
+Status MaterializedCube::FoldRowMajor(size_t first, size_t n) {
+  std::vector<std::vector<uint64_t>> masks;
+  for (GroupingSet set : ctx_.sets) masks.push_back(cc_.codec.MaskForSet(set));
   Value argv[8];
   std::vector<uint64_t> key(cc_.words);
   std::vector<GroupingSet> lost_at;
-  for (size_t s = 0; s < ctx_.sets.size(); ++s) {
-    GroupingSet set = ctx_.sets[s];
-    std::vector<uint64_t> mask = cc_.codec.MaskForSet(set);
-    const uint64_t* rk = cc_.RowKey(row_id);
-    for (size_t w = 0; w < cc_.words; ++w) key[w] = rk[w] & mask[w];
-    // A dominated cell holds the losing cell's rows, so it exists; the row
-    // still joins it, and the membership count must stay exact for cell
-    // eviction even though no scratchpad is visited.
-    bool dominated = std::any_of(
-        lost_at.begin(), lost_at.end(),
-        [set](GroupingSet loser) { return (set & loser) == set; });
-    bool inserted = false;
-    char* block = dominated ? stores_[s].Find(key.data())
-                            : stores_[s].FindOrInsert(key.data(), &inserted);
-    if (block == nullptr) {
-      return Status::Internal("insert short-circuit lost a cube cell");
-    }
-    CellHeader* header = ColumnarContext::Header(block);
-    if (dominated) {
-      ++header->count;
-      ++stats_.cells_skipped;
-      continue;
-    }
-
-    // A cell can be skipped outright only when no aggregate can change.
-    bool any_change = inserted;
-    for (size_t a = 0; a < ctx_.aggs.size() && !any_change; ++a) {
-      const auto& arg_columns = ctx_.agg_args[a];
-      for (size_t i = 0; i < arg_columns.size(); ++i) {
-        argv[i] = arg_columns[i][row_id];
+  for (size_t row = first; row < first + n; ++row) {
+    // Visit the row's cell in each stored set — 2^N scratchpad visits for
+    // a full cube — finest set first, so the paper's short-circuit
+    // applies: once the value "loses" at some set, every subset of that
+    // set is skipped.
+    lost_at.clear();
+    const uint64_t* rk = cc_.RowKey(row);
+    for (size_t s = 0; s < ctx_.sets.size(); ++s) {
+      GroupingSet set = ctx_.sets[s];
+      for (size_t w = 0; w < cc_.words; ++w) key[w] = rk[w] & masks[s][w];
+      // A dominated cell holds the losing cell's rows, so it exists; the
+      // row still joins it, and the membership count must stay exact for
+      // cell eviction even though no scratchpad is visited.
+      bool dominated = std::any_of(
+          lost_at.begin(), lost_at.end(),
+          [set](GroupingSet loser) { return (set & loser) == set; });
+      bool inserted = false;
+      char* block = dominated ? stores_[s].Find(key.data())
+                              : stores_[s].FindOrInsert(key.data(), &inserted);
+      if (block == nullptr) {
+        return Status::Internal("insert short-circuit lost a cube cell");
       }
-      any_change = ctx_.aggs[a]->InsertMightChange(cc_.StateOf(block, a), argv,
-                                                   arg_columns.size());
-    }
-    if (!any_change) {
-      // The row still belongs to the group even though no scratchpad needs
-      // an update; keep the membership count exact for cell eviction.
-      ++header->count;
-      lost_at.push_back(set);
-      ++stats_.cells_skipped;
-      continue;
-    }
-    cc_.IterRow(block, row_id, nullptr);
-    ++stats_.cells_updated;
-    if (listener_) {
-      listener_(CellChange{set, cc_.codec.DecodeKey(key.data()),
-                           inserted ? CellChange::Op::kCreated
-                                    : CellChange::Op::kUpdated});
+      CellHeader* header = ColumnarContext::Header(block);
+      if (dominated) {
+        ++header->count;
+        ++stats_.cells_skipped;
+        continue;
+      }
+      // A cell can be skipped outright only when no aggregate can change.
+      bool any_change = inserted;
+      for (size_t a = 0; a < ctx_.aggs.size() && !any_change; ++a) {
+        const auto& arg_columns = ctx_.agg_args[a];
+        for (size_t i = 0; i < arg_columns.size(); ++i) {
+          argv[i] = arg_columns[i][row];
+        }
+        any_change = ctx_.aggs[a]->InsertMightChange(
+            cc_.StateOf(block, a), argv, arg_columns.size());
+      }
+      if (!any_change) {
+        // The row still belongs to the group even though no scratchpad
+        // needs an update; keep the membership count exact for eviction.
+        ++header->count;
+        lost_at.push_back(set);
+        ++stats_.cells_skipped;
+        continue;
+      }
+      cc_.IterRow(block, row, nullptr);
+      ++stats_.cells_updated;
+      if (listener_) {
+        listener_(CellChange{set, cc_.codec.DecodeKey(key.data()),
+                             inserted ? CellChange::Op::kCreated
+                                      : CellChange::Op::kUpdated});
+      }
     }
   }
   return Status::OK();
+}
+
+Status MaterializedCube::ApplyInsertBatch(const Table& rows) {
+  ScopedMaintenancePublish publish(&stats_);
+  obs::ScopedSpan span("maintain_insert");
+  if (span.active()) span.Attr("rows", static_cast<uint64_t>(rows.num_rows()));
+  const size_t first = base_->num_rows();
+  DATACUBE_RETURN_IF_ERROR(AppendBatch(rows));
+  const size_t n = rows.num_rows();
+  stats_.inserts += n;
+  // A cell is skipped only when every aggregate loses, and a listener
+  // wants one event per (row, set); everything else takes the kernels.
+  const bool short_circuit = std::all_of(
+      ctx_.aggs.begin(), ctx_.aggs.end(),
+      [](const AggregateFunctionPtr& fn) { return fn->insert_can_lose(); });
+  if (short_circuit || listener_) return FoldRowMajor(first, n);
+  FoldWithKernels(first, n);
+  return Status::OK();
+}
+
+Status MaterializedCube::ApplyInsert(const std::vector<Value>& row) {
+  Table one(base_->schema());
+  DATACUBE_RETURN_IF_ERROR(one.AppendRow(row));
+  return ApplyInsertBatch(one);
 }
 
 Status MaterializedCube::RecomputeAggregate(size_t set_index,
@@ -414,13 +489,16 @@ Status MaterializedCube::ApplyDelete(const std::vector<Value>& row) {
 Status MaterializedCube::ApplyUpdate(const std::vector<Value>& old_row,
                                      const std::vector<Value>& new_row) {
   // Section 6: "update is just delete plus insert". Validate the delete
-  // first so a failed update leaves the cube untouched.
+  // and the new row's types first so a failed update leaves the cube
+  // untouched.
   IndexLiveRows();
   if (row_index_.find(old_row) == row_index_.end()) {
     return Status::NotFound("ApplyUpdate: old row not present");
   }
+  Table inserted(base_->schema());
+  DATACUBE_RETURN_IF_ERROR(inserted.AppendRow(new_row));
   DATACUBE_RETURN_IF_ERROR(ApplyDelete(old_row));
-  return ApplyInsert(new_row);
+  return ApplyInsertBatch(inserted);
 }
 
 namespace {

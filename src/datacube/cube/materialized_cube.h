@@ -75,9 +75,10 @@ struct SliceCoord {
 ///
 /// Maintenance strategy per aggregate, following the paper's orthogonal
 /// hierarchy, applied to whatever views are stored:
-///  * INSERT: visit the row's cell in every stored set and fold the row in,
-///    short-circuiting cells that provably cannot change (MAX losing a
-///    competition).
+///  * INSERT: visit each row's cell in every stored set and fold the row
+///    in, a batch at a time through the columnar kernels; specs whose every
+///    aggregate can lose a competition (MIN/MAX) fold row by row instead,
+///    short-circuiting cells that provably cannot change.
 ///  * DELETE: aggregates that are algebraic/distributive *for delete*
 ///    (COUNT, SUM, AVG, VAR — DeleteClass::kDeletable) update scratchpads in
 ///    place via Remove(). Delete-holistic aggregates (MIN/MAX) recompute the
@@ -118,7 +119,14 @@ class MaterializedCube {
   MaterializedCube(const MaterializedCube&) = delete;
   MaterializedCube& operator=(const MaterializedCube&) = delete;
 
-  /// Applies one inserted base row (full base-table width).
+  /// Applies a batch of inserted base rows with the base table's column
+  /// types (names ignored). A rejected batch — wrong types, or an
+  /// expression that fails to evaluate — leaves the cube unchanged. Stats
+  /// and listener events equal those of the rows inserted one at a time.
+  Status ApplyInsertBatch(const Table& rows);
+
+  /// Applies one inserted base row (full base-table width): the one-row
+  /// ApplyInsertBatch.
   Status ApplyInsert(const std::vector<Value>& row);
 
   /// Applies one deleted base row. The row must currently exist in the base
@@ -126,7 +134,8 @@ class MaterializedCube {
   Status ApplyDelete(const std::vector<Value>& row);
 
   /// Applies an update — per Section 6, "update is just delete plus
-  /// insert". Fails (leaving the cube unchanged) if `old_row` is absent.
+  /// insert". Fails (leaving the cube unchanged) if `old_row` is absent or
+  /// `new_row` does not fit the base schema.
   Status ApplyUpdate(const std::vector<Value>& old_row,
                      const std::vector<Value>& new_row);
 
@@ -292,14 +301,16 @@ class MaterializedCube {
   // Stores `views` plus the core, computed from the core.
   Status StoreViews(std::vector<GroupingSet> views);
 
-  // Evaluates key/agg expressions for base row `row` into the context's
-  // column caches (rows appended by ApplyInsert).
-  Status EvaluateRow(size_t row);
+  // Validates and evaluates `rows`, then appends them to the base data,
+  // the evaluation caches and the packed row keys, re-laying-out the codec
+  // at most once.
+  Status AppendBatch(const Table& rows);
 
-  // Grows the key dictionaries with row `row_id`'s key values and packs its
-  // encoded key, re-laying-out the codec (and re-keying every store) when a
-  // new code outgrows its bit field.
-  void AppendRowKey(size_t row_id);
+  // Fold base rows [first, first + n) into every stored set: a set at a
+  // time through the batch kernels, or row by row with the Section 6
+  // short-circuit and a CellChange per (row, set).
+  void FoldWithKernels(size_t first, size_t n);
+  Status FoldRowMajor(size_t first, size_t n);
 
   // Builds the delete index over the live rows on first use.
   void IndexLiveRows();
@@ -327,7 +338,7 @@ class MaterializedCube {
   size_t live_rows_ = 0;
   // Value-equality index over live base rows, for delete lookup. Only
   // deletes read it, so it is built on the first ApplyDelete/ApplyUpdate
-  // and kept current by ApplyInsert from then on.
+  // and kept current by inserts from then on.
   std::unordered_multimap<std::vector<Value>, size_t, ValueVectorHash>
       row_index_;
   bool row_index_built_ = false;

@@ -96,7 +96,10 @@ class PartitionedCube {
   /// checkpoint (DATACUBE_CKPT_V2) per partition delta.
   Status SaveToFile(const std::string& path) const;
 
-  /// Batched ingest; each row must match the base schema.
+  /// Batched ingest: `rows` must have the base schema's column types and
+  /// partition keys that are INT64 or NULL, checked before any window is
+  /// touched. Rows route to their windows in one pass, keeping row order,
+  /// and each touched window's delta takes one ApplyInsertBatch.
   Status IngestRows(const Table& rows);
 
   /// Live base rows of every window overlapping [lo, hi] (inclusive
@@ -182,10 +185,7 @@ class PartitionedCube {
 
   PartitionedCube() = default;
 
-  Result<WindowKey> WindowOf(const Value& v) const;
-
   // All *Locked members require mu_.
-  Status IngestRowLocked(const std::vector<Value>& row, size_t* late_rows);
   /// Moves open deltas into the published list as sealed. `all` seals the
   /// newest window too (compaction/checkpoint); otherwise only cold
   /// windows (every window but the newest) seal.

@@ -40,6 +40,11 @@ const char* BinaryOpName(BinaryOp op) {
 
 namespace {
 
+// INT64 arithmetic whose exact result does not fit errs; it never wraps.
+Status IntegerOverflow(const std::string& expr) {
+  return Status::OutOfRange("integer overflow in " + expr);
+}
+
 // SQL LIKE matcher: % matches any run (including empty), _ any one char.
 // Iterative two-pointer algorithm with backtracking to the last %.
 bool LikeMatch(const std::string& text, const std::string& pattern) {
@@ -340,7 +345,11 @@ Result<Value> Expr::EvaluateUnary(const Table& table, size_t row) const {
     case UnaryOp::kNeg:
       if (v.is_special()) return v;
       if (v.kind() == Value::Kind::kInt64) {
-        return Value::Int64(-v.int64_value());
+        int64_t out;
+        if (__builtin_sub_overflow(int64_t{0}, v.int64_value(), &out)) {
+          return IntegerOverflow(ToString());
+        }
+        return Value::Int64(out);
       }
       return Value::Float64(-v.AsDouble());
     case UnaryOp::kNot:
@@ -383,15 +392,14 @@ Result<Value> Expr::EvaluateBinary(const Table& table, size_t row) const {
     case BinaryOp::kSub:
     case BinaryOp::kMul: {
       if (output_type_ == DataType::kInt64) {
-        int64_t a = lhs.int64_value(), b = rhs.int64_value();
-        switch (binary_op_) {
-          case BinaryOp::kAdd:
-            return Value::Int64(a + b);
-          case BinaryOp::kSub:
-            return Value::Int64(a - b);
-          default:
-            return Value::Int64(a * b);
-        }
+        int64_t a = lhs.int64_value(), b = rhs.int64_value(), out;
+        bool overflow = binary_op_ == BinaryOp::kAdd
+                            ? __builtin_add_overflow(a, b, &out)
+                        : binary_op_ == BinaryOp::kSub
+                            ? __builtin_sub_overflow(a, b, &out)
+                            : __builtin_mul_overflow(a, b, &out);
+        if (overflow) return IntegerOverflow(ToString());
+        return Value::Int64(out);
       }
       double a = lhs.AsDouble(), b = rhs.AsDouble();
       switch (binary_op_) {
@@ -411,6 +419,8 @@ Result<Value> Expr::EvaluateBinary(const Table& table, size_t row) const {
     case BinaryOp::kMod: {
       int64_t b = rhs.int64_value();
       if (b == 0) return Value::Null();
+      // x % -1 is 0 for every x; computing it traps on INT64_MIN.
+      if (b == -1) return Value::Int64(0);
       return Value::Int64(lhs.int64_value() % b);
     }
     case BinaryOp::kEq:

@@ -27,6 +27,23 @@ Status Schema::AddField(Field field) {
   return Status::OK();
 }
 
+Status Schema::CheckAppendable(const Schema& other) const {
+  if (other.num_fields() != num_fields()) {
+    return Status::InvalidArgument(std::to_string(other.num_fields()) +
+                                   " columns appended to a table of " +
+                                   std::to_string(num_fields()));
+  }
+  for (size_t c = 0; c < num_fields(); ++c) {
+    if (other.field(c).type != field(c).type) {
+      return Status::TypeError("column '" + field(c).name + "' is " +
+                               DataTypeName(field(c).type) +
+                               ", appended column is " +
+                               DataTypeName(other.field(c).type));
+    }
+  }
+  return Status::OK();
+}
+
 std::vector<std::string> Schema::FieldNames() const {
   std::vector<std::string> names;
   names.reserve(fields_.size());

@@ -44,6 +44,10 @@ class Schema {
   /// All field names, in order.
   std::vector<std::string> FieldNames() const;
 
+  /// OK when rows of `other` can be appended to a table of this schema:
+  /// the same number of fields, of the same types (names ignored).
+  Status CheckAppendable(const Schema& other) const;
+
   friend bool operator==(const Schema& a, const Schema& b) {
     return a.fields_ == b.fields_;
   }

@@ -99,15 +99,7 @@ Result<Table> Table::FilterRows(const std::vector<bool>& mask) const {
 }
 
 Status Table::AppendTable(const Table& other) {
-  if (other.num_columns() != num_columns()) {
-    return Status::InvalidArgument("UNION ALL arity mismatch");
-  }
-  for (size_t c = 0; c < num_columns(); ++c) {
-    if (other.schema_.field(c).type != schema_.field(c).type) {
-      return Status::TypeError("UNION ALL type mismatch in column " +
-                               std::to_string(c));
-    }
-  }
+  DATACUBE_RETURN_IF_ERROR(schema_.CheckAppendable(other.schema_));
   const size_t n = other.num_rows_;
   for (size_t c = 0; c < num_columns(); ++c) {
     columns_[c].AppendRange(other.columns_[c], 0, n);

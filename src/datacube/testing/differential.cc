@@ -43,6 +43,28 @@ Outcome RunReference(const Table& input, const CubeSpec& spec) {
   return ToOutcome(ReferenceCube(input, spec));
 }
 
+/// `a` plus `b`, field by field: a replayed cube's stats across the
+/// checkpoint reloads that restart its counters.
+MaintenanceStats AddStats(const MaintenanceStats& a,
+                          const MaintenanceStats& b) {
+  return MaintenanceStats{a.inserts + b.inserts,
+                          a.deletes + b.deletes,
+                          a.cells_updated + b.cells_updated,
+                          a.cells_skipped + b.cells_skipped,
+                          a.cells_recomputed + b.cells_recomputed,
+                          a.recompute_rows_scanned + b.recompute_rows_scanned};
+}
+
+std::string StatsToString(const MaintenanceStats& s) {
+  return "inserts=" + std::to_string(s.inserts) +
+         " deletes=" + std::to_string(s.deletes) +
+         " cells_updated=" + std::to_string(s.cells_updated) +
+         " cells_skipped=" + std::to_string(s.cells_skipped) +
+         " cells_recomputed=" + std::to_string(s.cells_recomputed) +
+         " recompute_rows_scanned=" +
+         std::to_string(s.recompute_rows_scanned);
+}
+
 Outcome RunConfig(const Table& input, const CubeSpec& spec,
                   const OracleConfig& config) {
   CubeOptions options;
@@ -401,6 +423,7 @@ DiffReport RunMaintenanceDifferential(uint64_t seed,
                                       const MaintenanceOptions& options) {
   constexpr const char* kFullLabel = "materialized_maintenance";
   constexpr const char* kTwinLabel = "core_only_twin";
+  constexpr const char* kChunkedLabel = "chunked_twin";
   DiffReport report;
   report.baseline_label = "reference_recompute";
   report.other_label = kFullLabel;
@@ -432,6 +455,27 @@ DiffReport RunMaintenanceDifferential(uint64_t seed,
     }
     replayed.emplace_back(std::move(built).value(), kTwinLabel);
   }
+  // The chunked twin: the full cube again, fed each run of consecutive
+  // inserts as ApplyInsertBatch calls of seeded length 1-64. A chunk is cut
+  // short only by a delete or a check, so one can span the checkpoint; its
+  // results and its maintenance stats must equal the row-at-a-time cube's.
+  built = MaterializedCube::Build(initial, spec, {});
+  if (!built.ok()) {
+    return fail(kChunkedLabel, "Build failed: " + built.status().ToString());
+  }
+  std::unique_ptr<MaterializedCube> chunked = std::move(built).value();
+  std::mt19937_64 chunk_rng(seed ^ 0x5eedc0ffee15badULL);
+  Table pending{initial.schema()};
+  size_t chunk_rows = 1 + chunk_rng() % 64;
+  // Stats accumulated before each checkpoint reload restarted the counters.
+  MaintenanceStats full_carried, chunked_carried;
+  auto flush = [&]() -> Status {
+    if (pending.num_rows() == 0) return Status::OK();
+    Status s = chunked->ApplyInsertBatch(pending);
+    pending = Table{initial.schema()};
+    chunk_rows = 1 + chunk_rng() % 64;
+    return s;
+  };
 
   std::vector<std::vector<Value>> live;
   live.reserve(initial.num_rows());
@@ -480,9 +524,25 @@ DiffReport RunMaintenanceDifferential(uint64_t seed,
     }
     std::string where = "after op " + std::to_string(op) + " (" +
                         std::to_string(live.size()) + " live rows)";
-    if (!agrees(RunReference(current, spec),
-                ToOutcome(replayed[0].first->ToTable()), spec, kFullLabel,
+    Outcome expected = RunReference(current, spec);
+    if (!agrees(expected, ToOutcome(replayed[0].first->ToTable()), spec,
+                kFullLabel, where, current)) {
+      return false;
+    }
+    if (!agrees(expected, ToOutcome(chunked->ToTable()), spec, kChunkedLabel,
                 where, current)) {
+      return false;
+    }
+    MaintenanceStats by_row =
+        AddStats(full_carried, replayed[0].first->maintenance_stats());
+    MaintenanceStats by_chunk =
+        AddStats(chunked_carried, chunked->maintenance_stats());
+    if (StatsToString(by_row) != StatsToString(by_chunk)) {
+      report.agreed = false;
+      report.other_label = kChunkedLabel;
+      report.mismatch = where + ": maintenance stats differ: row at a time " +
+                        StatsToString(by_row) + ", chunked " +
+                        StatsToString(by_chunk);
       return false;
     }
     if (replayed.size() == 1) return true;
@@ -520,6 +580,20 @@ DiffReport RunMaintenanceDifferential(uint64_t seed,
                                ": " + s.ToString());
       }
     }
+    Status chunked_status;
+    if (do_delete) {
+      chunked_status = flush();
+      if (chunked_status.ok()) chunked_status = chunked->ApplyDelete(live[idx]);
+    } else {
+      chunked_status = pending.AppendRow(row);
+      if (chunked_status.ok() && pending.num_rows() == chunk_rows) {
+        chunked_status = flush();
+      }
+    }
+    if (!chunked_status.ok()) {
+      return fail(kChunkedLabel, "op " + std::to_string(op) + ": " +
+                                     chunked_status.ToString());
+    }
     if (do_delete) {
       live[idx] = std::move(live.back());
       live.pop_back();
@@ -530,11 +604,19 @@ DiffReport RunMaintenanceDifferential(uint64_t seed,
     if (options.checkpoint_roundtrip && op == options.ops / 2) {
       // Replays with the same seed but different profiles run as separate
       // test processes at the same time, so the name carries all three.
-      for (auto& [c, label] : replayed) {
+      // The chunked twin reloads with its pending chunk still unapplied.
+      full_carried =
+          AddStats(full_carried, replayed[0].first->maintenance_stats());
+      chunked_carried = AddStats(chunked_carried, chunked->maintenance_stats());
+      std::vector<std::pair<std::unique_ptr<MaterializedCube>*, const char*>>
+          cubes;
+      for (auto& [c, label] : replayed) cubes.emplace_back(&c, label);
+      cubes.emplace_back(&chunked, kChunkedLabel);
+      for (auto& [c, label] : cubes) {
         std::string path = options.checkpoint_dir + "/datacube_maint_" +
                            std::to_string(::getpid()) + "_" + profile.label +
                            "_" + std::to_string(seed) + "_" + label + ".ckpt";
-        Status s = c->SaveToFile(path);
+        Status s = (*c)->SaveToFile(path);
         if (!s.ok()) return fail(label, "SaveToFile failed: " + s.ToString());
         Result<std::unique_ptr<MaterializedCube>> loaded =
             MaterializedCube::LoadFromFile(spec, path);
@@ -543,11 +625,16 @@ DiffReport RunMaintenanceDifferential(uint64_t seed,
           return fail(label,
                       "LoadFromFile failed: " + loaded.status().ToString());
         }
-        c = std::move(loaded).value();  // keep maintaining the reloaded cube
+        *c = std::move(loaded).value();  // keep maintaining the reloaded cube
       }
     }
 
     if (op % options.check_every == 0 || op == options.ops) {
+      Status s = flush();
+      if (!s.ok()) {
+        return fail(kChunkedLabel, "ApplyInsertBatch failed at op " +
+                                       std::to_string(op) + ": " + s.ToString());
+      }
       if (!check(op)) return report;
     }
   }

@@ -136,8 +136,13 @@ struct MaintenanceOptions {
 /// surviving base rows. Whenever the aggregates fold, a twin storing only
 /// the core replays the same stream (checkpoint included), and each check
 /// also diffs its Query of every spec set against the reference over that
-/// one set; its failures carry the label "core_only_twin". Inserted rows
-/// come from the same adversarial generator as the initial table.
+/// one set; its failures carry the label "core_only_twin". A third cube,
+/// "chunked_twin", takes each run of consecutive inserts as
+/// ApplyInsertBatch calls of seeded length 1-64 (a chunk may span the
+/// checkpoint); each check diffs it against the reference and requires its
+/// MaintenanceStats, summed across the reload, to equal the row-at-a-time
+/// cube's. Inserted rows come from the same adversarial generator as the
+/// initial table.
 DiffReport RunMaintenanceDifferential(uint64_t seed,
                                       const RandomTableProfile& profile,
                                       const CubeSpec& spec,

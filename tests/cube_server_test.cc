@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -440,6 +441,22 @@ TEST(CubeServerTest, ErrorsMapToMeaningfulHttpStatuses) {
         "EXPLAIN SELECT COUNT(*) FROM Sales WHERE Units"}) {
     EXPECT_EQ(StatusOf(Query(server->port(), sql)), 400) << sql;
   }
+  // INT64 overflow in the interpreter is a 400, and x % -1 is 0 even for
+  // INT64_MIN, whose hardware remainder would trap the whole server.
+  Table extremes{Schema{{{"k", DataType::kString}, {"x", DataType::kInt64}}}};
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  ASSERT_TRUE(
+      extremes.AppendRow({Value::String("lo"), Value::Int64(kMin)}).ok());
+  ASSERT_TRUE(server->RegisterTable("Extremes", extremes).ok());
+  for (const char* sql : {"SELECT k, -x FROM Extremes",
+                          "SELECT k, x - 1 FROM Extremes"}) {
+    std::string overflow = Query(server->port(), sql);
+    EXPECT_EQ(StatusOf(overflow), 400) << sql << "\n" << overflow;
+    EXPECT_NE(overflow.find("integer overflow"), std::string::npos) << overflow;
+  }
+  std::string mod = Query(server->port(), "SELECT k, x % -1 FROM Extremes");
+  EXPECT_EQ(StatusOf(mod), 200) << mod;
+  EXPECT_NE(mod.find("lo,0"), std::string::npos) << mod;
   std::string ok = Query(server->port(),
                          "SELECT Model, SUM(Units) FROM Sales "
                          "WHERE Model = 'Chevy' GROUP BY Model");

@@ -15,6 +15,7 @@ using datacube::testing::AdversarialProfiles;
 using datacube::testing::DiffReport;
 using datacube::testing::DiffResultTables;
 using datacube::testing::MakeRandomSpec;
+using datacube::testing::MaintenanceOptions;
 using datacube::testing::MakeRandomTable;
 using datacube::testing::RandomTableProfile;
 using datacube::testing::RunDifferential;
@@ -141,6 +142,39 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<MaintCase>& info) {
       return info.param.label;
     });
+
+// Every replay above also feeds a chunked twin. Two fixed replays reach
+// what the random specs may not.
+
+// The initial table has one row, so each key column's dictionary starts in
+// a 2-bit field; keys come from 40 values per column, and the first
+// multi-row chunk outgrows the field, so the codec re-lays-out and re-keys
+// the stores inside that batch.
+TEST(MaintenanceChunkingTest, DictionaryOutgrowsItsFieldInsideAChunk) {
+  RandomTableProfile profile = AdversarialProfiles()[2];  // single_row
+  profile.cardinality = 40;
+  MaintenanceOptions options;
+  options.ops = 150;
+  options.delete_rate = 0.1;
+  CubeSpec spec = MakeRandomSpec(21, profile, /*include_holistic=*/false);
+  DiffReport report = RunMaintenanceDifferential(21, profile, spec, options);
+  EXPECT_TRUE(report.ok()) << report.mismatch << "\n" << report.ToString();
+}
+
+// Every aggregate can lose a competition, so inserts fold row by row with
+// the Section 6 short-circuit, chunked or not; the skip counts must agree.
+TEST(MaintenanceChunkingTest, AllExtremaSpecFoldsRowByRow) {
+  RandomTableProfile profile = AdversarialProfiles()[0];  // plain_small
+  CubeSpec spec;
+  spec.cube = {GroupCol("d0"), GroupCol("d1")};
+  spec.aggregates = {Agg("max", "mi", "max_mi"), Agg("min", "mf", "min_mf"),
+                     Agg("max", "d0", "max_d0")};
+  MaintenanceOptions options;
+  options.ops = 90;
+  options.delete_rate = 0.3;
+  DiffReport report = RunMaintenanceDifferential(13, profile, spec, options);
+  EXPECT_TRUE(report.ok()) << report.mismatch << "\n" << report.ToString();
+}
 
 // ------------------------------------------------ predicate kernels
 

@@ -74,6 +74,57 @@ TEST(ExprTest, DivisionAndModByZeroYieldNull) {
   EXPECT_TRUE(Eval(mod, t, 0).is_null());
 }
 
+// INT64 arithmetic at the extremes: an exact result that does not fit is
+// an OutOfRange "integer overflow", never a wrapped value or a trap, and
+// x % -1 is 0 even for INT64_MIN (whose hardware remainder traps).
+TEST(ExprTest, IntegerOverflowIsAnErrorNotAWrap) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  TableBuilder b(
+      {Field{"lo", DataType::kInt64}, Field{"hi", DataType::kInt64}});
+  b.Row({Value::Int64(kMin), Value::Int64(kMax)});
+  Table t = std::move(b).Build().value();
+  auto lit = [](int64_t v) { return Expr::Lit(Value::Int64(v)); };
+  auto overflows = [&](ExprPtr e) {
+    EXPECT_TRUE(e->Bind(t.schema()).ok());
+    Result<Value> r = e->Evaluate(t, 0);
+    EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange) << e->ToString();
+    EXPECT_NE(r.status().message().find("integer overflow"),
+              std::string::npos)
+        << r.status().ToString();
+  };
+  overflows(Expr::Unary(UnaryOp::kNeg, Expr::Column("lo")));
+  overflows(Expr::Binary(BinaryOp::kAdd, Expr::Column("hi"), lit(1)));
+  overflows(Expr::Binary(BinaryOp::kAdd, Expr::Column("lo"), lit(-1)));
+  overflows(Expr::Binary(BinaryOp::kSub, Expr::Column("lo"), lit(1)));
+  overflows(Expr::Binary(BinaryOp::kSub, Expr::Column("hi"), lit(-1)));
+  overflows(Expr::Binary(BinaryOp::kMul, Expr::Column("lo"), lit(-1)));
+  overflows(Expr::Binary(BinaryOp::kMul, Expr::Column("hi"), lit(2)));
+
+  // The largest results that still fit are exact.
+  EXPECT_EQ(Eval(Expr::Unary(UnaryOp::kNeg, Expr::Column("hi")), t, 0),
+            Value::Int64(kMin + 1));
+  EXPECT_EQ(Eval(Expr::Binary(BinaryOp::kAdd, Expr::Column("lo"),
+                              Expr::Column("hi")),
+                 t, 0),
+            Value::Int64(-1));
+  EXPECT_EQ(Eval(Expr::Binary(BinaryOp::kSub, Expr::Column("hi"), lit(kMax)),
+                 t, 0),
+            Value::Int64(0));
+  EXPECT_EQ(Eval(Expr::Binary(BinaryOp::kMul, Expr::Column("hi"), lit(-1)),
+                 t, 0),
+            Value::Int64(kMin + 1));
+  EXPECT_EQ(Eval(Expr::Binary(BinaryOp::kMod, Expr::Column("lo"), lit(-1)),
+                 t, 0),
+            Value::Int64(0));
+  EXPECT_EQ(Eval(Expr::Binary(BinaryOp::kMod, Expr::Column("hi"), lit(-1)),
+                 t, 0),
+            Value::Int64(0));
+  EXPECT_EQ(Eval(Expr::Binary(BinaryOp::kMod, Expr::Column("lo"), lit(kMax)),
+                 t, 0),
+            Value::Int64(-1));
+}
+
 TEST(ExprTest, NullPropagatesThroughArithmetic) {
   Table t = TestTable();
   ExprPtr e = Expr::Binary(BinaryOp::kAdd, Expr::Column("i"),

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
+#include <string>
 
 #include "datacube/common/str_util.h"
 #include "datacube/cube/materialized_cube.h"
@@ -315,6 +317,40 @@ TEST(MaterializedCubeTest, ChangeListenerReportsTouchedCells) {
   EXPECT_EQ(created + updated + erased, 0);
 }
 
+// A listener sees a batch exactly as the same rows inserted one at a time:
+// one event per (row, set), in row order, with the same stats.
+TEST(MaterializedCubeTest, ChangeListenerSeesABatchAsItsRows) {
+  Table sales = Table3SalesTable().value();
+  CubeSpec spec = SalesCubeSpec({Agg("sum", "Units", "s")});
+  auto by_row = MaterializedCube::Build(sales, spec).value();
+  auto batched = MaterializedCube::Build(sales, spec).value();
+  auto record = [](std::vector<std::string>* events) {
+    return [events](const MaterializedCube::CellChange& change) {
+      std::string e = std::to_string(change.set) + ":" +
+                      std::to_string(static_cast<int>(change.op));
+      for (const Value& v : change.key) e += "," + v.ToString();
+      events->push_back(std::move(e));
+    };
+  };
+  std::vector<std::string> row_events, batch_events;
+  by_row->SetChangeListener(record(&row_events));
+  batched->SetChangeListener(record(&batch_events));
+
+  Table rows{sales.schema()};
+  for (const auto& row : {SalesRow("Chevy", 1994, "black", 5),
+                          SalesRow("Tesla", 1994, "black", 5),
+                          SalesRow("Tesla", 1995, "red", 1)}) {
+    ASSERT_TRUE(by_row->ApplyInsert(row).ok());
+    ASSERT_TRUE(rows.AppendRow(row).ok());
+  }
+  ASSERT_TRUE(batched->ApplyInsertBatch(rows).ok());
+  EXPECT_EQ(row_events.size(), 24u);
+  EXPECT_EQ(batch_events, row_events);
+  EXPECT_EQ(batched->maintenance_stats().cells_updated,
+            by_row->maintenance_stats().cells_updated);
+  EXPECT_EQ(batched->maintenance_stats().inserts, 3u);
+}
+
 TEST(MaterializedCubeTest, DecorationsSurviveMaintenance) {
   // Decorations flow through ToTable after maintenance.
   Table sales = Table3SalesTable().value();
@@ -354,6 +390,133 @@ TEST(MaterializedCubeTest, RollupShapedCubeMaintenance) {
   Table base = Table3SalesTable().value();
   ASSERT_TRUE(base.AppendRow(SalesRow("Ford", 1994, "red", 40)).ok());
   ExpectMatchesRecompute(*cube, base);
+}
+
+// ------------------------------------------------------ batched inserts
+
+Schema KyuSchema() {
+  return Schema{{{"k", DataType::kString},
+                 {"y", DataType::kInt64},
+                 {"u", DataType::kInt64}}};
+}
+
+std::vector<Value> KyuRow(const std::string& k, int64_t y, int64_t u) {
+  std::vector<Value> row;
+  row.push_back(Value::String(k));
+  row.push_back(Value::Int64(y));
+  row.push_back(Value::Int64(u));
+  return row;
+}
+
+Table KyuTable(const std::vector<std::vector<Value>>& rows) {
+  Table t{KyuSchema()};
+  for (const auto& row : rows) EXPECT_TRUE(t.AppendRow(row).ok());
+  return t;
+}
+
+Table LiveRowsOf(const MaterializedCube& cube) {
+  Table out{KyuSchema()};
+  EXPECT_TRUE(cube.LiveRows(&out).ok());
+  return out;
+}
+
+// A rejected insert must change nothing: before the insert was validated
+// up front, the failed row's first column stayed appended to the base
+// table and the next insert read back with that value.
+TEST(MaterializedCubeTest, RejectedInsertLeavesCubeUnchanged) {
+  CubeSpec spec;
+  spec.cube = {GroupCol("k"), GroupCol("y")};
+  spec.aggregates = {CountStar("n"), Agg("sum", "u", "su")};
+  auto cube = MaterializedCube::Build(
+                  KyuTable({KyuRow("a", 1, 10), KyuRow("b", 2, 20)}), spec)
+                  .value();
+  const Table table_before = cube->ToTable().value();
+  const Table live_before = LiveRowsOf(*cube);
+
+  std::vector<Value> bad;
+  bad.push_back(Value::String("c"));
+  bad.push_back(Value::Float64(3.5));
+  bad.push_back(Value::Int64(30));
+  Status st = cube->ApplyInsert(bad);
+  EXPECT_EQ(st.code(), StatusCode::kTypeError) << st.ToString();
+  EXPECT_TRUE(cube->ToTable().value().EqualsExact(table_before));
+  EXPECT_TRUE(LiveRowsOf(*cube).EqualsExact(live_before));
+  EXPECT_EQ(cube->num_base_rows(), 2u);
+  EXPECT_EQ(cube->maintenance_stats().inserts, 0u);
+
+  ASSERT_TRUE(cube->ApplyInsert(KyuRow("d", 4, 40)).ok());
+  EXPECT_TRUE(LiveRowsOf(*cube).EqualsExact(
+      KyuTable({KyuRow("a", 1, 10), KyuRow("b", 2, 20), KyuRow("d", 4, 40)})));
+  EXPECT_EQ(cube->ValueAt("su", {Value::String("d"), Value::All()}).value(),
+            Value::Int64(40));
+}
+
+// Evaluation runs before anything is appended: a batch whose grouping
+// expression overflows on its last row leaves no trace of its other rows.
+TEST(MaterializedCubeTest, FailedEvaluationLeavesCubeUnchanged) {
+  CubeSpec spec;
+  spec.cube = {GroupCol("k"),
+               GroupExpr{Expr::Binary(BinaryOp::kAdd, Expr::Column("y"),
+                                      Expr::Lit(Value::Int64(1))),
+                         "y1"}};
+  spec.aggregates = {Agg("sum", "u", "su")};
+  auto cube = MaterializedCube::Build(KyuTable({KyuRow("a", 1, 10)}), spec)
+                  .value();
+  const Table table_before = cube->ToTable().value();
+  const Table live_before = LiveRowsOf(*cube);
+
+  Status st = cube->ApplyInsertBatch(KyuTable(
+      {KyuRow("b", 2, 20), KyuRow("c", std::numeric_limits<int64_t>::max(),
+                                  30)}));
+  EXPECT_EQ(st.code(), StatusCode::kOutOfRange) << st.ToString();
+  EXPECT_TRUE(cube->ToTable().value().EqualsExact(table_before));
+  EXPECT_TRUE(LiveRowsOf(*cube).EqualsExact(live_before));
+
+  ASSERT_TRUE(cube->ApplyInsertBatch(KyuTable({KyuRow("b", 2, 20)})).ok());
+  EXPECT_EQ(cube->ValueAt("su", {Value::String("b"), Value::Int64(3)}).value(),
+            Value::Int64(20));
+  ExpectMatchesRecompute(*cube, LiveRowsOf(*cube));
+}
+
+// Enough batches that every cache reallocates — base columns, evaluated
+// keys and arguments, row keys, dictionaries (with relayouts) and cell
+// stores — then queries and deletes, which read the argument caches and
+// the typed buffers the batch kernels were bound to.
+TEST(MaterializedCubeTest, BatchesThatReallocateEveryCache) {
+  CubeSpec spec;
+  spec.cube = {GroupCol("k"), GroupCol("y")};
+  spec.aggregates = {CountStar("n"), Agg("sum", "u", "su"),
+                     Agg("avg", "u", "au"), Agg("min", "y", "my")};
+  auto cube = MaterializedCube::Build(KyuTable({KyuRow("k0", 0, 0)}), spec)
+                  .value();
+  std::mt19937_64 rng(26);
+  size_t next = 1;
+  for (size_t batch = 1; batch <= 40; ++batch) {
+    std::vector<std::vector<Value>> rows;
+    for (size_t i = 0; i < batch * 3; ++i, ++next) {
+      rows.push_back(KyuRow("k" + std::to_string(next % 97),
+                            static_cast<int64_t>(next % 41),
+                            static_cast<int64_t>(rng() % 1000)));
+    }
+    ASSERT_TRUE(cube->ApplyInsertBatch(KyuTable(rows)).ok());
+  }
+  EXPECT_EQ(cube->num_base_rows(), next);
+  EXPECT_EQ(cube->maintenance_stats().cells_updated, (next - 1) * 4);
+  ExpectMatchesRecompute(*cube, LiveRowsOf(*cube));
+
+  Table live = LiveRowsOf(*cube);
+  for (size_t r = 0; r < live.num_rows(); r += 7) {
+    ASSERT_TRUE(cube->ApplyDelete(live.GetRow(r)).ok());
+  }
+  Table remaining = LiveRowsOf(*cube);
+  auto fresh = MaterializedCube::Build(remaining, spec).value();
+  for (GroupingSet set : {GroupingSet{0}, GroupingSet{1}, GroupingSet{2},
+                          GroupingSet{3}}) {
+    Result<Table> maintained = cube->Query(set);
+    ASSERT_TRUE(maintained.ok()) << maintained.status().ToString();
+    EXPECT_TRUE(maintained->EqualsIgnoringRowOrder(fresh->Query(set).value()))
+        << "set " << set;
+  }
 }
 
 }  // namespace

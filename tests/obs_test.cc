@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "datacube/cube/cube_operator.h"
+#include "datacube/cube/partitioned_cube.h"
 #include "datacube/cube/thread_pool.h"
 #include "datacube/obs/json_util.h"
 #include "datacube/obs/metrics.h"
@@ -322,6 +323,57 @@ TEST(ObsIntegrationTest, ExecuteCubePublishesCountersAndStats) {
     per_set_total += ps.actual_cells;
   }
   EXPECT_EQ(per_set_total, result.value().stats.output_cells);
+}
+
+// Ingest is explainable from /metrics and the trace: one
+// datacube_partition_ingest_seconds observation per IngestRows, and a
+// partition_ingest span naming the windows it touched, over one
+// maintain_insert span (with its row count) per window.
+TEST(ObsIntegrationTest, PartitionIngestPublishesHistogramAndSpans) {
+  Schema schema{{{"ts", DataType::kInt64},
+                 {"d", DataType::kString},
+                 {"m", DataType::kInt64}}};
+  CubeSpec spec;
+  spec.cube = {GroupCol("d")};
+  spec.aggregates = {CountStar("n"), Agg("sum", "m", "s")};
+  PartitionedCubeOptions options;
+  options.partition_column = "ts";
+  options.window_width = 10;
+  options.background_compaction = false;
+  auto store = PartitionedCube::Create(schema, spec, options).value();
+  Table rows{schema};
+  for (int64_t ts : {1, 2, 15, 27, 3}) {
+    ASSERT_TRUE(rows.AppendRow({Value::Int64(ts), Value::String("a"),
+                                Value::Int64(ts)})
+                    .ok());
+  }
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  Histogram& ingest = reg.GetHistogram("datacube_partition_ingest_seconds");
+  const uint64_t before = ingest.count();
+  Trace trace("ingest");
+  {
+    TraceScope scope(&trace);
+    ASSERT_TRUE(store->IngestRows(rows).ok());
+  }
+  EXPECT_EQ(ingest.count(), before + 1);
+  EXPECT_NE(reg.RenderPrometheus().find(
+                "# TYPE datacube_partition_ingest_seconds histogram"),
+            std::string::npos);
+
+  ASSERT_EQ(trace.root().children.size(), 1u);
+  const SpanNode& span = *trace.root().children[0];
+  EXPECT_EQ(span.name, "partition_ingest");
+  ASSERT_NE(span.FindAttr("windows"), nullptr);
+  EXPECT_EQ(*span.FindAttr("windows"), "3");
+  ASSERT_NE(span.FindAttr("late_rows"), nullptr);
+  EXPECT_EQ(*span.FindAttr("late_rows"), "1");
+  std::vector<std::string> batch_rows;
+  for (const auto& child : span.children) {
+    if (child->name != "maintain_insert") continue;
+    ASSERT_NE(child->FindAttr("rows"), nullptr);
+    batch_rows.push_back(*child->FindAttr("rows"));
+  }
+  EXPECT_EQ(batch_rows, (std::vector<std::string>{"3", "1", "1"}));
 }
 
 TEST(ObsIntegrationTest, TracedExecutionRecordsCubeSpans) {

@@ -11,12 +11,15 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "datacube/cube/cube_operator.h"
 #include "datacube/expr/expr.h"
+#include "datacube/obs/metrics.h"
 #include "datacube/sql/engine.h"
 #include "datacube/testing/differential.h"
+#include "datacube/table/sort.h"
 #include "datacube/testing/random_table.h"
 
 namespace datacube {
@@ -105,6 +108,29 @@ int64_t GrandTotalCount(const Table& result) {
     }
   }
   return -1;
+}
+
+/// A result sorted on every column, so two stores' merged reads compare
+/// with EqualsExact whatever their store order.
+Table SortedOnAllColumns(const Table& t) {
+  std::vector<SortKey> keys;
+  for (size_t c = 0; c < t.num_columns(); ++c) keys.push_back(SortKey{c});
+  return SortTable(t, keys).value();
+}
+
+/// Partitions() flattened for equality checks.
+std::vector<std::tuple<bool, int64_t, std::string, size_t, size_t>>
+PartitionTuples(const PartitionedCube& cube) {
+  std::vector<std::tuple<bool, int64_t, std::string, size_t, size_t>> out;
+  for (const PartitionedCube::PartitionInfo& p : cube.Partitions()) {
+    out.emplace_back(p.null_window, p.window_id, p.state, p.deltas, p.rows);
+  }
+  return out;
+}
+
+uint64_t LateRowsCounter() {
+  return obs::MetricsRegistry::Global().CounterValue(
+      "datacube_partition_late_rows_total");
 }
 
 // ------------------------------------------------------------ the oracle
@@ -219,6 +245,46 @@ TEST(PartitionedCubeOracle, ShuffledIngestWithLateArrivals) {
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   DiffReport diff = DiffResultTables(baseline->table, *merged, spec);
   EXPECT_TRUE(diff.ok()) << diff.ToString();
+}
+
+/// One IngestRows call routes each window's rows into one batch; the
+/// store must end up exactly as if every row had arrived in its own call:
+/// the same merged cells, the same windows and deltas, and the same late
+/// rows (counted in row order, so a row behind an earlier row of the same
+/// call is late).
+TEST(PartitionedCubeOracle, OneCallEqualsOneRowPerCall) {
+  RandomTableProfile profile = AdversarialProfiles()[0];
+  const uint64_t seed = 5;
+  Table input = WithTsColumn(MakeRandomTable(seed, profile));
+  CubeSpec spec = MakeRandomSpec(seed, profile, /*include_holistic=*/false);
+  const int64_t width = 125;  // ts spans [0, 1000): 8 windows plus NULL
+
+  auto batched = PartitionedCube::Create(input.schema(), spec,
+                                         PartOptions(width))
+                     .value();
+  auto row_at_a_time = PartitionedCube::Create(input.schema(), spec,
+                                               PartOptions(width))
+                           .value();
+  uint64_t before = LateRowsCounter();
+  ASSERT_TRUE(batched->IngestRows(input).ok());
+  const uint64_t batched_late = LateRowsCounter() - before;
+  before = LateRowsCounter();
+  for (size_t r = 0; r < input.num_rows(); ++r) {
+    ASSERT_TRUE(row_at_a_time->IngestRows(input.TakeRows({r}).value()).ok());
+  }
+  const uint64_t single_late = LateRowsCounter() - before;
+
+  EXPECT_GT(batched_late, 0u);
+  EXPECT_EQ(batched_late, single_late);
+  std::vector<std::tuple<bool, int64_t, std::string, size_t, size_t>> parts =
+      PartitionTuples(*batched);
+  EXPECT_GE(parts.size(), 6u);
+  EXPECT_TRUE(std::get<0>(parts.front())) << "no NULL window";
+  EXPECT_EQ(parts, PartitionTuples(*row_at_a_time));
+  EXPECT_TRUE(SortedOnAllColumns(batched->ToTable().value())
+                  .EqualsExact(SortedOnAllColumns(
+                      row_at_a_time->ToTable().value())));
+  EXPECT_EQ(batched->num_base_rows(), input.num_rows());
 }
 
 // ------------------------------------------------------- partition edges
@@ -345,6 +411,47 @@ TEST(PartitionedCubeEdges, RetentionDropsOldWindowsNotPinnedReads) {
   Result<Table> merged = cube.ToTable();
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(GrandTotalCount(*merged), 2);
+}
+
+/// A batch IngestRows rejects — a column of the wrong type, the wrong
+/// width, or an ALL partition key behind rows for other windows — leaves
+/// the store exactly as it was.
+TEST(PartitionedCubeEdges, RejectedBatchChangesNothing) {
+  Result<std::unique_ptr<PartitionedCube>> created =
+      PartitionedCube::Create(EdgeSchema(), EdgeSpec(), PartOptions(10));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  PartitionedCube& cube = **created;
+  ASSERT_TRUE(cube.IngestRows(EdgeRows({{5, "a", 1},
+                                        {15, "b", 2},
+                                        {std::nullopt, "c", 3}}))
+                  .ok());
+  const size_t rows_before = cube.num_base_rows();
+  const auto parts_before = PartitionTuples(cube);
+  const Table merged_before = SortedOnAllColumns(cube.ToTable().value());
+
+  Table float_measure{Schema{{{"ts", DataType::kInt64},
+                              {"d", DataType::kString},
+                              {"m", DataType::kFloat64}}}};
+  ASSERT_TRUE(float_measure
+                  .AppendRow({Value::Int64(25), Value::String("d"),
+                              Value::Float64(1.5)})
+                  .ok());
+  EXPECT_EQ(cube.IngestRows(float_measure).code(), StatusCode::kTypeError);
+
+  Table narrow{Schema{{{"ts", DataType::kInt64}, {"d", DataType::kString}}}};
+  ASSERT_TRUE(narrow.AppendRow({Value::Int64(25), Value::String("d")}).ok());
+  EXPECT_FALSE(cube.IngestRows(narrow).ok());
+
+  Table all_key = EdgeRows({{35, "e", 1}, {45, "f", 1}});
+  ASSERT_TRUE(
+      all_key.AppendRow({Value::All(), Value::String("g"), Value::Int64(1)})
+          .ok());
+  EXPECT_EQ(cube.IngestRows(all_key).code(), StatusCode::kTypeError);
+
+  EXPECT_EQ(cube.num_base_rows(), rows_before);
+  EXPECT_EQ(PartitionTuples(cube), parts_before);
+  EXPECT_TRUE(
+      SortedOnAllColumns(cube.ToTable().value()).EqualsExact(merged_before));
 }
 
 // --------------------------------------------------------- SQL pruning

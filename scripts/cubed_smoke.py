@@ -30,8 +30,13 @@ end-to-end:
   * WHERE paths: four concurrent clients run equality-WHERE GROUP BYs
     whose predicates run on the vectorized kernels, each checked against
     the same query with the predicate rewritten onto the interpreter
-    (EXPLAIN must name both paths); a non-boolean WHERE is a 400 and
-    /healthz still answers afterwards
+    (EXPLAIN must name both paths, over BigSales, which mounts no cube); a
+    non-boolean WHERE is a 400 and /healthz still answers afterwards
+  * aggregate navigation: answerable and non-answerable GROUP BYs over a
+    registered table return the same bytes before and after /materialize
+    mounts a cube over it, EXPLAIN names the cube for the answerable ones
+    only, and /register?replace=1 with other rows makes /query follow the
+    new rows and unmounts the cube
 
 Exits nonzero with a message on the first failure.
 """
@@ -423,10 +428,12 @@ def where_groupby(table, predicate):
 
 
 def check_where_paths(base, num_clients=4, rounds=3):
-    fast, slow = WHERE_PAIRS["Sales"][0]
+    # Over BigSales: a cube mounted over Sales answers its equality GROUP BYs
+    # without a WHERE pass.
+    fast, slow = WHERE_PAIRS["BigSales"][0]
     for predicate, path in ((fast, "vectorized"), (slow, "interpreted")):
         status, body = query(base,
-                             "EXPLAIN " + where_groupby("Sales", predicate))
+                             "EXPLAIN " + where_groupby("BigSales", predicate))
         if status != 200 or f"where: path={path}" not in body:
             return fail(f"EXPLAIN WHERE {predicate}: HTTP {status}: "
                         f"expected path={path}: {body!r}")
@@ -470,6 +477,87 @@ def check_where_paths(base, num_clients=4, rounds=3):
           "interpreted answers; non-boolean WHERE -> 400)")
 
 
+def nav_rows(units):
+    lines = ["Model,Year,Color,Units"]
+    for i in range(60):
+        model = ("Chevy", "Ford", "Dodge")[i % 3]
+        color = ("red", "white", "blue", "black")[i % 4]
+        lines.append(f"{model},{1990 + i % 5},{color},{units(i)}")
+    return "\n".join(lines) + "\n"
+
+
+NAV_ANSWERABLE = [
+    "SELECT Color, COUNT(*), SUM(Units) FROM {t} WHERE Model = 'Chevy' "
+    "GROUP BY Color",
+    "SELECT Model, Year, COUNT(*), MIN(Units) FROM {t} "
+    "GROUP BY ROLLUP Model, Year",
+    "SELECT Year, SUM(Units) FROM {t} WHERE Color = 'red' AND Model = 'Ford' "
+    "GROUP BY CUBE Year ORDER BY 2 DESC",
+    "SELECT COUNT(*), MAX(Units) FROM {t} WHERE Year = 1992",
+]
+NAV_RAW = [
+    "SELECT Color, AVG(Units) FROM {t} GROUP BY Color",
+    "SELECT Color, SUM(Units) FROM {t} WHERE Year > 1990 GROUP BY Color",
+    "SELECT Model, COUNT(*) FROM {t} WHERE Units = 3 GROUP BY Model",
+]
+
+
+def check_aggregate_navigation(base):
+    def register(name, csv, replace=False):
+        url = f"{base}/register?name={name}" + ("&replace=1" if replace else "")
+        status, body = fetch(url, method="POST", data=csv.encode())
+        if status != 200:
+            fail(f"/register {name}: HTTP {status}: {body.strip()}")
+        return status == 200
+
+    def answers(table):
+        out = []
+        for sql in NAV_ANSWERABLE + NAV_RAW:
+            status, body = query(base, sql.format(t=table))
+            if status != 200:
+                fail(f"{sql.format(t=table)}: HTTP {status}: {body.strip()}")
+            out.append(body)
+        return out
+
+    if not register("nav_sales", nav_rows(lambda i: i * 7 % 13 + 1)):
+        return
+    before = answers("nav_sales")
+    aggs = urllib.parse.quote("count(*),sum(Units),min(Units),max(Units)")
+    status, body = fetch(f"{base}/materialize?name=nav_cube&table=nav_sales"
+                         f"&keys=Model,Year,Color&aggs={aggs}"
+                         "&budget_bytes=4096", method="POST", data=b"")
+    if status != 200:
+        return fail(f"/materialize nav_cube: HTTP {status}: {body.strip()}")
+    after = answers("nav_sales")
+    for sql, a, b in zip(NAV_ANSWERABLE + NAV_RAW, before, after):
+        if a != b:
+            return fail(f"mounted cube changed the bytes of {sql}: "
+                        f"{a!r} != {b!r}")
+    for sql in NAV_ANSWERABLE + NAV_RAW:
+        status, body = query(base, "EXPLAIN " + sql.format(t="nav_sales"))
+        named = "answered from cube nav_cube" in body
+        if status != 200 or named != (sql in NAV_ANSWERABLE):
+            return fail(f"EXPLAIN {sql}: HTTP {status}, names the cube: "
+                        f"{named}: {body!r}")
+    # Other rows under the same name: /query must follow them (the same rows
+    # registered under a second name give the expected bytes), and the cube
+    # must be gone.
+    replacement = nav_rows(lambda i: i * 5 % 11 + 2)
+    if not (register("nav_sales", replacement, replace=True) and
+            register("nav_check", replacement)):
+        return
+    if answers("nav_sales") != answers("nav_check"):
+        return fail("/query over a replaced table did not follow its rows")
+    status, body = fetch(f"{base}/tables")
+    cubes = [c["name"] for c in json.loads(body)["cubes"]]
+    if "nav_cube" in cubes:
+        return fail(f"/register?replace=1 left the cube mounted: {cubes}")
+    for name in ("nav_sales", "nav_check"):
+        fetch(f"{base}/drop?name={name}", method="POST")
+    print(f"ok: aggregate navigation ({len(NAV_ANSWERABLE)} answered from "
+          f"the cube, {len(NAV_RAW)} from rows, same bytes; replace unmounts)")
+
+
 def main():
     if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -486,6 +574,7 @@ def main():
     check_ingest_under_query(base)
     check_multi_window_ingest(base)
     check_where_paths(base)
+    check_aggregate_navigation(base)
     if FAILURES:
         print(f"{len(FAILURES)} failure(s)", file=sys.stderr)
         return 1

@@ -240,10 +240,6 @@ struct ColumnarContext {
     return StateOf(const_cast<char*>(block), a);
   }
 
-  /// Re-encodes every row key under the codec's current layout (after
-  /// dictionary growth forced a Relayout).
-  void RepackRowKeys();
-
   /// Points batch_args at the context's current argument columns. Appending
   /// rows can move both the Value caches and the typed buffers, so stored
   /// cubes rebind after every insert batch.
@@ -318,9 +314,10 @@ Result<SetStores> RunColumnarAlgorithm(const ColumnarContext& cc,
 void FlushStoreStats(const SetStores& stores, CubeStats* stats);
 
 /// Re-keys `stores` (stores[s] holds cc.ctx->sets[s]'s cells) after
-/// dictionary growth outgrew a bit field: re-lays-out the codec, repacks
-/// the row keys, and moves every block — adopted, not cloned — under its
-/// re-encoded key.
+/// dictionary growth outgrew a bit field: re-lays-out the codec, then
+/// repacks the packed row keys and moves every block — adopted, not cloned
+/// — under its repacked key. A relayout moves fields but never changes a
+/// code, so keys are repacked code by code, never decoded.
 void RelayoutAndRekey(ColumnarContext& cc, SetStores& stores);
 
 /// Packs the full-width Value key of a `set` cell, first growing the
@@ -330,6 +327,63 @@ void RelayoutAndRekey(ColumnarContext& cc, SetStores& stores);
 std::vector<uint64_t> EncodeKeyOrGrow(ColumnarContext& cc, SetStores& stores,
                                       const std::vector<Value>& key,
                                       GroupingSet set);
+
+/// A spec's columnar machinery over an EMPTY base table, one empty store
+/// per grouping set: the destination of cross-context folds (merged
+/// partition reads, answers from a stored cube). Heap-allocated and never
+/// moved: ctx and cc hold pointers into it.
+struct FoldSink {
+  Table empty;
+  CubeSpec spec;
+  CubeContext ctx;
+  ColumnarContext cc;
+  // Declaration order matters: stores destroy their cells through cc.
+  SetStores stores;
+};
+
+/// A sink for `spec` over `schema`. Binds the spec's expressions in place:
+/// callers that share one spec across threads pass a private clone.
+Result<std::unique_ptr<FoldSink>> MakeFoldSink(const Schema& schema,
+                                               CubeSpec spec);
+
+/// The cross-context cell fold: merges the cells of stores under a source
+/// context into a FoldSink without decoding a key. Each mapped source
+/// dictionary is translated into sink codes once; every cell is then
+/// repacked field by field, resolved with BatchUpsert and merged state by
+/// state. Sources are read through ForEach only (never Find, whose probe
+/// counters are unsynchronized), so a shared, immutable source store may
+/// feed any number of concurrent folds.
+class CellFold {
+ public:
+  /// Sink key k reads source key keys[k]; sink aggregate a merges source
+  /// aggregate aggs[a], whose state type must be the same. Grows the sink's
+  /// dictionaries with every value of the mapped source columns, re-keying
+  /// its stores when a code outgrows its field.
+  CellFold(const ColumnarContext& src, FoldSink& sink, std::vector<size_t> keys,
+           std::vector<size_t> aggs);
+
+  /// The identity mapping of `n` keys or aggregates (same-spec contexts).
+  static std::vector<size_t> Identity(size_t n);
+
+  /// Keeps only the source cells whose key `src_key` holds `code`.
+  void Require(size_t src_key, uint64_t code) {
+    required_.emplace_back(src_key, code);
+  }
+
+  /// Merges every kept cell of `from`, a store of the source context, into
+  /// sink store `s`. Sink keys outside sink.ctx.sets[s] stay ALL, so `from`
+  /// may be any view covering that set and the required keys.
+  Status Into(const CellStore& from, size_t s, CubeStats* stats = nullptr);
+
+ private:
+  const ColumnarContext& src_;
+  FoldSink& sink_;
+  std::vector<size_t> keys_;
+  std::vector<size_t> aggs_;
+  /// codes_[k][source code] = sink code of sink key k.
+  std::vector<std::vector<uint64_t>> codes_;
+  std::vector<std::pair<size_t, uint64_t>> required_;
+};
 
 /// Builds the result relation from flat stores — the only place packed
 /// keys are decoded back to Values (Section 3's relational form: ALL/NULL

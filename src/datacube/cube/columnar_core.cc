@@ -409,14 +409,6 @@ Result<ColumnarContext> BuildColumnarContext(const CubeContext& ctx) {
   return cc;
 }
 
-void ColumnarContext::RepackRowKeys() {
-  words = codec.words();
-  row_keys.assign(ctx->num_rows() * words, 0);
-  for (size_t row = 0; row < ctx->num_rows(); ++row) {
-    codec.EncodeRow(ctx->key_columns, row, &row_keys[row * words]);
-  }
-}
-
 void ColumnarContext::BindBatchArgs() {
   // Batch-kernel plan: one argument descriptor per (aggregate, arg). The
   // materialized Value column is always present; the raw typed buffer and
@@ -628,27 +620,48 @@ CellStore FlatGroupBy(const ColumnarContext& cc, GroupingSet set,
 }
 
 void RelayoutAndRekey(ColumnarContext& cc, SetStores& stores) {
-  // Decode every cell key under the old layout before it changes.
-  std::vector<std::vector<std::pair<std::vector<Value>, char*>>> saved(
-      stores.size());
+  // Read every packed key's codes under the old layout before it changes:
+  // the packed row keys (rows appended since stay unpacked for the caller)
+  // and every cell key.
+  const KeyCodec& codec = cc.codec;
+  const size_t num_keys = codec.num_keys();
+  auto read_codes = [&](const uint64_t* key, std::vector<uint64_t>& out) {
+    for (size_t k = 0; k < num_keys; ++k) out.push_back(codec.CodeAt(key, k));
+  };
+  const size_t rows = cc.row_keys.size() / cc.words;
+  std::vector<uint64_t> row_codes;
+  row_codes.reserve(rows * num_keys);
+  for (size_t row = 0; row < rows; ++row) read_codes(cc.RowKey(row), row_codes);
+  std::vector<std::vector<uint64_t>> cell_codes(stores.size());
+  std::vector<std::vector<char*>> blocks(stores.size());
   for (size_t s = 0; s < stores.size(); ++s) {
-    saved[s].reserve(stores[s].size());
+    cell_codes[s].reserve(stores[s].size() * num_keys);
+    blocks[s].reserve(stores[s].size());
     stores[s].ForEach([&](const uint64_t* key, char* block) {
-      saved[s].emplace_back(cc.codec.DecodeKey(key), block);
+      read_codes(key, cell_codes[s]);
+      blocks[s].push_back(block);
     });
   }
   cc.codec.Relayout();
-  cc.RepackRowKeys();
+  cc.words = codec.words();
+  auto pack = [&](const uint64_t* codes, uint64_t* out) {
+    for (size_t k = 0; k < num_keys; ++k) codec.SetCode(out, k, codes[k]);
+  };
+  cc.row_keys.assign(rows * cc.words, 0);
+  for (size_t row = 0; row < rows; ++row) {
+    pack(&row_codes[row * num_keys], &cc.row_keys[row * cc.words]);
+  }
+  std::vector<uint64_t> key(cc.words);
   for (size_t s = 0; s < stores.size(); ++s) {
     // Fresh stores pick up the new key width; the blocks themselves (and
-    // their arenas) are untouched — only the keys are re-encoded.
+    // their arenas) are untouched — only the keys are repacked.
     CellStore fresh = cc.MakeStore(stores[s].arena());
     fresh.MutableStats() = stores[s].stats();
     stores[s].ReleaseAll();
-    for (auto& [key, block] : saved[s]) {
-      // Every decoded value is still in the (grown) dictionary.
-      fresh.InsertAdopt(cc.codec.EncodeKey(key, cc.ctx->sets[s])->data(),
-                        block);
+    for (size_t i = 0; i < blocks[s].size(); ++i) {
+      std::fill(key.begin(), key.end(), 0);
+      pack(&cell_codes[s][i * num_keys], key.data());
+      fresh.InsertAdopt(key.data(), blocks[s][i]);
     }
     stores[s] = std::move(fresh);
   }

@@ -334,16 +334,6 @@ bool KeyCodec::needs_relayout() const {
 
 void KeyCodec::Relayout() { ComputeLayout(); }
 
-void KeyCodec::EncodeRow(
-    const std::vector<std::vector<Value>>& key_columns, size_t row,
-    uint64_t* out) {
-  for (size_t w = 0; w < words_; ++w) out[w] = 0;
-  for (size_t k = 0; k < cols_.size(); ++k) {
-    uint64_t code = CodeOfOrAdd(k, key_columns[k][row]);
-    out[cols_[k].word] |= code << cols_[k].shift;
-  }
-}
-
 std::optional<std::vector<uint64_t>> KeyCodec::EncodeKey(
     const std::vector<Value>& key, GroupingSet set) const {
   std::vector<uint64_t> out(words_, 0);

@@ -51,10 +51,11 @@ class KeyCodec {
   /// Single-pass build from per-column sources. When `row_codes` is
   /// non-null, (*row_codes)[k][row] receives row `row`'s final code in
   /// column `k` — the dictionary hash lookups happen once here instead of
-  /// again per row in EncodeRow. Typed column sources are encoded straight
-  /// from their buffers (string_view / int64 / canonicalized double keys),
-  /// never constructing a Value per row; the resulting dictionaries and
-  /// codes are identical to the Value-vector path for the same data.
+  /// again per row when the keys are packed. Typed column sources are
+  /// encoded straight from their buffers (string_view / int64 /
+  /// canonicalized double keys), never constructing a Value per row; the
+  /// resulting dictionaries and codes are identical to the Value-vector
+  /// path for the same data.
   static KeyCodec Build(const std::vector<KeyColumnSource>& sources,
                         size_t num_rows,
                         std::vector<std::vector<uint32_t>>* row_codes);
@@ -87,11 +88,6 @@ class KeyCodec {
   /// Recomputes field widths/offsets for the current dictionaries. All
   /// previously packed keys are invalid afterwards; re-encode them.
   void Relayout();
-
-  /// Packs row `row` of `key_columns` (full grouping set) into
-  /// out[0..words()). Values absent from the dictionary are added.
-  void EncodeRow(const std::vector<std::vector<Value>>& key_columns,
-                 size_t row, uint64_t* out);
 
   /// Packs an explicit full-width Value key; returns nullopt if any
   /// grouped value is absent from the dictionary. Positions not in `set`

@@ -254,17 +254,14 @@ Status MaterializedCube::AppendBatch(const Table& rows) {
           static_cast<uint32_t>(cc_.codec.CodeOfOrAdd(k, column[first + i]));
     }
   }
-  if (cc_.codec.needs_relayout()) {
-    // RepackRowKeys covers the new rows too.
-    cube_internal::RelayoutAndRekey(cc_, stores_);
-  } else {
-    cc_.row_keys.reserve(capacity * cc_.words);
-    cc_.row_keys.resize((first + n) * cc_.words, 0);
-    for (size_t k = 0; k < ctx_.num_keys; ++k) {
-      cc_.codec.SetCodesBatch(k, codes[k].data(), n,
-                              cc_.row_keys.data() + first * cc_.words,
-                              cc_.words);
-    }
+  // A relayout repacks the rows already packed; the new rows pack after it.
+  if (cc_.codec.needs_relayout()) cube_internal::RelayoutAndRekey(cc_, stores_);
+  cc_.row_keys.reserve(capacity * cc_.words);
+  cc_.row_keys.resize((first + n) * cc_.words, 0);
+  for (size_t k = 0; k < ctx_.num_keys; ++k) {
+    cc_.codec.SetCodesBatch(k, codes[k].data(), n,
+                            cc_.row_keys.data() + first * cc_.words,
+                            cc_.words);
   }
   cc_.BindBatchArgs();
   return Status::OK();
@@ -929,14 +926,73 @@ Result<std::unique_ptr<MaterializedCube>> MaterializedCube::LoadFromFile(
   return cube;
 }
 
-void MaterializedCube::ForEachCell(
-    size_t set_index,
-    const std::function<void(const std::vector<Value>& key,
-                             const char* block)>& fn) const {
-  const cube_internal::CellStore& store = stores_[set_index];
-  store.ForEach([&](const uint64_t* key, char* block) {
-    fn(cc_.codec.DecodeKey(key), block);
-  });
+Result<std::vector<MaterializedCube::AnswerSource>>
+MaterializedCube::PlanAnswer(const CubeSpec& spec,
+                             const Navigation& nav) const {
+  if (nav.keys.size() != spec.AllGroupExprs().size() ||
+      nav.aggs.size() != spec.aggregates.size()) {
+    return Status::InvalidArgument("navigation does not map the spec");
+  }
+  GroupingSet filtered = 0;
+  for (const auto& [k, v] : nav.filter) {
+    if (k >= ctx_.num_keys || v.is_special()) {
+      return Status::InvalidArgument("navigation filter needs a cube key "
+                                     "and a concrete value");
+    }
+    filtered |= GroupingSet{1} << k;
+  }
+  for (size_t k : nav.keys) {
+    if (k >= ctx_.num_keys) return Status::InvalidArgument("unknown cube key");
+  }
+  for (size_t a : nav.aggs) {
+    if (a >= ctx_.aggs.size()) {
+      return Status::InvalidArgument("unknown cube aggregate");
+    }
+  }
+  std::vector<AnswerSource> sources;
+  for (GroupingSet set : spec.GroupingSets()) {
+    GroupingSet needed = filtered;
+    for (size_t k = 0; k < nav.keys.size(); ++k) {
+      if (IsGrouped(set, k)) needed |= GroupingSet{1} << nav.keys[k];
+    }
+    size_t v = cube_internal::SmallestAncestor(ctx_.sets, stores_, needed);
+    if (v == ctx_.sets.size()) {
+      return Status::NotFound("no stored view covers " +
+                              GroupingSetToString(needed, ctx_.key_names));
+    }
+    sources.push_back(AnswerSource{ctx_.sets[v], stores_[v].size()});
+  }
+  return sources;
+}
+
+Result<Table> MaterializedCube::Answer(const CubeSpec& spec,
+                                       const Navigation& nav) const {
+  obs::ScopedSpan span("cube_answer");
+  DATACUBE_ASSIGN_OR_RETURN(std::vector<AnswerSource> sources,
+                            PlanAnswer(spec, nav));
+  DATACUBE_ASSIGN_OR_RETURN(
+      std::unique_ptr<cube_internal::FoldSink> sink,
+      cube_internal::MakeFoldSink(base_->schema(), spec));
+  cube_internal::CellFold fold(cc_, *sink, nav.keys, nav.aggs);
+  for (const auto& [k, v] : nav.filter) {
+    // A literal outside the dictionary matches no row; no field holds ~0.
+    fold.Require(k, cc_.codec.CodeOf(k, v).value_or(~uint64_t{0}));
+  }
+  size_t folded = 0;
+  for (size_t s = 0; s < sources.size(); ++s) {
+    size_t v = static_cast<size_t>(
+        std::find(ctx_.sets.begin(), ctx_.sets.end(), sources[s].view) -
+        ctx_.sets.begin());
+    DATACUBE_RETURN_IF_ERROR(fold.Into(stores_[v], s));
+    folded += sources[s].cells;
+  }
+  if (span.active()) {
+    span.Attr("sets", static_cast<uint64_t>(sources.size()));
+    span.Attr("cells_folded", static_cast<uint64_t>(folded));
+  }
+  CubeStats stats;
+  return cube_internal::AssembleColumnarResult(sink->cc, sink->stores,
+                                               /*ordered=*/true, &stats);
 }
 
 Status MaterializedCube::LiveRows(Table* out) const {

@@ -272,14 +272,45 @@ class MaterializedCube {
   /// (PartitionedCube) relies on.
   const cube_internal::ColumnarContext& columnar() const { return cc_; }
 
-  /// Visits every maintained cell of stored view `set_index` (an index
-  /// into views()): the decoded full-width key (ALL in aggregated-away
-  /// positions) and the cell's state block. Read-only — callers may Merge
-  /// the block's states into another same-spec cube's cells but must not
-  /// mutate this one.
-  void ForEachCell(size_t set_index,
-                   const std::function<void(const std::vector<Value>& key,
-                                            const char* block)>& fn) const;
+  /// The maintained cells of stored view `set_index` (an index into
+  /// views()), keyed under columnar()'s codec. Read-only: callers fold them
+  /// elsewhere (cube_internal::CellFold) and read through ForEach only.
+  const cube_internal::CellStore& view_cells(size_t set_index) const {
+    return stores_[set_index];
+  }
+
+  /// Aggregate navigation — answering a GROUP BY from stored aggregates
+  /// instead of base rows. A request is a query spec whose grouping key k
+  /// is this cube's key `keys[k]` and whose aggregate a merges this cube's
+  /// aggregate `aggs[a]` (same function and argument), over the base rows
+  /// whose key `filter[i].first` equals the concrete `filter[i].second`.
+  struct Navigation {
+    std::vector<size_t> keys;
+    std::vector<size_t> aggs;
+    std::vector<std::pair<size_t, Value>> filter;
+  };
+
+  /// Where one requested set is folded from: the stored view with the
+  /// fewest cells among those covering the set's keys and the filtered
+  /// keys.
+  struct AnswerSource {
+    GroupingSet view = 0;
+    size_t cells = 0;
+  };
+
+  /// The source of each of spec.GroupingSets(), in that order; NotFound
+  /// when some set has no covering view, InvalidArgument for a malformed
+  /// request.
+  Result<std::vector<AnswerSource>> PlanAnswer(const CubeSpec& spec,
+                                               const Navigation& nav) const;
+
+  /// The relation ExecuteCube returns, sorted, for `spec` over the live
+  /// base rows that pass nav.filter — computed by folding each PlanAnswer
+  /// view into a context for `spec` (cube_internal::CellFold). The fold
+  /// re-associates the mapped aggregates, so the answer is exact only for
+  /// those that fold exactly (COUNT, integer SUM, non-float MIN/MAX); the
+  /// caller decides. Const and lock-free: stored cells are only read.
+  Result<Table> Answer(const CubeSpec& spec, const Navigation& nav) const;
 
   /// Appends the live (non-tombstoned) base rows to `out`, which must have
   /// the base schema: one typed range append when no row is tombstoned,

@@ -19,12 +19,11 @@ namespace datacube {
 
 namespace {
 
-using cube_internal::BuildColumnarContext;
 using cube_internal::BuildCubeContext;
-using cube_internal::ColumnarContext;
+using cube_internal::CellFold;
 using cube_internal::CubeContext;
+using cube_internal::FoldSink;
 using cube_internal::ParallelStatusFor;
-using cube_internal::SetStores;
 using cube_internal::TaskGroup;
 using cube_internal::ThreadPool;
 
@@ -43,20 +42,6 @@ obs::Counter& PartCounter(const char* name, const char* help) {
 obs::Gauge& PartGauge(const char* name, const char* help) {
   return obs::MetricsRegistry::Global().GetGauge(name, help);
 }
-
-/// A merge sink: the columnar machinery of a same-spec cube over an EMPTY
-/// base table. Partition cells fold in via the cross-cube Merge protocol —
-/// the state layout depends only on the aggregate list, so every
-/// partition's cell blocks are byte-compatible with the sink's.
-/// Heap-allocated and never moved: ctx/cc hold internal pointers.
-struct MergeSink {
-  Table empty;
-  CubeSpec spec;
-  CubeContext ctx;
-  ColumnarContext cc;
-  // Declaration order matters: stores destroy their cells through cc.
-  SetStores stores;
-};
 
 /// Deep-copies the spec's expression trees. Expr::Bind caches column
 /// indexes inside the nodes, so sinks and deltas built concurrently from
@@ -84,44 +69,18 @@ CubeSpec CloneSpecExprs(const CubeSpec& spec) {
   return out;
 }
 
-Result<std::unique_ptr<MergeSink>> MakeSink(const Schema& schema,
-                                             const CubeSpec& spec) {
-  auto sink = std::make_unique<MergeSink>();
-  sink->empty = Table(schema);
-  sink->spec = CloneSpecExprs(spec);
-  DATACUBE_ASSIGN_OR_RETURN(sink->ctx,
-                            BuildCubeContext(sink->empty, sink->spec));
-  DATACUBE_ASSIGN_OR_RETURN(sink->cc, BuildColumnarContext(sink->ctx));
-  sink->stores.reserve(sink->ctx.sets.size());
-  for (size_t s = 0; s < sink->ctx.sets.size(); ++s) {
-    sink->stores.push_back(sink->cc.MakeStore());
-  }
-  return sink;
-}
-
-/// Merges one cell — its full-width Value key and state block — into the
-/// sink's store `s`, growing the sink's dictionaries as new values arrive.
-Status FoldCell(MergeSink& sink, size_t s, const std::vector<Value>& key,
-                const char* block) {
-  std::vector<uint64_t> packed = cube_internal::EncodeKeyOrGrow(
-      sink.cc, sink.stores, key, sink.ctx.sets[s]);
-  return sink.cc.MergeCell(sink.stores[s].FindOrInsert(packed.data()), block,
-                           nullptr);
-}
-
-/// Folds every cell of `src` into the sink: decode the key under src's
-/// codec, re-encode under the sink's, and Merge the state blocks. Deltas
-/// and sinks come from one spec, so their grouping sets match one to one.
-Status FoldCube(MergeSink& sink, const MaterializedCube& src) {
+/// Folds every cell of `src` into the sink, a FoldSink for the same spec:
+/// keys, aggregates and grouping sets match one to one, and the state
+/// layout depends only on the aggregate list, so cell blocks are
+/// byte-compatible.
+Status FoldCube(FoldSink& sink, const MaterializedCube& src) {
   if (src.views() != sink.ctx.sets) {
     return Status::Internal("partition delta stores other grouping sets");
   }
+  CellFold fold(src.columnar(), sink, CellFold::Identity(sink.ctx.num_keys),
+                CellFold::Identity(sink.ctx.aggs.size()));
   for (size_t s = 0; s < sink.ctx.sets.size(); ++s) {
-    Status st = Status::OK();
-    src.ForEachCell(s, [&](const std::vector<Value>& key, const char* block) {
-      if (st.ok()) st = FoldCell(sink, s, key, block);
-    });
-    DATACUBE_RETURN_IF_ERROR(st);
+    DATACUBE_RETURN_IF_ERROR(fold.Into(src.view_cells(s), s));
   }
   return Status::OK();
 }
@@ -129,13 +88,11 @@ Status FoldCube(MergeSink& sink, const MaterializedCube& src) {
 /// FoldCube's sink-to-sink form: folds every cell of a shard sink into
 /// `dst`. Used by the partition-parallel merged read to combine per-shard
 /// results.
-Status FoldSink(MergeSink& dst, const MergeSink& src) {
+Status FoldShard(FoldSink& dst, const FoldSink& src) {
+  CellFold fold(src.cc, dst, CellFold::Identity(dst.ctx.num_keys),
+                CellFold::Identity(dst.ctx.aggs.size()));
   for (size_t s = 0; s < dst.ctx.sets.size(); ++s) {
-    Status st = Status::OK();
-    src.stores[s].ForEach([&](const uint64_t* key, char* block) {
-      if (st.ok()) st = FoldCell(dst, s, src.cc.codec.DecodeKey(key), block);
-    });
-    DATACUBE_RETURN_IF_ERROR(st);
+    DATACUBE_RETURN_IF_ERROR(fold.Into(src.stores[s], s));
   }
   return Status::OK();
 }
@@ -653,8 +610,11 @@ Result<Table> PartitionedCube::ToTable() {
   }
 
   obs::ScopedSpan span("partition_merge_read");
-  DATACUBE_ASSIGN_OR_RETURN(std::unique_ptr<MergeSink> sink,
-                            MakeSink(base_schema_, *spec_));
+  // Every sink binds a private clone of the spec's expressions.
+  auto make_sink = [this] {
+    return cube_internal::MakeFoldSink(base_schema_, CloneSpecExprs(*spec_));
+  };
+  DATACUBE_ASSIGN_OR_RETURN(std::unique_ptr<FoldSink> sink, make_sink());
   std::vector<std::shared_ptr<const MaterializedCube>> frozen;
   size_t open_folded = 0;
   {
@@ -678,18 +638,17 @@ Result<Table> PartitionedCube::ToTable() {
     // ParallelStatusFor surfaces the first error by shard index, so even
     // failures are deterministic.
     shards = std::min(frozen.size(), kMergeReadFanout);
-    std::vector<std::unique_ptr<MergeSink>> shard_sinks(shards);
+    std::vector<std::unique_ptr<FoldSink>> shard_sinks(shards);
     DATACUBE_RETURN_IF_ERROR(ParallelStatusFor(
         ThreadPool::Global(), shards, [&](size_t i) -> Status {
-          DATACUBE_ASSIGN_OR_RETURN(shard_sinks[i],
-                                    MakeSink(base_schema_, *spec_));
+          DATACUBE_ASSIGN_OR_RETURN(shard_sinks[i], make_sink());
           for (size_t d = i; d < frozen.size(); d += shards) {
             DATACUBE_RETURN_IF_ERROR(FoldCube(*shard_sinks[i], *frozen[d]));
           }
           return Status::OK();
         }));
     for (size_t i = 0; i < shards; ++i) {
-      DATACUBE_RETURN_IF_ERROR(FoldSink(*sink, *shard_sinks[i]));
+      DATACUBE_RETURN_IF_ERROR(FoldShard(*sink, *shard_sinks[i]));
     }
   } else {
     for (const std::shared_ptr<const MaterializedCube>& d : frozen) {

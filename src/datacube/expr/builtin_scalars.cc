@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 
 #include "datacube/common/str_util.h"
 #include "datacube/expr/scalar_function.h"
@@ -214,7 +215,13 @@ void RegisterMath(ScalarFunctionRegistry& r) {
   };
   abs_fn.eval = [](const ValVec& args) -> Result<Value> {
     if (args[0].kind() == Value::Kind::kInt64) {
-      return Value::Int64(std::llabs(args[0].int64_value()));
+      // |INT64_MIN| does not fit; it errs like -x does instead of wrapping.
+      int64_t x = args[0].int64_value();
+      if (x == std::numeric_limits<int64_t>::min()) {
+        return Status::OutOfRange("integer overflow in abs(" +
+                                  args[0].ToString() + ")");
+      }
+      return Value::Int64(x < 0 ? -x : x);
     }
     return Value::Float64(std::fabs(args[0].AsDouble()));
   };

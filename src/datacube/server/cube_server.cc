@@ -176,6 +176,19 @@ Result<Table> ParseIngestRows(const Schema& schema, const std::string& text,
   return out;
 }
 
+/// Unmounts every cube built from table `name`: its /cube entry and its
+/// catalog binding, so neither /cube nor /query reads it again.
+void UnmountCubesOf(ServerSnapshot& snap, const std::string& name) {
+  auto stale = [&](const MaterializedCubeEntry& e) {
+    return EqualsIgnoreCase(e.table, name);
+  };
+  for (const MaterializedCubeEntry& e : snap.cubes) {
+    if (stale(e)) snap.catalog.UnbindCube(e.name);
+  }
+  snap.cubes.erase(std::remove_if(snap.cubes.begin(), snap.cubes.end(), stale),
+                   snap.cubes.end());
+}
+
 }  // namespace
 
 Result<std::unique_ptr<CubeServer>> CubeServer::Start(const Options& options) {
@@ -241,7 +254,10 @@ Status CubeServer::RegisterTable(const std::string& name, Table table,
   auto shared = std::make_shared<const Table>(std::move(table));
   return snapshots_.Update([&](ServerSnapshot& snap) {
     if (replace) {
+      // Cubes built from the old rows would keep answering /cube, and no
+      // longer match what /query reads.
       snap.catalog.PutShared(name, shared);
+      UnmountCubesOf(snap, name);
       return Status::OK();
     }
     return snap.catalog.RegisterShared(name, shared);
@@ -350,11 +366,7 @@ obs::HttpResponse CubeServer::HandleDrop(const HttpRequest& request) {
     // the store alive through their own shared_ptr pins.
     dropped = snap.catalog.DropPartitioned(name) || dropped;
     // Cubes built from the table go with it.
-    snap.cubes.erase(std::remove_if(snap.cubes.begin(), snap.cubes.end(),
-                                    [&](const MaterializedCubeEntry& e) {
-                                      return EqualsIgnoreCase(e.table, name);
-                                    }),
-                     snap.cubes.end());
+    UnmountCubesOf(snap, name);
     return Status::OK();
   });
   if (!st.ok()) return ErrorResponse(st);
@@ -464,13 +476,16 @@ obs::HttpResponse CubeServer::HandleMaterialize(const HttpRequest& request) {
 
   Status st = snapshots_.Update([&](ServerSnapshot& s) {
     // The build above ran against a pinned (possibly stale) snapshot.
-    // Re-check the source table in the snapshot being published: if a
-    // concurrent /drop removed it, mounting the cube would leave an entry
-    // no table-drop can ever clean up. 409 and let the client retry.
-    if (!s.catalog.GetShared(table_name).ok()) {
+    // Re-check the source table object in the snapshot being published: if
+    // a concurrent /drop removed it, or /register?replace=1 swapped in other
+    // rows, the cube would answer for rows the table no longer has. 409 and
+    // let the client retry.
+    Result<std::shared_ptr<const Table>> current =
+        s.catalog.GetShared(table_name);
+    if (!current.ok() || current.value() != table.value()) {
       return Status::AlreadyExists("source table " + table_name +
-                                   " was dropped while materializing " +
-                                   name + "; not mounted");
+                                   " was dropped or replaced while "
+                                   "materializing " + name + "; not mounted");
     }
     s.cubes.erase(std::remove_if(s.cubes.begin(), s.cubes.end(),
                                  [&](const MaterializedCubeEntry& e) {
@@ -478,6 +493,9 @@ obs::HttpResponse CubeServer::HandleMaterialize(const HttpRequest& request) {
                                  }),
                   s.cubes.end());
     s.cubes.push_back(entry);
+    // Aggregate navigation: /query over this exact table object now reads
+    // the cube's cells wherever it can.
+    s.catalog.BindCube({name, table.value(), entry.cube});
     return Status::OK();
   });
   if (!st.ok()) return ErrorResponse(st);

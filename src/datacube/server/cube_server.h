@@ -28,12 +28,15 @@
 //   GET/POST /query       SQL via ?q= or the request body; ?deadline_ms=
 //                         bounds execution. Result rows as text/csv.
 //   POST     /register    ?name=<table>, CSV body → registers the table
-//                         (replace with ?replace=1).
-//   POST     /drop        ?name=<table>
+//                         (replace with ?replace=1, which unmounts the
+//                         cubes built from the old rows).
+//   POST     /drop        ?name=<table> (and the cubes built from it)
 //   GET      /tables      registered tables with row counts (JSON)
 //   POST     /materialize ?name=<cube>&table=<t>&keys=a,b&aggs=sum(x)
 //                         [&budget_bytes=N] → a stored MaterializedCube:
-//                         the core alone, or the budget's view selection
+//                         the core alone, or the budget's view selection;
+//                         /query answers usable GROUP BYs over the table
+//                         from it (aggregate navigation)
 //   GET      /cube        ?name=<cube>[&set=a,b] → answers GROUP BY over
 //                         the listed key subset from the stored cube
 //   POST     /ingest      ?table=<t>, CSV body → appends rows to a
@@ -95,6 +98,7 @@ class CubeServer {
   std::string url() const;
 
   /// Programmatic registration (same copy-edit-publish path as /register).
+  /// Replacing a table unmounts the cubes built from it.
   Status RegisterTable(const std::string& name, Table table,
                        bool replace = false);
 

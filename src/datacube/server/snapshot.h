@@ -24,9 +24,10 @@ namespace datacube::server {
 
 /// One stored cube mounted in the snapshot (/materialize): the core alone,
 /// or a byte-budget view selection. MaterializedCube::Query mutates
-/// per-cube stats, so concurrent readers of the *same* cube serialize on
-/// `mu`; the cube and its mutex are shared across snapshot versions until
-/// the cube is replaced or dropped.
+/// per-cube stats, so concurrent /cube readers of the *same* cube serialize
+/// on `mu`; /query reads it through the catalog's binding with the const,
+/// lock-free MaterializedCube::Answer. The cube and its mutex are shared
+/// across snapshot versions until the cube is replaced or unmounted.
 struct MaterializedCubeEntry {
   std::string name;
   std::string table;  // source table at build time

@@ -107,4 +107,17 @@ std::vector<std::string> Catalog::PartitionedNames() const {
   return names;
 }
 
+void Catalog::BindCube(CubeBinding binding) {
+  UnbindCube(binding.name);
+  cubes_.push_back(std::move(binding));
+}
+
+bool Catalog::UnbindCube(const std::string& name) {
+  auto it = std::find_if(cubes_.begin(), cubes_.end(),
+                         [&](const CubeBinding& b) { return b.name == name; });
+  if (it == cubes_.end()) return false;
+  cubes_.erase(it);
+  return true;
+}
+
 }  // namespace datacube::sql

@@ -10,6 +10,7 @@
 #include "datacube/table/table.h"
 
 namespace datacube {
+class MaterializedCube;
 class PartitionedCube;
 }  // namespace datacube
 
@@ -58,10 +59,28 @@ class Catalog {
   /// Sorted partitioned-store names.
   std::vector<std::string> PartitionedNames() const;
 
+  /// A stored cube bound to the table object it was built from. While the
+  /// catalog still maps some name to exactly `source`, the engine answers
+  /// aggregation queries over that table from the cube's cells (aggregate
+  /// navigation); replacing the table ends that. Binding vouches that the
+  /// cube aggregates exactly `source`'s rows: a bound cube is never
+  /// maintained.
+  struct CubeBinding {
+    std::string name;
+    std::shared_ptr<const Table> source;
+    std::shared_ptr<const MaterializedCube> cube;
+  };
+  /// Binds a cube, replacing any binding of the same name.
+  void BindCube(CubeBinding binding);
+  /// Removes the binding named `name`; false if there was none.
+  bool UnbindCube(const std::string& name);
+  const std::vector<CubeBinding>& cubes() const { return cubes_; }
+
  private:
   std::vector<std::pair<std::string, std::shared_ptr<const Table>>> tables_;
   std::vector<std::pair<std::string, std::shared_ptr<PartitionedCube>>>
       partitioned_;
+  std::vector<CubeBinding> cubes_;
 };
 
 }  // namespace datacube::sql

@@ -11,6 +11,7 @@
 #include "datacube/common/str_util.h"
 #include "datacube/cube/cube_operator.h"
 #include "datacube/cube/grouping_set.h"
+#include "datacube/cube/materialized_cube.h"
 #include "datacube/cube/partitioned_cube.h"
 #include "datacube/expr/predicate.h"
 #include "datacube/obs/metrics.h"
@@ -889,21 +890,8 @@ Result<AggregationPlan> PlanAggregation(const SelectStatement& stmt,
   return out;
 }
 
-// Aggregation SELECT: plan the cube, execute, filter (HAVING), project.
-// When `stats_out` is non-null it receives the cube execution stats
-// (EXPLAIN ANALYZE reads per-grouping-set cell counts from it).
-Result<Table> ExecuteAggregation(const SelectStatement& stmt,
-                                 const Table& filtered,
-                                 const EngineOptions& options,
-                                 CubeStats* stats_out = nullptr) {
-  DATACUBE_ASSIGN_OR_RETURN(AggregationPlan ap,
-                            PlanAggregation(stmt, options));
-
-  DATACUBE_ASSIGN_OR_RETURN(CubeResult cube,
-                            ExecuteCube(filtered, ap.spec, options.cube));
-  if (stats_out != nullptr) *stats_out = cube.stats;
-  Table result = std::move(cube.table);
-
+// HAVING, ORDER BY, projection and LIMIT over the cube result relation.
+Result<Table> FinishAggregation(const AggregationPlan& ap, Table result) {
   if (ap.having != nullptr) {
     obs::ScopedSpan span("having_filter");
     DATACUBE_RETURN_IF_ERROR(ap.having->Bind(result.schema()));
@@ -951,7 +939,285 @@ Result<Table> ExecuteAggregation(const SelectStatement& stmt,
   return ApplyOrderAndLimit(std::move(projected), /*order_by=*/{}, ap.limit);
 }
 
-// Shared select driver: filter, expand N_tiles, dispatch. `stats_out`
+// Aggregation SELECT: plan the cube, execute, filter (HAVING), project.
+// When `stats_out` is non-null it receives the cube execution stats
+// (EXPLAIN ANALYZE reads per-grouping-set cell counts from it).
+Result<Table> ExecuteAggregation(const SelectStatement& stmt,
+                                 const Table& filtered,
+                                 const EngineOptions& options,
+                                 CubeStats* stats_out = nullptr) {
+  DATACUBE_ASSIGN_OR_RETURN(AggregationPlan ap,
+                            PlanAggregation(stmt, options));
+  DATACUBE_ASSIGN_OR_RETURN(CubeResult cube,
+                            ExecuteCube(filtered, ap.spec, options.cube));
+  if (stats_out != nullptr) *stats_out = cube.stats;
+  return FinishAggregation(ap, std::move(cube.table));
+}
+
+// ---- Aggregate navigation -------------------------------------------------
+//
+// A cube bound in the catalog to the exact table object a statement reads
+// answers it from stored cells instead of base rows — Vassiliadis's cube
+// usability test — when all of these hold, decided before a row is read:
+//  * every grouping key is a bare column (plain, ROLLUP, CUBE or GROUPING
+//    SETS), and the WHERE is only `column = literal` conjuncts with the
+//    literal of the column's own type;
+//  * those columns are all among the cube's keys;
+//  * every aggregate is stored and folds exactly under re-association:
+//    COUNT(*), COUNT(x), SUM over INT64, MIN/MAX over a non-FLOAT64 column;
+//  * a stored view covers each requested set plus the filtered keys.
+// The answer is then byte-identical to the raw path's. Float or AVG
+// aggregates, ranges, computed keys, N_tile, partitioned sources and
+// unsorted output read the base rows.
+
+// The answer chosen for one statement: the binding and how the query maps
+// onto its cube.
+struct CubeRoute {
+  const Catalog::CubeBinding* binding = nullptr;
+  AggregationPlan plan;
+  MaterializedCube::Navigation nav;
+  std::vector<MaterializedCube::AnswerSource> sources;
+  size_t cells = 0;  // stored cells folded
+};
+
+bool MentionsNTile(const ExprPtr& e) {
+  if (e == nullptr) return false;
+  if (IsNTileCall(*e)) return true;
+  return std::any_of(e->args().begin(), e->args().end(), MentionsNTile);
+}
+
+// The value of a literal, or of a negated numeric one (SQL has no negative
+// number tokens; an int64 literal is never INT64_MIN, so negation is safe).
+std::optional<Value> LiteralValue(const Expr& e) {
+  if (e.kind() == Expr::Kind::kLiteral) return e.literal();
+  if (e.kind() != Expr::Kind::kUnary || e.unary_op() != UnaryOp::kNeg ||
+      e.args()[0]->kind() != Expr::Kind::kLiteral) {
+    return std::nullopt;
+  }
+  const Value& v = e.args()[0]->literal();
+  if (v.kind() == Value::Kind::kInt64) return Value::Int64(-v.int64_value());
+  if (v.kind() == Value::Kind::kFloat64) {
+    return Value::Float64(-v.float64_value());
+  }
+  return std::nullopt;
+}
+
+// Appends the (column, literal) pairs of a conjunction of `column =
+// literal` terms, each literal of its column's type; false when the
+// predicate has any other shape.
+bool CollectEqualities(const ExprPtr& e, const Schema& schema,
+                       std::vector<std::pair<size_t, Value>>* out) {
+  if (e == nullptr) return true;
+  if (e->kind() != Expr::Kind::kBinary) return false;
+  if (e->binary_op() == BinaryOp::kAnd) {
+    return CollectEqualities(e->args()[0], schema, out) &&
+           CollectEqualities(e->args()[1], schema, out);
+  }
+  if (e->binary_op() != BinaryOp::kEq) return false;
+  const std::string* name = e->args()[0]->AsColumnName();
+  std::optional<Value> literal = LiteralValue(*e->args()[1]);
+  if (name == nullptr) {
+    name = e->args()[1]->AsColumnName();
+    literal = LiteralValue(*e->args()[0]);
+  }
+  if (name == nullptr || !literal.has_value()) return false;
+  std::optional<size_t> col = schema.FieldIndexIgnoreCase(*name);
+  Result<DataType> type = literal->type();
+  if (!col.has_value() || !type.ok() || *type != schema.field(*col).type) {
+    return false;
+  }
+  out->emplace_back(*col, std::move(*literal));
+  return true;
+}
+
+// The table column a bare column reference reads, if `e` is one.
+std::optional<size_t> ColumnOf(const ExprPtr& e, const Schema& schema) {
+  const std::string* name = e == nullptr ? nullptr : e->AsColumnName();
+  if (name == nullptr) return std::nullopt;
+  return schema.FieldIndexIgnoreCase(*name);
+}
+
+// Whether re-associating `agg` over stored cells reproduces the raw scan's
+// bytes: the count of its argument, an exact 128-bit integer SUM, or a
+// MIN/MAX whose ties cannot differ (a float's -0.0 and NaN can).
+bool FoldsExactly(const AggregateSpec& agg, const Schema& schema) {
+  if (agg.distinct || !agg.params.empty()) return false;
+  const std::string fn = ToLower(agg.function);
+  if (fn == "count_star") return agg.args.empty();
+  if (agg.args.size() != 1) return false;
+  std::optional<size_t> col = ColumnOf(agg.args[0], schema);
+  if (!col.has_value()) return false;
+  const DataType type = schema.field(*col).type;
+  if (fn == "count") return true;
+  if (fn == "sum") return type == DataType::kInt64;
+  return (fn == "min" || fn == "max") && type != DataType::kFloat64;
+}
+
+// Maps the query onto `cube`: its key columns and filtered columns to cube
+// keys, its aggregates to the cube's stored ones. nullopt when the cube
+// lacks one of them.
+std::optional<MaterializedCube::Navigation> Navigate(
+    const MaterializedCube& cube, const Schema& schema,
+    const std::vector<size_t>& key_columns,
+    const std::vector<std::pair<size_t, Value>>& equalities,
+    const std::vector<AggregateSpec>& aggregates) {
+  std::vector<std::optional<size_t>> cube_columns;
+  for (const GroupExpr& g : cube.spec().AllGroupExprs()) {
+    cube_columns.push_back(ColumnOf(g.expr, schema));
+  }
+  auto cube_key = [&](size_t column) -> std::optional<size_t> {
+    auto it = std::find(cube_columns.begin(), cube_columns.end(), column);
+    if (it == cube_columns.end()) return std::nullopt;
+    return static_cast<size_t>(it - cube_columns.begin());
+  };
+  MaterializedCube::Navigation nav;
+  for (size_t column : key_columns) {
+    std::optional<size_t> k = cube_key(column);
+    if (!k.has_value()) return std::nullopt;
+    nav.keys.push_back(*k);
+  }
+  for (const auto& [column, literal] : equalities) {
+    std::optional<size_t> k = cube_key(column);
+    if (!k.has_value()) return std::nullopt;
+    nav.filter.emplace_back(*k, literal);
+  }
+  const std::vector<AggregateSpec>& stored = cube.spec().aggregates;
+  for (const AggregateSpec& agg : aggregates) {
+    auto same = [&](const AggregateSpec& s) {
+      return !s.distinct && s.params.empty() &&
+             EqualsIgnoreCase(s.function, agg.function) &&
+             s.args.size() == agg.args.size() &&
+             (agg.args.empty() ||
+              ColumnOf(s.args[0], schema) == ColumnOf(agg.args[0], schema));
+    };
+    auto it = std::find_if(stored.begin(), stored.end(), same);
+    if (it == stored.end()) return std::nullopt;
+    nav.aggs.push_back(static_cast<size_t>(it - stored.begin()));
+  }
+  return nav;
+}
+
+// The cheapest usable bound cube for `stmt`, or nullopt to read base rows.
+std::optional<CubeRoute> RouteToCube(const SelectStatement& stmt,
+                                     const Catalog& catalog,
+                                     const EngineOptions& options) {
+  if (catalog.cubes().empty() || !options.cube.sort_result ||
+      catalog.GetPartitioned(stmt.from_table) != nullptr) {
+    return std::nullopt;
+  }
+  Result<Source> table = catalog.GetShared(stmt.from_table);
+  if (!table.ok()) return std::nullopt;
+  const Schema& schema = table.value()->schema();
+  std::vector<std::pair<size_t, Value>> equalities;
+  if (!CollectEqualities(stmt.where, schema, &equalities)) return std::nullopt;
+  bool any_aggregate = stmt.having != nullptr;
+  for (const SelectItem& item : stmt.select_list) {
+    if (!item.star && ContainsAggregate(item.expr)) any_aggregate = true;
+  }
+  if (stmt.group_by.empty() && !any_aggregate) return std::nullopt;
+  Result<AggregationPlan> plan = PlanAggregation(stmt, options);
+  if (!plan.ok()) return std::nullopt;
+  const AggregationPlan& ap = plan.value();
+  if (MentionsNTile(ap.having) ||
+      std::any_of(ap.output_exprs.begin(), ap.output_exprs.end(),
+                  MentionsNTile) ||
+      std::any_of(ap.order_keys.begin(), ap.order_keys.end(),
+                  MentionsNTile)) {
+    return std::nullopt;
+  }
+  std::vector<size_t> key_columns;
+  for (const GroupExpr& g : ap.spec.AllGroupExprs()) {
+    std::optional<size_t> column = ColumnOf(g.expr, schema);
+    if (!column.has_value()) return std::nullopt;
+    key_columns.push_back(*column);
+  }
+  for (const AggregateSpec& agg : ap.spec.aggregates) {
+    if (!FoldsExactly(agg, schema)) return std::nullopt;
+  }
+  std::optional<CubeRoute> best;
+  for (const Catalog::CubeBinding& binding : catalog.cubes()) {
+    if (binding.source != table.value() ||
+        binding.cube->num_base_rows() != binding.source->num_rows()) {
+      continue;
+    }
+    std::optional<MaterializedCube::Navigation> nav = Navigate(
+        *binding.cube, schema, key_columns, equalities, ap.spec.aggregates);
+    if (!nav.has_value()) continue;
+    Result<std::vector<MaterializedCube::AnswerSource>> sources =
+        binding.cube->PlanAnswer(ap.spec, *nav);
+    if (!sources.ok()) continue;
+    size_t cells = 0;
+    for (const MaterializedCube::AnswerSource& src : sources.value()) {
+      cells += src.cells;
+    }
+    if (best.has_value() && best->cells <= cells) continue;
+    best = CubeRoute{&binding, ap, std::move(*nav), std::move(sources).value(),
+                     cells};
+  }
+  return best;
+}
+
+// EXPLAIN's account of a routed statement: one line per requested set.
+std::string RouteLines(const CubeRoute& route) {
+  std::vector<std::string> names;
+  for (const GroupExpr& g : route.plan.spec.AllGroupExprs()) {
+    names.push_back(g.name);
+  }
+  std::vector<std::string> cube_names;
+  for (const GroupExpr& g : route.binding->cube->spec().AllGroupExprs()) {
+    cube_names.push_back(g.name);
+  }
+  std::string out;
+  const std::vector<GroupingSet> sets = route.plan.spec.GroupingSets();
+  for (size_t s = 0; s < sets.size(); ++s) {
+    out += "answered from cube " + route.binding->name + ": set " +
+           GroupingSetToString(sets[s], names) + " from view " +
+           GroupingSetToString(route.sources[s].view, cube_names) + " (" +
+           std::to_string(route.sources[s].cells) + " cells)\n";
+  }
+  return out;
+}
+
+// Runs a routed statement: the cube's answer, then the unchanged HAVING /
+// ORDER BY / projection / LIMIT. Emits the statement's query profile, as
+// ExecuteCube would for the raw path.
+Result<Table> ExecuteRoute(const CubeRoute& route,
+                           const EngineOptions& options) {
+  auto start = std::chrono::steady_clock::now();
+  DATACUBE_ASSIGN_OR_RETURN(
+      Table cells, route.binding->cube->Answer(route.plan.spec, route.nav));
+  const size_t output_cells = cells.num_rows();
+  DATACUBE_ASSIGN_OR_RETURN(Table out,
+                            FinishAggregation(route.plan, std::move(cells)));
+  obs::QueryProfileLog& log = obs::QueryProfileLog::Global();
+  obs::QueryProfile p;
+  const std::string* text = obs::CurrentQueryText();
+  p.query = text != nullptr ? *text : "answer from cube " + route.binding->name;
+  p.wall_ms = std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
+  p.algorithm = "cube_answer";
+  p.input_rows = route.cells;
+  p.output_cells = output_cells;
+  p.lattice = "cube=" + route.binding->name +
+              " sets=" + std::to_string(route.sources.size()) +
+              " fold_cells=" + std::to_string(route.cells);
+  double threshold = log.EffectiveSlowThresholdMs(options.cube.slow_query_ms);
+  p.slow = threshold >= 0 && p.wall_ms >= threshold;
+  log.Record(std::move(p));
+  return out;
+}
+
+void CountSelect(const char* kind) {
+  obs::MetricsRegistry::Global()
+      .GetCounter("datacube_sql_selects_total",
+                  "SQL SELECT statements executed, by query shape",
+                  {{"kind", kind}})
+      .Inc();
+}
+
+// Shared select driver: answer from a bound cube, or filter, expand
+// N_tiles and dispatch. `stats_out`
 // (optional) receives the cube stats of an aggregation query.
 Result<Table> ExecuteSelectImpl(const SelectStatement& stmt,
                                 const Catalog& catalog,
@@ -962,6 +1228,14 @@ Result<Table> ExecuteSelectImpl(const SelectStatement& stmt,
   // table (a pre-expired deadline never starts scanning); the cube operator
   // re-polls the same control at its work boundaries.
   DATACUBE_RETURN_IF_ERROR(CheckControl(options.cube.control));
+  if (std::optional<CubeRoute> route = RouteToCube(stmt, catalog, options)) {
+    CountSelect("cube_answer");
+    if (span.active()) {
+      span.Attr("table", stmt.from_table);
+      span.Attr("cube", route->binding->name);
+    }
+    return ExecuteRoute(*route, options);
+  }
   ScanInfo scan;
   DATACUBE_ASSIGN_OR_RETURN(Source filtered,
                             ResolveScanAndFilter(stmt, catalog, &scan));
@@ -987,11 +1261,7 @@ Result<Table> ExecuteSelectImpl(const SelectStatement& stmt,
     if (!item.star && ContainsAggregate(item.expr)) any_aggregate = true;
   }
   bool is_projection = prepared.group_by.empty() && !any_aggregate;
-  obs::MetricsRegistry::Global()
-      .GetCounter("datacube_sql_selects_total",
-                  "SQL SELECT statements executed, by query shape",
-                  {{"kind", is_projection ? "projection" : "aggregation"}})
-      .Inc();
+  CountSelect(is_projection ? "projection" : "aggregation");
   if (is_projection) {
     // Projections bypass ExecuteCube, so they emit their (thin) profile
     // here; aggregations profile inside the cube operator.
@@ -1035,6 +1305,17 @@ Result<std::string> ExplainSelectText(const SelectStatement& stmt,
                                       const Catalog& catalog,
                                       const EngineOptions& options,
                                       bool analyze) {
+  if (std::optional<CubeRoute> route = RouteToCube(stmt, catalog, options)) {
+    std::string out = RouteLines(*route);
+    if (!analyze) return out;
+    obs::Trace trace("query");
+    {
+      obs::TraceScope scope(&trace);
+      DATACUBE_ASSIGN_OR_RETURN(Table discarded, ExecuteRoute(*route, options));
+      (void)discarded;
+    }
+    return out + "trace:\n" + trace.Render();
+  }
   ScanInfo scan;
   DATACUBE_ASSIGN_OR_RETURN(Source filtered,
                             ResolveScanAndFilter(stmt, catalog, &scan));

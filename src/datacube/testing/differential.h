@@ -163,6 +163,25 @@ DiffReport RunPredicateDifferential(uint64_t seed,
                                     const RandomTableProfile& profile,
                                     size_t num_predicates = 50);
 
+/// Fourth oracle mode: SQL answered from a stored cube (aggregate
+/// navigation) against the raw path. Over MakeRandomTable(seed, profile) it
+/// stores the CUBE of every dimension with exact (COUNT, integer SUM,
+/// MIN/MAX over non-float columns) and inexact (float SUM and MIN, AVG)
+/// aggregates twice — BuildViews over a seeded view list and
+/// BuildWithBudget under a seeded budget — and runs `num_queries` seeded
+/// statements under `mode` against each: plain GROUP BY, ROLLUP, CUBE and
+/// GROUPING SETS over key subsets, 0-2 `key = literal` conjuncts (literals
+/// from the column, absent values and NULL), optional HAVING, ORDER BY,
+/// LIMIT and GROUPING(). Each statement must give identical WriteCsvString
+/// bytes, or an identical Status, on a catalog with the cube bound and on
+/// one without. EXPLAIN must show the rewrite exactly on the statements
+/// the usability test admits — never with a float aggregate, AVG, a
+/// non-equality predicate or a NULL literal, nor once the table object is
+/// replaced — and on at least half of all statements.
+DiffReport RunCubeAnswerDifferential(uint64_t seed,
+                                     const RandomTableProfile& profile,
+                                     AllMode mode, size_t num_queries = 40);
+
 }  // namespace testing
 }  // namespace datacube
 

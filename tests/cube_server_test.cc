@@ -391,6 +391,155 @@ TEST(CubeServerTest, MaterializeAndQueryPartialCube) {
   EXPECT_EQ(StatusOf(Get(server->port(), "/cube?name=missing")), 404);
 }
 
+TEST(CubeServerTest, MountedCubeAnswersQueryWithTheRawBytes) {
+  auto server = StartServer();
+  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(
+      server->RegisterTable("Sales", Table3SalesTable().value()).ok());
+  const int port = server->port();
+  const std::string answerable =
+      "SELECT Color, COUNT(*), SUM(Units) FROM Sales "
+      "WHERE Model = 'Chevy' GROUP BY ROLLUP Color";
+  const std::string unanswerable =
+      "SELECT Color, AVG(Units) FROM Sales GROUP BY Color";
+  const std::string raw = Query(port, answerable);
+  const std::string raw_avg = Query(port, unanswerable);
+  ASSERT_EQ(StatusOf(raw), 200) << raw;
+  ASSERT_EQ(StatusOf(Post(port,
+                          "/materialize?name=sales_cube&table=Sales"
+                          "&keys=Model,Year,Color&aggs=count(*),sum(Units)")),
+            200);
+  EXPECT_EQ(BodyOf(Query(port, answerable)), BodyOf(raw));
+  EXPECT_EQ(BodyOf(Query(port, unanswerable)), BodyOf(raw_avg));
+  EXPECT_NE(BodyOf(Query(port, "EXPLAIN " + answerable))
+                .find("answered from cube sales_cube: set {Color} from view "
+                      "{Model, Year, Color}"),
+            std::string::npos);
+  EXPECT_EQ(BodyOf(Query(port, "EXPLAIN " + unanswerable))
+                .find("answered from cube"),
+            std::string::npos);
+  // The rewrite shows in /queryz.
+  EXPECT_NE(BodyOf(Get(port, "/queryz")).find("cube=sales_cube"),
+            std::string::npos);
+}
+
+TEST(CubeServerTest, ReplacingATableUnmountsItsCubes) {
+  auto server = StartServer();
+  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(
+      server->RegisterTable("Sales", Table3SalesTable().value()).ok());
+  const int port = server->port();
+  ASSERT_EQ(StatusOf(Post(port,
+                          "/materialize?name=sales_cube&table=Sales"
+                          "&keys=Model,Color&aggs=sum(Units)")),
+            200);
+  const std::string sql =
+      "SELECT Color, SUM(Units) FROM Sales WHERE Model = 'Chevy' "
+      "GROUP BY Color";
+  ASSERT_NE(BodyOf(Query(port, "EXPLAIN " + sql)).find("answered from cube"),
+            std::string::npos);
+  ASSERT_EQ(StatusOf(Get(port, "/cube?name=sales_cube&set=Color")), 200);
+
+  // Other rows under the same name: /query follows them, and no cube built
+  // from the old rows stays mounted for /cube or the rewrite.
+  ASSERT_TRUE(server
+                  ->RegisterTable("Sales",
+                                  ReadCsvString("Model,Color,Units\n"
+                                                "Chevy,teal,7\n")
+                                      .value(),
+                                  /*replace=*/true)
+                  .ok());
+  EXPECT_EQ(BodyOf(Query(port, sql)), "Color,sum(Units)\nteal,7\n");
+  EXPECT_EQ(BodyOf(Query(port, "EXPLAIN " + sql)).find("answered from cube"),
+            std::string::npos);
+  EXPECT_EQ(StatusOf(Get(port, "/cube?name=sales_cube&set=Color")), 404);
+  EXPECT_NE(BodyOf(Get(port, "/tables")).find("\"cubes\":[]"),
+            std::string::npos);
+  EXPECT_TRUE(server->snapshot()->catalog.cubes().empty());
+}
+
+TEST(CubeServerTest, MaterializeReplaceRaceNeverMountsStaleRows) {
+  // A /register?replace=1 that lands between /materialize's build and its
+  // publish must make the materialize fail with 409: the cube would
+  // otherwise serve the old rows' aggregates next to the new table.
+  auto server = StartServer();
+  ASSERT_NE(server, nullptr);
+  const int port = server->port();
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(
+        server->RegisterTable("race_src", UniformTable(2000, 1), true).ok());
+    std::thread mat([&] {
+      std::string resp = Post(port,
+                              "/materialize?name=race_cube&table=race_src"
+                              "&keys=k&aggs=sum(v)");
+      int status = StatusOf(resp);
+      EXPECT_TRUE(status == 200 || status == 409) << resp.substr(0, 200);
+    });
+    ASSERT_TRUE(
+        server->RegisterTable("race_src", UniformTable(2000, 2), true).ok());
+    mat.join();
+    // Mounted only if built from the new rows.
+    std::string cube = Get(port, "/cube?name=race_cube&set=k");
+    if (StatusOf(cube) == 200) {
+      EXPECT_NE(BodyOf(cube).find("x,4000"), std::string::npos)
+          << "stale cube after iteration " << i << ": " << BodyOf(cube);
+    }
+    std::shared_ptr<const ServerSnapshot> snap = server->snapshot();
+    for (const sql::Catalog::CubeBinding& b : snap->catalog.cubes()) {
+      EXPECT_EQ(b.source, snap->catalog.GetShared("race_src").value());
+    }
+  }
+}
+
+TEST(CubeServerTest, RewrittenQueriesAndCubeReadsRaceOnOneCube) {
+  // The rewrite reads the mounted cube without its mutex while /cube reads
+  // hold it: concurrent readers must all get the single-threaded answers
+  // (and stay clean under ThreadSanitizer).
+  auto server = StartServer();
+  ASSERT_NE(server, nullptr);
+  const int port = server->port();
+  SalesGenOptions gen;
+  gen.num_rows = 5000;
+  gen.num_dealers = 6;
+  ASSERT_TRUE(server->RegisterTable("Sales", GenerateSales(gen).value()).ok());
+  const std::vector<std::string> sqls = {
+      "SELECT Color, COUNT(*), SUM(Units) FROM Sales WHERE Model = 'model1' "
+      "GROUP BY Color",
+      "SELECT Model, Year, COUNT(*) FROM Sales GROUP BY ROLLUP Model, Year",
+      "SELECT Dealer, SUM(Units) FROM Sales WHERE Year = 1995 AND "
+      "Color = 'color2' GROUP BY CUBE Dealer"};
+  std::vector<std::string> raw;
+  for (const std::string& sql : sqls) raw.push_back(BodyOf(Query(port, sql)));
+  ASSERT_EQ(StatusOf(Post(port,
+                          "/materialize?name=SalesCube&table=Sales"
+                          "&keys=Model,Year,Color,Dealer"
+                          "&aggs=count(*),sum(Units)&budget_bytes=200000")),
+            200);
+  for (const std::string& sql : sqls) {
+    ASSERT_NE(BodyOf(Query(port, "EXPLAIN " + sql)).find("answered from cube"),
+              std::string::npos)
+        << sql;
+  }
+  const std::string cube_target = "/cube?name=SalesCube&set=Model,Color";
+  const std::string cube_body = BodyOf(Get(port, cube_target));
+  ASSERT_FALSE(cube_body.empty());
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < 15; ++i) {
+        size_t q = static_cast<size_t>(c + i) % sqls.size();
+        bool ok = c % 2 == 0
+                      ? BodyOf(Query(port, sqls[q])) == raw[q]
+                      : BodyOf(Get(port, cube_target)) == cube_body;
+        if (!ok) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 // ------------------------------------------------------------- transport
 
 TEST(CubeServerTest, LineProtocolExecutesSql) {
@@ -449,7 +598,8 @@ TEST(CubeServerTest, ErrorsMapToMeaningfulHttpStatuses) {
       extremes.AppendRow({Value::String("lo"), Value::Int64(kMin)}).ok());
   ASSERT_TRUE(server->RegisterTable("Extremes", extremes).ok());
   for (const char* sql : {"SELECT k, -x FROM Extremes",
-                          "SELECT k, x - 1 FROM Extremes"}) {
+                          "SELECT k, x - 1 FROM Extremes",
+                          "SELECT k, abs(x) FROM Extremes"}) {
     std::string overflow = Query(server->port(), sql);
     EXPECT_EQ(StatusOf(overflow), 400) << sql << "\n" << overflow;
     EXPECT_NE(overflow.find("integer overflow"), std::string::npos) << overflow;

@@ -13,6 +13,7 @@ namespace {
 
 using datacube::testing::AdversarialProfiles;
 using datacube::testing::DiffReport;
+using datacube::testing::RunCubeAnswerDifferential;
 using datacube::testing::DiffResultTables;
 using datacube::testing::MakeRandomSpec;
 using datacube::testing::MaintenanceOptions;
@@ -273,6 +274,37 @@ TEST(OracleSensitivityTest, ToleranceAbsorbsReorderedSummation) {
   EXPECT_TRUE(DiffResultTables(good, nudged, spec).ok());
 }
 
+// ------------------------------------------------- aggregate navigation
+
+// Parameter i covers profile i / 2 under AllMode i % 2.
+class CubeAnswerDifferentialTest : public ::testing::TestWithParam<size_t> {};
+
+AllMode CaseMode(size_t i) {
+  return i % 2 == 0 ? AllMode::kAllToken : AllMode::kNullWithGrouping;
+}
+
+// SQL answered from a stored cube must be byte-identical to the raw path,
+// and the rewrite must fire exactly where the usability test admits it:
+// 40 seeded statements per stored form, over every profile and both
+// super-aggregate markers.
+TEST_P(CubeAnswerDifferentialTest, AnswersMatchTheRawPath) {
+  const RandomTableProfile profile = AdversarialProfiles()[GetParam() / 2];
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    DiffReport report =
+        RunCubeAnswerDifferential(seed, profile, CaseMode(GetParam()));
+    ASSERT_TRUE(report.ok()) << report.ToString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Adversarial, CubeAnswerDifferentialTest,
+    ::testing::Range<size_t>(0, 2 * AdversarialProfiles().size()),
+    [](const ::testing::TestParamInfo<size_t>& info) {
+      return AdversarialProfiles()[info.param / 2].label +
+             (CaseMode(info.param) == AllMode::kAllToken ? "_all_token"
+                                                         : "_null_grouping");
+    });
+
 // ----------------------------------------------------------- soak mode
 
 // Optional deep fuzz, driven by the DATACUBE_FUZZ_ITERS environment
@@ -295,6 +327,9 @@ TEST(DifferentialSoakTest, EnvDrivenIterations) {
         << report.ToString();
     DiffReport predicates = RunPredicateDifferential(seed, profile);
     ASSERT_TRUE(predicates.ok()) << predicates.ToString();
+    DiffReport answers = RunCubeAnswerDifferential(
+        seed, profile, CaseMode(static_cast<size_t>(i)));
+    ASSERT_TRUE(answers.ok()) << answers.ToString();
     if (i % 4 == 3) {
       DiffReport maint = RunMaintenanceDifferential(seed, profile, spec);
       ASSERT_TRUE(maint.ok())

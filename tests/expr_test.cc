@@ -100,8 +100,15 @@ TEST(ExprTest, IntegerOverflowIsAnErrorNotAWrap) {
   overflows(Expr::Binary(BinaryOp::kSub, Expr::Column("hi"), lit(-1)));
   overflows(Expr::Binary(BinaryOp::kMul, Expr::Column("lo"), lit(-1)));
   overflows(Expr::Binary(BinaryOp::kMul, Expr::Column("hi"), lit(2)));
+  overflows(Expr::Call("abs", {Expr::Column("lo")}));
 
   // The largest results that still fit are exact.
+  EXPECT_EQ(Eval(Expr::Call("abs", {Expr::Binary(BinaryOp::kAdd,
+                                                 Expr::Column("lo"), lit(1))}),
+                 t, 0),
+            Value::Int64(kMax));
+  EXPECT_EQ(Eval(Expr::Call("abs", {Expr::Column("hi")}), t, 0),
+            Value::Int64(kMax));
   EXPECT_EQ(Eval(Expr::Unary(UnaryOp::kNeg, Expr::Column("hi")), t, 0),
             Value::Int64(kMin + 1));
   EXPECT_EQ(Eval(Expr::Binary(BinaryOp::kAdd, Expr::Column("lo"),

@@ -395,9 +395,29 @@ def check_multi_window_ingest(base):
     if total not in answers["Events"]:
         return fail(f"multi-window ingest: no {total!r} row in "
                     f"{answers['Events']!r}")
+    # A bound on whole windows (width 1000): the window cubes answer, with
+    # the plain table's bytes. A bound inside a window reads rows.
+    def windowed(table, lo):
+        return (f"SELECT source, kind, COUNT(*), SUM(units) FROM {table} "
+                f"WHERE ts >= {lo} GROUP BY CUBE source, kind")
+    for table in ("Events", "smoke_multiwin"):
+        status, body = query(base, windowed(table, 300000))
+        if status != 200:
+            return fail(f"aligned CUBE over {table}: HTTP {status}: "
+                        f"{body.strip()}")
+        answers[table] = body
+    if answers["Events"] != answers["smoke_multiwin"]:
+        return fail(f"window answer {answers['Events']!r} != plain table "
+                    f"{answers['smoke_multiwin']!r}")
+    for lo, answered in ((300000, True), (300001, False)):
+        status, body = query(base, "EXPLAIN " + windowed("Events", lo))
+        if status != 200 or ("window cubes of Events" in body) != answered:
+            return fail(f"EXPLAIN ts >= {lo}: HTTP {status}: expected the "
+                        f"window answer {answered}: {body!r}")
     fetch(f"{base}/drop?name=smoke_multiwin", method="POST")
     print(f"ok: multi-window ingest ({len(MULTI_WINDOW_ROWS)} rows over "
-          "3 windows, NULL ts and a late row; CUBE == plain-table CUBE)")
+          "3 windows, NULL ts and a late row; CUBE == plain-table CUBE; "
+          "whole-window bounds answered from the window cubes)")
 
 
 # Per table: (vectorized WHERE, the same predicate written so that it runs

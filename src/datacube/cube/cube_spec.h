@@ -262,13 +262,6 @@ struct CubeStats {
   uint64_t lattice_bytes_materialized = 0; // bytes resident in kept views
   /// One entry per grouping set, parallel to CubeSpec::GroupingSets().
   std::vector<GroupingSetExecStats> per_set;
-  // Partition-pruning counters, set by the SQL engine when the scanned
-  // source is a PartitionedCube (all zero otherwise). EXPLAIN renders
-  // them as "partitions: scanned/pruned/total"; scanned + pruned == total.
-  bool partition_source = false;
-  uint64_t partitions_total = 0;
-  uint64_t partitions_scanned = 0;
-  uint64_t partitions_pruned = 0;
 };
 
 }  // namespace datacube

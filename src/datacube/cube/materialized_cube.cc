@@ -968,31 +968,38 @@ MaterializedCube::PlanAnswer(const CubeSpec& spec,
 Result<Table> MaterializedCube::Answer(const CubeSpec& spec,
                                        const Navigation& nav) const {
   obs::ScopedSpan span("cube_answer");
-  DATACUBE_ASSIGN_OR_RETURN(std::vector<AnswerSource> sources,
-                            PlanAnswer(spec, nav));
   DATACUBE_ASSIGN_OR_RETURN(
       std::unique_ptr<cube_internal::FoldSink> sink,
       cube_internal::MakeFoldSink(base_->schema(), spec));
-  cube_internal::CellFold fold(cc_, *sink, nav.keys, nav.aggs);
-  for (const auto& [k, v] : nav.filter) {
-    // A literal outside the dictionary matches no row; no field holds ~0.
-    fold.Require(k, cc_.codec.CodeOf(k, v).value_or(~uint64_t{0}));
-  }
   size_t folded = 0;
-  for (size_t s = 0; s < sources.size(); ++s) {
-    size_t v = static_cast<size_t>(
-        std::find(ctx_.sets.begin(), ctx_.sets.end(), sources[s].view) -
-        ctx_.sets.begin());
-    DATACUBE_RETURN_IF_ERROR(fold.Into(stores_[v], s));
-    folded += sources[s].cells;
-  }
+  DATACUBE_RETURN_IF_ERROR(FoldAnswer(nav, *sink, &folded));
   if (span.active()) {
-    span.Attr("sets", static_cast<uint64_t>(sources.size()));
+    span.Attr("sets", static_cast<uint64_t>(sink->ctx.sets.size()));
     span.Attr("cells_folded", static_cast<uint64_t>(folded));
   }
   CubeStats stats;
   return cube_internal::AssembleColumnarResult(sink->cc, sink->stores,
                                                /*ordered=*/true, &stats);
+}
+
+Status MaterializedCube::FoldAnswer(const Navigation& nav,
+                                    cube_internal::FoldSink& sink,
+                                    size_t* cells) const {
+  DATACUBE_ASSIGN_OR_RETURN(std::vector<AnswerSource> sources,
+                            PlanAnswer(sink.spec, nav));
+  cube_internal::CellFold fold(cc_, sink, nav.keys, nav.aggs);
+  for (const auto& [k, v] : nav.filter) {
+    // A literal outside the dictionary matches no row; no field holds ~0.
+    fold.Require(k, cc_.codec.CodeOf(k, v).value_or(~uint64_t{0}));
+  }
+  for (size_t s = 0; s < sources.size(); ++s) {
+    size_t v = static_cast<size_t>(
+        std::find(ctx_.sets.begin(), ctx_.sets.end(), sources[s].view) -
+        ctx_.sets.begin());
+    DATACUBE_RETURN_IF_ERROR(fold.Into(stores_[v], s));
+    *cells += sources[s].cells;
+  }
+  return Status::OK();
 }
 
 Status MaterializedCube::LiveRows(Table* out) const {

@@ -306,11 +306,18 @@ class MaterializedCube {
 
   /// The relation ExecuteCube returns, sorted, for `spec` over the live
   /// base rows that pass nav.filter — computed by folding each PlanAnswer
-  /// view into a context for `spec` (cube_internal::CellFold). The fold
-  /// re-associates the mapped aggregates, so the answer is exact only for
-  /// those that fold exactly (COUNT, integer SUM, non-float MIN/MAX); the
-  /// caller decides. Const and lock-free: stored cells are only read.
+  /// view into a context for `spec` (FoldAnswer). The fold re-associates
+  /// the mapped aggregates, so the answer is exact only for those that fold
+  /// exactly (COUNT, integer SUM, non-float MIN/MAX); the caller decides.
+  /// Const and lock-free: stored cells are only read.
   Result<Table> Answer(const CubeSpec& spec, const Navigation& nav) const;
+
+  /// Answer's fold: merges the cells of each PlanAnswer(sink.spec, nav)
+  /// view that pass nav.filter into `sink`, a FoldSink for the query spec
+  /// (cube_internal::CellFold), and adds the stored cells read to *cells.
+  /// PartitionedCube::Answer calls it once per window delta.
+  Status FoldAnswer(const Navigation& nav, cube_internal::FoldSink& sink,
+                    size_t* cells) const;
 
   /// Appends the live (non-tombstoned) base rows to `out`, which must have
   /// the base schema: one typed range append when no row is tombstoned,

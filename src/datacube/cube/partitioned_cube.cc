@@ -4,6 +4,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -150,6 +151,9 @@ Result<std::unique_ptr<PartitionedCube>> PartitionedCube::Create(
   Table probe(base_schema);
   DATACUBE_ASSIGN_OR_RETURN(CubeContext ctx, BuildCubeContext(probe, spec));
   cube->mergeable_ = ctx.all_mergeable;
+  DATACUBE_ASSIGN_OR_RETURN(
+      cube->layout_,
+      MaterializedCube::Build(probe, CloneSpecExprs(spec), options.cube));
   return cube;
 }
 
@@ -523,63 +527,54 @@ size_t PartitionedCube::ApplyRetention() {
   return dropped;
 }
 
-Result<Table> PartitionedCube::PrunedRows(const std::optional<int64_t>& lo,
-                                          const std::optional<int64_t>& hi,
-                                          PartitionPruneStats* stats) const {
-  obs::ScopedSpan span("partition_prune");
+PartitionedCube::Pinned PartitionedCube::PinWindows(
+    const std::optional<int64_t>& lo, const std::optional<int64_t>& hi,
+    PartitionPruneStats* stats) const {
   const bool has_bound = lo.has_value() || hi.has_value();
   // Comparing WINDOW ids (not raw keys) keeps the arithmetic overflow-free.
   const int64_t wlo =
       lo.has_value() ? FloorDiv(*lo, options_.window_width) : 0;
   const int64_t whi =
       hi.has_value() ? FloorDiv(*hi, options_.window_width) : 0;
-  const bool has_lo = lo.has_value();
-  const bool has_hi = hi.has_value();
-  // A window survives when it can hold a key in [lo, hi]. The NULL window
-  // never can once any bound exists: NULL fails every comparison.
   auto selected = [&](const WindowKey& k) {
     if (k.null_window) return !has_bound;
-    if (has_lo && k.id < wlo) return false;
-    if (has_hi && k.id > whi) return false;
+    if (lo.has_value() && k.id < wlo) return false;
+    if (hi.has_value() && k.id > whi) return false;
     return true;
   };
 
-  Table out(base_schema_);
-  std::vector<std::shared_ptr<const MaterializedCube>> frozen;
-  std::set<std::pair<bool, int64_t>> all_windows;
-  std::set<std::pair<bool, int64_t>> scanned_windows;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<const MaterializedCube*> open;
-    size_t total = 0;
-    for (const auto& [wk, delta] : open_) {
-      all_windows.emplace(wk.null_window, wk.id);
-      if (!selected(wk)) continue;
-      scanned_windows.emplace(wk.null_window, wk.id);
-      open.push_back(delta.get());
-      total += delta->num_base_rows();
+  Pinned pinned;
+  pinned.lock = std::unique_lock<std::mutex>(mu_);
+  // open_ and the published list are both sorted by window key: merge them
+  // to count each window once, whether it has an open delta, published
+  // deltas, or both.
+  size_t total = 0;
+  size_t scanned = 0;
+  auto open = open_.begin();
+  auto part = list_->parts.begin();
+  while (open != open_.end() || part != list_->parts.end()) {
+    const bool take_open =
+        open != open_.end() &&
+        (part == list_->parts.end() || !((*part)->key < open->first));
+    const bool take_part =
+        part != list_->parts.end() &&
+        (open == open_.end() || !(open->first < (*part)->key));
+    const WindowKey key = take_open ? open->first : (*part)->key;
+    ++total;
+    const bool keep = selected(key);
+    scanned += keep ? 1 : 0;
+    if (take_open) {
+      if (keep) pinned.open.push_back(open->second.get());
+      ++open;
     }
-    for (const std::shared_ptr<const Partition>& p : list_->parts) {
-      all_windows.emplace(p->key.null_window, p->key.id);
-      if (!selected(p->key)) continue;
-      scanned_windows.emplace(p->key.null_window, p->key.id);
-      for (const std::shared_ptr<const MaterializedCube>& d : p->deltas) {
-        frozen.push_back(d);
-        total += d->num_base_rows();
+    if (take_part) {
+      if (keep) {
+        pinned.frozen.insert(pinned.frozen.end(), (*part)->deltas.begin(),
+                             (*part)->deltas.end());
       }
-    }
-    out.Reserve(total);
-    // Open deltas are mutable: copy their rows out under the lock.
-    for (const MaterializedCube* delta : open) {
-      DATACUBE_RETURN_IF_ERROR(delta->LiveRows(&out));
+      ++part;
     }
   }
-  // Sealed deltas are immutable; read them off-lock.
-  for (const std::shared_ptr<const MaterializedCube>& d : frozen) {
-    DATACUBE_RETURN_IF_ERROR(d->LiveRows(&out));
-  }
-  const size_t total = all_windows.size();
-  const size_t scanned = scanned_windows.size();
   if (stats != nullptr) {
     stats->total = total;
     stats->scanned = scanned;
@@ -590,12 +585,85 @@ Result<Table> PartitionedCube::PrunedRows(const std::optional<int64_t>& lo,
                 "Windows skipped by partition-key pruning")
         .Inc(total - scanned);
   }
+  return pinned;
+}
+
+Result<Table> PartitionedCube::PrunedRows(const std::optional<int64_t>& lo,
+                                          const std::optional<int64_t>& hi,
+                                          PartitionPruneStats* stats) const {
+  obs::ScopedSpan span("partition_prune");
+  Table out(base_schema_);
+  PartitionPruneStats windows;
+  Pinned pinned = PinWindows(lo, hi, &windows);
+  size_t total = 0;
+  for (const MaterializedCube* d : pinned.open) total += d->num_base_rows();
+  for (const std::shared_ptr<const MaterializedCube>& d : pinned.frozen) {
+    total += d->num_base_rows();
+  }
+  out.Reserve(total);
+  // Open deltas are mutable: copy their rows out under the lock.
+  for (const MaterializedCube* d : pinned.open) {
+    DATACUBE_RETURN_IF_ERROR(d->LiveRows(&out));
+  }
+  pinned.lock.unlock();
+  // Sealed deltas are immutable; read them off-lock.
+  for (const std::shared_ptr<const MaterializedCube>& d : pinned.frozen) {
+    DATACUBE_RETURN_IF_ERROR(d->LiveRows(&out));
+  }
+  if (stats != nullptr) *stats = windows;
   if (span.active()) {
-    span.Attr("partitions_total", static_cast<uint64_t>(total));
-    span.Attr("partitions_scanned", static_cast<uint64_t>(scanned));
-    span.Attr("partitions_pruned", static_cast<uint64_t>(total - scanned));
+    span.Attr("partitions_total", static_cast<uint64_t>(windows.total));
+    span.Attr("partitions_scanned", static_cast<uint64_t>(windows.scanned));
+    span.Attr("partitions_pruned", static_cast<uint64_t>(windows.pruned));
   }
   return out;
+}
+
+bool PartitionedCube::CoversWholeWindows(
+    const std::optional<int64_t>& lo, const std::optional<int64_t>& hi) const {
+  const int64_t width = options_.window_width;
+  // A key's offset inside its window (floor modulo; width > 0, so `%`
+  // cannot overflow). No key lies below INT64_MIN or above INT64_MAX, so
+  // those bounds cover their windows whatever the offset.
+  auto offset = [width](int64_t key) {
+    const int64_t r = key % width;
+    return r < 0 ? r + width : r;
+  };
+  return (!lo.has_value() || *lo == std::numeric_limits<int64_t>::min() ||
+          offset(*lo) == 0) &&
+         (!hi.has_value() || *hi == std::numeric_limits<int64_t>::max() ||
+          offset(*hi) == width - 1);
+}
+
+Result<Table> PartitionedCube::Answer(const CubeSpec& spec,
+                                      const MaterializedCube::Navigation& nav,
+                                      const std::optional<int64_t>& lo,
+                                      const std::optional<int64_t>& hi,
+                                      PartitionPruneStats* stats) const {
+  obs::ScopedSpan span("window_answer");
+  DATACUBE_ASSIGN_OR_RETURN(std::unique_ptr<FoldSink> sink,
+                            cube_internal::MakeFoldSink(base_schema_, spec));
+  PartitionPruneStats windows;
+  Pinned pinned = PinWindows(lo, hi, &windows);
+  // Planning an open delta's fold reads its store sizes, which ingest
+  // changes: the whole fold runs under the lock.
+  for (const MaterializedCube* d : pinned.open) {
+    DATACUBE_RETURN_IF_ERROR(d->FoldAnswer(nav, *sink, &windows.cells));
+  }
+  pinned.lock.unlock();
+  for (const std::shared_ptr<const MaterializedCube>& d : pinned.frozen) {
+    DATACUBE_RETURN_IF_ERROR(d->FoldAnswer(nav, *sink, &windows.cells));
+  }
+  windows.deltas = pinned.open.size() + pinned.frozen.size();
+  if (span.active()) {
+    span.Attr("windows", static_cast<uint64_t>(windows.scanned));
+    span.Attr("deltas", static_cast<uint64_t>(windows.deltas));
+    span.Attr("cells_folded", static_cast<uint64_t>(windows.cells));
+  }
+  if (stats != nullptr) *stats = windows;
+  CubeStats cube_stats;
+  return cube_internal::AssembleColumnarResult(sink->cc, sink->stores,
+                                               /*ordered=*/true, &cube_stats);
 }
 
 Result<Table> PartitionedCube::ToTable() {
@@ -615,22 +683,15 @@ Result<Table> PartitionedCube::ToTable() {
     return cube_internal::MakeFoldSink(base_schema_, CloneSpecExprs(*spec_));
   };
   DATACUBE_ASSIGN_OR_RETURN(std::unique_ptr<FoldSink> sink, make_sink());
-  std::vector<std::shared_ptr<const MaterializedCube>> frozen;
-  size_t open_folded = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Fold the (small, mutable) open deltas under the lock; pin the sealed
-    // deltas and fold them lock-free below.
-    for (const auto& [wk, delta] : open_) {
-      DATACUBE_RETURN_IF_ERROR(FoldCube(*sink, *delta));
-      ++open_folded;
-    }
-    for (const std::shared_ptr<const Partition>& p : list_->parts) {
-      for (const std::shared_ptr<const MaterializedCube>& d : p->deltas) {
-        frozen.push_back(d);
-      }
-    }
+  // Fold the (small, mutable) open deltas under the lock; the sealed deltas
+  // fold lock-free below.
+  Pinned pinned = PinWindows(std::nullopt, std::nullopt, /*stats=*/nullptr);
+  for (const MaterializedCube* d : pinned.open) {
+    DATACUBE_RETURN_IF_ERROR(FoldCube(*sink, *d));
   }
+  pinned.lock.unlock();
+  const std::vector<std::shared_ptr<const MaterializedCube>>& frozen =
+      pinned.frozen;
   size_t shards = 0;
   if (frozen.size() >= 2) {
     // Partition-parallel read: fan the sealed-delta folds over the pool,
@@ -657,7 +718,7 @@ Result<Table> PartitionedCube::ToTable() {
   }
   if (span.active()) {
     span.Attr("deltas_merged",
-              static_cast<uint64_t>(frozen.size() + open_folded));
+              static_cast<uint64_t>(frozen.size() + pinned.open.size()));
     span.Attr("merge_shards", static_cast<uint64_t>(shards));
   }
   CubeStats stats;

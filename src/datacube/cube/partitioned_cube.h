@@ -16,11 +16,15 @@
 namespace datacube {
 
 /// Prune accounting for one partitioned read: how many windows the store
-/// held, how many the partition-key bounds let the scan skip.
+/// held, how many the partition-key bounds let the scan skip. A window
+/// answer (PartitionedCube::Answer) also counts the deltas it folded and
+/// the stored cells it read.
 struct PartitionPruneStats {
   size_t total = 0;
   size_t scanned = 0;
   size_t pruned = 0;
+  size_t deltas = 0;
+  size_t cells = 0;
 };
 
 struct PartitionedCubeOptions {
@@ -105,12 +109,36 @@ class PartitionedCube {
   /// Live base rows of every window overlapping [lo, hi] (inclusive
   /// bounds on the partition key; nullopt = unbounded), concatenated.
   /// The result is a superset of the rows matching the bounds — callers
-  /// re-apply their WHERE — and excludes the NULL window whenever any
-  /// bound is present (NULL fails every comparison). This is the planner's
-  /// partition-pruned scan.
+  /// re-apply their WHERE unless CoversWholeWindows proves it — and
+  /// excludes the NULL window whenever any bound is present (NULL fails
+  /// every comparison). This is the planner's partition-pruned scan.
   Result<Table> PrunedRows(const std::optional<int64_t>& lo,
                            const std::optional<int64_t>& hi,
                            PartitionPruneStats* stats = nullptr) const;
+
+  /// Whether [lo, hi] (inclusive; nullopt = unbounded) covers whole
+  /// windows: lo starts a window and hi ends one. The windows PrunedRows
+  /// and Answer select then hold exactly the rows whose key is in range.
+  bool CoversWholeWindows(const std::optional<int64_t>& lo,
+                          const std::optional<int64_t>& hi) const;
+
+  /// An empty delta: the spec, stored grouping sets and aggregates every
+  /// window cube has, for planning an Answer before any cell is read.
+  const MaterializedCube& layout() const { return *layout_; }
+
+  /// Aggregate navigation over the windows — Section 5's distributive and
+  /// algebraic aggregates "computed for each partition ... then combined":
+  /// the relation ExecuteCube returns, sorted, for `spec` over the rows
+  /// PrunedRows(lo, hi) returns that pass nav.filter, folded from every
+  /// delta of those windows (MaterializedCube::FoldAnswer, mapped against
+  /// layout()). It equals the raw answer when the bounds cover whole
+  /// windows and the aggregates fold exactly; the caller decides. Open
+  /// deltas fold under the store's lock, sealed ones off it.
+  Result<Table> Answer(const CubeSpec& spec,
+                       const MaterializedCube::Navigation& nav,
+                       const std::optional<int64_t>& lo,
+                       const std::optional<int64_t>& hi,
+                       PartitionPruneStats* stats = nullptr) const;
 
   /// Synchronous compaction pass: seals every open delta (including the
   /// newest window's), rebuilds every multi-delta window into one cube,
@@ -185,6 +213,25 @@ class PartitionedCube {
 
   PartitionedCube() = default;
 
+  /// The deltas of the windows a read selects.
+  struct Pinned {
+    /// mu_, held on return from PinWindows.
+    std::unique_lock<std::mutex> lock;
+    /// Mutable: read them only while `lock` is held.
+    std::vector<const MaterializedCube*> open;
+    /// Immutable: kept alive off the lock by their shared_ptrs.
+    std::vector<std::shared_ptr<const MaterializedCube>> frozen;
+  };
+
+  /// The one window-selection rule of every read: the windows that can hold
+  /// a key in [lo, hi] — all of them when both bounds are unset, never the
+  /// NULL window otherwise (NULL fails every comparison). Fills `stats`'
+  /// window counts. The caller reads `open`, releases the lock, then reads
+  /// `frozen`.
+  Pinned PinWindows(const std::optional<int64_t>& lo,
+                    const std::optional<int64_t>& hi,
+                    PartitionPruneStats* stats) const;
+
   // All *Locked members require mu_.
   /// Moves open deltas into the published list as sealed. `all` seals the
   /// newest window too (compaction/checkpoint); otherwise only cold
@@ -199,6 +246,7 @@ class PartitionedCube {
 
   Schema base_schema_;
   std::unique_ptr<CubeSpec> spec_;
+  std::unique_ptr<MaterializedCube> layout_;
   PartitionedCubeOptions options_;
   size_t partition_col_ = 0;
   bool mergeable_ = true;

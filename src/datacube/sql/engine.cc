@@ -432,6 +432,8 @@ Result<Source> ExpandNTiles(SelectStatement* stmt, Source filtered) {
 
 // What the WHERE did, for EXPLAIN's `where:` line.
 struct WhereInfo {
+  // The partition-pruned scan already kept exactly the WHERE's rows.
+  bool proven = false;
   bool applied = false;
   PredicatePath path = PredicatePath::kInterpreted;
   size_t rows_in = 0;
@@ -463,14 +465,41 @@ Result<Source> ApplyWhere(Source input, const ExprPtr& where,
   return std::make_shared<const Table>(std::move(kept));
 }
 
-// ---- Partition pruning ----------------------------------------------------
+// ---- WHERE terms and partition pruning ------------------------------------
 //
-// When the FROM source is a PartitionedCube, the scan is the concatenation
-// of the store's windows — and WHERE bounds on the partition key let whole
-// windows be skipped before a row is touched. Bound extraction is
-// deliberately conservative (superset-safe): only `key <cmp> INT-literal`
-// conjuncts tighten the range, anything else contributes no bound, and the
-// full WHERE still runs over the surviving rows afterwards.
+// A WHERE read as a conjunction. Over a PartitionedCube, each comparison of
+// the partition key with an INT64 literal bounds the key range [lo, hi],
+// and the scan skips every window outside it before a row is touched. A
+// bound is exact when the comparison holds for precisely the keys in its
+// range; `ts > 9223372036854775807` saturates to lo = INT64_MAX, which
+// still prunes (superset-safe) but is not exact. `column = literal` with
+// the literal of the column's own type is an equality. Any other term —
+// OR, `<>`, a literal of another type, a computed operand — is inexact.
+// When every term is an exact bound and the range covers whole windows,
+// the pruned scan already keeps exactly the rows the WHERE keeps.
+
+// The value of a literal, or of a negated numeric one (SQL has no negative
+// number tokens; an int64 literal is never INT64_MIN, so negation is safe).
+std::optional<Value> LiteralValue(const Expr& e) {
+  if (e.kind() == Expr::Kind::kLiteral) return e.literal();
+  if (e.kind() != Expr::Kind::kUnary || e.unary_op() != UnaryOp::kNeg ||
+      e.args()[0]->kind() != Expr::Kind::kLiteral) {
+    return std::nullopt;
+  }
+  const Value& v = e.args()[0]->literal();
+  if (v.kind() == Value::Kind::kInt64) return Value::Int64(-v.int64_value());
+  if (v.kind() == Value::Kind::kFloat64) {
+    return Value::Float64(-v.float64_value());
+  }
+  return std::nullopt;
+}
+
+struct WhereTerms {
+  std::optional<int64_t> lo;
+  std::optional<int64_t> hi;
+  std::vector<std::pair<size_t, Value>> equalities;
+  bool inexact = false;
+};
 
 void TightenLow(std::optional<int64_t>* lo, int64_t v) {
   *lo = lo->has_value() ? std::max(**lo, v) : v;
@@ -480,68 +509,100 @@ void TightenHigh(std::optional<int64_t>* hi, int64_t v) {
   *hi = hi->has_value() ? std::min(**hi, v) : v;
 }
 
-void ExtractPartitionBounds(const ExprPtr& e, const std::string& column,
-                            std::optional<int64_t>* lo,
-                            std::optional<int64_t>* hi) {
-  if (e == nullptr || e->kind() != Expr::Kind::kBinary) return;
-  const BinaryOp op = e->binary_op();
-  if (op == BinaryOp::kAnd) {
-    ExtractPartitionBounds(e->args()[0], column, lo, hi);
-    ExtractPartitionBounds(e->args()[1], column, lo, hi);
-    return;
-  }
-  const std::string* name = e->args()[0]->AsColumnName();
-  const Expr* lit = e->args()[1].get();
-  bool flipped = false;  // literal <cmp> column
-  if (name == nullptr) {
-    name = e->args()[1]->AsColumnName();
-    lit = e->args()[0].get();
-    flipped = true;
-  }
-  if (name == nullptr || !EqualsIgnoreCase(*name, column)) return;
-  if (lit->kind() != Expr::Kind::kLiteral ||
-      lit->literal().kind() != Value::Kind::kInt64) {
-    return;
-  }
-  const int64_t v = lit->literal().int64_value();
+// Tightens [lo, hi] by `key <op> v`; false when that is no exact bound:
+// `<>`, or a strict bound past an INT64 extreme, which saturates.
+bool TightenBound(BinaryOp op, int64_t v, WhereTerms* out) {
   constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   switch (op) {
     case BinaryOp::kEq:
-      TightenLow(lo, v);
-      TightenHigh(hi, v);
-      break;
-    case BinaryOp::kLt:  // col < v, or (flipped) v < col
-      if (!flipped) {
-        TightenHigh(hi, v == kMin ? v : v - 1);
-      } else {
-        TightenLow(lo, v == kMax ? v : v + 1);
-      }
-      break;
+      TightenLow(&out->lo, v);
+      TightenHigh(&out->hi, v);
+      return true;
+    case BinaryOp::kLt:
+      TightenHigh(&out->hi, v == kMin ? v : v - 1);
+      return v != kMin;
     case BinaryOp::kLe:
-      if (!flipped) {
-        TightenHigh(hi, v);
-      } else {
-        TightenLow(lo, v);
-      }
-      break;
+      TightenHigh(&out->hi, v);
+      return true;
     case BinaryOp::kGt:
-      if (!flipped) {
-        TightenLow(lo, v == kMax ? v : v + 1);
-      } else {
-        TightenHigh(hi, v == kMin ? v : v - 1);
-      }
-      break;
+      TightenLow(&out->lo, v == kMax ? v : v + 1);
+      return v != kMax;
     case BinaryOp::kGe:
-      if (!flipped) {
-        TightenLow(lo, v);
-      } else {
-        TightenHigh(hi, v);
-      }
-      break;
+      TightenLow(&out->lo, v);
+      return true;
     default:
-      break;
+      return false;
   }
+}
+
+// `v <op> key` as `key <op'> v`.
+BinaryOp Mirror(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kLt:
+      return BinaryOp::kGt;
+    case BinaryOp::kLe:
+      return BinaryOp::kGe;
+    case BinaryOp::kGt:
+      return BinaryOp::kLt;
+    case BinaryOp::kGe:
+      return BinaryOp::kLe;
+    default:
+      return op;
+  }
+}
+
+// Splits `e` into `out`. A term on `partition_col` is always a bound (or
+// inexact), never an equality.
+void SplitWhere(const ExprPtr& e, const Schema& schema,
+                std::optional<size_t> partition_col, WhereTerms* out) {
+  if (e == nullptr) return;
+  if (e->kind() != Expr::Kind::kBinary) {
+    out->inexact = true;
+    return;
+  }
+  BinaryOp op = e->binary_op();
+  if (op == BinaryOp::kAnd) {
+    SplitWhere(e->args()[0], schema, partition_col, out);
+    SplitWhere(e->args()[1], schema, partition_col, out);
+    return;
+  }
+  const std::string* name = e->args()[0]->AsColumnName();
+  std::optional<Value> literal = LiteralValue(*e->args()[1]);
+  if (name == nullptr) {
+    name = e->args()[1]->AsColumnName();
+    literal = LiteralValue(*e->args()[0]);
+    op = Mirror(op);
+  }
+  std::optional<size_t> col =
+      name == nullptr ? std::nullopt : schema.FieldIndexIgnoreCase(*name);
+  if (!col.has_value() || !literal.has_value()) {
+    out->inexact = true;
+    return;
+  }
+  if (col == partition_col) {
+    if (literal->kind() != Value::Kind::kInt64 ||
+        !TightenBound(op, literal->int64_value(), out)) {
+      out->inexact = true;
+    }
+    return;
+  }
+  Result<DataType> type = literal->type();
+  if (op != BinaryOp::kEq || !type.ok() || *type != schema.field(*col).type) {
+    out->inexact = true;
+    return;
+  }
+  out->equalities.emplace_back(*col, std::move(*literal));
+}
+
+// The WHERE of a statement over `store`, split on its partition key.
+WhereTerms SplitStoreWhere(const ExprPtr& where, const PartitionedCube& store) {
+  WhereTerms terms;
+  SplitWhere(where, store.base_schema(),
+             store.base_schema().FieldIndexIgnoreCase(
+                 store.options().partition_column),
+             &terms);
+  return terms;
 }
 
 struct ScanInfo {
@@ -552,8 +613,8 @@ struct ScanInfo {
 
 // Resolves the FROM source and applies WHERE: a plain table is read in
 // place from the catalog; a partitioned store scans only the windows
-// surviving its partition-key bounds (then the full WHERE runs over the
-// survivors).
+// surviving its partition-key bounds, then the full WHERE runs over the
+// survivors unless the scan proved it.
 Result<Source> ResolveScanAndFilter(const SelectStatement& stmt,
                                     const Catalog& catalog, ScanInfo* info) {
   std::shared_ptr<PartitionedCube> store =
@@ -564,31 +625,34 @@ Result<Source> ResolveScanAndFilter(const SelectStatement& stmt,
     return ApplyWhere(std::move(base), stmt.where, &info->where);
   }
   info->partitioned = true;
-  std::optional<int64_t> lo;
-  std::optional<int64_t> hi;
-  ExtractPartitionBounds(stmt.where, store->options().partition_column, &lo,
-                         &hi);
-  DATACUBE_ASSIGN_OR_RETURN(Table rows,
-                            store->PrunedRows(lo, hi, &info->prune));
-  return ApplyWhere(std::make_shared<const Table>(std::move(rows)),
-                    stmt.where, &info->where);
+  const WhereTerms terms = SplitStoreWhere(stmt.where, *store);
+  DATACUBE_ASSIGN_OR_RETURN(
+      Table rows, store->PrunedRows(terms.lo, terms.hi, &info->prune));
+  Source scanned = std::make_shared<const Table>(std::move(rows));
+  if (stmt.where != nullptr && !terms.inexact && terms.equalities.empty() &&
+      store->CoversWholeWindows(terms.lo, terms.hi)) {
+    info->where.proven = true;
+    return scanned;
+  }
+  return ApplyWhere(std::move(scanned), stmt.where, &info->where);
 }
 
 // EXPLAIN's account of the WHERE: which evaluator ran and how many rows it
-// kept. Empty when the statement has no WHERE.
+// kept, or that pruning proved it. Empty when the statement has no WHERE.
 std::string WhereLine(const WhereInfo& where) {
+  if (where.proven) return "where: proven by partition pruning\n";
   if (!where.applied) return "";
   return std::string("where: path=") + PredicatePathName(where.path) +
          "  rows_in=" + std::to_string(where.rows_in) +
          "  rows_out=" + std::to_string(where.rows_out) + "\n";
 }
 
-void FillPartitionStats(const ScanInfo& info, CubeStats* stats) {
-  if (stats == nullptr || !info.partitioned) return;
-  stats->partition_source = true;
-  stats->partitions_total = info.prune.total;
-  stats->partitions_scanned = info.prune.scanned;
-  stats->partitions_pruned = info.prune.pruned;
+// EXPLAIN's partition accounting: the proof that WHERE on the partition key
+// skipped windows.
+std::string PartitionLine(const PartitionPruneStats& prune) {
+  return "partitions: scanned=" + std::to_string(prune.scanned) +
+         "  pruned=" + std::to_string(prune.pruned) +
+         "  total=" + std::to_string(prune.total) + "\n";
 }
 
 // Evaluates `exprs` (already bound) into a projection table with `names`.
@@ -956,24 +1020,32 @@ Result<Table> ExecuteAggregation(const SelectStatement& stmt,
 
 // ---- Aggregate navigation -------------------------------------------------
 //
-// A cube bound in the catalog to the exact table object a statement reads
-// answers it from stored cells instead of base rows — Vassiliadis's cube
-// usability test — when all of these hold, decided before a row is read:
+// Two providers answer a statement from stored cells instead of base rows:
+// a cube bound in the catalog to the exact table object the statement
+// reads, and a partitioned store's window cubes. Either answers —
+// Vassiliadis's cube usability test — when all of these hold, decided
+// before a row is read:
 //  * every grouping key is a bare column (plain, ROLLUP, CUBE or GROUPING
-//    SETS), and the WHERE is only `column = literal` conjuncts with the
-//    literal of the column's own type;
+//    SETS), and every WHERE term is an equality (see WhereTerms) or, over a
+//    store, an exact bound on the partition key;
 //  * those columns are all among the cube's keys;
 //  * every aggregate is stored and folds exactly under re-association:
 //    COUNT(*), COUNT(x), SUM over INT64, MIN/MAX over a non-FLOAT64 column;
-//  * a stored view covers each requested set plus the filtered keys.
+//  * a stored view covers each requested set plus the filtered keys;
+//  * over a store, the bounds cover whole windows, so the windows folded
+//    hold exactly the rows the bounds keep.
 // The answer is then byte-identical to the raw path's. Float or AVG
-// aggregates, ranges, computed keys, N_tile, partitioned sources and
-// unsorted output read the base rows.
+// aggregates, other ranges, computed keys, N_tile and unsorted output read
+// the base rows.
 
-// The answer chosen for one statement: the binding and how the query maps
-// onto its cube.
+// The answer chosen for one statement: a bound cube (binding) or a store's
+// windows (store, over [lo, hi]), and how the query maps onto its cubes.
 struct CubeRoute {
   const Catalog::CubeBinding* binding = nullptr;
+  std::shared_ptr<PartitionedCube> store;
+  std::string store_name;
+  std::optional<int64_t> lo;
+  std::optional<int64_t> hi;
   AggregationPlan plan;
   MaterializedCube::Navigation nav;
   std::vector<MaterializedCube::AnswerSource> sources;
@@ -984,50 +1056,6 @@ bool MentionsNTile(const ExprPtr& e) {
   if (e == nullptr) return false;
   if (IsNTileCall(*e)) return true;
   return std::any_of(e->args().begin(), e->args().end(), MentionsNTile);
-}
-
-// The value of a literal, or of a negated numeric one (SQL has no negative
-// number tokens; an int64 literal is never INT64_MIN, so negation is safe).
-std::optional<Value> LiteralValue(const Expr& e) {
-  if (e.kind() == Expr::Kind::kLiteral) return e.literal();
-  if (e.kind() != Expr::Kind::kUnary || e.unary_op() != UnaryOp::kNeg ||
-      e.args()[0]->kind() != Expr::Kind::kLiteral) {
-    return std::nullopt;
-  }
-  const Value& v = e.args()[0]->literal();
-  if (v.kind() == Value::Kind::kInt64) return Value::Int64(-v.int64_value());
-  if (v.kind() == Value::Kind::kFloat64) {
-    return Value::Float64(-v.float64_value());
-  }
-  return std::nullopt;
-}
-
-// Appends the (column, literal) pairs of a conjunction of `column =
-// literal` terms, each literal of its column's type; false when the
-// predicate has any other shape.
-bool CollectEqualities(const ExprPtr& e, const Schema& schema,
-                       std::vector<std::pair<size_t, Value>>* out) {
-  if (e == nullptr) return true;
-  if (e->kind() != Expr::Kind::kBinary) return false;
-  if (e->binary_op() == BinaryOp::kAnd) {
-    return CollectEqualities(e->args()[0], schema, out) &&
-           CollectEqualities(e->args()[1], schema, out);
-  }
-  if (e->binary_op() != BinaryOp::kEq) return false;
-  const std::string* name = e->args()[0]->AsColumnName();
-  std::optional<Value> literal = LiteralValue(*e->args()[1]);
-  if (name == nullptr) {
-    name = e->args()[1]->AsColumnName();
-    literal = LiteralValue(*e->args()[0]);
-  }
-  if (name == nullptr || !literal.has_value()) return false;
-  std::optional<size_t> col = schema.FieldIndexIgnoreCase(*name);
-  Result<DataType> type = literal->type();
-  if (!col.has_value() || !type.ok() || *type != schema.field(*col).type) {
-    return false;
-  }
-  out->emplace_back(*col, std::move(*literal));
-  return true;
 }
 
 // The table column a bare column reference reads, if `e` is one.
@@ -1097,19 +1125,29 @@ std::optional<MaterializedCube::Navigation> Navigate(
   return nav;
 }
 
-// The cheapest usable bound cube for `stmt`, or nullopt to read base rows.
+// The store's windows when they can answer `stmt`, else the cheapest usable
+// bound cube, else nullopt to read base rows.
 std::optional<CubeRoute> RouteToCube(const SelectStatement& stmt,
                                      const Catalog& catalog,
                                      const EngineOptions& options) {
-  if (catalog.cubes().empty() || !options.cube.sort_result ||
-      catalog.GetPartitioned(stmt.from_table) != nullptr) {
-    return std::nullopt;
+  if (!options.cube.sort_result) return std::nullopt;
+  std::shared_ptr<PartitionedCube> store =
+      catalog.GetPartitioned(stmt.from_table);
+  Source table;
+  WhereTerms where;
+  if (store != nullptr) {
+    where = SplitStoreWhere(stmt.where, *store);
+    if (!store->CoversWholeWindows(where.lo, where.hi)) return std::nullopt;
+  } else {
+    if (catalog.cubes().empty()) return std::nullopt;
+    Result<Source> shared = catalog.GetShared(stmt.from_table);
+    if (!shared.ok()) return std::nullopt;
+    table = std::move(shared).value();
+    SplitWhere(stmt.where, table->schema(), std::nullopt, &where);
   }
-  Result<Source> table = catalog.GetShared(stmt.from_table);
-  if (!table.ok()) return std::nullopt;
-  const Schema& schema = table.value()->schema();
-  std::vector<std::pair<size_t, Value>> equalities;
-  if (!CollectEqualities(stmt.where, schema, &equalities)) return std::nullopt;
+  if (where.inexact) return std::nullopt;
+  const Schema& schema =
+      store != nullptr ? store->base_schema() : table->schema();
   bool any_aggregate = stmt.having != nullptr;
   for (const SelectItem& item : stmt.select_list) {
     if (!item.star && ContainsAggregate(item.expr)) any_aggregate = true;
@@ -1134,14 +1172,33 @@ std::optional<CubeRoute> RouteToCube(const SelectStatement& stmt,
   for (const AggregateSpec& agg : ap.spec.aggregates) {
     if (!FoldsExactly(agg, schema)) return std::nullopt;
   }
+  if (store != nullptr) {
+    // Every window delta stores the layout's sets, so planning against the
+    // empty layout decides coverage for all of them.
+    std::optional<MaterializedCube::Navigation> nav =
+        Navigate(store->layout(), schema, key_columns, where.equalities,
+                 ap.spec.aggregates);
+    if (!nav.has_value() || !store->layout().PlanAnswer(ap.spec, *nav).ok()) {
+      return std::nullopt;
+    }
+    CubeRoute route;
+    route.store = std::move(store);
+    route.store_name = stmt.from_table;
+    route.lo = where.lo;
+    route.hi = where.hi;
+    route.plan = ap;
+    route.nav = std::move(*nav);
+    return route;
+  }
   std::optional<CubeRoute> best;
   for (const Catalog::CubeBinding& binding : catalog.cubes()) {
-    if (binding.source != table.value() ||
+    if (binding.source != table ||
         binding.cube->num_base_rows() != binding.source->num_rows()) {
       continue;
     }
-    std::optional<MaterializedCube::Navigation> nav = Navigate(
-        *binding.cube, schema, key_columns, equalities, ap.spec.aggregates);
+    std::optional<MaterializedCube::Navigation> nav =
+        Navigate(*binding.cube, schema, key_columns, where.equalities,
+                 ap.spec.aggregates);
     if (!nav.has_value()) continue;
     Result<std::vector<MaterializedCube::AnswerSource>> sources =
         binding.cube->PlanAnswer(ap.spec, *nav);
@@ -1151,14 +1208,27 @@ std::optional<CubeRoute> RouteToCube(const SelectStatement& stmt,
       cells += src.cells;
     }
     if (best.has_value() && best->cells <= cells) continue;
-    best = CubeRoute{&binding, ap, std::move(*nav), std::move(sources).value(),
-                     cells};
+    best = CubeRoute();
+    best->binding = &binding;
+    best->plan = ap;
+    best->nav = std::move(*nav);
+    best->sources = std::move(sources).value();
+    best->cells = cells;
   }
   return best;
 }
 
-// EXPLAIN's account of a routed statement: one line per requested set.
-std::string RouteLines(const CubeRoute& route) {
+// EXPLAIN's account of a routed statement: the windows folded and the
+// partition accounting, or one line per requested set of a bound cube.
+std::string RouteLines(const CubeRoute& route,
+                       const PartitionPruneStats& windows) {
+  if (route.store != nullptr) {
+    return "answered from " + std::to_string(windows.scanned) +
+           " window cubes of " + route.store_name + " (" +
+           std::to_string(windows.deltas) + " deltas, " +
+           std::to_string(windows.cells) + " cells folded)\n" +
+           PartitionLine(windows);
+  }
   std::vector<std::string> names;
   for (const GroupExpr& g : route.plan.spec.AllGroupExprs()) {
     names.push_back(g.name);
@@ -1178,30 +1248,54 @@ std::string RouteLines(const CubeRoute& route) {
   return out;
 }
 
-// Runs a routed statement: the cube's answer, then the unchanged HAVING /
+// The stored cells a routed statement folds, as ExecuteCube's relation.
+Result<Table> AnswerRoute(const CubeRoute& route,
+                          PartitionPruneStats* windows) {
+  if (route.store != nullptr) {
+    return route.store->Answer(route.plan.spec, route.nav, route.lo,
+                               route.hi, windows);
+  }
+  return route.binding->cube->Answer(route.plan.spec, route.nav);
+}
+
+// Runs a routed statement: the stored answer, then the unchanged HAVING /
 // ORDER BY / projection / LIMIT. Emits the statement's query profile, as
 // ExecuteCube would for the raw path.
 Result<Table> ExecuteRoute(const CubeRoute& route,
-                           const EngineOptions& options) {
+                           const EngineOptions& options,
+                           PartitionPruneStats* windows_out = nullptr) {
   auto start = std::chrono::steady_clock::now();
-  DATACUBE_ASSIGN_OR_RETURN(
-      Table cells, route.binding->cube->Answer(route.plan.spec, route.nav));
+  PartitionPruneStats windows;
+  DATACUBE_ASSIGN_OR_RETURN(Table cells, AnswerRoute(route, &windows));
   const size_t output_cells = cells.num_rows();
   DATACUBE_ASSIGN_OR_RETURN(Table out,
                             FinishAggregation(route.plan, std::move(cells)));
+  if (windows_out != nullptr) *windows_out = windows;
   obs::QueryProfileLog& log = obs::QueryProfileLog::Global();
   obs::QueryProfile p;
   const std::string* text = obs::CurrentQueryText();
-  p.query = text != nullptr ? *text : "answer from cube " + route.binding->name;
+  if (route.store != nullptr) {
+    p.query = text != nullptr ? *text : "answer from windows of " +
+                                            route.store_name;
+    p.algorithm = "window_answer";
+    p.input_rows = windows.cells;
+    p.lattice = "store=" + route.store_name +
+                " windows=" + std::to_string(windows.scanned) +
+                " deltas=" + std::to_string(windows.deltas) +
+                " fold_cells=" + std::to_string(windows.cells);
+  } else {
+    p.query =
+        text != nullptr ? *text : "answer from cube " + route.binding->name;
+    p.algorithm = "cube_answer";
+    p.input_rows = route.cells;
+    p.lattice = "cube=" + route.binding->name +
+                " sets=" + std::to_string(route.sources.size()) +
+                " fold_cells=" + std::to_string(route.cells);
+  }
   p.wall_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - start)
                   .count();
-  p.algorithm = "cube_answer";
-  p.input_rows = route.cells;
   p.output_cells = output_cells;
-  p.lattice = "cube=" + route.binding->name +
-              " sets=" + std::to_string(route.sources.size()) +
-              " fold_cells=" + std::to_string(route.cells);
   double threshold = log.EffectiveSlowThresholdMs(options.cube.slow_query_ms);
   p.slow = threshold >= 0 && p.wall_ms >= threshold;
   log.Record(std::move(p));
@@ -1216,23 +1310,22 @@ void CountSelect(const char* kind) {
       .Inc();
 }
 
-// Shared select driver: answer from a bound cube, or filter, expand
-// N_tiles and dispatch. `stats_out`
-// (optional) receives the cube stats of an aggregation query.
-Result<Table> ExecuteSelectImpl(const SelectStatement& stmt,
-                                const Catalog& catalog,
-                                const EngineOptions& options,
-                                CubeStats* stats_out) {
+}  // namespace
+
+// Runs one SELECT: answer from stored cells, or filter, expand N_tiles and
+// dispatch.
+Result<Table> ExecuteSelect(const SelectStatement& stmt, const Catalog& catalog,
+                            const EngineOptions& options) {
   obs::ScopedSpan span("execute_select");
   // Serving layer's deadline/cancel hook: fail fast before touching the
   // table (a pre-expired deadline never starts scanning); the cube operator
   // re-polls the same control at its work boundaries.
   DATACUBE_RETURN_IF_ERROR(CheckControl(options.cube.control));
   if (std::optional<CubeRoute> route = RouteToCube(stmt, catalog, options)) {
-    CountSelect("cube_answer");
+    CountSelect(route->store != nullptr ? "window_answer" : "cube_answer");
     if (span.active()) {
       span.Attr("table", stmt.from_table);
-      span.Attr("cube", route->binding->name);
+      if (route->binding != nullptr) span.Attr("cube", route->binding->name);
     }
     return ExecuteRoute(*route, options);
   }
@@ -1288,13 +1381,10 @@ Result<Table> ExecuteSelectImpl(const SelectStatement& stmt,
     }
     return out;
   }
-  Result<Table> out = ExecuteAggregation(prepared, *filtered, options,
-                                         stats_out);
-  // ExecuteAggregation overwrites *stats_out wholesale; the partition
-  // accounting belongs to the scan we already did, so restore it on top.
-  FillPartitionStats(scan, stats_out);
-  return out;
+  return ExecuteAggregation(prepared, *filtered, options);
 }
+
+namespace {
 
 // Renders the EXPLAIN [ANALYZE] text for one select branch. The plan half
 // reuses PlanAggregation + ExplainCube, so what prints is exactly what
@@ -1306,15 +1396,22 @@ Result<std::string> ExplainSelectText(const SelectStatement& stmt,
                                       const EngineOptions& options,
                                       bool analyze) {
   if (std::optional<CubeRoute> route = RouteToCube(stmt, catalog, options)) {
-    std::string out = RouteLines(*route);
-    if (!analyze) return out;
+    PartitionPruneStats windows;
+    if (!analyze) {
+      // A window answer counts its windows, deltas and cells by folding
+      // them. Like the raw plan, EXPLAIN leaves an error of the answer
+      // itself (a SUM overflow) to execution.
+      if (route->store != nullptr) (void)AnswerRoute(*route, &windows);
+      return RouteLines(*route, windows);
+    }
     obs::Trace trace("query");
     {
       obs::TraceScope scope(&trace);
-      DATACUBE_ASSIGN_OR_RETURN(Table discarded, ExecuteRoute(*route, options));
+      DATACUBE_ASSIGN_OR_RETURN(Table discarded,
+                                ExecuteRoute(*route, options, &windows));
       (void)discarded;
     }
-    return out + "trace:\n" + trace.Render();
+    return RouteLines(*route, windows) + "trace:\n" + trace.Render();
   }
   ScanInfo scan;
   DATACUBE_ASSIGN_OR_RETURN(Source filtered,
@@ -1323,16 +1420,10 @@ Result<std::string> ExplainSelectText(const SelectStatement& stmt,
   DATACUBE_ASSIGN_OR_RETURN(filtered,
                             ExpandNTiles(&prepared, std::move(filtered)));
 
-  // The source's account: the WHERE line, plus one line of partition
-  // accounting whenever the source is partitioned — the EXPLAIN proof that
-  // WHERE on the partition key skipped windows.
+  // The source's account: the WHERE line, plus the partition accounting
+  // whenever the source is partitioned.
   std::string source_lines = WhereLine(scan.where);
-  if (scan.partitioned) {
-    source_lines += "partitions: scanned=" +
-                    std::to_string(scan.prune.scanned) +
-                    "  pruned=" + std::to_string(scan.prune.pruned) +
-                    "  total=" + std::to_string(scan.prune.total) + "\n";
-  }
+  if (scan.partitioned) source_lines += PartitionLine(scan.prune);
 
   bool any_aggregate = prepared.having != nullptr;
   for (const SelectItem& item : prepared.select_list) {
@@ -1430,15 +1521,6 @@ Result<std::string> ExplainSelectText(const SelectStatement& stmt,
   out += "trace:\n" + trace.Render();
   return out;
 }
-
-}  // namespace
-
-Result<Table> ExecuteSelect(const SelectStatement& stmt, const Catalog& catalog,
-                            const EngineOptions& options) {
-  return ExecuteSelectImpl(stmt, catalog, options, /*stats_out=*/nullptr);
-}
-
-namespace {
 
 // Keeps the first occurrence of each distinct row (SQL UNION semantics).
 Result<Table> DedupeRows(const Table& table) {

@@ -1,10 +1,15 @@
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <iterator>
 #include <memory>
+#include <numeric>
 #include <random>
 
 #include "datacube/cube/materialized_cube.h"
+#include "datacube/cube/partitioned_cube.h"
 #include "datacube/sql/engine.h"
 #include "datacube/table/csv.h"
 #include "datacube/testing/differential.h"
@@ -72,8 +77,14 @@ struct Statement {
 
 class StatementGenerator {
  public:
-  StatementGenerator(uint64_t seed, const Table& table, size_t dims)
-      : rng_(seed * 0x2545f4914f6cdd1dULL + 11), table_(table), dims_(dims) {}
+  // With `width` > 0 the table is a partitioned store's rows, and
+  // statements also bound its "ts" partition key (windows of `width`).
+  StatementGenerator(uint64_t seed, const Table& table, size_t dims,
+                     int64_t width = 0)
+      : rng_(seed * 0x2545f4914f6cdd1dULL + 11),
+        table_(table),
+        dims_(dims),
+        width_(width) {}
 
   Statement Next() {
     Statement st;
@@ -92,9 +103,11 @@ class StatementGenerator {
     for (size_t i = 0, n = 1 + rng_() % 3; i < n; ++i) {
       select.push_back(kExact[rng_() % std::size(kExact)]);
     }
-    // One statement in five must fall back: a float aggregate, AVG, or a
-    // predicate that is not an equality.
-    const uint64_t fallback = rng_() % 5 == 0 ? 1 + rng_() % 4 : 0;
+    // One statement in five must fall back: a float aggregate, AVG, a
+    // predicate that is not an equality or, over a store, a bound the
+    // windows cannot answer.
+    const uint64_t fallback =
+        rng_() % 5 == 0 ? 1 + rng_() % (width_ > 0 ? 5 : 4) : 0;
     if (fallback == 1) select.push_back("SUM(mf)");
     if (fallback == 2) select.push_back("AVG(mi)");
     if (fallback == 3) select.push_back("MIN(mf)");
@@ -106,6 +119,7 @@ class StatementGenerator {
       where.push_back("d0 " + std::string(rng_() % 2 ? ">" : "<>") + " " +
                       SqlLiteral(AbsentValue(table_.schema().field(0).type)));
     }
+    if (width_ > 0) TsTerms(&where, /*usable=*/fallback != 5);
     st.answerable = st.answerable && fallback == 0;
 
     st.sql = "SELECT " + Join(select) + " FROM " + kTable;
@@ -154,6 +168,64 @@ class StatementGenerator {
                            : column + " = " + literal;
   }
 
+  // Terms on the partition key. Usable: none, or bounds covering whole
+  // windows from one side or both (an empty range when b <= a). Unusable:
+  // an unaligned bound, a saturated one, `=`, `<>`, a FLOAT64 literal or
+  // an OR.
+  void TsTerms(std::vector<std::string>* where, bool usable) {
+    const int64_t w = width_;  // > 1
+    // Window starts from one before the data (ts in [0, 1000)) to one past.
+    auto start = [&] {
+      return (static_cast<int64_t>(rng_() % (1000 / w + 3)) - 1) * w;
+    };
+    auto lit = [](int64_t v) { return std::to_string(v); };
+    const int64_t a = start();
+    const int64_t b = start();
+    const bool flip = rng_() % 2 == 0;
+    if (usable) {
+      switch (rng_() % 8) {
+        case 0:
+          return;
+        case 1:
+          where->push_back(flip ? lit(a) + " <= ts" : "ts >= " + lit(a));
+          return;
+        case 2:
+          where->push_back(flip ? lit(a - 1) + " < ts" : "ts > " + lit(a - 1));
+          return;
+        case 3:
+          where->push_back(flip ? lit(b) + " > ts" : "ts < " + lit(b));
+          return;
+        case 4:
+          where->push_back("ts <= " + lit(b - 1));
+          return;
+        case 7:  // INT64_MAX ends the last window
+          where->push_back("ts <= 9223372036854775807");
+          return;
+        default:
+          where->push_back("ts >= " + lit(a));
+          where->push_back("ts < " + lit(b));
+          return;
+      }
+    }
+    switch (rng_() % 4) {
+      case 0:
+        where->push_back(flip ? "ts = " + lit(a)
+                              : "ts >= " + lit(a + 1 + static_cast<int64_t>(
+                                                           rng_() % (w - 1))));
+        return;
+      case 1:
+        where->push_back(flip ? "ts > 9223372036854775807"
+                              : "ts >= " + lit(a) + ".0");
+        return;
+      case 2:
+        where->push_back("ts <> " + lit(a));
+        return;
+      default:
+        where->push_back("(ts >= " + lit(a) + " OR ts < " + lit(b) + ")");
+        return;
+    }
+  }
+
   std::string GroupBy(const std::vector<std::string>& keys) {
     switch (rng_() % 4) {
       case 0:
@@ -180,15 +252,20 @@ class StatementGenerator {
   std::mt19937_64 rng_;
   const Table& table_;
   const size_t dims_;
+  const int64_t width_;
 };
 
-// Whether `catalog` answers `sql` from a bound cube: EXPLAIN says so.
+// Whether `catalog` answers `sql` from stored cells: EXPLAIN's first line
+// starts "answered from " and names them with `marker`.
 Result<bool> Routed(const std::string& sql, const sql::Catalog& catalog,
-                    const sql::EngineOptions& options) {
+                    const sql::EngineOptions& options,
+                    const std::string& marker) {
   DATACUBE_ASSIGN_OR_RETURN(
       Table plan, sql::ExecuteSql("EXPLAIN " + sql, catalog, options));
-  return plan.num_rows() > 0 && plan.GetValue(0, 0).string_value().rfind(
-                                    "answered from cube", 0) == 0;
+  if (plan.num_rows() == 0) return false;
+  const std::string line = plan.GetValue(0, 0).string_value();
+  return line.rfind("answered from ", 0) == 0 &&
+         line.find(marker) != std::string::npos;
 }
 
 // "" when `sql` gives identical bytes (or an identical Status) on both
@@ -196,21 +273,37 @@ Result<bool> Routed(const std::string& sql, const sql::Catalog& catalog,
 std::string Compare(const std::string& sql, const sql::Catalog& with,
                     const sql::Catalog& without,
                     const sql::EngineOptions& options) {
-  Result<Table> cube = sql::ExecuteSql(sql, with, options);
+  Result<Table> stored = sql::ExecuteSql(sql, with, options);
   Result<Table> raw = sql::ExecuteSql(sql, without, options);
-  if (cube.ok() != raw.ok()) {
-    return "one side failed: cube " + cube.status().ToString() + " vs raw " +
-           raw.status().ToString();
+  if (stored.ok() != raw.ok()) {
+    return "one side failed: stored " + stored.status().ToString() +
+           " vs raw " + raw.status().ToString();
   }
-  if (!cube.ok()) {
-    return cube.status().ToString() == raw.status().ToString()
+  if (!stored.ok()) {
+    return stored.status().ToString() == raw.status().ToString()
                ? ""
-               : "statuses differ: cube " + cube.status().ToString() +
+               : "statuses differ: stored " + stored.status().ToString() +
                      " vs raw " + raw.status().ToString();
   }
-  std::string a = WriteCsvString(cube.value());
+  std::string a = WriteCsvString(stored.value());
   std::string b = WriteCsvString(raw.value());
-  return a == b ? "" : "bytes differ:\n--- cube\n" + a + "--- raw\n" + b;
+  return a == b ? "" : "bytes differ:\n--- stored\n" + a + "--- raw\n" + b;
+}
+
+// The CUBE of every dimension with exact (COUNT, integer SUM, MIN/MAX over
+// non-float columns) and inexact (float SUM and MIN, AVG) aggregates.
+CubeSpec OracleSpec(size_t dims) {
+  CubeSpec spec;
+  for (size_t d = 0; d < dims; ++d) {
+    spec.cube.push_back(GroupCol("d" + std::to_string(d)));
+  }
+  spec.aggregates = {CountStar("n"),         Agg("count", "mi", "c_mi"),
+                     Agg("sum", "mi", "s_mi"), Agg("min", "mi", "lo_mi"),
+                     Agg("max", "mi", "hi_mi"), Agg("min", "d0", "lo_d0"),
+                     Agg("max", "d0", "hi_d0"), Agg("max", "mb", "hi_mb"),
+                     Agg("count", "mf", "c_mf"), Agg("sum", "mf", "s_mf"),
+                     Agg("min", "mf", "lo_mf"), Agg("avg", "mi", "avg_mi")};
+  return spec;
 }
 
 }  // namespace
@@ -228,16 +321,7 @@ DiffReport RunCubeAnswerDifferential(uint64_t seed,
     return report;
   };
   auto table = std::make_shared<const Table>(MakeRandomTable(seed, profile));
-  CubeSpec spec;
-  for (size_t d = 0; d < profile.dims; ++d) {
-    spec.cube.push_back(GroupCol("d" + std::to_string(d)));
-  }
-  spec.aggregates = {CountStar("n"),         Agg("count", "mi", "c_mi"),
-                     Agg("sum", "mi", "s_mi"), Agg("min", "mi", "lo_mi"),
-                     Agg("max", "mi", "hi_mi"), Agg("min", "d0", "lo_d0"),
-                     Agg("max", "d0", "hi_d0"), Agg("max", "mb", "hi_mb"),
-                     Agg("count", "mf", "c_mf"), Agg("sum", "mf", "s_mf"),
-                     Agg("min", "mf", "lo_mf"), Agg("avg", "mi", "avg_mi")};
+  const CubeSpec spec = OracleSpec(profile.dims);
 
   // Both stored forms: a seeded view list, and a seeded byte budget.
   std::mt19937_64 rng(seed * 0x9e3779b97f4a7c15ULL + 7);
@@ -270,7 +354,7 @@ DiffReport RunCubeAnswerDifferential(uint64_t seed,
     StatementGenerator gen(seed, *table, profile.dims);
     for (size_t q = 0; q < num_queries; ++q) {
       const Statement st = gen.Next();
-      Result<bool> fired = Routed(st.sql, with, options);
+      Result<bool> fired = Routed(st.sql, with, options, "answered from cube");
       // A statement the raw path rejects may not reach EXPLAIN's routing
       // either; both sides must still fail alike below.
       if (fired.ok() && *fired != st.answerable) {
@@ -282,7 +366,8 @@ DiffReport RunCubeAnswerDifferential(uint64_t seed,
       std::string diff = Compare(st.sql, with, without, options);
       if (!diff.empty()) return fail(st.sql + "\n" + diff);
       if (q % 8 == 0) {
-        Result<bool> stale = Routed(st.sql, replaced, options);
+        Result<bool> stale =
+            Routed(st.sql, replaced, options, "answered from cube");
         if (stale.ok() && *stale) {
           return fail("rewrote over a replaced table: " + st.sql);
         }
@@ -296,6 +381,108 @@ DiffReport RunCubeAnswerDifferential(uint64_t seed,
   if (2 * routed < statements) {
     return fail("rewrote " + std::to_string(routed) + " of " +
                 std::to_string(statements) + " statements");
+  }
+  return report;
+}
+
+DiffReport RunWindowAnswerDifferential(uint64_t seed,
+                                       const RandomTableProfile& profile,
+                                       AllMode mode, size_t num_queries) {
+  DiffReport report;
+  report.baseline_label = "raw";
+  report.other_label = "window_answer";
+  auto fail = [&](const std::string& what) {
+    report.agreed = false;
+    report.mismatch = "profile " + profile.label + ", seed " +
+                      std::to_string(seed) + ": " + what;
+    return report;
+  };
+  const Table input = WithTsColumn(MakeRandomTable(seed, profile));
+  CubeSpec spec = OracleSpec(profile.dims);
+  // A holistic aggregate: stored in every delta, never answered from one.
+  spec.aggregates.push_back(Agg("median", "mi", "med_mi"));
+
+  sql::EngineOptions options;
+  options.all_mode = mode;
+  size_t routed = 0, statements = 0;
+  for (int64_t width : {100000, 334, 125}) {  // 1, ~3 and ~8 windows
+    PartitionedCubeOptions part;
+    part.partition_column = "ts";
+    part.window_width = width;
+    part.background_compaction = false;
+    Result<std::unique_ptr<PartitionedCube>> created =
+        PartitionedCube::Create(input.schema(), spec, part);
+    if (!created.ok()) return fail("Create: " + created.status().ToString());
+    std::shared_ptr<PartitionedCube> store = std::move(created).value();
+
+    // Three shuffled batches, compacted between them: later batches land
+    // late in compacted windows, and the last one leaves open deltas.
+    std::vector<size_t> order(input.num_rows());
+    std::iota(order.begin(), order.end(), 0);
+    std::shuffle(order.begin(), order.end(),
+                 std::mt19937_64(seed + static_cast<uint64_t>(width)));
+    const size_t batch = order.size() / 3 + 1;
+    for (size_t first = 0; first < order.size(); first += batch) {
+      const size_t last = std::min(first + batch, order.size());
+      Result<Table> rows = input.TakeRows(std::vector<size_t>(
+          order.begin() + first, order.begin() + last));
+      if (!rows.ok()) return fail("TakeRows: " + rows.status().ToString());
+      Status st = store->IngestRows(*rows);
+      if (!st.ok()) return fail("IngestRows: " + st.ToString());
+      if (last < order.size()) store->CompactNow();
+    }
+    if (width == 334) {
+      // A checkpoint round trip brings every delta back sealed: a window
+      // that held a late open delta is now a sealed multi-delta window.
+      const std::filesystem::path dir =
+          std::filesystem::temp_directory_path() /
+          ("datacube_windows_" + std::to_string(::getpid()) + "_" +
+           profile.label + "_" + std::to_string(seed));
+      Status saved = store->SaveToFile(dir.string());
+      Result<std::unique_ptr<PartitionedCube>> loaded =
+          saved.ok() ? PartitionedCube::LoadFromDir(input.schema(), spec, part,
+                                                    dir.string())
+                     : Result<std::unique_ptr<PartitionedCube>>(saved);
+      std::error_code ignored;
+      std::filesystem::remove_all(dir, ignored);
+      if (!loaded.ok()) return fail("reload: " + loaded.status().ToString());
+      store = std::move(loaded).value();
+    }
+
+    // The plain table holds the store's rows in its scan order, so a
+    // statement neither side answers from cells sums floats in the same
+    // order on both.
+    Result<Table> scanned = store->PrunedRows(std::nullopt, std::nullopt);
+    if (!scanned.ok()) return fail("scan: " + scanned.status().ToString());
+    sql::Catalog without;
+    without.PutShared(kTable,
+                      std::make_shared<const Table>(std::move(*scanned)));
+    sql::Catalog with;
+    with.PutPartitioned(kTable, store);
+
+    StatementGenerator gen(seed + static_cast<uint64_t>(width), input,
+                           profile.dims, width);
+    for (size_t q = 0; q < num_queries; ++q) {
+      const Statement st = gen.Next();
+      Result<bool> fired = Routed(st.sql, with, options,
+                                  std::string(" window cubes of ") + kTable);
+      if (fired.ok() && *fired != st.answerable) {
+        return fail(std::string(*fired ? "answered" : "did not answer") +
+                    " from windows (width " + std::to_string(width) +
+                    "): " + st.sql);
+      }
+      ++statements;
+      if (fired.ok() && *fired) ++routed;
+      std::string diff = Compare(st.sql, with, without, options);
+      if (!diff.empty()) {
+        return fail("width " + std::to_string(width) + ": " + st.sql + "\n" +
+                    diff);
+      }
+    }
+  }
+  if (2 * routed < statements) {
+    return fail("answered " + std::to_string(routed) + " of " +
+                std::to_string(statements) + " statements from windows");
   }
   return report;
 }

@@ -182,6 +182,24 @@ DiffReport RunCubeAnswerDifferential(uint64_t seed,
                                      const RandomTableProfile& profile,
                                      AllMode mode, size_t num_queries = 40);
 
+/// Fifth oracle mode: SQL over a partitioned store answered from its window
+/// cubes against the raw path. Stores WithTsColumn(MakeRandomTable(seed,
+/// profile)) at window widths giving 1, ~3 and ~8 windows, with
+/// RunCubeAnswerDifferential's aggregates plus a holistic MEDIAN, ingested
+/// as three shuffled batches with a compaction between them (compacted
+/// windows, late deltas into them, open deltas; at the middle width a
+/// checkpoint round trip then leaves every delta sealed). Per width it runs
+/// `num_queries` of that oracle's statements under `mode`, plus bounds on
+/// the partition key: whole windows from one or both sides (empty ranges
+/// included), or an unaligned or saturated bound, `=`, `<>`, a FLOAT64
+/// literal or an OR. Each must give identical WriteCsvString bytes, or an
+/// identical Status, as the store's rows registered as a plain table (in
+/// the store's scan order). EXPLAIN must name the window answer exactly on
+/// the statements built to be usable, and on at least half of all.
+DiffReport RunWindowAnswerDifferential(uint64_t seed,
+                                       const RandomTableProfile& profile,
+                                       AllMode mode, size_t num_queries = 30);
+
 }  // namespace testing
 }  // namespace datacube
 

@@ -220,6 +220,23 @@ CubeSpec MakeRandomSpec(uint64_t seed, const RandomTableProfile& profile,
   return spec;
 }
 
+Table WithTsColumn(const Table& input) {
+  Schema schema = input.schema();
+  Status added = schema.AddField({"ts", DataType::kInt64});
+  (void)added;  // generated tables have no "ts" column
+  Table out{schema};
+  out.Reserve(input.num_rows());
+  for (size_t r = 0; r < input.num_rows(); ++r) {
+    std::vector<Value> row = input.GetRow(r);
+    row.push_back(r % 17 == 0 ? Value::Null()
+                              : Value::Int64(static_cast<int64_t>(
+                                    (r * 131 + 7) % 1000)));
+    Status s = out.AppendRow(row);
+    (void)s;  // conforms by construction
+  }
+  return out;
+}
+
 std::vector<RandomTableProfile> AdversarialProfiles() {
   std::vector<RandomTableProfile> ps;
   RandomTableProfile p;

@@ -21,6 +21,7 @@ using datacube::testing::MakeRandomTable;
 using datacube::testing::RandomTableProfile;
 using datacube::testing::RunDifferential;
 using datacube::testing::RunMaintenanceDifferential;
+using datacube::testing::RunWindowAnswerDifferential;
 
 // ------------------------------------------------------ generator basics
 
@@ -305,6 +306,29 @@ INSTANTIATE_TEST_SUITE_P(
                                                          : "_null_grouping");
     });
 
+// SQL over a partitioned store answered from its window cubes must be
+// byte-identical to the same rows as a plain table, and the answer must
+// fire exactly on whole-window bounds and usable aggregates: 30 seeded
+// statements per window width, over every profile and both markers.
+class WindowAnswerDifferentialTest
+    : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(WindowAnswerDifferentialTest, AnswersMatchThePlainTable) {
+  const RandomTableProfile profile = AdversarialProfiles()[GetParam() / 2];
+  DiffReport report =
+      RunWindowAnswerDifferential(1, profile, CaseMode(GetParam()));
+  ASSERT_TRUE(report.ok()) << report.ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Adversarial, WindowAnswerDifferentialTest,
+    ::testing::Range<size_t>(0, 2 * AdversarialProfiles().size()),
+    [](const ::testing::TestParamInfo<size_t>& info) {
+      return AdversarialProfiles()[info.param / 2].label +
+             (CaseMode(info.param) == AllMode::kAllToken ? "_all_token"
+                                                         : "_null_grouping");
+    });
+
 // ----------------------------------------------------------- soak mode
 
 // Optional deep fuzz, driven by the DATACUBE_FUZZ_ITERS environment
@@ -330,6 +354,9 @@ TEST(DifferentialSoakTest, EnvDrivenIterations) {
     DiffReport answers = RunCubeAnswerDifferential(
         seed, profile, CaseMode(static_cast<size_t>(i)));
     ASSERT_TRUE(answers.ok()) << answers.ToString();
+    DiffReport windows = RunWindowAnswerDifferential(
+        seed, profile, CaseMode(static_cast<size_t>(i)));
+    ASSERT_TRUE(windows.ok()) << windows.ToString();
     if (i % 4 == 3) {
       DiffReport maint = RunMaintenanceDifferential(seed, profile, spec);
       ASSERT_TRUE(maint.ok())

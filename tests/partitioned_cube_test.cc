@@ -17,8 +17,10 @@
 #include "datacube/cube/cube_operator.h"
 #include "datacube/expr/expr.h"
 #include "datacube/obs/metrics.h"
+#include "datacube/obs/query_profile.h"
 #include "datacube/sql/engine.h"
 #include "datacube/testing/differential.h"
+#include "datacube/table/csv.h"
 #include "datacube/table/sort.h"
 #include "datacube/testing/random_table.h"
 
@@ -32,26 +34,9 @@ using testing::DiffResultTables;
 using testing::MakeRandomSpec;
 using testing::MakeRandomTable;
 using testing::RandomTableProfile;
+using testing::WithTsColumn;
 
 // ------------------------------------------------------------- fixtures
-
-/// Appends a deterministic INT64 "ts" partition column to `input`: values
-/// span [0, 1000) so the oracle's window widths below yield 1, ~3, and ~8
-/// partitions; every 17th row gets a NULL ts to keep the NULL window in
-/// play. Pure function of the row index, so reruns reproduce exactly.
-Table WithTsColumn(const Table& input) {
-  Schema schema = input.schema();
-  EXPECT_TRUE(schema.AddField({"ts", DataType::kInt64}).ok());
-  Table out{schema};
-  for (size_t r = 0; r < input.num_rows(); ++r) {
-    std::vector<Value> row = input.GetRow(r);
-    row.push_back(r % 17 == 0 ? Value::Null()
-                              : Value::Int64(static_cast<int64_t>(
-                                    (r * 131 + 7) % 1000)));
-    EXPECT_TRUE(out.AppendRow(row).ok());
-  }
-  return out;
-}
 
 PartitionedCubeOptions PartOptions(int64_t width) {
   PartitionedCubeOptions options;
@@ -456,6 +441,17 @@ TEST(PartitionedCubeEdges, RejectedBatchChangesNothing) {
 
 // --------------------------------------------------------- SQL pruning
 
+/// The EXPLAIN [ANALYZE] of `sql`, one line per result row.
+std::string ExplainText(const std::string& sql, const sql::Catalog& catalog) {
+  Result<Table> plan = sql::ExecuteSql(sql, catalog);
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  std::string text;
+  for (size_t r = 0; plan.ok() && r < plan->num_rows(); ++r) {
+    text += plan->GetValue(r, 0).ToString() + "\n";
+  }
+  return text;
+}
+
 /// WHERE on the partition key must provably skip partitions (scanned <
 /// total), EXPLAIN must surface the counts, and the pruned answer must
 /// equal the same query over a monolithic registration of the same rows.
@@ -521,6 +517,118 @@ TEST(PartitionedCubeSql, WhereOnPartitionKeyPrunes) {
   EXPECT_NE(text.find("pruned=0"), std::string::npos) << text;
 }
 
+/// Aggregates that fold exactly, under bounds covering whole windows, are
+/// answered from the window cubes: EXPLAIN names them with the fold's
+/// counts and the partition accounting, /queryz records window_answer, the
+/// select counter counts it, and the bytes equal the plain table's.
+TEST(PartitionedCubeSql, AlignedAggregatesAnswerFromWindowCubes) {
+  Table input = EdgeRows({{5, "a", 1},
+                          {15, "a", 2},
+                          {25, "b", 3},
+                          {35, "b", 4},
+                          {45, "c", 5},
+                          {std::nullopt, "c", 6}});
+  Result<std::unique_ptr<PartitionedCube>> built =
+      PartitionedCube::Build(input, EdgeSpec(), PartOptions(10));
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  (*built)->CompactNow();
+  // A late row into compacted window 1: that window now has two deltas.
+  const Table late = EdgeRows({{17, "b", 7}});
+  ASSERT_TRUE((*built)->IngestRows(late).ok());
+  ASSERT_TRUE(input.AppendTable(late).ok());
+
+  sql::Catalog catalog;
+  catalog.PutPartitioned("events", std::shared_ptr<PartitionedCube>(
+                                       std::move(*built)));
+  ASSERT_TRUE(catalog.Register("mono", input).ok());
+
+  const std::string q =
+      "SELECT d, COUNT(*), SUM(m) FROM events WHERE ts >= 10 AND 40 > ts "
+      "GROUP BY CUBE d";
+  std::string text = ExplainText("EXPLAIN " + q, catalog);
+  EXPECT_EQ(text.rfind("answered from 3 window cubes of events (4 deltas, ",
+                       0),
+            0u)
+      << text;
+  EXPECT_NE(text.find("partitions: scanned=3  pruned=3  total=6"),
+            std::string::npos)
+      << text;
+  text = ExplainText("EXPLAIN ANALYZE " + q, catalog);
+  EXPECT_NE(text.find("window_answer"), std::string::npos) << text;
+
+  auto selects = [] {
+    return obs::MetricsRegistry::Global().CounterValue(
+        "datacube_sql_selects_total", {{"kind", "window_answer"}});
+  };
+  const uint64_t before = selects();
+  Result<Table> part = sql::ExecuteSql(q, catalog);
+  ASSERT_TRUE(part.ok()) << part.status().ToString();
+  EXPECT_EQ(selects(), before + 1);
+  const std::vector<obs::QueryProfile> recent =
+      obs::QueryProfileLog::Global().Snapshot();
+  ASSERT_FALSE(recent.empty());
+  EXPECT_EQ(recent.back().algorithm, "window_answer");
+  std::string mono_q = q;
+  mono_q.replace(mono_q.find("events"), 6, "mono");
+  Result<Table> mono = sql::ExecuteSql(mono_q, catalog);
+  ASSERT_TRUE(mono.ok()) << mono.status().ToString();
+  EXPECT_EQ(WriteCsvString(*part), WriteCsvString(*mono));
+
+  // A bound inside a window, or an OR, reads rows.
+  for (const char* raw : {"SELECT COUNT(*) FROM events WHERE ts >= 11",
+                          "SELECT COUNT(*) FROM events WHERE ts >= 10 OR "
+                          "ts < 0"}) {
+    EXPECT_EQ(ExplainText(std::string("EXPLAIN ") + raw, catalog)
+                  .find("window cubes"),
+              std::string::npos)
+        << raw;
+  }
+}
+
+/// A statement the windows cannot answer (AVG) but whose WHERE is only
+/// whole-window bounds skips the WHERE pass: the pruned scan already kept
+/// exactly its rows. The answer is byte-identical to the plain table's; an
+/// unaligned bound still runs the WHERE.
+TEST(PartitionedCubeSql, PruningProvesAnAlignedWhere) {
+  Table input = EdgeRows({{5, "a", 1},
+                          {15, "a", 2},
+                          {25, "b", 3},
+                          {35, "b", 4},
+                          {45, "c", 5},
+                          {std::nullopt, "c", 6}});
+  Result<std::unique_ptr<PartitionedCube>> built =
+      PartitionedCube::Build(input, EdgeSpec(), PartOptions(10));
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  sql::Catalog catalog;
+  catalog.PutPartitioned("events", std::shared_ptr<PartitionedCube>(
+                                       std::move(*built)));
+  ASSERT_TRUE(catalog.Register("mono", input).ok());
+
+  for (int64_t lo : {20, 21}) {
+    const std::string q = "SELECT d, AVG(m) FROM events WHERE ts >= " +
+                          std::to_string(lo) + " GROUP BY CUBE d";
+    SCOPED_TRACE(q);
+    Result<Table> part = sql::ExecuteSql(q, catalog);
+    ASSERT_TRUE(part.ok()) << part.status().ToString();
+    std::string mono_q = q;
+    mono_q.replace(mono_q.find("events"), 6, "mono");
+    Result<Table> mono = sql::ExecuteSql(mono_q, catalog);
+    ASSERT_TRUE(mono.ok()) << mono.status().ToString();
+    EXPECT_EQ(WriteCsvString(*part), WriteCsvString(*mono));
+
+    const std::string text = ExplainText("EXPLAIN " + q, catalog);
+    EXPECT_EQ(text.find("window cubes"), std::string::npos) << text;
+    if (lo == 20) {
+      EXPECT_NE(text.find("where: proven by partition pruning"),
+                std::string::npos)
+          << text;
+      EXPECT_EQ(text.find("where: path="), std::string::npos) << text;
+    } else {
+      EXPECT_NE(text.find("where: path="), std::string::npos) << text;
+    }
+  }
+}
+
 // ---------------------------------------------------------- concurrency
 
 /// Ingest, merged reads, pruned scans, and compaction racing on one store
@@ -533,7 +641,22 @@ TEST(PartitionedCubeConcurrency, IngestQueryCompact) {
   Result<std::unique_ptr<PartitionedCube>> created =
       PartitionedCube::Create(EdgeSchema(), EdgeSpec(), options);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
-  PartitionedCube& cube = **created;
+  std::shared_ptr<PartitionedCube> owner = std::move(*created);
+  PartitionedCube& cube = *owner;
+  sql::Catalog catalog;
+  catalog.PutPartitioned("events", owner);
+  // Answered from the window cubes: open deltas fold under the store's
+  // lock, sealed and compacted ones off it, while ingest and compaction
+  // swap them.
+  const std::string kAligned =
+      "SELECT d, COUNT(*), SUM(m) FROM events WHERE ts >= 100 "
+      "GROUP BY CUBE d";
+  const std::string kTotal = "SELECT COUNT(*) FROM events";
+  for (const std::string& q : {kAligned, kTotal}) {
+    EXPECT_NE(ExplainText("EXPLAIN " + q, catalog).find("window cubes"),
+              std::string::npos)
+        << q;
+  }
 
   const int kBatches = 120;
   const int kRowsPerBatch = 5;
@@ -587,6 +710,23 @@ TEST(PartitionedCubeConcurrency, IngestQueryCompact) {
       }
     });
   }
+  readers.emplace_back([&] {
+    int64_t last = 0;
+    while (!stop.load()) {
+      Result<Table> total = sql::ExecuteSql(kTotal, catalog);
+      Result<Table> aligned = sql::ExecuteSql(kAligned, catalog);
+      if (!total.ok() || !aligned.ok() || total->num_rows() != 1) {
+        failures.fetch_add(1);
+        return;
+      }
+      const int64_t n = total->GetValue(0, 0).int64_value();
+      if (n < last) {
+        failures.fetch_add(1);
+        return;
+      }
+      last = n;
+    }
+  });
   std::thread compactor([&] {
     while (!stop.load()) cube.CompactNow();
   });

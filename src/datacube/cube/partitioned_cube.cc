@@ -44,6 +44,15 @@ obs::Gauge& PartGauge(const char* name, const char* help) {
   return obs::MetricsRegistry::Global().GetGauge(name, help);
 }
 
+/// Counts the windows a bounded read skipped. Called off the store lock:
+/// the registry lookup takes the registry's own.
+void CountPruned(const PartitionPruneStats& windows) {
+  if (windows.pruned == 0) return;
+  PartCounter("datacube_partition_pruned_total",
+              "Windows skipped by partition-key pruning")
+      .Inc(windows.pruned);
+}
+
 /// Deep-copies the spec's expression trees. Expr::Bind caches column
 /// indexes inside the nodes, so sinks and deltas built concurrently from
 /// one shared spec must each bind a private copy — a clone shares no
@@ -580,11 +589,6 @@ PartitionedCube::Pinned PartitionedCube::PinWindows(
     stats->scanned = scanned;
     stats->pruned = total - scanned;
   }
-  if (total > scanned) {
-    PartCounter("datacube_partition_pruned_total",
-                "Windows skipped by partition-key pruning")
-        .Inc(total - scanned);
-  }
   return pinned;
 }
 
@@ -606,6 +610,7 @@ Result<Table> PartitionedCube::PrunedRows(const std::optional<int64_t>& lo,
     DATACUBE_RETURN_IF_ERROR(d->LiveRows(&out));
   }
   pinned.lock.unlock();
+  CountPruned(windows);
   // Sealed deltas are immutable; read them off-lock.
   for (const std::shared_ptr<const MaterializedCube>& d : pinned.frozen) {
     DATACUBE_RETURN_IF_ERROR(d->LiveRows(&out));
@@ -644,17 +649,10 @@ Result<Table> PartitionedCube::Answer(const CubeSpec& spec,
   DATACUBE_ASSIGN_OR_RETURN(std::unique_ptr<FoldSink> sink,
                             cube_internal::MakeFoldSink(base_schema_, spec));
   PartitionPruneStats windows;
-  Pinned pinned = PinWindows(lo, hi, &windows);
-  // Planning an open delta's fold reads its store sizes, which ingest
-  // changes: the whole fold runs under the lock.
-  for (const MaterializedCube* d : pinned.open) {
-    DATACUBE_RETURN_IF_ERROR(d->FoldAnswer(nav, *sink, &windows.cells));
-  }
-  pinned.lock.unlock();
-  for (const std::shared_ptr<const MaterializedCube>& d : pinned.frozen) {
-    DATACUBE_RETURN_IF_ERROR(d->FoldAnswer(nav, *sink, &windows.cells));
-  }
-  windows.deltas = pinned.open.size() + pinned.frozen.size();
+  DATACUBE_RETURN_IF_ERROR(
+      ForEachDelta(lo, hi, &windows, [&](const MaterializedCube& d) {
+        return d.FoldAnswer(nav, *sink, &windows.cells);
+      }));
   if (span.active()) {
     span.Attr("windows", static_cast<uint64_t>(windows.scanned));
     span.Attr("deltas", static_cast<uint64_t>(windows.deltas));
@@ -664,6 +662,42 @@ Result<Table> PartitionedCube::Answer(const CubeSpec& spec,
   CubeStats cube_stats;
   return cube_internal::AssembleColumnarResult(sink->cc, sink->stores,
                                                /*ordered=*/true, &cube_stats);
+}
+
+Result<PartitionPruneStats> PartitionedCube::PlanAnswer(
+    const CubeSpec& spec, const MaterializedCube::Navigation& nav,
+    const std::optional<int64_t>& lo, const std::optional<int64_t>& hi) const {
+  PartitionPruneStats windows;
+  DATACUBE_RETURN_IF_ERROR(
+      ForEachDelta(lo, hi, &windows, [&](const MaterializedCube& d) -> Status {
+        DATACUBE_ASSIGN_OR_RETURN(
+            std::vector<MaterializedCube::AnswerSource> sources,
+            d.PlanAnswer(spec, nav));
+        for (const MaterializedCube::AnswerSource& src : sources) {
+          windows.cells += src.cells;
+        }
+        return Status::OK();
+      }));
+  return windows;
+}
+
+Status PartitionedCube::ForEachDelta(
+    const std::optional<int64_t>& lo, const std::optional<int64_t>& hi,
+    PartitionPruneStats* windows,
+    const std::function<Status(const MaterializedCube&)>& fn) const {
+  Pinned pinned = PinWindows(lo, hi, windows);
+  // Ingest changes an open delta, its store sizes included: read it under
+  // the lock.
+  for (const MaterializedCube* d : pinned.open) {
+    DATACUBE_RETURN_IF_ERROR(fn(*d));
+  }
+  pinned.lock.unlock();
+  CountPruned(*windows);
+  for (const std::shared_ptr<const MaterializedCube>& d : pinned.frozen) {
+    DATACUBE_RETURN_IF_ERROR(fn(*d));
+  }
+  windows->deltas = pinned.open.size() + pinned.frozen.size();
+  return Status::OK();
 }
 
 Result<Table> PartitionedCube::ToTable() {

@@ -109,9 +109,9 @@ class PartitionedCube {
   /// Live base rows of every window overlapping [lo, hi] (inclusive
   /// bounds on the partition key; nullopt = unbounded), concatenated.
   /// The result is a superset of the rows matching the bounds — callers
-  /// re-apply their WHERE unless CoversWholeWindows proves it — and
-  /// excludes the NULL window whenever any bound is present (NULL fails
-  /// every comparison). This is the planner's partition-pruned scan.
+  /// re-apply their WHERE — and excludes the NULL window whenever any
+  /// bound is present (NULL fails every comparison). This is the planner's
+  /// partition-pruned scan.
   Result<Table> PrunedRows(const std::optional<int64_t>& lo,
                            const std::optional<int64_t>& hi,
                            PartitionPruneStats* stats = nullptr) const;
@@ -139,6 +139,13 @@ class PartitionedCube {
                        const std::optional<int64_t>& lo,
                        const std::optional<int64_t>& hi,
                        PartitionPruneStats* stats = nullptr) const;
+
+  /// What Answer(spec, nav, lo, hi) would fold — its windows, deltas and
+  /// stored cells — planned per delta without reading a cell (EXPLAIN).
+  Result<PartitionPruneStats> PlanAnswer(
+      const CubeSpec& spec, const MaterializedCube::Navigation& nav,
+      const std::optional<int64_t>& lo,
+      const std::optional<int64_t>& hi) const;
 
   /// Synchronous compaction pass: seals every open delta (including the
   /// newest window's), rebuilds every multi-delta window into one cube,
@@ -231,6 +238,14 @@ class PartitionedCube {
   Pinned PinWindows(const std::optional<int64_t>& lo,
                     const std::optional<int64_t>& hi,
                     PartitionPruneStats* stats) const;
+
+  /// Calls `fn` on every delta of the windows PinWindows(lo, hi) selects:
+  /// the open ones under mu_, then the frozen ones off it. Fills
+  /// `windows`' window and delta counts.
+  Status ForEachDelta(
+      const std::optional<int64_t>& lo, const std::optional<int64_t>& hi,
+      PartitionPruneStats* windows,
+      const std::function<Status(const MaterializedCube&)>& fn) const;
 
   // All *Locked members require mu_.
   /// Moves open deltas into the published list as sealed. `all` seals the

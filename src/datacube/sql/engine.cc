@@ -432,8 +432,6 @@ Result<Source> ExpandNTiles(SelectStatement* stmt, Source filtered) {
 
 // What the WHERE did, for EXPLAIN's `where:` line.
 struct WhereInfo {
-  // The partition-pruned scan already kept exactly the WHERE's rows.
-  bool proven = false;
   bool applied = false;
   PredicatePath path = PredicatePath::kInterpreted;
   size_t rows_in = 0;
@@ -475,8 +473,6 @@ Result<Source> ApplyWhere(Source input, const ExprPtr& where,
 // still prunes (superset-safe) but is not exact. `column = literal` with
 // the literal of the column's own type is an equality. Any other term —
 // OR, `<>`, a literal of another type, a computed operand — is inexact.
-// When every term is an exact bound and the range covers whole windows,
-// the pruned scan already keeps exactly the rows the WHERE keeps.
 
 // The value of a literal, or of a negated numeric one (SQL has no negative
 // number tokens; an int64 literal is never INT64_MIN, so negation is safe).
@@ -613,8 +609,8 @@ struct ScanInfo {
 
 // Resolves the FROM source and applies WHERE: a plain table is read in
 // place from the catalog; a partitioned store scans only the windows
-// surviving its partition-key bounds, then the full WHERE runs over the
-// survivors unless the scan proved it.
+// surviving its partition-key bounds (then the full WHERE runs over the
+// survivors).
 Result<Source> ResolveScanAndFilter(const SelectStatement& stmt,
                                     const Catalog& catalog, ScanInfo* info) {
   std::shared_ptr<PartitionedCube> store =
@@ -628,19 +624,13 @@ Result<Source> ResolveScanAndFilter(const SelectStatement& stmt,
   const WhereTerms terms = SplitStoreWhere(stmt.where, *store);
   DATACUBE_ASSIGN_OR_RETURN(
       Table rows, store->PrunedRows(terms.lo, terms.hi, &info->prune));
-  Source scanned = std::make_shared<const Table>(std::move(rows));
-  if (stmt.where != nullptr && !terms.inexact && terms.equalities.empty() &&
-      store->CoversWholeWindows(terms.lo, terms.hi)) {
-    info->where.proven = true;
-    return scanned;
-  }
-  return ApplyWhere(std::move(scanned), stmt.where, &info->where);
+  return ApplyWhere(std::make_shared<const Table>(std::move(rows)),
+                    stmt.where, &info->where);
 }
 
 // EXPLAIN's account of the WHERE: which evaluator ran and how many rows it
-// kept, or that pruning proved it. Empty when the statement has no WHERE.
+// kept. Empty when the statement has no WHERE.
 std::string WhereLine(const WhereInfo& where) {
-  if (where.proven) return "where: proven by partition pruning\n";
   if (!where.applied) return "";
   return std::string("where: path=") + PredicatePathName(where.path) +
          "  rows_in=" + std::to_string(where.rows_in) +
@@ -1248,16 +1238,6 @@ std::string RouteLines(const CubeRoute& route,
   return out;
 }
 
-// The stored cells a routed statement folds, as ExecuteCube's relation.
-Result<Table> AnswerRoute(const CubeRoute& route,
-                          PartitionPruneStats* windows) {
-  if (route.store != nullptr) {
-    return route.store->Answer(route.plan.spec, route.nav, route.lo,
-                               route.hi, windows);
-  }
-  return route.binding->cube->Answer(route.plan.spec, route.nav);
-}
-
 // Runs a routed statement: the stored answer, then the unchanged HAVING /
 // ORDER BY / projection / LIMIT. Emits the statement's query profile, as
 // ExecuteCube would for the raw path.
@@ -1266,7 +1246,12 @@ Result<Table> ExecuteRoute(const CubeRoute& route,
                            PartitionPruneStats* windows_out = nullptr) {
   auto start = std::chrono::steady_clock::now();
   PartitionPruneStats windows;
-  DATACUBE_ASSIGN_OR_RETURN(Table cells, AnswerRoute(route, &windows));
+  DATACUBE_ASSIGN_OR_RETURN(
+      Table cells,
+      route.store != nullptr
+          ? route.store->Answer(route.plan.spec, route.nav, route.lo,
+                                route.hi, &windows)
+          : route.binding->cube->Answer(route.plan.spec, route.nav));
   const size_t output_cells = cells.num_rows();
   DATACUBE_ASSIGN_OR_RETURN(Table out,
                             FinishAggregation(route.plan, std::move(cells)));
@@ -1398,10 +1383,11 @@ Result<std::string> ExplainSelectText(const SelectStatement& stmt,
   if (std::optional<CubeRoute> route = RouteToCube(stmt, catalog, options)) {
     PartitionPruneStats windows;
     if (!analyze) {
-      // A window answer counts its windows, deltas and cells by folding
-      // them. Like the raw plan, EXPLAIN leaves an error of the answer
-      // itself (a SUM overflow) to execution.
-      if (route->store != nullptr) (void)AnswerRoute(*route, &windows);
+      if (route->store != nullptr) {
+        DATACUBE_ASSIGN_OR_RETURN(
+            windows, route->store->PlanAnswer(route->plan.spec, route->nav,
+                                              route->lo, route->hi));
+      }
       return RouteLines(*route, windows);
     }
     obs::Trace trace("query");

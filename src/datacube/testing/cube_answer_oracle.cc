@@ -397,7 +397,11 @@ DiffReport RunWindowAnswerDifferential(uint64_t seed,
                       std::to_string(seed) + ": " + what;
     return report;
   };
-  const Table input = WithTsColumn(MakeRandomTable(seed, profile));
+  Result<Table> with_ts = WithTsColumn(MakeRandomTable(seed, profile));
+  if (!with_ts.ok()) {
+    return fail("WithTsColumn: " + with_ts.status().ToString());
+  }
+  const Table input = std::move(with_ts).value();
   CubeSpec spec = OracleSpec(profile.dims);
   // A holistic aggregate: stored in every delta, never answered from one.
   spec.aggregates.push_back(Agg("median", "mi", "med_mi"));

@@ -220,10 +220,9 @@ CubeSpec MakeRandomSpec(uint64_t seed, const RandomTableProfile& profile,
   return spec;
 }
 
-Table WithTsColumn(const Table& input) {
+Result<Table> WithTsColumn(const Table& input) {
   Schema schema = input.schema();
-  Status added = schema.AddField({"ts", DataType::kInt64});
-  (void)added;  // generated tables have no "ts" column
+  DATACUBE_RETURN_IF_ERROR(schema.AddField({"ts", DataType::kInt64}));
   Table out{schema};
   out.Reserve(input.num_rows());
   for (size_t r = 0; r < input.num_rows(); ++r) {
@@ -231,8 +230,7 @@ Table WithTsColumn(const Table& input) {
     row.push_back(r % 17 == 0 ? Value::Null()
                               : Value::Int64(static_cast<int64_t>(
                                     (r * 131 + 7) % 1000)));
-    Status s = out.AppendRow(row);
-    (void)s;  // conforms by construction
+    DATACUBE_RETURN_IF_ERROR(out.AppendRow(row));
   }
   return out;
 }

@@ -56,8 +56,9 @@ Table MakeRandomTable(uint64_t seed, const RandomTableProfile& profile);
 
 /// `input` plus an INT64 partition column "ts": row r holds
 /// (r * 131 + 7) % 1000, or NULL when r % 17 == 0 (the NULL window). Window
-/// widths 100000, 334 and 125 then give 1, ~3 and ~8 partitions.
-Table WithTsColumn(const Table& input);
+/// widths 100000, 334 and 125 then give 1, ~3 and ~8 partitions. Fails
+/// when `input` already has a "ts" column or a row does not append.
+Result<Table> WithTsColumn(const Table& input);
 
 /// Deterministic random CubeSpec over a table produced by `profile`:
 /// rotates through full CUBE, ROLLUP, GROUP BY + CUBE compounds, and

@@ -9,6 +9,10 @@ end-to-end:
 
   * N concurrent /query clients issuing mini-SQL, all answers checked
   * register / query / drop round trip through snapshot swaps under load
+  * hostile strings: a registered CSV holding an empty field, a blank, a
+    comma, a quote, a newline and multi-byte UTF-8 reads back whole through
+    SELECT *, and a CUBE plus GROUP BYs under string WHEREs match sums the
+    script computes itself (an empty CSV field reads as NULL)
   * a per-query deadline that must come back 504, not hang
   * a slow-loris client dribbling bytes at /metrics while a fast scrape
     must still complete promptly (locks in the serial-accept-loop fix),
@@ -41,6 +45,8 @@ end-to-end:
 Exits nonzero with a message on the first failure.
 """
 
+import csv
+import io
 import json
 import select
 import socket
@@ -116,6 +122,70 @@ def check_register_roundtrip(base):
     if status != 404:
         return fail(f"query after drop: expected 404, got {status}")
     print("ok: register / query / drop round trip")
+
+
+HOSTILE_ROWS = [
+    # s, n: every n a distinct power of two, so each sum names its rows
+    ("", 1),  # an empty field: NULL
+    (" ", 2),
+    ("a,b", 4),
+    ('say "hi"', 8),
+    ("line\nbreak", 16),
+    ("\u65e5\u672c\u8a9e", 32),
+    ("zeta", 64),
+    (" ", 128),
+    ("a,b", 256),
+]
+
+
+def csv_rows(body):
+    return list(csv.reader(io.StringIO(body, newline="")))[1:]
+
+
+def check_hostile_strings(base):
+    def quote(v):
+        return '"' + v.replace('"', '""') + '"' if v else ""
+    data = "s,n\n" + "".join(f"{quote(s)},{n}\n" for s, n in HOSTILE_ROWS)
+    status, body = fetch(f"{base}/register?name=smoke_strings",
+                         method="POST", data=data.encode())
+    if status != 200:
+        return fail(f"/register smoke_strings: HTTP {status}: {body.strip()}")
+    status, body = query(base, "SELECT * FROM smoke_strings")
+    want = [[s, str(n)] for s, n in HOSTILE_ROWS]
+    if status != 200 or csv_rows(body) != want:
+        return fail(f"SELECT * over hostile strings: HTTP {status}: {body!r}")
+
+    def sums(rows):
+        out = {}
+        for s, n in rows:
+            out[s] = out.get(s, 0) + n
+        return out
+
+    def answer(sql):
+        status, body = query(base, sql)
+        if status != 200:
+            fail(f"{sql}: HTTP {status}: {body.strip()}")
+            return None
+        return {row[0]: int(row[1]) for row in csv_rows(body)}
+
+    # NULL renders as an empty field and the super-aggregate as ALL.
+    cube = sums(HOSTILE_ROWS)
+    cube["ALL"] = sum(n for _, n in HOSTILE_ROWS)
+    below_m = sums((s, n) for s, n in HOSTILE_ROWS
+                   if s and s.encode() < b"m")
+    checks = [
+        ("SELECT s, SUM(n) FROM smoke_strings GROUP BY CUBE s", cube),
+        ("SELECT s, SUM(n) FROM smoke_strings WHERE s = '' GROUP BY s", {}),
+        ("SELECT s, SUM(n) FROM smoke_strings WHERE s < 'm' GROUP BY s",
+         below_m),
+    ]
+    for sql, expected in checks:
+        got = answer(sql)
+        if got is not None and got != expected:
+            return fail(f"{sql}: got {got}, expected {expected}")
+    fetch(f"{base}/drop?name=smoke_strings", method="POST")
+    print("ok: hostile strings (SELECT * round trip, CUBE and string WHEREs "
+          "match the script's sums)")
 
 
 def check_deadline(base):
@@ -294,7 +364,10 @@ def check_ingest_under_query(base, batches=30, rows_per_batch=20):
             lines = []
             for r in range(rows_per_batch):
                 ts = 100_000 + b * 500 + r  # crosses window boundaries
-                lines.append(f"{ts},{sources[r % 3]},smoke,{r}")
+                # Every batch brings a source no batch had: the windows'
+                # string dictionaries grow under the queriers.
+                source = f"smoke{b}" if r == 0 else sources[r % 3]
+                lines.append(f"{ts},{source},smoke,{r}")
             body = "\n".join(lines).encode()
             status, text = fetch(f"{base}/ingest?table=Events&header=0",
                                  method="POST", data=body)
@@ -585,6 +658,7 @@ def main():
     base = sys.argv[1].rstrip("/")
     check_concurrent_queries(base)
     check_register_roundtrip(base)
+    check_hostile_strings(base)
     check_deadline(base)
     check_slow_loris(base)
     check_methods(base)

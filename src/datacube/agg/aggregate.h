@@ -45,11 +45,14 @@ const char* AggClassName(AggClass c);
 
 /// One argument column of a batched Iter sweep. Kernels prefer the raw
 /// typed buffer (`data` + per-row `states`) when the planner bound the
-/// argument straight to a table column; `values` is always present as the
-/// materialized fallback. Rows are addressed by ABSOLUTE row id (see
-/// AggBatch::RowId), so both views span the whole input, not the morsel.
+/// argument straight to a table column; `values` is the materialized
+/// fallback. Rows are addressed by ABSOLUTE row id (see AggBatch::RowId),
+/// so both views span the whole input, not the morsel.
 struct AggBatchArg {
-  /// Materialized argument values for every input row (never null).
+  /// Materialized argument values for every input row, or null when the
+  /// one-shot path left a plain INT64/FLOAT64 column reference unevaluated
+  /// (`data` is set then). A kernel that needs this view and finds it null
+  /// returns false, and the caller replays the rows through scalar Iter.
   const Value* values = nullptr;
   /// Raw column storage (int64_t* / double* per `type`), or null when the
   /// argument is a computed expression or a non-numeric column.
@@ -81,6 +84,22 @@ struct AggBatch {
     return rows != nullptr ? rows[i] : base + i;
   }
   void* Slot(size_t i) const { return blocks[i] + slot_offset; }
+};
+
+/// The cells handed to FinalBatch: `n` states of one aggregate, at
+/// blocks[i] + slot_offset, whose results fill a result column of `type`
+/// (INT64 or FLOAT64) in place. `data` holds n int64_t or double slots and
+/// `states` n state bytes (0 value, 1 NULL: the Column layout), all zero on
+/// entry.
+struct AggFinalBatch {
+  const char* const* blocks = nullptr;
+  size_t slot_offset = 0;
+  size_t n = 0;
+  DataType type = DataType::kInt64;
+  void* data = nullptr;
+  uint8_t* states = nullptr;
+
+  const void* Slot(size_t i) const { return blocks[i] + slot_offset; }
 };
 
 /// Opaque per-cell scratchpad ("handle" in the paper's Figure 7 / Informix
@@ -237,6 +256,18 @@ class AggregateFunction {
   virtual bool IterBatch(const AggBatch& batch) const {
     (void)batch;
     return false;
+  }
+
+  /// FinalChecked for a whole column of inline states at once, written
+  /// straight into the result buffer. Returns how many leading cells it
+  /// wrote: all n, or fewer when it reaches a cell whose FinalChecked fails
+  /// or whose result Column::Append would reject (0 when it has no kernel
+  /// for batch.type). The caller finishes from that cell with FinalChecked
+  /// and Column::Append, which report the error, so results and errors
+  /// match the per-cell path exactly.
+  virtual size_t FinalBatch(const AggFinalBatch& batch) const {
+    (void)batch;
+    return 0;
   }
 
   /// Convenience for the common single-argument case.

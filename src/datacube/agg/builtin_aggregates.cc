@@ -33,11 +33,49 @@ State* SlotState(const AggBatch& b, size_t i) {
   return static_cast<State*>(b.Slot(i));
 }
 
+// FinalBatch kernels: put(state, i) writes cell i's result as
+// Column::Append would store FinalChecked's Value, and returns false at a
+// cell whose FinalChecked fails or whose result the column rejects.
+template <typename State, typename Put>
+size_t FinalEach(const AggFinalBatch& b, Put put) {
+  for (size_t i = 0; i < b.n; ++i) {
+    if (!put(*static_cast<const State*>(b.Slot(i)), i)) return i;
+  }
+  return b.n;
+}
+
+bool PutNull(const AggFinalBatch& b, size_t i) {
+  b.states[i] = 1;  // the slot stays zero
+  return true;
+}
+
+// A FLOAT64 column widens an int64 result, as Column::Append does.
+bool PutInt64(const AggFinalBatch& b, size_t i, int64_t v) {
+  if (b.type == DataType::kInt64) {
+    static_cast<int64_t*>(b.data)[i] = v;
+  } else {
+    static_cast<double*>(b.data)[i] = static_cast<double>(v);
+  }
+  return true;
+}
+
+// An INT64 column rejects a float64 result.
+bool PutFloat64(const AggFinalBatch& b, size_t i, double v) {
+  if (b.type != DataType::kFloat64) return false;
+  static_cast<double*>(b.data)[i] = v;
+  return true;
+}
+
 // ---------------------------------------------------------------- COUNT(*)
 
 struct CountState : AggState {
   int64_t n = 0;
 };
+
+size_t FinalCounts(const AggFinalBatch& b) {
+  return FinalEach<CountState>(
+      b, [&](const CountState& s, size_t i) { return PutInt64(b, i, s.n); });
+}
 
 class CountStarFunction : public WithInlineState<CountState> {
  public:
@@ -62,6 +100,9 @@ class CountStarFunction : public WithInlineState<CountState> {
   }
   Value Final(const AggState* state) const override {
     return Value::Int64(As<CountState>(state)->n);
+  }
+  size_t FinalBatch(const AggFinalBatch& b) const override {
+    return FinalCounts(b);
   }
   Status Merge(AggState* dst, const AggState* src) const override {
     // COUNT is the one distributive function whose G differs from F: counts
@@ -117,6 +158,7 @@ class CountFunction : public WithInlineState<CountState> {
       }
       return true;
     }
+    if (arg.values == nullptr) return false;
     for (size_t i = 0; i < b.n; ++i) {
       if (!arg.values[b.RowId(i)].is_special()) {
         ++SlotState<CountState>(b, i)->n;
@@ -126,6 +168,9 @@ class CountFunction : public WithInlineState<CountState> {
   }
   Value Final(const AggState* state) const override {
     return Value::Int64(As<CountState>(state)->n);
+  }
+  size_t FinalBatch(const AggFinalBatch& b) const override {
+    return FinalCounts(b);
   }
   Status Merge(AggState* dst, const AggState* src) const override {
     As<CountState>(dst)->n += As<CountState>(src)->n;
@@ -277,6 +322,7 @@ class SumFunction : public WithInlineState<SumState> {
       }
       return true;
     }
+    if (arg.values == nullptr) return false;
     for (size_t i = 0; i < b.n; ++i) {
       Iter(SlotState<SumState>(b, i), &arg.values[b.RowId(i)], 1);
     }
@@ -307,6 +353,17 @@ class SumFunction : public WithInlineState<SumState> {
           " out of INT64 range");
     }
     return Final(state);
+  }
+  size_t FinalBatch(const AggFinalBatch& b) const override {
+    return FinalEach<SumState>(b, [&](const SumState& s, size_t i) {
+      if (s.n_float == 0 &&
+          (s.wide_overflow || (s.n > 0 && !Int128FitsInt64(s.sum_i)))) {
+        return false;  // FinalChecked's overflow error
+      }
+      if (s.n == 0) return PutNull(b, i);
+      if (s.n_float == 0) return PutInt64(b, i, static_cast<int64_t>(s.sum_i));
+      return PutFloat64(b, i, static_cast<double>(s.sum_i) + SumFloatPart(s));
+    });
   }
   Status Merge(AggState* dst, const AggState* src) const override {
     auto* d = As<SumState>(dst);
@@ -461,6 +518,7 @@ class ExtremeFunction : public WithInlineState<ExtremeState> {
       }
       return true;
     }
+    if (arg.values == nullptr) return false;
     for (size_t i = 0; i < b.n; ++i) {
       Iter(SlotState<ExtremeState>(b, i), &arg.values[b.RowId(i)], 1);
     }
@@ -469,6 +527,16 @@ class ExtremeFunction : public WithInlineState<ExtremeState> {
   Value Final(const AggState* state) const override {
     const auto* s = As<ExtremeState>(state);
     return s->has_value ? s->best : Value::Null();
+  }
+  size_t FinalBatch(const AggFinalBatch& b) const override {
+    return FinalEach<ExtremeState>(b, [&](const ExtremeState& s, size_t i) {
+      if (!s.has_value) return PutNull(b, i);
+      if (s.best.kind() == Value::Kind::kInt64) {
+        return PutInt64(b, i, s.best.int64_value());
+      }
+      return s.best.kind() == Value::Kind::kFloat64 &&
+             PutFloat64(b, i, s.best.float64_value());
+    });
   }
   Status Merge(AggState* dst, const AggState* src) const override {
     const auto* s = As<ExtremeState>(src);
@@ -605,6 +673,7 @@ class AvgFunction : public WithInlineState<AvgState> {
       }
       return true;
     }
+    if (arg.values == nullptr) return false;
     for (size_t i = 0; i < b.n; ++i) {
       Iter(SlotState<AvgState>(b, i), &arg.values[b.RowId(i)], 1);
     }
@@ -615,6 +684,13 @@ class AvgFunction : public WithInlineState<AvgState> {
     if (s->n == 0) return Value::Null();
     return Value::Float64((s->sum + AvgNumeratorPart(*s)) /
                           static_cast<double>(s->n));
+  }
+  size_t FinalBatch(const AggFinalBatch& b) const override {
+    return FinalEach<AvgState>(b, [&](const AvgState& s, size_t i) {
+      if (s.n == 0) return PutNull(b, i);
+      return PutFloat64(b, i, (s.sum + AvgNumeratorPart(s)) /
+                                  static_cast<double>(s.n));
+    });
   }
   Status Merge(AggState* dst, const AggState* src) const override {
     auto* d = As<AvgState>(dst);

@@ -213,7 +213,7 @@ struct ColumnarContext {
   bool use_batch = true;
   /// Prebuilt per-aggregate argument descriptors for IterBatch (typed
   /// buffers + state codes where the argument is a plain column reference,
-  /// materialized Values always).
+  /// materialized Values unless the argument was left unmaterialized).
   std::vector<std::vector<AggBatchArg>> batch_args;
 
   const uint64_t* RowKey(size_t row) const {
@@ -239,6 +239,11 @@ struct ColumnarContext {
   const AggState* StateOf(const char* block, size_t a) const {
     return StateOf(const_cast<char*>(block), a);
   }
+
+  /// Aggregate a's arguments at `row`: the evaluated column in place, or
+  /// `scratch` (room for every argument) filled from the source columns
+  /// when an argument was left unmaterialized.
+  const Value* ArgsAt(size_t a, size_t row, Value* scratch) const;
 
   /// Points batch_args at the context's current argument columns. Appending
   /// rows can move both the Value caches and the typed buffers, so stored
@@ -385,10 +390,9 @@ class CellFold {
   std::vector<std::pair<size_t, uint64_t>> required_;
 };
 
-/// Builds the result relation from flat stores — the only place packed
-/// keys are decoded back to Values (Section 3's relational form: ALL/NULL
-/// marking, decorations, GROUPING columns, the empty grouping set's one
-/// row on empty input).
+/// Builds the result relation from flat stores (Section 3's relational
+/// form: ALL/NULL marking, decorations, GROUPING columns, the empty
+/// grouping set's one row on empty input) through AssembleCellTable.
 /// Rows come out in store order, or with `ordered` sorted on the grouping
 /// columns: by the Value order of the key tuple (NULL, then ALL, then
 /// concrete values), ties in grouping-set order, then store order — the
@@ -397,6 +401,36 @@ class CellFold {
 Result<Table> AssembleColumnarResult(const ColumnarContext& cc,
                                      const SetStores& stores, bool ordered,
                                      CubeStats* stats);
+
+/// One result row: a cell's packed key, its state block and the grouping
+/// set it belongs to.
+struct CellRef {
+  const uint64_t* key;
+  const char* block;
+  GroupingSet set;
+};
+
+/// The columns an assembled result carries.
+enum class ResultForm {
+  /// ExecuteCube's relation: grouping columns (ALL, or NULL under
+  /// AllMode::kNullWithGrouping, where the cell's set aggregates the column
+  /// away), decorations, aggregates, then the GROUPING columns and
+  /// grouping_id the spec asks for.
+  kCube,
+  /// A stored cube's cells: grouping columns (ALL where aggregated away)
+  /// and aggregates.
+  kCells,
+};
+
+/// Builds a relation with one row per cell of `cells`, in that order — the
+/// only place packed keys are decoded back to values — a column at a time:
+/// grouping columns gather each cell's code from the codec's entries
+/// (converted once each), aggregates come from a batch Final. Fails with
+/// the Status a row-by-row fill returns: the first failing cell, at its
+/// leftmost failing column.
+Result<Table> AssembleCellTable(const ColumnarContext& cc,
+                                const std::vector<CellRef>& cells,
+                                ResultForm form, CubeStats* stats);
 
 }  // namespace cube_internal
 }  // namespace datacube

@@ -656,12 +656,6 @@ std::vector<uint32_t> RankCodes(const KeyCodec& codec, size_t k,
   return rank;
 }
 
-struct CellRef {
-  const uint64_t* key;
-  const char* block;
-  size_t set;  // index into ctx.sets
-};
-
 // Permutation of `cells` (given in store order) that sorts them on the
 // grouping columns exactly as a stable SortTable of the store-order result
 // would: by rank tuple, ties keeping store order — which is grouping-set
@@ -684,7 +678,7 @@ std::vector<size_t> KeyOrder(const ColumnarContext& cc,
     rank_bits += bits[k];
   }
   auto rank_of = [&](const CellRef& cell, size_t k) -> uint32_t {
-    if (!IsGrouped(ctx.sets[cell.set], k)) return away_rank;
+    if (!IsGrouped(cell.set, k)) return away_rank;
     return ranks[k][cc.codec.CodeAt(cell.key, k)];
   };
 
@@ -723,16 +717,10 @@ std::vector<size_t> KeyOrder(const ColumnarContext& cc,
 
 }  // namespace
 
-// Assembles the result relation from per-set flat stores — the only place
-// packed keys are decoded back to Values. Cells are gathered in store
-// order, optionally permuted into grouping-key order, and appended straight
-// into the result's columns.
 Result<Table> AssembleColumnarResult(const ColumnarContext& cc,
                                      const SetStores& stores, bool ordered,
                                      CubeStats* stats) {
   const CubeContext& ctx = *cc.ctx;
-  const CubeSpec& spec = *ctx.spec;
-
   std::vector<CellRef> cells;
   size_t total_cells = 0;
   for (const CellStore& m : stores) total_cells += m.size();
@@ -742,19 +730,59 @@ Result<Table> AssembleColumnarResult(const ColumnarContext& cc,
   std::vector<uint64_t> zero_key(cc.words, 0);
   CellStore empty_cells = cc.MakeStore();
   for (size_t s = 0; s < ctx.sets.size(); ++s) {
-    if (ctx.sets[s] == 0 && stores[s].size() == 0) {
+    const GroupingSet set = ctx.sets[s];
+    if (set == 0 && stores[s].size() == 0) {
       char* block = empty_cells.FindOrInsert(zero_key.data());
-      cells.push_back(CellRef{zero_key.data(), block, s});
+      cells.push_back(CellRef{zero_key.data(), block, set});
       continue;
     }
     stores[s].ForEach([&](const uint64_t* key, char* block) {
-      cells.push_back(CellRef{key, block, s});
+      cells.push_back(CellRef{key, block, set});
     });
   }
-  const size_t n = cells.size();
-  if (stats != nullptr) stats->output_cells = n;
-  std::vector<size_t> order;
-  if (ordered) order = KeyOrder(cc, cells);
+  if (stats != nullptr) stats->output_cells = cells.size();
+  if (ordered) {
+    std::vector<size_t> order = KeyOrder(cc, cells);
+    std::vector<CellRef> sorted;
+    sorted.reserve(cells.size());
+    for (size_t i : order) sorted.push_back(cells[i]);
+    cells = std::move(sorted);
+  }
+  return AssembleCellTable(cc, cells, ResultForm::kCube, stats);
+}
+
+namespace {
+
+// FinalBatch over cells [0, n) of aggregate `a` into a fresh `type` column
+// of T slots; returns how many cells it wrote.
+template <typename T>
+size_t FinalColumn(const ColumnarContext& cc, size_t a,
+                   const std::vector<const char*>& blocks, size_t n,
+                   DataType type, Column* out) {
+  std::vector<T> slots(n);
+  std::vector<uint8_t> states(n);
+  const size_t done = cc.ctx->aggs[a]->FinalBatch(
+      {blocks.data(), cc.layout.slots[a].offset, n, type, slots.data(),
+       states.data()});
+  slots.resize(done);
+  states.resize(done);
+  *out = Column::FromSlots(type, std::move(slots), std::move(states));
+  return done;
+}
+
+}  // namespace
+
+// Fills the result a column at a time. A row-by-row fill would stop at the
+// first failing cell in output order, at its leftmost failing column; to
+// return that same Status, each column fills only the cells before the
+// earliest failure found so far, so a later column can only replace it with
+// an earlier cell.
+Result<Table> AssembleCellTable(const ColumnarContext& cc,
+                                const std::vector<CellRef>& cells,
+                                ResultForm form, CubeStats* stats) {
+  const CubeContext& ctx = *cc.ctx;
+  const CubeSpec& spec = *ctx.spec;
+  const bool cube = form == ResultForm::kCube;
 
   // Result schema.
   std::vector<Field> fields;
@@ -762,91 +790,157 @@ Result<Table> AssembleColumnarResult(const ColumnarContext& cc,
     fields.push_back(Field{ctx.key_names[k], ctx.key_types[k],
                            /*nullable=*/true, /*allow_all=*/true});
   }
-  for (const Decoration& d : spec.decorations) {
-    fields.push_back(Field{d.name, d.expr->output_type(), /*nullable=*/true,
-                           /*allow_all=*/false});
+  if (cube) {
+    for (const Decoration& d : spec.decorations) {
+      fields.push_back(Field{d.name, d.expr->output_type(), /*nullable=*/true,
+                             /*allow_all=*/false});
+    }
   }
   for (size_t a = 0; a < ctx.aggs.size(); ++a) {
     fields.push_back(Field{spec.aggregates[a].column_name(),
                            ctx.agg_result_types[a], /*nullable=*/true,
                            /*allow_all=*/false});
   }
-  if (spec.add_grouping_columns) {
+  if (cube && spec.add_grouping_columns) {
     for (size_t k = 0; k < ctx.num_keys; ++k) {
       fields.push_back(Field{"grouping_" + ctx.key_names[k], DataType::kBool,
                              /*nullable=*/false, /*allow_all=*/false});
     }
   }
-  if (spec.add_grouping_id) {
+  if (cube && spec.add_grouping_id) {
     fields.push_back(Field{"grouping_id", DataType::kInt64,
                            /*nullable=*/false, /*allow_all=*/false});
   }
   Schema schema{std::move(fields)};
   std::vector<Column> columns;
   columns.reserve(schema.num_fields());
-  for (const Field& f : schema.fields()) {
-    columns.emplace_back(f.type);
-    columns.back().Reserve(n);
+
+  const size_t n = cells.size();
+  size_t limit = n;  // the earliest failing cell so far
+  Status failure;
+  auto fail = [&](size_t i, const Status& st) {
+    limit = i;
+    failure = st;
+  };
+  // An Append error of the column being filled (the next in `columns`).
+  auto named = [&](const Status& st) {
+    return Status(st.code(), "column '" + schema.field(columns.size()).name +
+                                 "': " + st.message());
+  };
+  auto append = [&](Column& col, size_t i, const Value& v) {
+    Status st = col.Append(v);
+    if (!st.ok()) fail(i, named(st));
+    return st.ok();
+  };
+
+  // Grouping columns: ALL (or NULL under the minimalist Section 3.4
+  // design) in aggregated-away positions. The codec's entries become one
+  // small column — ALL, NULL, then the concrete values, so an entry's row
+  // is its code, each converted once — and the result gathers each cell's
+  // code from it; a string key's dictionary is built once from the C
+  // entries.
+  const uint64_t away = cube && spec.all_mode != AllMode::kAllToken
+                            ? KeyCodec::kNullCode
+                            : KeyCodec::kAllCode;
+  for (size_t k = 0; k < ctx.num_keys; ++k) {
+    const std::vector<Value>& dict = cc.codec.dictionary(k);
+    Column entries(ctx.key_types[k]);
+    entries.Reserve(dict.size() + 2);
+    (void)entries.Append(Value::All());
+    (void)entries.Append(Value::Null());
+    std::vector<std::pair<size_t, Status>> rejected;  // entry row, error
+    for (const Value& v : dict) {
+      Status st = entries.Append(v);
+      if (st.ok()) continue;
+      rejected.emplace_back(entries.size(), st);
+      entries.AppendNulls(1);
+    }
+    std::vector<size_t> ids(limit);
+    for (size_t i = 0; i < limit; ++i) {
+      const CellRef& cell = cells[i];
+      ids[i] = IsGrouped(cell.set, k) ? cc.codec.CodeAt(cell.key, k) : away;
+    }
+    for (size_t i = 0; i < limit && !rejected.empty(); ++i) {
+      for (const auto& [row, st] : rejected) {
+        if (ids[i] == row) fail(i, named(st));
+      }
+    }
+    Column col(ctx.key_types[k]);
+    ids.resize(limit);
+    col.AppendGather(entries, ids);
+    columns.push_back(std::move(col));
   }
 
-  // Row-major fill, so the first failing cell is the first in output order.
-  const Value away =
-      spec.all_mode == AllMode::kAllToken ? Value::All() : Value::Null();
-  const Value null = Value::Null();
-  size_t c = 0;
-  auto append = [&](const Value& v) -> Status {
-    Status st = columns[c].Append(v);
-    if (!st.ok()) {
-      return Status(st.code(),
-                    "column '" + schema.field(c).name + "': " + st.message());
+  // Decorations: value when the grouping set functionally determines it
+  // (covers the determinant), else NULL — Table 7's continent rule.
+  for (size_t d = 0; cube && d < spec.decorations.size(); ++d) {
+    const Decoration& dec = spec.decorations[d];
+    Column col(dec.expr->output_type());
+    col.Reserve(limit);
+    for (size_t i = 0; i < limit; ++i) {
+      const CellHeader* header = ColumnarContext::Header(cells[i].block);
+      Value v;
+      if ((cells[i].set & dec.determinant) == dec.determinant &&
+          header->has_repr) {
+        Result<Value> r = dec.expr->Evaluate(*ctx.input, header->repr_row);
+        if (!r.ok()) {
+          fail(i, r.status());
+          break;
+        }
+        v = std::move(r).value();
+      }
+      if (!append(col, i, v)) break;
     }
-    ++c;
-    return Status::OK();
-  };
-  for (size_t i = 0; i < n; ++i) {
-    const CellRef& cell = cells[ordered ? order[i] : i];
-    const GroupingSet set = ctx.sets[cell.set];
-    const CellHeader* header = ColumnarContext::Header(cell.block);
-    c = 0;
-    // Grouping columns: ALL (or NULL under the minimalist Section 3.4
-    // design) in aggregated-away positions.
+    columns.push_back(std::move(col));
+  }
+
+  // Aggregates: a batch Final into the typed buffer where the function has
+  // one, then FinalChecked + Append for the cells it left.
+  std::vector<const char*> blocks(n);
+  for (size_t i = 0; i < n; ++i) blocks[i] = cells[i].block;
+  for (size_t a = 0; a < ctx.aggs.size(); ++a) {
+    const DataType type = ctx.agg_result_types[a];
+    Column col(type);
+    size_t done = 0;
+    if (cc.layout.slots[a].is_inline && type == DataType::kInt64) {
+      done = FinalColumn<int64_t>(cc, a, blocks, limit, type, &col);
+    } else if (cc.layout.slots[a].is_inline && type == DataType::kFloat64) {
+      done = FinalColumn<double>(cc, a, blocks, limit, type, &col);
+    }
+    for (size_t i = done; i < limit; ++i) {
+      Result<Value> v = ctx.aggs[a]->FinalChecked(cc.StateOf(blocks[i], a));
+      if (!v.ok()) {
+        fail(i, v.status());
+        break;
+      }
+      if (!append(col, i, v.value())) break;
+    }
+    if (stats != nullptr) stats->final_calls += limit;
+    columns.push_back(std::move(col));
+  }
+
+  // GROUPING() discriminators (Section 3.3/3.4): TRUE where the column is
+  // an ALL value; grouping_id sets bit k for each.
+  if (cube && spec.add_grouping_columns) {
     for (size_t k = 0; k < ctx.num_keys; ++k) {
-      DATACUBE_RETURN_IF_ERROR(append(
-          IsGrouped(set, k) ? cc.codec.ValueAt(cell.key, k) : away));
-    }
-    // Decorations: value when the grouping set functionally determines it
-    // (covers the determinant), else NULL — Table 7's continent rule.
-    for (const Decoration& d : spec.decorations) {
-      bool determined = (set & d.determinant) == d.determinant;
-      if (determined && header->has_repr) {
-        DATACUBE_ASSIGN_OR_RETURN(
-            Value v, d.expr->Evaluate(*ctx.input, header->repr_row));
-        DATACUBE_RETURN_IF_ERROR(append(v));
-      } else {
-        DATACUBE_RETURN_IF_ERROR(append(null));
+      std::vector<uint8_t> grouping(limit);
+      for (size_t i = 0; i < limit; ++i) {
+        grouping[i] = !IsGrouped(cells[i].set, k);
       }
-    }
-    for (size_t a = 0; a < ctx.aggs.size(); ++a) {
-      DATACUBE_ASSIGN_OR_RETURN(
-          Value v, ctx.aggs[a]->FinalChecked(cc.StateOf(cell.block, a)));
-      DATACUBE_RETURN_IF_ERROR(append(v));
-      if (stats != nullptr) ++stats->final_calls;
-    }
-    // GROUPING() discriminators (Section 3.3/3.4): TRUE where the column
-    // is an ALL value.
-    if (spec.add_grouping_columns) {
-      for (size_t k = 0; k < ctx.num_keys; ++k) {
-        DATACUBE_RETURN_IF_ERROR(append(Value::Bool(!IsGrouped(set, k))));
-      }
-    }
-    if (spec.add_grouping_id) {
-      int64_t id = 0;
-      for (size_t k = 0; k < ctx.num_keys; ++k) {
-        if (!IsGrouped(set, k)) id |= (1LL << k);
-      }
-      DATACUBE_RETURN_IF_ERROR(append(Value::Int64(id)));
+      columns.push_back(Column::FromSlots(DataType::kBool, std::move(grouping),
+                                          std::vector<uint8_t>(limit)));
     }
   }
+  if (cube && spec.add_grouping_id) {
+    const GroupingSet all = FullSet(ctx.num_keys);
+    std::vector<int64_t> ids(limit);
+    for (size_t i = 0; i < limit; ++i) {
+      ids[i] = static_cast<int64_t>(all & ~cells[i].set);
+    }
+    columns.push_back(Column::FromSlots(DataType::kInt64, std::move(ids),
+                                        std::vector<uint8_t>(limit)));
+  }
+  if (limit < n) return failure;
   return Table::FromColumns(std::move(schema), std::move(columns), n);
 }
 

@@ -409,11 +409,28 @@ Result<ColumnarContext> BuildColumnarContext(const CubeContext& ctx) {
   return cc;
 }
 
+const Value* ColumnarContext::ArgsAt(size_t a, size_t row,
+                                     Value* scratch) const {
+  const auto& arg_columns = ctx->agg_args[a];
+  // Single-argument aggregates read the evaluated column in place — no
+  // per-row Value copies on the hot path.
+  if (arg_columns.size() == 1 && !arg_columns[0].empty()) {
+    return &arg_columns[0][row];
+  }
+  for (size_t i = 0; i < arg_columns.size(); ++i) {
+    scratch[i] = arg_columns[i].empty()
+                     ? ctx->agg_source_columns[a][i]->Get(row)
+                     : arg_columns[i][row];
+  }
+  return scratch;
+}
+
 void ColumnarContext::BindBatchArgs() {
   // Batch-kernel plan: one argument descriptor per (aggregate, arg). The
-  // materialized Value column is always present; the raw typed buffer and
-  // state codes ride along when the argument is a plain column reference,
-  // letting type-specialized kernels skip Value dispatch entirely.
+  // materialized Value column rides along unless the argument was left
+  // unmaterialized; the raw typed buffer and state codes do when the
+  // argument is a plain column reference, letting type-specialized kernels
+  // skip Value dispatch entirely.
   batch_args.resize(ctx->aggs.size());
   for (size_t a = 0; a < ctx->aggs.size(); ++a) {
     const auto& arg_columns = ctx->agg_args[a];
@@ -421,7 +438,7 @@ void ColumnarContext::BindBatchArgs() {
     for (size_t i = 0; i < arg_columns.size(); ++i) {
       AggBatchArg& ba = batch_args[a][i];
       ba = AggBatchArg{};
-      ba.values = arg_columns[i].data();
+      if (!arg_columns[i].empty()) ba.values = arg_columns[i].data();
       const Column* col = a < ctx->agg_source_columns.size() &&
                                   i < ctx->agg_source_columns[a].size()
                               ? ctx->agg_source_columns[a][i]
@@ -466,18 +483,8 @@ void ColumnarContext::IterRow(char* block, size_t row,
   Value argv[8];
   const std::vector<AggregateFunctionPtr>& aggs = ctx->aggs;
   for (size_t a = 0; a < aggs.size(); ++a) {
-    const auto& arg_columns = ctx->agg_args[a];
-    size_t nargs = arg_columns.size();
-    // Single-argument aggregates read the evaluated column in place — no
-    // per-row Value copies on the hot path.
-    const Value* args;
-    if (nargs == 1) {
-      args = &arg_columns[0][row];
-    } else {
-      for (size_t i = 0; i < nargs; ++i) argv[i] = arg_columns[i][row];
-      args = argv;
-    }
-    aggs[a]->Iter(StateOf(block, a), args, nargs);
+    aggs[a]->Iter(StateOf(block, a), ArgsAt(a, row, argv),
+                  ctx->agg_args[a].size());
   }
   if (stats != nullptr) stats->iter_calls += aggs.size();
 }
@@ -512,18 +519,10 @@ void ColumnarContext::BatchIterRows(char* const* blocks, const uint32_t* rows,
     if (layout.slots[a].is_inline && aggs[a]->IterBatch(batch)) continue;
     // Scalar replay: aggregates without a batch kernel (holistic,
     // DISTINCT-wrapped, UDAs) keep the exact per-row protocol.
-    const auto& arg_columns = ctx->agg_args[a];
-    size_t nargs = arg_columns.size();
+    const size_t nargs = ctx->agg_args[a].size();
     for (size_t i = 0; i < n; ++i) {
       size_t row = rows != nullptr ? rows[i] : base + i;
-      const Value* args;
-      if (nargs == 1) {
-        args = &arg_columns[0][row];
-      } else {
-        for (size_t j = 0; j < nargs; ++j) argv[j] = arg_columns[j][row];
-        args = argv;
-      }
-      aggs[a]->Iter(StateOf(blocks[i], a), args, nargs);
+      aggs[a]->Iter(StateOf(blocks[i], a), ArgsAt(a, row, argv), nargs);
     }
   }
   if (stats != nullptr) stats->iter_calls += aggs.size() * n;
@@ -533,16 +532,8 @@ Status ColumnarContext::RemoveRow(char* block, size_t row) const {
   Value argv[8];
   const std::vector<AggregateFunctionPtr>& aggs = ctx->aggs;
   for (size_t a = 0; a < aggs.size(); ++a) {
-    const auto& arg_columns = ctx->agg_args[a];
-    size_t nargs = arg_columns.size();
-    const Value* args;
-    if (nargs == 1) {
-      args = &arg_columns[0][row];
-    } else {
-      for (size_t i = 0; i < nargs; ++i) argv[i] = arg_columns[i][row];
-      args = argv;
-    }
-    DATACUBE_RETURN_IF_ERROR(aggs[a]->Remove(StateOf(block, a), args, nargs));
+    DATACUBE_RETURN_IF_ERROR(aggs[a]->Remove(
+        StateOf(block, a), ArgsAt(a, row, argv), ctx->agg_args[a].size()));
   }
   return Status::OK();
 }

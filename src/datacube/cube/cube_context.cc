@@ -65,9 +65,15 @@ Result<CubeContext> BuildCubeContext(const Table& input, const CubeSpec& spec,
     for (const ExprPtr& arg : a.args) {
       DATACUBE_RETURN_IF_ERROR(arg->Bind(input.schema()));
       arg_types.push_back(arg->output_type());
-      arg_sources.push_back(arg->kind() == Expr::Kind::kColumnRef
-                                ? &input.column(arg->column_index())
-                                : nullptr);
+      const bool is_ref = arg->kind() == Expr::Kind::kColumnRef;
+      arg_sources.push_back(is_ref ? &input.column(arg->column_index())
+                                   : nullptr);
+      // The batch kernels read a numeric column's typed buffer, and the
+      // scalar paths build the one Value they need from the column.
+      if (is_ref && !materialize_ref_keys && IsNumeric(arg->output_type())) {
+        arg_columns.emplace_back();
+        continue;
+      }
       DATACUBE_ASSIGN_OR_RETURN(std::vector<Value> col,
                                 arg->EvaluateAll(input));
       arg_columns.push_back(std::move(col));

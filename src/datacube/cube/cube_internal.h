@@ -34,12 +34,15 @@ struct CubeContext {
 
   std::vector<AggregateFunctionPtr> aggs;
   std::vector<DataType> agg_result_types;
-  /// agg_args[a][i][row] = evaluated i-th argument of aggregate a.
+  /// agg_args[a][i][row] = evaluated i-th argument of aggregate a. Left
+  /// empty for a plain INT64/FLOAT64 column reference under lazy
+  /// materialization; agg_source_columns[a][i] is set in that case.
   std::vector<std::vector<std::vector<Value>>> agg_args;
   /// agg_source_columns[a][i] = the input column the i-th argument of
   /// aggregate a references, or nullptr for computed expressions. Batch
-  /// kernels read the raw typed buffer through this; agg_args stays the
-  /// materialized source of truth for every scalar path.
+  /// kernels read the raw typed buffer through this, and the scalar paths
+  /// read an unmaterialized argument's rows from it
+  /// (ColumnarContext::ArgsAt).
   std::vector<std::vector<const Column*>> agg_source_columns;
 
   std::vector<GroupingSet> sets;
@@ -68,10 +71,11 @@ struct CubeContext {
 /// Evaluates and validates `spec` against `input`. With
 /// `materialize_ref_keys` false, grouping expressions that are plain column
 /// references skip EvaluateAll — their key_columns entry stays empty and
-/// key_source_columns points at the table column instead. Only the
-/// one-shot ExecuteCube path (which encodes straight from the table) and
-/// ExplainCube may request this; the stored cubes and the test harness's
-/// reference evaluator index key_columns per row.
+/// key_source_columns points at the table column instead — and so do
+/// aggregate arguments that are plain INT64/FLOAT64 column references.
+/// Only the one-shot ExecuteCube path (which encodes straight from the
+/// table) and ExplainCube may request this; the stored cubes and the test
+/// harness's reference evaluator index key_columns and agg_args per row.
 Result<CubeContext> BuildCubeContext(const Table& input, const CubeSpec& spec,
                                      bool materialize_ref_keys = true);
 

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
-#include <string_view>
 
 namespace datacube {
 namespace cube_internal {
@@ -52,9 +51,6 @@ inline uint64_t MixBits(uint64_t x) {
 inline uint64_t IdHash(uint8_t k) { return MixBits(k); }
 inline uint64_t IdHash(int64_t k) { return MixBits(static_cast<uint64_t>(k)); }
 inline uint64_t IdHash(uint64_t k) { return MixBits(k); }
-inline uint64_t IdHash(std::string_view k) {
-  return std::hash<std::string_view>{}(k);
-}
 
 // Open-addressing key -> first-appearance-id map for the per-row
 // dictionary lookups of EncodeTypedColumn. The dictionary build is the
@@ -142,6 +138,47 @@ void EncodeTypedColumn(const datacube::Column& col, size_t num_rows,
   }
 }
 
+// Encodes a string column by remapping its dictionary codes: one pass
+// marks the entries the rows use, those entries are sorted (string order is
+// Value::Compare's), and each row's code is one lookup in the remap. The
+// column's dictionary may hold entries no row uses (a gather shares its
+// source's), so only the marked ones enter the codec. `distinct` comes out
+// sorted and the codes final, which Build detects and keeps.
+void EncodeStringColumn(const datacube::Column& col, size_t num_rows,
+                        ProvisionalColumn* out) {
+  const StringDictionary& dict = col.dictionary();
+  const std::vector<uint32_t>& codes = col.codes();
+  const uint8_t* states = col.state_codes();
+  constexpr uint32_t kUnused = 0;
+  std::vector<uint32_t> remap(dict.size(), kUnused);
+  for (size_t r = 0; r < num_rows; ++r) {
+    if (states[r] == 0) {
+      remap[codes[r]] = 1;
+    } else if (col.IsNull(r)) {
+      out->has_null = true;
+    } else {
+      out->has_all = true;
+    }
+  }
+  std::vector<uint32_t> used;
+  for (uint32_t c = 0; c < remap.size(); ++c) {
+    if (remap[c] != kUnused) used.push_back(c);
+  }
+  std::sort(used.begin(), used.end(),
+            [&](uint32_t a, uint32_t b) { return dict[a] < dict[b]; });
+  out->distinct.reserve(used.size());
+  for (size_t rank = 0; rank < used.size(); ++rank) {
+    remap[used[rank]] = static_cast<uint32_t>(rank) + 2;
+    out->distinct.push_back(Value::String(dict[used[rank]]));
+  }
+  out->codes.resize(num_rows);
+  for (size_t r = 0; r < num_rows; ++r) {
+    out->codes[r] = states[r] == 0 ? remap[codes[r]]
+                    : col.IsNull(r) ? KeyCodec::kNullCode
+                                    : KeyCodec::kAllCode;
+  }
+}
+
 void EncodeSource(const KeyColumnSource& source, size_t num_rows,
                   ProvisionalColumn* out) {
   if (source.values != nullptr) {
@@ -196,14 +233,9 @@ void EncodeSource(const KeyColumnSource& source, size_t num_rows,
           out);
       return;
     }
-    case DataType::kString: {
-      const auto& data = col.raw<std::string>();
-      EncodeTypedColumn<std::string_view>(
-          col, num_rows,
-          [&](size_t r) { return std::string_view(data[r]); },
-          [&](size_t r) { return Value::String(data[r]); }, out);
+    case DataType::kString:
+      EncodeStringColumn(col, num_rows, out);
       return;
-    }
     case DataType::kDate: {
       const auto& data = col.raw<Date>();
       EncodeTypedColumn<int64_t>(
@@ -216,16 +248,6 @@ void EncodeSource(const KeyColumnSource& source, size_t num_rows,
 }
 
 }  // namespace
-
-KeyCodec KeyCodec::Build(
-    const std::vector<std::vector<Value>>& key_columns) {
-  std::vector<KeyColumnSource> sources(key_columns.size());
-  for (size_t k = 0; k < key_columns.size(); ++k) {
-    sources[k].values = &key_columns[k];
-  }
-  size_t num_rows = key_columns.empty() ? 0 : key_columns[0].size();
-  return Build(sources, num_rows, nullptr);
-}
 
 KeyCodec KeyCodec::Build(const std::vector<KeyColumnSource>& sources,
                          size_t num_rows,
@@ -241,12 +263,15 @@ KeyCodec KeyCodec::Build(const std::vector<KeyColumnSource>& sources,
     col.has_all = prov.has_all;
     // Sorted dictionary (the PR-3 total order, NaN included) so codes are
     // deterministic for a given input; remap first-appearance ids to
-    // their sorted positions.
+    // their sorted positions. Ids already in order (string columns) keep
+    // their codes.
     std::vector<uint32_t> order(prov.distinct.size());
     std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    auto less = [&](uint32_t a, uint32_t b) {
       return prov.distinct[a].Compare(prov.distinct[b]) < 0;
-    });
+    };
+    const bool sorted = std::is_sorted(order.begin(), order.end(), less);
+    if (!sorted) std::sort(order.begin(), order.end(), less);
     std::vector<uint32_t> remap(prov.distinct.size());
     col.values.resize(prov.distinct.size());
     for (size_t rank = 0; rank < order.size(); ++rank) {
@@ -260,8 +285,8 @@ KeyCodec KeyCodec::Build(const std::vector<KeyColumnSource>& sources,
     if (row_codes != nullptr) {
       std::vector<uint32_t>& rc = (*row_codes)[k];
       rc = std::move(prov.codes);
-      for (uint32_t& c : rc) {
-        if (c >= 2) c = remap[c - 2];
+      for (size_t r = 0; !sorted && r < rc.size(); ++r) {
+        if (rc[r] >= 2) rc[r] = remap[rc[r] - 2];
       }
     }
   }
@@ -355,19 +380,15 @@ std::vector<uint64_t> KeyCodec::MaskForSet(GroupingSet set) const {
   return masks;
 }
 
-const Value& KeyCodec::ValueAt(const uint64_t* key, size_t k) const {
-  static const Value kAll = Value::All();
-  static const Value kNull = Value::Null();
-  uint64_t code = CodeAt(key, k);
-  if (code == kAllCode) return kAll;
-  if (code == kNullCode) return kNull;
-  return cols_[k].values[code - 2];
-}
-
 std::vector<Value> KeyCodec::DecodeKey(const uint64_t* key) const {
   std::vector<Value> out;
   out.reserve(cols_.size());
-  for (size_t k = 0; k < cols_.size(); ++k) out.push_back(ValueAt(key, k));
+  for (size_t k = 0; k < cols_.size(); ++k) {
+    const uint64_t code = CodeAt(key, k);
+    out.push_back(code == kAllCode    ? Value::All()
+                  : code == kNullCode ? Value::Null()
+                                      : cols_[k].values[code - 2]);
+  }
   return out;
 }
 

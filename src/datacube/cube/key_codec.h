@@ -44,18 +44,14 @@ class KeyCodec {
 
   KeyCodec() = default;
 
-  /// Builds dictionaries and the bit layout from evaluated key columns
-  /// (CubeContext::key_columns).
-  static KeyCodec Build(const std::vector<std::vector<Value>>& key_columns);
-
   /// Single-pass build from per-column sources. When `row_codes` is
   /// non-null, (*row_codes)[k][row] receives row `row`'s final code in
   /// column `k` — the dictionary hash lookups happen once here instead of
   /// again per row when the keys are packed. Typed column sources are
-  /// encoded straight from their buffers (string_view / int64 /
-  /// canonicalized double keys), never constructing a Value per row; the
-  /// resulting dictionaries and codes are identical to the Value-vector
-  /// path for the same data.
+  /// encoded straight from their buffers (int64 / canonicalized double
+  /// keys; a string column's codes remapped through its dictionary), never
+  /// constructing a Value per row; the resulting dictionaries and codes are
+  /// identical to the Value-vector path for the same data.
   static KeyCodec Build(const std::vector<KeyColumnSource>& sources,
                         size_t num_rows,
                         std::vector<std::vector<uint32_t>>* row_codes);
@@ -161,9 +157,6 @@ class KeyCodec {
   const std::vector<Value>& dictionary(size_t k) const {
     return cols_[k].values;
   }
-
-  /// Decodes one column of a packed key back to a Value.
-  const Value& ValueAt(const uint64_t* key, size_t k) const;
 
   /// Decodes a packed key into its full-width Value form (ALL in
   /// aggregated-away positions).

@@ -90,6 +90,9 @@ Result<std::unique_ptr<MaterializedCube>> MaterializedCube::Prepare(
       cube->ctx_, cube_internal::BuildCubeContext(*cube->base_, *cube->spec_));
   DATACUBE_ASSIGN_OR_RETURN(cube->cc_,
                             cube_internal::BuildColumnarContext(cube->ctx_));
+  cube->group_exprs_ = cube->spec_->AllGroupExprs();
+  cube->insert_row_ = Table(cube->base_->schema());
+  cube->RefreshMasks();
   cube->tombstone_.assign(cube->base_->num_rows(), false);
   cube->live_rows_ = cube->base_->num_rows();
   return cube;
@@ -157,7 +160,13 @@ Status MaterializedCube::AdoptViews(const std::vector<GroupingSet>& views) {
   }
   ctx_.sets = views;
   ctx_.full_set_index = views.front() == core ? 0 : -1;  // normalized order
+  RefreshMasks();
   return Status::OK();
+}
+
+void MaterializedCube::RefreshMasks() {
+  masks_.clear();
+  for (GroupingSet set : ctx_.sets) masks_.push_back(cc_.codec.MaskForSet(set));
 }
 
 Status MaterializedCube::StoreViews(std::vector<GroupingSet> views) {
@@ -203,10 +212,10 @@ Status MaterializedCube::AppendBatch(const Table& rows) {
   // Validate and evaluate before appending anything, so a rejected batch
   // leaves the cube as it was.
   DATACUBE_RETURN_IF_ERROR(base_->schema().CheckAppendable(rows.schema()));
-  std::vector<GroupExpr> group_exprs = spec_->AllGroupExprs();
   std::vector<std::vector<Value>> keys(ctx_.num_keys);
   for (size_t k = 0; k < ctx_.num_keys; ++k) {
-    DATACUBE_ASSIGN_OR_RETURN(keys[k], group_exprs[k].expr->EvaluateAll(rows));
+    DATACUBE_ASSIGN_OR_RETURN(keys[k],
+                              group_exprs_[k].expr->EvaluateAll(rows));
   }
   std::vector<std::vector<std::vector<Value>>> args(ctx_.aggs.size());
   for (size_t a = 0; a < ctx_.aggs.size(); ++a) {
@@ -255,7 +264,10 @@ Status MaterializedCube::AppendBatch(const Table& rows) {
     }
   }
   // A relayout repacks the rows already packed; the new rows pack after it.
-  if (cc_.codec.needs_relayout()) cube_internal::RelayoutAndRekey(cc_, stores_);
+  if (cc_.codec.needs_relayout()) {
+    cube_internal::RelayoutAndRekey(cc_, stores_);
+    RefreshMasks();
+  }
   cc_.row_keys.reserve(capacity * cc_.words);
   cc_.row_keys.resize((first + n) * cc_.words, 0);
   for (size_t k = 0; k < ctx_.num_keys; ++k) {
@@ -274,11 +286,10 @@ void MaterializedCube::FoldWithKernels(size_t first, size_t n) {
   std::vector<uint64_t> masked(chunk * cc_.words);
   std::vector<char*> blocks(chunk);
   for (size_t s = 0; s < ctx_.sets.size(); ++s) {
-    std::vector<uint64_t> mask = cc_.codec.MaskForSet(ctx_.sets[s]);
     for (size_t row = first; row < first + n; row += chunk) {
       size_t m = std::min(chunk, first + n - row);
       cube_internal::KeyCodec::MaskKeysBatch(cc_.RowKey(row), m, cc_.words,
-                                             mask.data(), masked.data());
+                                             masks_[s].data(), masked.data());
       stores_[s].BatchUpsert(masked.data(), m, blocks.data());
       cc_.BatchIterRows(blocks.data(), nullptr, row, m, nullptr);
     }
@@ -287,8 +298,6 @@ void MaterializedCube::FoldWithKernels(size_t first, size_t n) {
 }
 
 Status MaterializedCube::FoldRowMajor(size_t first, size_t n) {
-  std::vector<std::vector<uint64_t>> masks;
-  for (GroupingSet set : ctx_.sets) masks.push_back(cc_.codec.MaskForSet(set));
   Value argv[8];
   std::vector<uint64_t> key(cc_.words);
   std::vector<GroupingSet> lost_at;
@@ -301,7 +310,7 @@ Status MaterializedCube::FoldRowMajor(size_t first, size_t n) {
     const uint64_t* rk = cc_.RowKey(row);
     for (size_t s = 0; s < ctx_.sets.size(); ++s) {
       GroupingSet set = ctx_.sets[s];
-      for (size_t w = 0; w < cc_.words; ++w) key[w] = rk[w] & masks[s][w];
+      for (size_t w = 0; w < cc_.words; ++w) key[w] = rk[w] & masks_[s][w];
       // A dominated cell holds the losing cell's rows, so it exists; the
       // row still joins it, and the membership count must stay exact for
       // cell eviction even though no scratchpad is visited.
@@ -369,9 +378,9 @@ Status MaterializedCube::ApplyInsertBatch(const Table& rows) {
 }
 
 Status MaterializedCube::ApplyInsert(const std::vector<Value>& row) {
-  Table one(base_->schema());
-  DATACUBE_RETURN_IF_ERROR(one.AppendRow(row));
-  return ApplyInsertBatch(one);
+  insert_row_.Clear();  // a row that failed to append left it ragged
+  DATACUBE_RETURN_IF_ERROR(insert_row_.AppendRow(row));
+  return ApplyInsertBatch(insert_row_);
 }
 
 Status MaterializedCube::RecomputeAggregate(size_t set_index,
@@ -390,7 +399,7 @@ Status MaterializedCube::RecomputeAggregate(size_t set_index,
   fn.DestroyAt(slot);
   fn.InitAt(slot);
   AggState* state = cc_.StateOf(block, agg);
-  std::vector<uint64_t> mask = cc_.codec.MaskForSet(set);
+  const std::vector<uint64_t>& mask = masks_[set_index];
   Value argv[8];
   const auto& arg_columns = ctx_.agg_args[agg];
   for (size_t row = 0; row < base_->num_rows(); ++row) {
@@ -432,9 +441,8 @@ Status MaterializedCube::ApplyDelete(const std::vector<Value>& row) {
   std::vector<uint64_t> key(cc_.words);
   for (size_t s = 0; s < ctx_.sets.size(); ++s) {
     GroupingSet set = ctx_.sets[s];
-    std::vector<uint64_t> mask = cc_.codec.MaskForSet(set);
     const uint64_t* rk = cc_.RowKey(row_id);
-    for (size_t w = 0; w < cc_.words; ++w) key[w] = rk[w] & mask[w];
+    for (size_t w = 0; w < cc_.words; ++w) key[w] = rk[w] & masks_[s][w];
     char* block = stores_[s].Find(key.data());
     if (block == nullptr) {
       return Status::Internal("delete touches a missing cube cell");
@@ -572,37 +580,19 @@ Result<Table> MaterializedCube::Slice(
 Result<Table> MaterializedCube::AssembleCells(
     const CellStore& cells,
     const std::vector<std::pair<size_t, uint64_t>>& fixed) const {
-  std::vector<Field> fields;
-  for (size_t k = 0; k < ctx_.num_keys; ++k) {
-    fields.push_back(Field{ctx_.key_names[k], ctx_.key_types[k],
-                           /*nullable=*/true, /*allow_all=*/true});
-  }
-  for (size_t a = 0; a < ctx_.aggs.size(); ++a) {
-    fields.push_back(Field{spec_->aggregates[a].column_name(),
-                           ctx_.agg_result_types[a], /*nullable=*/true,
-                           /*allow_all=*/false});
-  }
-  Table out{Schema{std::move(fields)}};
-  if (fixed.empty()) out.Reserve(cells.size());
-  Status row_status = Status::OK();
+  // Every key decodes as stored: code 0 reads ALL where a set aggregates
+  // the column away.
+  const GroupingSet full = FullSet(ctx_.num_keys);
+  std::vector<cube_internal::CellRef> refs;
+  if (fixed.empty()) refs.reserve(cells.size());
   cells.ForEach([&](const uint64_t* key, char* block) {
-    if (!row_status.ok()) return;
     for (const auto& [k, code] : fixed) {
       if (cc_.codec.CodeAt(key, k) != code) return;
     }
-    std::vector<Value> row = cc_.codec.DecodeKey(key);
-    for (size_t a = 0; a < ctx_.aggs.size(); ++a) {
-      Result<Value> v = ctx_.aggs[a]->FinalChecked(cc_.StateOf(block, a));
-      if (!v.ok()) {
-        row_status = v.status();
-        return;
-      }
-      row.push_back(std::move(v).value());
-    }
-    row_status = out.AppendRow(row);
+    refs.push_back(cube_internal::CellRef{key, block, full});
   });
-  DATACUBE_RETURN_IF_ERROR(row_status);
-  return out;
+  return cube_internal::AssembleCellTable(
+      cc_, refs, cube_internal::ResultForm::kCells, nullptr);
 }
 
 Result<Table> MaterializedCube::Query(GroupingSet target) {
@@ -923,6 +913,7 @@ Result<std::unique_ptr<MaterializedCube>> MaterializedCube::LoadFromFile(
       }
     }
   }
+  cube->RefreshMasks();  // the cells may have grown the codec's layout
   return cube;
 }
 

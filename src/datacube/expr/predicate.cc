@@ -221,6 +221,37 @@ int Sign(T a, T b) {
   return (b < a) - (a < b);
 }
 
+// A string comparison runs over dictionary codes. `=` and `<>` resolve the
+// literal to a code once; an ordering compares the literal with each
+// dictionary entry the rows use at most once, memoized per code.
+void CompareStrings(const Kernel& k, const Column& column, uint8_t* out) {
+  const StringDictionary& dict = column.dictionary();
+  const std::vector<uint32_t>& codes = column.codes();
+  const std::string& x = k.literal.string_value();
+  const uint8_t* states = column.state_codes();
+  if (k.op == BinaryOp::kEq || k.op == BinaryOp::kNe) {
+    // No row holds a literal absent from the dictionary: compare against a
+    // code no row has.
+    const uint32_t code =
+        dict.Find(x).value_or(std::numeric_limits<uint32_t>::max());
+    CompareSweep(codes, states, k.op,
+                 [code](uint32_t c) { return c == code ? 0 : 1; }, out);
+    return;
+  }
+  if (dict.size() == 0) {  // every row is NULL or ALL
+    std::fill_n(out, codes.size(), kUnknown);
+    return;
+  }
+  constexpr int8_t kUnset = 2;
+  std::vector<int8_t> sign(dict.size(), kUnset);
+  CompareSweep(codes, states, k.op,
+               [&](uint32_t c) {
+                 if (sign[c] == kUnset) sign[c] = Sign(dict[c].compare(x), 0);
+                 return sign[c];
+               },
+               out);
+}
+
 void CompareColumn(const Kernel& k, const Column& column, uint8_t* out) {
   const uint8_t* states = column.state_codes();
   const Value& lit = k.literal;
@@ -253,18 +284,9 @@ void CompareColumn(const Kernel& k, const Column& column, uint8_t* out) {
                      [x](double v) { return CmpDouble(v, x); }, out);
       }
       return;
-    case DataType::kString: {
-      const std::string& x = lit.string_value();
-      if (k.op == BinaryOp::kEq || k.op == BinaryOp::kNe) {
-        CompareSweep(column.raw<std::string>(), states, k.op,
-                     [&x](const std::string& v) { return v == x ? 0 : 1; },
-                     out);
-      } else {
-        CompareSweep(column.raw<std::string>(), states, k.op,
-                     [&x](const std::string& v) { return v.compare(x); }, out);
-      }
+    case DataType::kString:
+      CompareStrings(k, column, out);
       return;
-    }
     case DataType::kDate: {
       const int32_t x = lit.date_value().days_since_epoch;
       CompareSweep(column.raw<Date>(), states, k.op,

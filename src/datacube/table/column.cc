@@ -1,9 +1,162 @@
 #include "datacube/table/column.h"
 
+#include <algorithm>
+#include <functional>
+#include <limits>
 #include <type_traits>
 #include <unordered_set>
 
 namespace datacube {
+
+// ------------------------------------------------------------ dictionary
+
+namespace {
+
+uint64_t HashString(std::string_view s) {
+  return std::hash<std::string_view>{}(s);
+}
+
+}  // namespace
+
+StringDictionary::StringDictionary(const StringDictionary& other)
+    : strings_(other.strings_),
+      hashes_(other.hashes_),
+      slots_(other.slots_) {}
+
+size_t StringDictionary::Probe(std::string_view s, uint64_t hash) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = hash & mask;
+  while (slots_[i] != 0) {
+    const uint32_t code = slots_[i] - 1;
+    if (hashes_[code] == hash && strings_[code] == s) return i;
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void StringDictionary::Rehash(size_t capacity) {
+  slots_.assign(capacity, 0);
+  const size_t mask = capacity - 1;
+  for (uint32_t code = 0; code < strings_.size(); ++code) {
+    size_t i = hashes_[code] & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = code + 1;
+  }
+}
+
+std::optional<uint32_t> StringDictionary::Find(std::string_view s) const {
+  if (slots_.empty()) {
+    for (uint32_t code = 0; code < strings_.size(); ++code) {
+      if (strings_[code] == s) return code;
+    }
+    return std::nullopt;
+  }
+  const uint32_t slot = slots_[Probe(s, HashString(s))];
+  if (slot == 0) return std::nullopt;
+  return slot - 1;
+}
+
+uint32_t StringDictionary::Intern(std::string_view s) {
+  if (slots_.empty()) {
+    // A dictionary of a few entries (a one-row insert, a small batch) is
+    // scanned: it allocates no index until it outgrows kScanned.
+    if (std::optional<uint32_t> code = Find(s)) return *code;
+    if (strings_.size() < kScanned) {
+      strings_.emplace_back(s);
+      return static_cast<uint32_t>(strings_.size() - 1);
+    }
+    for (const std::string& entry : strings_) {
+      hashes_.push_back(HashString(entry));
+    }
+  }
+  // Grow at ~0.7 load, as the cell stores do.
+  if ((strings_.size() + 1) * 10 > slots_.size() * 7) {
+    Rehash(std::max<size_t>(4 * kScanned, slots_.size() * 2));
+  }
+  const uint64_t hash = HashString(s);
+  const size_t slot = Probe(s, hash);
+  if (slots_[slot] != 0) return slots_[slot] - 1;
+  const auto code = static_cast<uint32_t>(strings_.size());
+  strings_.emplace_back(s);
+  hashes_.push_back(hash);
+  slots_[slot] = code + 1;
+  return code;
+}
+
+// ---------------------------------------------------------------- column
+
+Column::Column(const Column& other)
+    : type_(other.type_),
+      states_(other.states_),
+      buffer_(other.buffer_),
+      dict_(other.dict_),
+      null_count_(other.null_count_),
+      all_count_(other.all_count_) {
+  if (dict_ != nullptr) dict_->frozen_.store(true, std::memory_order_relaxed);
+}
+
+void Column::CountStates() {
+  for (uint8_t s : states_) {
+    null_count_ += s == kStateNull;
+    all_count_ += s == kStateAll;
+  }
+}
+
+const StringDictionary& Column::dictionary() const {
+  static const StringDictionary kEmpty;
+  return dict_ != nullptr ? *dict_ : kEmpty;
+}
+
+StringDictionary& Column::MutableDictionary() {
+  if (dict_ == nullptr) {
+    dict_ = std::make_shared<StringDictionary>();
+  } else if (dict_->frozen_.load(std::memory_order_relaxed)) {
+    dict_ = std::make_shared<StringDictionary>(*dict_);
+  }
+  return *dict_;
+}
+
+void Column::AppendCodes(const Column& src, const size_t* ids, size_t begin,
+                         size_t count) {
+  std::vector<uint32_t>& out = std::get<std::vector<uint32_t>>(buffer_);
+  // `in` and `out` may be one vector (a gather from this column); index it
+  // afresh after the resize rather than caching its data pointer.
+  const std::vector<uint32_t>& in = src.codes();
+  const size_t old = out.size();
+  auto row = [&](size_t i) { return ids != nullptr ? ids[i] : begin + i; };
+  if (src.dict_ == nullptr || dict_ == nullptr || src.dict_ == dict_) {
+    if (dict_ == nullptr && src.dict_ != nullptr) {
+      dict_ = src.dict_;
+      dict_->frozen_.store(true, std::memory_order_relaxed);
+    }
+    out.resize(old + count);
+    for (size_t i = 0; i < count; ++i) out[old + i] = in[row(i)];
+    return;
+  }
+  // Another dictionary: translate each source code in use once, through a
+  // memo indexed by source code. A few rows, or rows from a dictionary much
+  // larger than the range, intern each row's string instead: one lookup a
+  // row beats clearing a memo that size.
+  StringDictionary& dict = MutableDictionary();
+  const StringDictionary& from = *src.dict_;
+  const uint8_t* states = src.states_.data();
+  out.resize(old + count);
+  constexpr uint32_t kUnmapped = std::numeric_limits<uint32_t>::max();
+  const bool memoize = count >= 16 && from.size() <= 2 * count;
+  std::vector<uint32_t> memo(memoize ? from.size() : 0, kUnmapped);
+  for (size_t i = 0; i < count; ++i) {
+    const size_t r = row(i);
+    if (states[r] != kStateValue) {
+      out[old + i] = 0;
+    } else if (!memoize) {
+      out[old + i] = dict.Intern(from[in[r]]);
+    } else {
+      uint32_t& code = memo[in[r]];
+      if (code == kUnmapped) code = dict.Intern(from[in[r]]);
+      out[old + i] = code;
+    }
+  }
+}
 
 Column::Column(DataType type) : type_(type) {
   switch (type) {
@@ -17,7 +170,7 @@ Column::Column(DataType type) : type_(type) {
       buffer_ = std::vector<double>();
       break;
     case DataType::kString:
-      buffer_ = std::vector<std::string>();
+      buffer_ = std::vector<uint32_t>();
       break;
     case DataType::kDate:
       buffer_ = std::vector<Date>();
@@ -60,8 +213,8 @@ Status Column::Append(const Value& value) {
       return Status::OK();
     case DataType::kString:
       if (value.kind() != Value::Kind::kString) break;
-      std::get<std::vector<std::string>>(buffer_).push_back(
-          value.string_value());
+      std::get<std::vector<uint32_t>>(buffer_).push_back(
+          MutableDictionary().Intern(value.string_value()));
       states_.push_back(kStateValue);
       return Status::OK();
     case DataType::kDate:
@@ -82,6 +235,14 @@ void Column::AppendNulls(size_t count) {
   null_count_ += count;
 }
 
+void Column::Clear() {
+  states_.clear();
+  std::visit([](auto& buf) { buf.clear(); }, buffer_);
+  dict_.reset();
+  null_count_ = 0;
+  all_count_ = 0;
+}
+
 void Column::AppendRange(const Column& src, size_t begin, size_t count) {
   if (&src == this) {
     Column copy = src;
@@ -98,6 +259,10 @@ void Column::AppendRange(const Column& src, size_t begin, size_t count) {
       null_count_ += from[i] == kStateNull;
       all_count_ += from[i] == kStateAll;
     }
+  }
+  if (type_ == DataType::kString) {
+    AppendCodes(src, nullptr, begin, count);
+    return;
   }
   std::visit(
       [&](auto& buf) {
@@ -124,19 +289,18 @@ void Column::AppendGather(const Column& src, const std::vector<size_t>& ids) {
       all_count_ += s == kStateAll;
     }
   }
+  if (type_ == DataType::kString) {
+    AppendCodes(src, ids.data(), 0, n);
+    return;
+  }
   std::visit(
       [&](auto& buf) {
         using Vec = std::decay_t<decltype(buf)>;
         using T = typename Vec::value_type;
         const Vec& values = std::get<Vec>(src.buffer_);
-        if constexpr (std::is_trivially_copyable_v<T>) {
-          buf.resize(old + n);
-          T* out = buf.data() + old;
-          for (size_t i = 0; i < n; ++i) out[i] = values[ids[i]];
-        } else {
-          buf.reserve(old + n);
-          for (size_t id : ids) buf.push_back(values[id]);
-        }
+        buf.resize(old + n);
+        T* out = buf.data() + old;
+        for (size_t i = 0; i < n; ++i) out[i] = values[ids[i]];
       },
       buffer_);
 }
@@ -152,7 +316,7 @@ Value Column::Get(size_t i) const {
     case DataType::kFloat64:
       return Value::Float64(std::get<std::vector<double>>(buffer_)[i]);
     case DataType::kString:
-      return Value::String(std::get<std::vector<std::string>>(buffer_)[i]);
+      return Value::String((*dict_)[codes()[i]]);
     case DataType::kDate:
       return Value::FromDate(std::get<std::vector<Date>>(buffer_)[i]);
   }
@@ -164,14 +328,13 @@ Status Column::Set(size_t i, const Value& value) {
   // Adjust special-state counters for the outgoing entry.
   if (states_[i] == kStateNull) --null_count_;
   if (states_[i] == kStateAll) --all_count_;
-  if (value.is_null()) {
-    states_[i] = kStateNull;
-    ++null_count_;
-    return Status::OK();
-  }
-  if (value.is_all()) {
-    states_[i] = kStateAll;
-    ++all_count_;
+  if (value.is_special()) {
+    const bool null = value.is_null();
+    states_[i] = null ? kStateNull : kStateAll;
+    ++(null ? null_count_ : all_count_);
+    if (type_ == DataType::kString) {
+      std::get<std::vector<uint32_t>>(buffer_)[i] = 0;
+    }
     return Status::OK();
   }
   switch (type_) {
@@ -192,7 +355,8 @@ Status Column::Set(size_t i, const Value& value) {
       return Status::OK();
     case DataType::kString:
       if (value.kind() != Value::Kind::kString) break;
-      std::get<std::vector<std::string>>(buffer_)[i] = value.string_value();
+      std::get<std::vector<uint32_t>>(buffer_)[i] =
+          MutableDictionary().Intern(value.string_value());
       states_[i] = kStateValue;
       return Status::OK();
     case DataType::kDate:
@@ -211,6 +375,17 @@ void Column::Reserve(size_t capacity) {
 }
 
 size_t Column::CountDistinct() const {
+  if (type_ == DataType::kString) {
+    std::vector<uint8_t> seen(dictionary().size(), 0);
+    size_t distinct = 0;
+    const std::vector<uint32_t>& c = codes();
+    for (size_t i = 0; i < size(); ++i) {
+      if (states_[i] != kStateValue || seen[c[i]]) continue;
+      seen[c[i]] = 1;
+      ++distinct;
+    }
+    return distinct;
+  }
   std::unordered_set<Value, ValueHash> seen;
   for (size_t i = 0; i < size(); ++i) {
     if (states_[i] == kStateValue) seen.insert(Get(i));
@@ -234,8 +409,8 @@ void Column::MaterializeValues(std::vector<Value>* out) const {
             out->push_back(Value::Int64(buf[i]));
           } else if constexpr (std::is_same_v<T, double>) {
             out->push_back(Value::Float64(buf[i]));
-          } else if constexpr (std::is_same_v<T, std::string>) {
-            out->push_back(Value::String(buf[i]));
+          } else if constexpr (std::is_same_v<T, uint32_t>) {
+            out->push_back(Value::String((*dict_)[buf[i]]));
           } else {
             out->push_back(Value::FromDate(buf[i]));
           }

@@ -242,6 +242,44 @@ TEST(EncodedKeyTest, CardinalitiesMatchLegacySoPlansAreUnchanged) {
   }
 }
 
+TEST(EncodedKeyTest, GatheredRowsEncodeLikeAFreshCopy) {
+  // A TakeRows result shares its source's whole string dictionary, most of
+  // which it no longer uses. Its codec must count and code only the values
+  // present, exactly as a codec over the same rows appended one by one.
+  testing::RandomTableProfile profile;
+  profile.rows = 400;
+  profile.dims = 3;
+  profile.cardinality = 12;
+  const Table source = testing::MakeRandomTable(3, profile);
+  const std::vector<std::vector<size_t>> selections = {
+      {}, {5}, {7, 7, 7}, {390, 12, 4, 4, 200, 31, 77, 150}};
+  for (const std::vector<size_t>& ids : selections) {
+    Result<Table> taken = source.TakeRows(ids);
+    ASSERT_TRUE(taken.ok());
+    Table fresh(source.schema());
+    for (size_t id : ids) ASSERT_TRUE(fresh.AppendRow(source.GetRow(id)).ok());
+    ASSERT_EQ(&taken->column(0).dictionary(), &source.column(0).dictionary());
+    ASSERT_NE(&fresh.column(0).dictionary(), &source.column(0).dictionary());
+
+    CubeSpec spec;
+    spec.cube = {GroupCol("d0"), GroupCol("d1"), GroupCol("d2")};
+    spec.aggregates = {CountStar("n")};
+    auto shared_ctx = BuildCubeContext(*taken, spec, false);
+    auto fresh_ctx = BuildCubeContext(fresh, spec, false);
+    ASSERT_TRUE(shared_ctx.ok() && fresh_ctx.ok());
+    auto shared_cc = BuildColumnarContext(shared_ctx.value());
+    auto fresh_cc = BuildColumnarContext(fresh_ctx.value());
+    ASSERT_TRUE(shared_cc.ok() && fresh_cc.ok());
+    const KeyCodec& a = shared_cc.value().codec;
+    const KeyCodec& b = fresh_cc.value().codec;
+    EXPECT_EQ(a.Cardinalities(), b.Cardinalities());
+    for (size_t k = 0; k < 3; ++k) {
+      EXPECT_EQ(a.dictionary(k), b.dictionary(k)) << "key " << k;
+    }
+    EXPECT_EQ(shared_cc.value().row_keys, fresh_cc.value().row_keys);
+  }
+}
+
 // -------------------------------------------- zero-heap-state guarantee
 
 TEST(InlineStateTest, DistributiveAndAlgebraicQueriesNeverHeapAllocate) {

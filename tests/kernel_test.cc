@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <random>
@@ -24,6 +25,7 @@
 #include "datacube/cube/columnar.h"
 #include "datacube/cube/cube_internal.h"
 #include "datacube/cube/cube_operator.h"
+#include "datacube/cube/materialized_cube.h"
 #include "datacube/testing/differential.h"
 #include "datacube/testing/random_table.h"
 
@@ -216,6 +218,178 @@ TEST(KernelDiffTest, StringExtremesUseTheValueFallback) {
   spec.aggregates = {CountStar("c"), Agg("min", "x", "lo"),
                      Agg("max", "x", "hi")};
   ExpectBatchMatchesScalar(t, spec, "string extremes");
+}
+
+// ------------------------------------------------- batch Final
+
+// Every inline INT64/FLOAT64 aggregate's FinalBatch over every cell of the
+// spec's stores — plus one fresh, never-fed cell — against FinalChecked +
+// Column::Append per cell. The cells it writes must be bit-identical, and
+// the cell it stops at must be one the per-cell path rejects. Returns how
+// many batches stopped early.
+size_t ExpectFinalBatchMatchesPerCell(const Table& input,
+                                      const CubeSpec& spec,
+                                      const std::string& what) {
+  auto ctx = cube_internal::BuildCubeContext(input, spec, false);
+  EXPECT_TRUE(ctx.ok()) << what;
+  if (!ctx.ok()) return 0;
+  auto cc = cube_internal::BuildColumnarContext(ctx.value());
+  CubeStats stats;
+  auto stores = cube_internal::ColumnarFromCore(cc.value(), &stats);
+  EXPECT_TRUE(stores.ok()) << what;
+  if (!stores.ok()) return 0;
+  cube_internal::CellStore fresh = cc.value().MakeStore();
+  std::vector<uint64_t> zero(cc.value().words, 0);
+  fresh.FindOrInsert(zero.data());
+  stores.value().push_back(std::move(fresh));
+  size_t stopped = 0;
+  for (const cube_internal::CellStore& store : stores.value()) {
+    std::vector<const char*> blocks;
+    store.ForEach(
+        [&](const uint64_t*, char* block) { blocks.push_back(block); });
+    const size_t n = blocks.size();
+    for (size_t a = 0; a < ctx->aggs.size(); ++a) {
+      const DataType type = ctx->agg_result_types[a];
+      if (!cc->layout.slots[a].is_inline ||
+          (type != DataType::kInt64 && type != DataType::kFloat64)) {
+        continue;
+      }
+      std::vector<int64_t> ints(n);
+      std::vector<double> doubles(n);
+      std::vector<uint8_t> states(n);
+      AggFinalBatch batch;
+      batch.blocks = blocks.data();
+      batch.slot_offset = cc->layout.slots[a].offset;
+      batch.n = n;
+      batch.type = type;
+      batch.data = type == DataType::kInt64 ? static_cast<void*>(ints.data())
+                                            : static_cast<void*>(doubles.data());
+      batch.states = states.data();
+      const size_t done = ctx->aggs[a]->FinalBatch(batch);
+      for (size_t i = 0; i < n && i <= done; ++i) {
+        const std::string where = what + ": aggregate " + std::to_string(a) +
+                                  " cell " + std::to_string(i);
+        Result<Value> v =
+            ctx->aggs[a]->FinalChecked(cc->StateOf(blocks[i], a));
+        Column want(type);
+        const bool appended = v.ok() && want.Append(v.value()).ok();
+        if (i == done) {
+          EXPECT_FALSE(appended) << where << " stopped on a good cell";
+          ++stopped;
+          break;
+        }
+        EXPECT_TRUE(appended) << where << ": " << v.status().ToString();
+        if (!appended) break;
+        EXPECT_EQ(states[i] != 0, want.IsNull(0)) << where;
+        if (want.IsNull(0)) continue;
+        if (type == DataType::kInt64) {
+          EXPECT_EQ(ints[i], want.raw<int64_t>()[0]) << where;
+        } else {
+          uint64_t got_bits, want_bits;
+          std::memcpy(&got_bits, &doubles[i], sizeof(got_bits));
+          std::memcpy(&want_bits, &want.raw<double>()[0], sizeof(want_bits));
+          EXPECT_EQ(got_bits, want_bits) << where << ": " << doubles[i];
+        }
+      }
+    }
+  }
+  return stopped;
+}
+
+TEST(FinalBatchTest, MatchesFinalCheckedOnAdversarialStates) {
+  CubeSpec spec;
+  spec.cube = {GroupCol("d")};
+  spec.aggregates = AllKernelAggs();
+  ExpectFinalBatchMatchesPerCell(Int64EdgeTable(500, 4), spec, "int64 edges");
+  EXPECT_EQ(ExpectFinalBatchMatchesPerCell(Float64EdgeTable(500, 4), spec,
+                                           "NaN, inf and -0.0"),
+            0u);
+
+  // INT64 overflow: SUM stops at its first cell, whose FinalChecked fails.
+  std::vector<Field> fields = {Field{"d", DataType::kInt64},
+                               Field{"x", DataType::kInt64}};
+  Table overflow{Schema{fields}};
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  for (int64_t i = 0; i < 6; ++i) {
+    ASSERT_TRUE(overflow.AppendRow({Value::Int64(i % 2), Value::Int64(kMax)})
+                    .ok());
+  }
+  EXPECT_GT(ExpectFinalBatchMatchesPerCell(overflow, spec, "int64 overflow"),
+            0u);
+
+  // All-NULL and empty input: NULL sums, averages and extremes, zero counts.
+  Table nulls{Schema{fields}};
+  for (int64_t i = 0; i < 40; ++i) {
+    ASSERT_TRUE(nulls.AppendRow({Value::Int64(i % 3), Value::Null()}).ok());
+  }
+  EXPECT_EQ(ExpectFinalBatchMatchesPerCell(nulls, spec, "all-NULL"), 0u);
+  EXPECT_EQ(ExpectFinalBatchMatchesPerCell(Table{Schema{fields}}, spec,
+                                           "empty input"),
+            0u);
+}
+
+TEST(FinalBatchTest, AssemblyFailsAtTheFirstFailingCellInOutputOrder) {
+  // SUM(x) overflows in group 3 and SUM(y) in group 2. A row-by-row fill
+  // fails at whichever of the two cells comes first in output order, on
+  // the column that overflows there; the column-at-a-time assembly must
+  // return that same Status, in key order and in store order alike.
+  std::vector<Field> fields = {Field{"d", DataType::kInt64},
+                               Field{"x", DataType::kInt64},
+                               Field{"y", DataType::kInt64}};
+  Table t{Schema{fields}};
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  auto add = [&](int64_t d, int64_t x, int64_t y) {
+    ASSERT_TRUE(
+        t.AppendRow({Value::Int64(d), Value::Int64(x), Value::Int64(y)}).ok());
+  };
+  add(3, kMax, 1);
+  add(1, 1, 1);
+  add(2, 1, kMax);
+  add(3, kMax, 1);
+  add(2, 1, kMax);
+  add(3, kMax, 1);
+  CubeSpec spec;
+  spec.group_by = {GroupCol("d")};
+  spec.aggregates = {Agg("sum", "x", "sx"), Agg("sum", "y", "sy")};
+  const std::string x_error =
+      "sum: exact result 27670116110564327421 out of INT64 range";
+  const std::string y_error =
+      "sum: exact result 18446744073709551614 out of INT64 range";
+
+  auto ordered = ExecuteCube(t, spec);
+  ASSERT_FALSE(ordered.ok());
+  EXPECT_EQ(ordered.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ordered.status().message(), y_error);
+
+  // Store order is the same for any aggregate list: read it off a result
+  // that cannot fail.
+  CubeSpec counts = spec;
+  counts.aggregates = {CountStar("n")};
+  CubeOptions unordered;
+  unordered.sort_result = false;
+  auto listing = ExecuteCube(t, counts, unordered);
+  ASSERT_TRUE(listing.ok());
+  auto first_failing = [&](const Table& cells) {
+    for (size_t r = 0; r < cells.num_rows(); ++r) {
+      const Value d = cells.GetValue(r, 0);
+      if (d == Value::Int64(2)) return y_error;
+      if (d == Value::Int64(3)) return x_error;
+    }
+    return std::string();
+  };
+  auto stored = ExecuteCube(t, spec, unordered);
+  ASSERT_FALSE(stored.ok());
+  EXPECT_EQ(stored.status().message(), first_failing(listing.value().table));
+
+  // A stored cube assembles its cells in store order too.
+  auto count_cube = MaterializedCube::Build(t, counts);
+  auto sum_cube = MaterializedCube::Build(t, spec);
+  ASSERT_TRUE(count_cube.ok() && sum_cube.ok());
+  auto listed = count_cube.value()->Query(FullSet(1));
+  ASSERT_TRUE(listed.ok());
+  auto queried = sum_cube.value()->Query(FullSet(1));
+  ASSERT_FALSE(queried.ok());
+  EXPECT_EQ(queried.status().message(), first_failing(listed.value()));
 }
 
 // Random sweep across the adversarial generator profiles, serial and

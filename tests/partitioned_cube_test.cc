@@ -664,10 +664,13 @@ TEST(PartitionedCubeConcurrency, IngestQueryCompact) {
     for (int b = 0; b < kBatches; ++b) {
       Table rows{EdgeSchema()};
       for (int r = 0; r < kRowsPerBatch; ++r) {
-        // Mostly advancing ts with a late sprinkle into old windows.
+        // Mostly advancing ts with a late sprinkle into old windows. Each
+        // batch also brings a string no batch had, so the windows' string
+        // dictionaries grow (and are copied) while readers hold them.
         int64_t ts = (r == 4) ? (b % 7) * 3 : b * 25 + r;
-        std::vector<Value> row{Value::Int64(ts),
-                               Value::String(dims[(b + r) % 3]),
+        std::string d =
+            r == 1 ? "new" + std::to_string(b) : dims[(b + r) % 3];
+        std::vector<Value> row{Value::Int64(ts), Value::String(std::move(d)),
                                Value::Int64(r)};
         if (!rows.AppendRow(row).ok() || !all.AppendRow(row).ok()) {
           failures.fetch_add(1);

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <limits>
+#include <memory>
+#include <thread>
 
+#include "datacube/sql/engine.h"
 #include "datacube/table/csv.h"
 #include "datacube/table/print.h"
 #include "datacube/table/sort.h"
 #include "datacube/table/table.h"
+#include "datacube/testing/random_table.h"
 #include "datacube/workload/sales.h"
 
 namespace datacube {
@@ -361,6 +366,177 @@ TEST(TableTest, AppendTableAndConcatColumnsMatchValueRowConstruction) {
   EXPECT_EQ(empty_both->num_columns(), 10u);
 }
 
+// ------------------------------------------ dictionary-encoded strings
+
+// Strings that stress the dictionary: the empty string, an embedded NUL,
+// bytes that are not UTF-8, a string longer than the small-string buffer,
+// repeats, NULL and ALL.
+std::vector<Value> HostileStrings() {
+  return {Value::String("b"),
+          Value::String(""),
+          Value::Null(),
+          Value::String(std::string("a\0b", 3)),
+          Value::String("\xff\xfe\x80"),
+          Value::All(),
+          Value::String("b"),
+          Value::String(std::string("a\0c", 3)),
+          Value::String(""),
+          Value::String("a string longer than any small-string buffer"),
+          Value::Null()};
+}
+
+Table StringTable(const std::vector<Value>& cells) {
+  Table t(Schema({Field{"s", DataType::kString}}));
+  for (const Value& v : cells) EXPECT_TRUE(t.AppendRow({v}).ok());
+  return t;
+}
+
+TEST(DictionaryColumnTest, CopiesGathersAndRangesShareTheDictionary) {
+  const std::vector<Value> cells = HostileStrings();
+  const Table src = StringTable(cells);
+  const Column& col = src.column(0);
+  // Six distinct strings, each stored once.
+  EXPECT_EQ(col.dictionary().size(), 6u);
+  EXPECT_EQ(col.CountDistinct(), 6u);
+  ExpectSameTable(src, src);
+
+  Table copy = src;
+  ExpectSameTable(copy, src);
+  EXPECT_EQ(&copy.column(0).dictionary(), &col.dictionary());
+
+  const std::vector<size_t> ids = {10, 3, 3, 0, 5, 1, 7};
+  Column gathered(DataType::kString);
+  gathered.AppendGather(col, ids);
+  EXPECT_EQ(&gathered.dictionary(), &col.dictionary());
+  std::vector<Value> picked;
+  for (size_t id : ids) picked.push_back(cells[id]);
+  Result<Table> taken = src.TakeRows(ids);
+  ASSERT_TRUE(taken.ok());
+  ExpectSameTable(*taken, StringTable(picked));
+  EXPECT_EQ(&taken->column(0).dictionary(), &col.dictionary());
+  // The gather shares all six entries but uses four of them.
+  EXPECT_EQ(taken->column(0).CountDistinct(), 4u);
+
+  Column ranged(DataType::kString);
+  ranged.AppendRange(col, 2, 6);
+  EXPECT_EQ(&ranged.dictionary(), &col.dictionary());
+  Table want = StringTable({cells.begin() + 2, cells.begin() + 8});
+  for (size_t r = 0; r < 6; ++r) {
+    EXPECT_EQ(ranged.Get(r), want.GetValue(r, 0)) << "row " << r;
+  }
+  EXPECT_EQ(ranged.null_count(), want.column(0).null_count());
+  EXPECT_EQ(ranged.all_count(), want.column(0).all_count());
+
+  // A NULL-only column has no dictionary until its first string.
+  Column nulls(DataType::kString);
+  nulls.AppendNulls(3);
+  EXPECT_EQ(nulls.dictionary().size(), 0u);
+  EXPECT_EQ(nulls.CountDistinct(), 0u);
+  nulls.AppendRange(col, 0, col.size());  // adopts col's dictionary
+  EXPECT_EQ(&nulls.dictionary(), &col.dictionary());
+  EXPECT_EQ(nulls.Get(3), cells[0]);
+}
+
+TEST(DictionaryColumnTest, AppendTableAndConcatTranslateAcrossDictionaries) {
+  const std::vector<Value> cells = HostileStrings();
+  // Another dictionary: overlapping entries in another order, plus new ones.
+  const std::vector<Value> other = {Value::String("new"), Value::All(),
+                                    Value::String(""), Value::String("b"),
+                                    Value::String("\xc3\x28"), Value::Null(),
+                                    Value::String("new")};
+  Table grown = StringTable(cells);
+  const Table second = StringTable(other);
+  ASSERT_TRUE(grown.AppendTable(second).ok());
+  ASSERT_TRUE(grown.AppendTable(grown).ok());  // self-append doubles
+  std::vector<Value> want = cells;
+  want.insert(want.end(), other.begin(), other.end());
+  std::vector<Value> twice = want;
+  twice.insert(twice.end(), want.begin(), want.end());
+  ExpectSameTable(grown, StringTable(twice));
+  EXPECT_EQ(grown.column(0).dictionary().size(), 8u);
+  EXPECT_EQ(second.column(0).dictionary().size(), 4u);  // untouched
+
+  const Table left = StringTable({cells.begin(), cells.begin() + 7});
+  Table right(Schema({Field{"t", DataType::kString}}));
+  for (const Value& v : other) ASSERT_TRUE(right.AppendRow({v}).ok());
+  Result<Table> both = left.ConcatColumns(right);
+  ASSERT_TRUE(both.ok()) << both.status().ToString();
+  Table want_both(Schema({Field{"s", DataType::kString},
+                          Field{"t", DataType::kString}}));
+  for (size_t r = 0; r < 7; ++r) {
+    ASSERT_TRUE(want_both.AppendRow({cells[r], other[r]}).ok());
+  }
+  ExpectSameTable(*both, want_both);
+}
+
+TEST(DictionaryColumnTest, WritesNeverReachAnotherColumnsDictionary) {
+  const std::vector<Value> cells = HostileStrings();
+  const Table original = StringTable(cells);
+  Table copy = original;
+  Column gathered(DataType::kString);
+  gathered.AppendGather(original.column(0), {0, 1});
+  ASSERT_EQ(&copy.column(0).dictionary(), &original.column(0).dictionary());
+
+  ASSERT_TRUE(copy.column(0).Set(0, Value::String("fresh")).ok());
+  ASSERT_TRUE(copy.column(0).Set(1, Value::Null()).ok());
+  ASSERT_TRUE(copy.AppendRow({Value::String("another")}).ok());
+  ASSERT_TRUE(gathered.Append(Value::String("third")).ok());
+  EXPECT_NE(&copy.column(0).dictionary(), &original.column(0).dictionary());
+  ExpectSameTable(original, StringTable(cells));
+  EXPECT_EQ(original.column(0).dictionary().size(), 6u);
+
+  std::vector<Value> want = cells;
+  want[0] = Value::String("fresh");
+  want[1] = Value::Null();
+  want.push_back(Value::String("another"));
+  ExpectSameTable(copy, StringTable(want));
+  EXPECT_EQ(gathered.Get(2), Value::String("third"));
+  EXPECT_EQ(gathered.Get(0), cells[0]);
+}
+
+TEST(DictionaryColumnTest, ConcurrentQueriesWhileACopyGrows) {
+  // Readers run SQL over one shared catalog table while a writer appends
+  // strings no reader has seen to a copy of it; the copy must never write
+  // into the dictionary the readers use.
+  auto table = std::make_shared<const Table>(
+      GenerateCubeInput({.num_rows = 4000, .num_dims = 3, .cardinality = 6,
+                         .seed = 5})
+          .value());
+  sql::Catalog catalog;
+  catalog.PutShared("T", table);
+  const std::string query =
+      "SELECT d0, d1, SUM(x), COUNT(*) FROM T WHERE d2 < 'v3' "
+      "GROUP BY CUBE d0, d1";
+  Result<Table> expected = sql::ExecuteSql(query, catalog);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_GT(expected->num_rows(), 1u);
+
+  std::atomic<bool> writing{true};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      for (int i = 0; i < 4 || writing; ++i) {
+        Result<Table> got = sql::ExecuteSql(query, catalog);
+        if (!got.ok() || !got->EqualsExact(*expected)) ++mismatches;
+      }
+    });
+  }
+  std::thread writer([&] {
+    Table copy = *table;
+    std::vector<Value> row = copy.GetRow(0);
+    for (int i = 0; i < 2000; ++i) {
+      row[0] = Value::String("new" + std::to_string(i));
+      if (!copy.AppendRow(row).ok()) ++mismatches;
+    }
+    if (copy.column(0).CountDistinct() != 2006) ++mismatches;
+    writing = false;
+  });
+  writer.join();
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 // -------------------------------------------------------------------- CSV
 
 TEST(CsvTest, ParseWithTypeInference) {
@@ -430,6 +606,29 @@ TEST(CsvTest, QuotedNewlinesSurviveRecordAssembly) {
   Result<Table> back = ReadCsvString(WriteCsvString(original));
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(back->EqualsExact(original));
+}
+
+TEST(CsvTest, RandomTableHostileStringsRoundTrip) {
+  // random_table's first string keys are "", " ", "v,comma", "v\"quote"
+  // and "v\nnewline". NULL writes as an empty field, so the table has no
+  // NULLs and the reader's null token is one no cell holds.
+  testing::RandomTableProfile profile;
+  profile.rows = 200;
+  profile.dims = 3;
+  profile.cardinality = 8;
+  profile.null_rate = 0.0;
+  const Table random = testing::MakeRandomTable(7, profile);
+  Result<Table> keys = random.SelectColumns({0, 1, 2});
+  ASSERT_TRUE(keys.ok());
+  ASSERT_EQ(keys->column(0).CountDistinct(), 8u);
+  CsvReadOptions options;
+  options.null_token = "\\N";
+  Result<Table> back = ReadCsvString(WriteCsvString(*keys), options);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(back->EqualsExact(*keys));
+  for (size_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(back->schema().field(c).type, DataType::kString);
+  }
 }
 
 TEST(CsvTest, IntegerOverflowFallsBackToFloatInference) {

@@ -4,7 +4,8 @@
 // it prints the greedy picks and their benefits over a skewed 4-dim lattice,
 // then measures query latency when answering every grouping set of the cube
 // from k materialized views (k = 1: core only, every query folds the core;
-// larger k: most queries hit small ancestors or exact views).
+// larger k: most queries hit small ancestors or exact views), and the
+// latency of reading one stored view of a cube over a high-cardinality key.
 
 #include <benchmark/benchmark.h>
 
@@ -76,6 +77,37 @@ BENCHMARK(BM_AnswerAllSetsWithKViews)
     ->Arg(8)
     ->Arg(16)
     ->Unit(benchmark::kMillisecond);
+
+// Reads of stored views over a cube with a high-cardinality key: d0 has
+// ~126k distinct strings, d1 has 8, and every grouping set is stored, so
+// each read is direct. Arg is the grouping set read: 0 (the grand total,
+// one cell), 2 ({d1}, 8 cells) or 1 ({d0}, ~126k cells). A read should
+// cost its cells, not the cardinality of a key its set aggregates away.
+void BM_ReadStoredViewOfWideKey(benchmark::State& state) {
+  const auto target = static_cast<GroupingSet>(state.range(0));
+  CubeInputOptions input;
+  input.num_rows = 200000;
+  input.num_dims = 2;
+  input.cardinalities = {200000, 8};
+  Table t = Must(GenerateCubeInput(input), "input");
+  CubeSpec spec;
+  spec.cube = Dims(2);
+  spec.aggregates = {Agg("sum", "x", "s")};
+  auto cube = Must(MaterializedCube::Build(t, spec), "build");
+  size_t rows = 0;
+  for (auto _ : state) {
+    Table answer = Must(cube->Query(target), "query");
+    rows = answer.num_rows();
+    benchmark::DoNotOptimize(answer);
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+}
+
+BENCHMARK(BM_ReadStoredViewOfWideKey)
+    ->Arg(0)
+    ->Arg(2)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -424,8 +424,8 @@ enum class ResultForm {
 
 /// Builds a relation with one row per cell of `cells`, in that order — the
 /// only place packed keys are decoded back to values — a column at a time:
-/// grouping columns gather each cell's code from the codec's entries
-/// (converted once each), aggregates come from a batch Final. Fails with
+/// grouping columns gather each cell's row of the codec entries the cells
+/// use (converted once each), aggregates come from a batch Final. Fails with
 /// the Status a row-by-row fill returns: the first failing cell, at its
 /// leftmost failing column.
 Result<Table> AssembleCellTable(const ColumnarContext& cc,

@@ -834,36 +834,45 @@ Result<Table> AssembleCellTable(const ColumnarContext& cc,
   };
 
   // Grouping columns: ALL (or NULL under the minimalist Section 3.4
-  // design) in aggregated-away positions. The codec's entries become one
-  // small column — ALL, NULL, then the concrete values, so an entry's row
-  // is its code, each converted once — and the result gathers each cell's
-  // code from it; a string key's dictionary is built once from the C
-  // entries.
+  // design) in aggregated-away positions. The codec entries the cells use
+  // become one small column, in first use, each converted once (a string
+  // key's dictionary is built from them), and the result gathers each
+  // cell's row of it. An open-addressing table over the codes used (load
+  // below 1/2) maps a code to its row, so a coarse read of a
+  // high-cardinality key costs its cells, not the key's cardinality.
   const uint64_t away = cube && spec.all_mode != AllMode::kAllToken
                             ? KeyCodec::kNullCode
                             : KeyCodec::kAllCode;
+  struct Entry {
+    uint64_t code;
+    size_t row;
+  };
+  constexpr uint64_t kFree = ~uint64_t{0};
   for (size_t k = 0; k < ctx.num_keys; ++k) {
     const std::vector<Value>& dict = cc.codec.dictionary(k);
+    const int bits = std::bit_width(2 * std::min(limit, dict.size() + 2));
+    std::vector<Entry> table(size_t{1} << bits, Entry{kFree, 0});
     Column entries(ctx.key_types[k]);
-    entries.Reserve(dict.size() + 2);
-    (void)entries.Append(Value::All());
-    (void)entries.Append(Value::Null());
-    std::vector<std::pair<size_t, Status>> rejected;  // entry row, error
-    for (const Value& v : dict) {
-      Status st = entries.Append(v);
-      if (st.ok()) continue;
-      rejected.emplace_back(entries.size(), st);
-      entries.AppendNulls(1);
-    }
     std::vector<size_t> ids(limit);
     for (size_t i = 0; i < limit; ++i) {
       const CellRef& cell = cells[i];
-      ids[i] = IsGrouped(cell.set, k) ? cc.codec.CodeAt(cell.key, k) : away;
-    }
-    for (size_t i = 0; i < limit && !rejected.empty(); ++i) {
-      for (const auto& [row, st] : rejected) {
-        if (ids[i] == row) fail(i, named(st));
+      const uint64_t code =
+          IsGrouped(cell.set, k) ? cc.codec.CodeAt(cell.key, k) : away;
+      // Fibonacci hashing; bits >= 2 here, since limit > 0.
+      size_t slot = (code * 0x9E3779B97F4A7C15ull) >> (64 - bits);
+      while (table[slot].code != code && table[slot].code != kFree) {
+        slot = (slot + 1) & (table.size() - 1);
       }
+      if (table[slot].code == kFree) {
+        table[slot] = Entry{code, entries.size()};
+        if (!append(entries, i,
+                    code == KeyCodec::kAllCode    ? Value::All()
+                    : code == KeyCodec::kNullCode ? Value::Null()
+                                                  : dict[code - 2])) {
+          break;
+        }
+      }
+      ids[i] = table[slot].row;
     }
     Column col(ctx.key_types[k]);
     ids.resize(limit);

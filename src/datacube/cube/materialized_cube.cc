@@ -91,7 +91,6 @@ Result<std::unique_ptr<MaterializedCube>> MaterializedCube::Prepare(
   DATACUBE_ASSIGN_OR_RETURN(cube->cc_,
                             cube_internal::BuildColumnarContext(cube->ctx_));
   cube->group_exprs_ = cube->spec_->AllGroupExprs();
-  cube->insert_row_ = Table(cube->base_->schema());
   cube->RefreshMasks();
   cube->tombstone_.assign(cube->base_->num_rows(), false);
   cube->live_rows_ = cube->base_->num_rows();
@@ -378,9 +377,9 @@ Status MaterializedCube::ApplyInsertBatch(const Table& rows) {
 }
 
 Status MaterializedCube::ApplyInsert(const std::vector<Value>& row) {
-  insert_row_.Clear();  // a row that failed to append left it ragged
-  DATACUBE_RETURN_IF_ERROR(insert_row_.AppendRow(row));
-  return ApplyInsertBatch(insert_row_);
+  Table one(base_->schema());
+  DATACUBE_RETURN_IF_ERROR(one.AppendRow(row));
+  return ApplyInsertBatch(one);
 }
 
 Status MaterializedCube::RecomputeAggregate(size_t set_index,

@@ -375,13 +375,11 @@ class MaterializedCube {
   // stores destroy their cells through it — so declaration order matters.
   cube_internal::ColumnarContext cc_;
   cube_internal::SetStores stores_;
-  // The spec's grouping expressions, bound to the base schema, each
+  // The spec's grouping expressions, bound to the base schema, and each
   // stored set's keep-mask under the codec's current layout (parallel to
-  // ctx_.sets), and ApplyInsert's one-row batch: the insert path reuses
-  // all three.
+  // ctx_.sets): the insert path reuses both.
   std::vector<GroupExpr> group_exprs_;
   std::vector<std::vector<uint64_t>> masks_;
-  Table insert_row_;
   std::vector<bool> tombstone_;
   size_t live_rows_ = 0;
   // Value-equality index over live base rows, for delete lookup. Only

@@ -19,66 +19,38 @@ uint64_t HashString(std::string_view s) {
 }  // namespace
 
 StringDictionary::StringDictionary(const StringDictionary& other)
-    : strings_(other.strings_),
-      hashes_(other.hashes_),
-      slots_(other.slots_) {}
+    : strings_(other.strings_), slots_(other.slots_) {}
 
-size_t StringDictionary::Probe(std::string_view s, uint64_t hash) const {
+size_t StringDictionary::Probe(std::string_view s) const {
   const size_t mask = slots_.size() - 1;
-  size_t i = hash & mask;
-  while (slots_[i] != 0) {
-    const uint32_t code = slots_[i] - 1;
-    if (hashes_[code] == hash && strings_[code] == s) return i;
-    i = (i + 1) & mask;
-  }
+  size_t i = HashString(s) & mask;
+  while (slots_[i] != 0 && strings_[slots_[i] - 1] != s) i = (i + 1) & mask;
   return i;
 }
 
 void StringDictionary::Rehash(size_t capacity) {
   slots_.assign(capacity, 0);
-  const size_t mask = capacity - 1;
   for (uint32_t code = 0; code < strings_.size(); ++code) {
-    size_t i = hashes_[code] & mask;
-    while (slots_[i] != 0) i = (i + 1) & mask;
-    slots_[i] = code + 1;
+    slots_[Probe(strings_[code])] = code + 1;
   }
 }
 
 std::optional<uint32_t> StringDictionary::Find(std::string_view s) const {
-  if (slots_.empty()) {
-    for (uint32_t code = 0; code < strings_.size(); ++code) {
-      if (strings_[code] == s) return code;
-    }
-    return std::nullopt;
-  }
-  const uint32_t slot = slots_[Probe(s, HashString(s))];
+  if (slots_.empty()) return std::nullopt;
+  const uint32_t slot = slots_[Probe(s)];
   if (slot == 0) return std::nullopt;
   return slot - 1;
 }
 
 uint32_t StringDictionary::Intern(std::string_view s) {
-  if (slots_.empty()) {
-    // A dictionary of a few entries (a one-row insert, a small batch) is
-    // scanned: it allocates no index until it outgrows kScanned.
-    if (std::optional<uint32_t> code = Find(s)) return *code;
-    if (strings_.size() < kScanned) {
-      strings_.emplace_back(s);
-      return static_cast<uint32_t>(strings_.size() - 1);
-    }
-    for (const std::string& entry : strings_) {
-      hashes_.push_back(HashString(entry));
-    }
-  }
   // Grow at ~0.7 load, as the cell stores do.
   if ((strings_.size() + 1) * 10 > slots_.size() * 7) {
-    Rehash(std::max<size_t>(4 * kScanned, slots_.size() * 2));
+    Rehash(std::max<size_t>(32, slots_.size() * 2));
   }
-  const uint64_t hash = HashString(s);
-  const size_t slot = Probe(s, hash);
+  const size_t slot = Probe(s);
   if (slots_[slot] != 0) return slots_[slot] - 1;
   const auto code = static_cast<uint32_t>(strings_.size());
   strings_.emplace_back(s);
-  hashes_.push_back(hash);
   slots_[slot] = code + 1;
   return code;
 }
@@ -233,14 +205,6 @@ void Column::AppendNulls(size_t count) {
     AppendDefaultSlot();
   }
   null_count_ += count;
-}
-
-void Column::Clear() {
-  states_.clear();
-  std::visit([](auto& buf) { buf.clear(); }, buffer_);
-  dict_.reset();
-  null_count_ = 0;
-  all_count_ = 0;
 }
 
 void Column::AppendRange(const Column& src, size_t begin, size_t count) {

@@ -41,16 +41,11 @@ class StringDictionary {
  private:
   friend class Column;
 
-  // Entries a dictionary holds before it builds its hash index.
-  static constexpr size_t kScanned = 8;
-
-  size_t Probe(std::string_view s, uint64_t hash) const;
+  size_t Probe(std::string_view s) const;
   void Rehash(size_t capacity);
 
   std::vector<std::string> strings_;
-  // Once indexed: each entry's hash, so a rehash reads no string, and the
-  // open-addressing slots, each an entry code + 1 (0 is empty).
-  std::vector<uint64_t> hashes_;
+  // Open-addressing slots, each an entry code + 1 (0 is empty).
   std::vector<uint32_t> slots_;
   mutable std::atomic<bool> frozen_{false};
 };
@@ -93,9 +88,6 @@ class Column {
 
   /// Appends `count` copies of NULL.
   void AppendNulls(size_t count);
-
-  /// Drops every row and the dictionary, keeping the buffers' capacity.
-  void Clear();
 
   /// Appends rows [begin, begin + count) of `src`, which must have this
   /// column's type and hold at least begin + count rows. State bytes and

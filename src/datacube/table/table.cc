@@ -154,11 +154,6 @@ void Table::Reserve(size_t capacity) {
   for (Column& c : columns_) c.Reserve(capacity);
 }
 
-void Table::Clear() {
-  for (Column& c : columns_) c.Clear();
-  num_rows_ = 0;
-}
-
 namespace {
 
 // Multiset of rows, represented as sorted row-vectors for order-insensitive

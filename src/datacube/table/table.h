@@ -66,9 +66,6 @@ class Table {
 
   void Reserve(size_t capacity);
 
-  /// Drops every row, keeping the schema and the columns' capacity.
-  void Clear();
-
   /// Two tables are equal as bags of rows irrespective of row order.
   /// Used heavily by tests to compare algorithm outputs.
   bool EqualsIgnoringRowOrder(const Table& other) const;

@@ -519,5 +519,41 @@ TEST(MaterializedCubeTest, BatchesThatReallocateEveryCache) {
   }
 }
 
+TEST(MaterializedCubeTest, CoarseReadsConvertOnlyTheKeyValuesTheyUse) {
+  // k has 500 distinct strings and y = k mod 4; every set is stored.
+  std::vector<std::vector<Value>> rows;
+  for (int64_t i = 0; i < 1500; ++i) {
+    rows.push_back(KyuRow("k" + std::to_string(i % 500), i % 4, i));
+  }
+  const Table base = KyuTable(rows);
+  CubeSpec spec;
+  spec.cube = {GroupCol("k"), GroupCol("y")};
+  spec.aggregates = {Agg("sum", "u", "su")};
+  auto cube = MaterializedCube::Build(base, spec).value();
+  const Table fresh = ExecuteCube(base, spec).value().table;
+  for (GroupingSet set : {GroupingSet{0}, GroupingSet{1}, GroupingSet{2},
+                          GroupingSet{3}}) {
+    Table answer = cube->Query(set).value();
+    Table expected{answer.schema()};
+    for (size_t r = 0; r < fresh.num_rows(); ++r) {
+      if (fresh.column(0).IsAll(r) == ((set & 1) == 0) &&
+          fresh.column(1).IsAll(r) == ((set & 2) == 0)) {
+        ASSERT_TRUE(expected.AppendRow(fresh.GetRow(r)).ok());
+      }
+    }
+    EXPECT_TRUE(answer.EqualsIgnoringRowOrder(expected)) << "set " << set;
+    // The key column holds only the strings its rows use: none where the
+    // set aggregates k away.
+    EXPECT_EQ(answer.column(0).dictionary().size(), (set & 1) ? 500u : 0u)
+        << "set " << set;
+  }
+  // A slice fixing y = 1 reads the 125 values of k that occur with it.
+  Table slice = cube->Slice({SliceCoord::Wildcard(),
+                             SliceCoord::Fixed(Value::Int64(1))})
+                    .value();
+  EXPECT_EQ(slice.num_rows(), 125u);
+  EXPECT_EQ(slice.column(0).dictionary().size(), 125u);
+}
+
 }  // namespace
 }  // namespace datacube

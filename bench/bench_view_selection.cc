@@ -22,20 +22,27 @@ using bench_util::Must;
 constexpr size_t kRows = 50000;
 const std::vector<size_t> kCards = {100, 25, 6, 2};
 
-void PrintSelection() {
-  std::printf("greedy picks over a 4-dim lattice, C = {100, 25, 6, 2}, "
-              "T = %zu:\n", kRows);
+// Prints the picks to stderr, so --benchmark_format=json output stays
+// parseable, and returns an empty banner for DATACUBE_BENCH_MAIN.
+const char* PrintSelection() {
+  std::fprintf(stderr,
+               "greedy picks over a 4-dim lattice, C = {100, 25, 6, 2}, "
+               "T = %zu:\n",
+               kRows);
   ViewSelection sel =
       Must(SelectViewsGreedy(4, kCards, kRows, 8), "selection");
   std::vector<std::string> names = {"d0", "d1", "d2", "d3"};
   for (size_t i = 0; i < sel.views.size(); ++i) {
-    std::printf("  pick %zu: %-22s est_size=%10.0f benefit=%12.0f\n", i,
-                GroupingSetToString(sel.views[i], names).c_str(),
-                EstimateViewSize(sel.views[i], kCards, kRows),
-                sel.benefits[i]);
+    std::fprintf(stderr,
+                 "  pick %zu: %-22s est_size=%10.0f benefit=%12.0f\n", i,
+                 GroupingSetToString(sel.views[i], names).c_str(),
+                 EstimateViewSize(sel.views[i], kCards, kRows),
+                 sel.benefits[i]);
   }
-  std::printf("  total cost of answering all 16 grouping sets: %.0f rows\n\n",
-              sel.total_query_cost);
+  std::fprintf(stderr,
+               "  total cost of answering all 16 grouping sets: %.0f rows\n\n",
+               sel.total_query_cost);
+  return "";
 }
 
 void BM_AnswerAllSetsWithKViews(benchmark::State& state) {
@@ -111,10 +118,4 @@ BENCHMARK(BM_ReadStoredViewOfWideKey)
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  PrintSelection();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  return 0;
-}
+DATACUBE_BENCH_MAIN(PrintSelection())

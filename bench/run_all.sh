@@ -48,6 +48,7 @@ GBENCH_BINARIES=(
   bench_hash_cube
   bench_view_selection
   bench_lattice_selection
+  bench_csv_write
 )
 
 failures=0

@@ -9,10 +9,12 @@ end-to-end:
 
   * N concurrent /query clients issuing mini-SQL, all answers checked
   * register / query / drop round trip through snapshot swaps under load
-  * hostile strings: a registered CSV holding an empty field, a blank, a
-    comma, a quote, a newline and multi-byte UTF-8 reads back whole through
-    SELECT *, and a CUBE plus GROUP BYs under string WHEREs match sums the
-    script computes itself (an empty CSV field reads as NULL)
+  * hostile strings: a registered CSV holding an empty field, a quoted
+    empty field, a blank, a comma, a quote, a newline and multi-byte UTF-8
+    reads back whole through SELECT *, and a CUBE plus GROUP BYs under
+    string WHEREs match sums the script computes itself (an unquoted empty
+    CSV field reads as NULL, a quoted one as the empty string, which
+    WHERE s = '' finds)
   * a per-query deadline that must come back 504, not hang
   * a slow-loris client dribbling bytes at /metrics while a fast scrape
     must still complete promptly (locks in the serial-accept-loop fix),
@@ -45,8 +47,6 @@ end-to-end:
 Exits nonzero with a message on the first failure.
 """
 
-import csv
-import io
 import json
 import select
 import socket
@@ -126,7 +126,8 @@ def check_register_roundtrip(base):
 
 HOSTILE_ROWS = [
     # s, n: every n a distinct power of two, so each sum names its rows
-    ("", 1),  # an empty field: NULL
+    (None, 1),  # an unquoted empty field: NULL
+    ("", 512),  # a quoted empty field: the empty string
     (" ", 2),
     ("a,b", 4),
     ('say "hi"', 8),
@@ -138,13 +139,37 @@ HOSTILE_ROWS = [
 ]
 
 
-def csv_rows(body):
-    return list(csv.reader(io.StringIO(body, newline="")))[1:]
+def csv_cells(body):
+    """Rows after the header, read as the server's CSV reader reads them:
+    an unquoted empty field is None (NULL), a quoted one the empty string."""
+    rows, row, cell, quoted, in_quotes, i = [], [], "", False, False, 0
+    while i < len(body):
+        c = body[i]
+        if in_quotes:
+            if c == '"' and body[i + 1:i + 2] == '"':
+                cell += '"'
+                i += 1
+            elif c == '"':
+                in_quotes = False
+            else:
+                cell += c
+        elif c == '"':
+            in_quotes = quoted = True
+        elif c in ",\n":
+            row.append(cell if cell or quoted else None)
+            cell, quoted = "", False
+            if c == "\n":
+                rows.append(row)
+                row = []
+        else:
+            cell += c
+        i += 1
+    return rows[1:]
 
 
 def check_hostile_strings(base):
     def quote(v):
-        return '"' + v.replace('"', '""') + '"' if v else ""
+        return "" if v is None else '"' + v.replace('"', '""') + '"'
     data = "s,n\n" + "".join(f"{quote(s)},{n}\n" for s, n in HOSTILE_ROWS)
     status, body = fetch(f"{base}/register?name=smoke_strings",
                          method="POST", data=data.encode())
@@ -152,7 +177,7 @@ def check_hostile_strings(base):
         return fail(f"/register smoke_strings: HTTP {status}: {body.strip()}")
     status, body = query(base, "SELECT * FROM smoke_strings")
     want = [[s, str(n)] for s, n in HOSTILE_ROWS]
-    if status != 200 or csv_rows(body) != want:
+    if status != 200 or csv_cells(body) != want:
         return fail(f"SELECT * over hostile strings: HTTP {status}: {body!r}")
 
     def sums(rows):
@@ -166,16 +191,18 @@ def check_hostile_strings(base):
         if status != 200:
             fail(f"{sql}: HTTP {status}: {body.strip()}")
             return None
-        return {row[0]: int(row[1]) for row in csv_rows(body)}
+        return {row[0]: int(row[1]) for row in csv_cells(body)}
 
-    # NULL renders as an empty field and the super-aggregate as ALL.
+    # NULL renders as an unquoted empty field, the empty string as "" and
+    # the super-aggregate as ALL.
     cube = sums(HOSTILE_ROWS)
     cube["ALL"] = sum(n for _, n in HOSTILE_ROWS)
     below_m = sums((s, n) for s, n in HOSTILE_ROWS
-                   if s and s.encode() < b"m")
+                   if s is not None and s.encode() < b"m")
     checks = [
         ("SELECT s, SUM(n) FROM smoke_strings GROUP BY CUBE s", cube),
-        ("SELECT s, SUM(n) FROM smoke_strings WHERE s = '' GROUP BY s", {}),
+        ("SELECT s, SUM(n) FROM smoke_strings WHERE s = '' GROUP BY s",
+         {"": 512}),
         ("SELECT s, SUM(n) FROM smoke_strings WHERE s < 'm' GROUP BY s",
          below_m),
     ]

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
+#include <utility>
 
 #include "datacube/cube/columnar.h"
 #include "datacube/obs/trace.h"
@@ -656,12 +657,33 @@ std::vector<uint32_t> RankCodes(const KeyCodec& codec, size_t k,
   return rank;
 }
 
+// Results with at least this many cells sort their packed words by radix;
+// below it std::sort is faster.
+constexpr size_t kRadixSortMinCells = 2048;
+
+// Sorts `words`, which are in ascending order of their bits below `lo` and
+// zero from bit `hi` up: a stable LSD radix sort of bits [lo, hi), a byte a
+// pass, skipping a pass when every word has the same byte there.
+void RadixSortWords(std::vector<uint64_t>& words, int lo, int hi) {
+  std::vector<uint64_t> buffer(words.size());
+  for (int shift = lo; shift < hi; shift += 8) {
+    size_t count[256] = {};
+    for (uint64_t w : words) ++count[(w >> shift) & 0xFF];
+    if (count[(words[0] >> shift) & 0xFF] == words.size()) continue;
+    size_t start = 0;
+    for (size_t& c : count) start += std::exchange(c, start);
+    for (uint64_t w : words) buffer[count[(w >> shift) & 0xFF]++] = w;
+    words.swap(buffer);
+  }
+}
+
 // Permutation of `cells` (given in store order) that sorts them on the
 // grouping columns exactly as a stable SortTable of the store-order result
 // would: by rank tuple, ties keeping store order — which is grouping-set
 // order first. The rank tuple and the store position pack into one
-// uint64_t when they fit, so the sort compares integers; wider keys fall
-// back to comparing rank tuples.
+// uint64_t when they fit, so the sort compares integers (by radix on the
+// rank bits for large results); wider keys fall back to comparing rank
+// tuples.
 std::vector<size_t> KeyOrder(const ColumnarContext& cc,
                              const std::vector<CellRef>& cells) {
   const CubeContext& ctx = *cc.ctx;
@@ -694,7 +716,11 @@ std::vector<size_t> KeyOrder(const ColumnarContext& cc,
       }
       packed[i] = (r << seq_bits) | i;
     }
-    std::sort(packed.begin(), packed.end());
+    if (n >= kRadixSortMinCells) {
+      RadixSortWords(packed, seq_bits, seq_bits + rank_bits);
+    } else {
+      std::sort(packed.begin(), packed.end());
+    }
     const uint64_t seq_mask =
         seq_bits == 0 ? 0 : (~uint64_t{0} >> (64 - seq_bits));
     for (size_t i = 0; i < n; ++i) order[i] = packed[i] & seq_mask;

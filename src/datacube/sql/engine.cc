@@ -679,45 +679,33 @@ Result<Table> Project(const Table& input, const std::vector<ExprPtr>& exprs,
                             input.num_rows());
 }
 
-// Applies ORDER BY and LIMIT to the projected output.
-Result<Table> ApplyOrderAndLimit(Table table,
-                                 const std::vector<OrderItem>& order_by,
-                                 int64_t limit) {
-  if (!order_by.empty()) {
-    // Evaluate each key (ordinal → existing column; expression → bound
-    // against the output schema).
-    std::vector<std::vector<Value>> keys;
-    std::vector<bool> ascending;
-    for (const OrderItem& item : order_by) {
-      std::vector<Value> key(table.num_rows());
-      if (item.ordinal > 0) {
-        size_t col = static_cast<size_t>(item.ordinal - 1);
-        if (col >= table.num_columns()) {
-          return Status::OutOfRange("ORDER BY ordinal out of range");
-        }
-        for (size_t r = 0; r < table.num_rows(); ++r) {
-          key[r] = table.GetValue(r, col);
-        }
-      } else {
-        DATACUBE_RETURN_IF_ERROR(item.expr->Bind(table.schema()));
-        for (size_t r = 0; r < table.num_rows(); ++r) {
-          DATACUBE_ASSIGN_OR_RETURN(key[r], item.expr->Evaluate(table, r));
-        }
-      }
-      keys.push_back(std::move(key));
-      ascending.push_back(item.ascending);
+// `table`'s rows stably sorted on `keys`, each bound against its schema
+// and evaluated per row, ascending or descending per key.
+Result<Table> SortRows(const Table& table, const std::vector<ExprPtr>& keys,
+                       const std::vector<bool>& ascending) {
+  std::vector<std::vector<Value>> columns;
+  for (const ExprPtr& key : keys) {
+    DATACUBE_RETURN_IF_ERROR(key->Bind(table.schema()));
+    std::vector<Value> column(table.num_rows());
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      DATACUBE_ASSIGN_OR_RETURN(column[r], key->Evaluate(table, r));
     }
-    std::vector<size_t> indices(table.num_rows());
-    std::iota(indices.begin(), indices.end(), 0);
-    std::stable_sort(indices.begin(), indices.end(), [&](size_t a, size_t b) {
-      for (size_t k = 0; k < keys.size(); ++k) {
-        int cmp = keys[k][a].Compare(keys[k][b]);
-        if (cmp != 0) return ascending[k] ? cmp < 0 : cmp > 0;
-      }
-      return false;
-    });
-    DATACUBE_ASSIGN_OR_RETURN(table, table.TakeRows(indices));
+    columns.push_back(std::move(column));
   }
+  std::vector<size_t> indices(table.num_rows());
+  std::iota(indices.begin(), indices.end(), 0);
+  std::stable_sort(indices.begin(), indices.end(), [&](size_t a, size_t b) {
+    for (size_t k = 0; k < columns.size(); ++k) {
+      int cmp = columns[k][a].Compare(columns[k][b]);
+      if (cmp != 0) return ascending[k] ? cmp < 0 : cmp > 0;
+    }
+    return false;
+  });
+  return table.TakeRows(indices);
+}
+
+// Applies LIMIT to the projected output.
+Result<Table> ApplyLimit(Table table, int64_t limit) {
   if (limit >= 0 && static_cast<size_t>(limit) < table.num_rows()) {
     std::vector<size_t> head(static_cast<size_t>(limit));
     std::iota(head.begin(), head.end(), 0);
@@ -754,50 +742,33 @@ Result<Table> ExecuteProjection(const SelectStatement& stmt,
   const Table* rows = &filtered;
   Table sorted;
   if (!stmt.order_by.empty()) {
-    std::vector<std::vector<Value>> keys;
+    std::vector<ExprPtr> keys;
     std::vector<bool> ascending;
     for (const OrderItem& item : stmt.order_by) {
-      ExprPtr key;
+      ExprPtr key = item.expr;
       if (item.ordinal > 0) {
         if (static_cast<size_t>(item.ordinal) > exprs.size()) {
           return Status::OutOfRange("ORDER BY ordinal out of range");
         }
         key = exprs[static_cast<size_t>(item.ordinal - 1)];
-      } else {
+      } else if (item.expr->kind() == Expr::Kind::kColumnRef) {
         // Try an output alias first, then any expression over the base.
-        key = item.expr;
-        if (item.expr->kind() == Expr::Kind::kColumnRef) {
-          for (size_t i = 0; i < names.size(); ++i) {
-            if (EqualsIgnoreCase(item.expr->name(), names[i])) {
-              key = exprs[i];
-              break;
-            }
+        for (size_t i = 0; i < names.size(); ++i) {
+          if (EqualsIgnoreCase(item.expr->name(), names[i])) {
+            key = exprs[i];
+            break;
           }
         }
-        DATACUBE_RETURN_IF_ERROR(key->Bind(filtered.schema()));
       }
-      std::vector<Value> column(filtered.num_rows());
-      for (size_t r = 0; r < filtered.num_rows(); ++r) {
-        DATACUBE_ASSIGN_OR_RETURN(column[r], key->Evaluate(filtered, r));
-      }
-      keys.push_back(std::move(column));
+      keys.push_back(std::move(key));
       ascending.push_back(item.ascending);
     }
-    std::vector<size_t> indices(filtered.num_rows());
-    std::iota(indices.begin(), indices.end(), 0);
-    std::stable_sort(indices.begin(), indices.end(), [&](size_t a, size_t b) {
-      for (size_t k = 0; k < keys.size(); ++k) {
-        int cmp = keys[k][a].Compare(keys[k][b]);
-        if (cmp != 0) return ascending[k] ? cmp < 0 : cmp > 0;
-      }
-      return false;
-    });
-    DATACUBE_ASSIGN_OR_RETURN(sorted, filtered.TakeRows(indices));
+    DATACUBE_ASSIGN_OR_RETURN(sorted, SortRows(filtered, keys, ascending));
     rows = &sorted;
   }
 
   DATACUBE_ASSIGN_OR_RETURN(Table out, Project(*rows, exprs, names));
-  return ApplyOrderAndLimit(std::move(out), /*order_by=*/{}, stmt.limit);
+  return ApplyLimit(std::move(out), stmt.limit);
 }
 
 // Everything the aggregation path derives from the statement before
@@ -963,25 +934,8 @@ Result<Table> FinishAggregation(const AggregationPlan& ap, Table result) {
   // Sort the result relation by the rewritten ORDER BY keys.
   if (!ap.order_keys.empty()) {
     obs::ScopedSpan span("order_by");
-    std::vector<std::vector<Value>> keys;
-    for (const ExprPtr& key : ap.order_keys) {
-      DATACUBE_RETURN_IF_ERROR(key->Bind(result.schema()));
-      std::vector<Value> column(result.num_rows());
-      for (size_t r = 0; r < result.num_rows(); ++r) {
-        DATACUBE_ASSIGN_OR_RETURN(column[r], key->Evaluate(result, r));
-      }
-      keys.push_back(std::move(column));
-    }
-    std::vector<size_t> indices(result.num_rows());
-    std::iota(indices.begin(), indices.end(), 0);
-    std::stable_sort(indices.begin(), indices.end(), [&](size_t a, size_t b) {
-      for (size_t k = 0; k < keys.size(); ++k) {
-        int cmp = keys[k][a].Compare(keys[k][b]);
-        if (cmp != 0) return ap.order_ascending[k] ? cmp < 0 : cmp > 0;
-      }
-      return false;
-    });
-    DATACUBE_ASSIGN_OR_RETURN(result, result.TakeRows(indices));
+    DATACUBE_ASSIGN_OR_RETURN(
+        result, SortRows(result, ap.order_keys, ap.order_ascending));
   }
 
   obs::ScopedSpan project_span("project_output");
@@ -990,7 +944,7 @@ Result<Table> FinishAggregation(const AggregationPlan& ap, Table result) {
   }
   DATACUBE_ASSIGN_OR_RETURN(
       Table projected, Project(result, ap.output_exprs, ap.output_names));
-  return ApplyOrderAndLimit(std::move(projected), /*order_by=*/{}, ap.limit);
+  return ApplyLimit(std::move(projected), ap.limit);
 }
 
 // Aggregation SELECT: plan the cube, execute, filter (HAVING), project.

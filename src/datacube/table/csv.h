@@ -16,7 +16,8 @@ struct CsvReadOptions {
   /// Infer per-column types (int64 → float64 → date → string) from the data;
   /// otherwise every column is read as STRING.
   bool infer_types = true;
-  /// Cells equal to this string (case-sensitive) are read as NULL.
+  /// Unquoted cells equal to this string (case-sensitive) are read as NULL.
+  /// A quoted cell is always data, so `""` reads as the empty string.
   std::string null_token = "";
 };
 
@@ -29,8 +30,12 @@ Result<Table> ReadCsvString(const std::string& text,
 Result<Table> ReadCsvFile(const std::string& path,
                           const CsvReadOptions& options = {});
 
-/// Serializes a table to CSV. NULL renders as empty, ALL as "ALL"; fields
-/// containing the delimiter, quotes, or newlines are quoted.
+/// Serializes a table to CSV, straight from the typed column buffers. NULL
+/// renders as an empty field and ALL as "ALL". Other cells print as
+/// Value::ToString does; a STRING column escapes each dictionary entry it
+/// writes once. Fields that are empty or hold the delimiter, a quote, CR
+/// or LF are quoted, so the empty string writes as `""` and reads back as
+/// itself, not as NULL.
 std::string WriteCsvString(const Table& table, char delimiter = ',');
 
 /// Writes a table to a CSV file.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include "datacube/cube/cube_operator.h"
@@ -442,6 +443,59 @@ TEST(ResultOrderTest, WidenedIntegerKeysTieLikeAStableSort) {
   }
   ASSERT_GT(tied, 0u);
   ExpectOrderContract(t, spec, "widened_keys");
+}
+
+// A result of several thousand cells, above the cutoff where the ordered
+// assembly sorts by radix: four keys of eight values plus NULL. The float
+// key holds NaN, -0.0 and 0.0; the widened key is float64 but holds int64
+// values beyond 2^53 that read back equal to each other and to 2.0^53.
+TEST(ResultOrderTest, RadixSortedAssemblyOfALargeCube) {
+  Table t(Schema({Field{"s", DataType::kString},
+                  Field{"f", DataType::kFloat64},
+                  Field{"wf", DataType::kFloat64},
+                  Field{"wi", DataType::kInt64},
+                  Field{"i", DataType::kInt64}, Field{"x", DataType::kInt64}}));
+  const int64_t big = int64_t{1} << 53;
+  const Value strings[] = {Value::String(""), Value::String(" "),
+                           Value::String("a,b"), Value::String("b"),
+                           Value::String("c"), Value::String("d\n"),
+                           Value::String("e"), Value::String("zz")};
+  const double floats[] = {std::numeric_limits<double>::quiet_NaN(),
+                           -0.0, 0.0, -1.5, 2.25,
+                           std::numeric_limits<double>::denorm_min(), 1e300,
+                           -std::numeric_limits<double>::infinity()};
+  const int64_t ints[] = {std::numeric_limits<int64_t>::min(),
+                          std::numeric_limits<int64_t>::max(), big + 1,
+                          big + 2, 0, -1, 42, big};
+  std::mt19937_64 rng(11);
+  auto maybe_null = [&](Value v) {
+    return rng() % 10 == 0 ? Value::Null() : std::move(v);
+  };
+  for (int r = 0; r < 2500; ++r) {
+    // wf is NULL in half the rows, so coalesce(wf, wi) takes wi's ints.
+    const Value wf = rng() % 2 == 0 ? Value::Null()
+                                    : Value::Float64(rng() % 2 == 0
+                                                         ? 9007199254740992.0
+                                                         : 0.5 * (rng() % 6));
+    ASSERT_TRUE(
+        t.AppendRow({maybe_null(strings[rng() % 8]),
+                     maybe_null(Value::Float64(floats[rng() % 8])), wf,
+                     Value::Int64(big + static_cast<int64_t>(rng() % 4)),
+                     maybe_null(Value::Int64(ints[rng() % 8])),
+                     Value::Int64(r)})
+            .ok());
+  }
+  CubeSpec spec;
+  spec.cube = {GroupCol("s"), GroupCol("f"),
+               GroupExpr{Expr::Call("coalesce", {Expr::Column("wf"),
+                                                 Expr::Column("wi")}),
+                         "w"},
+               GroupCol("i")};
+  spec.aggregates = {Agg("sum", "x", "sx"), CountStar("n")};
+  Result<CubeResult> r = ExecuteCube(t, spec);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_GE(r->table.num_rows(), 4096u);
+  ExpectOrderContract(t, spec, "radix_sorted");
 }
 
 }  // namespace

@@ -5,12 +5,14 @@
 #include <memory>
 #include <thread>
 
+#include "datacube/cube/cube_operator.h"
 #include "datacube/sql/engine.h"
 #include "datacube/table/csv.h"
 #include "datacube/table/print.h"
 #include "datacube/table/sort.h"
 #include "datacube/table/table.h"
 #include "datacube/testing/random_table.h"
+#include "datacube/testing/reference_csv.h"
 #include "datacube/workload/sales.h"
 
 namespace datacube {
@@ -648,6 +650,127 @@ TEST(CsvTest, IntegerOverflowFallsBackToFloatInference) {
             Value::Int64(std::numeric_limits<int64_t>::max()));
   EXPECT_EQ(t->GetValue(1, 1),
             Value::Int64(std::numeric_limits<int64_t>::min()));
+}
+
+TEST(CsvTest, EmptyStringsAndCarriageReturnsRoundTrip) {
+  // An unquoted empty field is NULL and a quoted one the empty string; a
+  // CR that ends a last-column value is quoted, so the reader's CRLF
+  // handling cannot strip it.
+  const std::vector<std::string> strings = {
+      "", "x\r", "\r", "cr\rmid", "a,b", "say \"hi\"", "line\nbreak",
+      "\r\n", " ", "\"", "NULL", "ALL"};
+  TableBuilder b({Field{"n", DataType::kInt64}, Field{"s", DataType::kString}});
+  b.Row({Value::Int64(0), Value::Null()});
+  for (size_t i = 0; i < strings.size(); ++i) {
+    b.Row({Value::Int64(static_cast<int64_t>(i) + 1),
+           Value::String(strings[i])});
+  }
+  b.Row({Value::Int64(99), Value::Null()});
+  Table original = std::move(b).Build().value();
+  const std::string csv = WriteCsvString(original);
+  EXPECT_NE(csv.find("\n0,\n"), std::string::npos) << csv;
+  EXPECT_NE(csv.find("\n1,\"\"\n"), std::string::npos) << csv;
+  EXPECT_NE(csv.find("\n2,\"x\r\"\n"), std::string::npos) << csv;
+  Result<Table> back = ReadCsvString(csv);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(back->EqualsExact(original)) << csv;
+
+  // A quoted field is data even when it spells a non-empty null token.
+  CsvReadOptions na;
+  na.null_token = "NA";
+  Result<Table> t = ReadCsvString("s\nNA\n\"NA\"\n\n\"\"\n", na);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->num_rows(), 3u);
+  EXPECT_TRUE(t->GetValue(0, 0).is_null());
+  EXPECT_EQ(t->GetValue(1, 0), Value::String("NA"));
+  EXPECT_EQ(t->GetValue(2, 0), Value::String(""));
+}
+
+// The typed writer against testing::ReferenceCsv, which prints one Value
+// per cell: every table must give the same bytes under every delimiter.
+// '-' and 'A' can occur in numbers, dates and ALL, so those fields must be
+// quoted there too.
+void ExpectWritersAgree(const Table& t, const std::string& label) {
+  for (char delim : {',', ';', '\t', '-', 'A'}) {
+    EXPECT_EQ(WriteCsvString(t, delim), testing::ReferenceCsv(t, delim))
+        << label << " delimiter '" << delim << "'";
+  }
+}
+
+TEST(CsvWriterTest, TypedMatchesReferenceOnAdversarialTables) {
+  for (const testing::RandomTableProfile& p : testing::AdversarialProfiles()) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      const std::string label = p.label + "_seed" + std::to_string(seed);
+      const Table input = testing::MakeRandomTable(seed, p);
+      ExpectWritersAgree(input, label);
+      // Its cube adds ALL, GROUPING columns and computed aggregates.
+      CubeSpec spec = testing::MakeRandomSpec(seed, p, seed % 2 == 0);
+      spec.all_mode =
+          seed % 2 == 0 ? AllMode::kAllToken : AllMode::kNullWithGrouping;
+      spec.add_grouping_columns = spec.add_grouping_id = true;
+      Result<CubeResult> cube = ExecuteCube(input, spec);
+      if (cube.ok()) ExpectWritersAgree(cube->table, label + "_cube");
+    }
+  }
+}
+
+TEST(CsvWriterTest, TypedMatchesReferenceOnHostileColumns) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const int64_t two53 = int64_t{1} << 53;
+  const std::vector<std::vector<Value>> values = {
+      {Value::String(""), Value::String(" "), Value::String("a,b"),
+       Value::String("a;b"), Value::String("a\tb"),
+       Value::String("say \"hi\""), Value::String("\""),
+       Value::String("line\nbreak"), Value::String("x\r"),
+       Value::String("\r\n"), Value::String("ALL"), Value::String("-1"),
+       Value::String("\xe6\x97\xa5\xe6\x9c\xac"), Value::Null(),
+       Value::All()},
+      {Value::Int64(std::numeric_limits<int64_t>::min()),
+       Value::Int64(std::numeric_limits<int64_t>::max()), Value::Int64(0),
+       Value::Int64(-1), Value::Int64(two53 + 1), Value::Int64(-two53 - 1),
+       Value::Null(), Value::All()},
+      {Value::Float64(nan), Value::Float64(-nan), Value::Float64(0.0),
+       Value::Float64(-0.0), Value::Float64(inf), Value::Float64(-inf),
+       Value::Float64(std::numeric_limits<double>::denorm_min()),
+       Value::Float64(-std::numeric_limits<double>::denorm_min()),
+       Value::Float64(std::numeric_limits<double>::min()),
+       Value::Float64(std::numeric_limits<double>::max()),
+       Value::Float64(std::numeric_limits<double>::lowest()),
+       Value::Float64(1e15), Value::Float64(-1e15),
+       Value::Float64(999999999999999.0), Value::Float64(999999999999999.5),
+       Value::Float64(0.1), Value::Float64(-2.5), Value::Float64(123456.5),
+       Value::Float64(1234567.0e-12), Value::Float64(9.9999995e-5),
+       Value::Null(), Value::All()},
+      {Value::Bool(true), Value::Bool(false), Value::Null(), Value::All()},
+      {Value::FromDate(DateFromCivil(1970, 1, 1)),
+       Value::FromDate(DateFromCivil(2024, 2, 29)),
+       Value::FromDate(DateFromCivil(1, 1, 1)),
+       Value::FromDate(DateFromCivil(9999, 12, 31)),
+       Value::FromDate(DateFromCivil(-44, 3, 15)),
+       Value::FromDate(DateFromCivil(12345, 6, 7)), Value::Null(),
+       Value::All()}};
+  const DataType types[] = {DataType::kString, DataType::kInt64,
+                            DataType::kFloat64, DataType::kBool,
+                            DataType::kDate};
+  std::vector<Field> fields;
+  for (size_t c = 0; c < values.size(); ++c) {
+    fields.push_back(Field{c == 0 ? "" : "c" + std::to_string(c), types[c],
+                           /*nullable=*/true, /*allow_all=*/true});
+  }
+  Table t{Schema{fields}};
+  // 22 rows, each column cycling through its values.
+  for (size_t r = 0; r < values[2].size(); ++r) {
+    std::vector<Value> row;
+    for (const auto& column : values) row.push_back(column[r % column.size()]);
+    ASSERT_TRUE(t.AppendRow(row).ok());
+  }
+  ExpectWritersAgree(t, "hostile_columns");
+  // A gather shares its source's whole dictionary but writes few codes.
+  Result<Table> few = t.TakeRows({12, 0, 12, 8});
+  ASSERT_TRUE(few.ok());
+  ExpectWritersAgree(*few, "gathered_rows");
+  ExpectWritersAgree(Table{Schema{fields}}, "no_rows");
 }
 
 // ------------------------------------------------------------------- Sort

@@ -4,7 +4,7 @@
 // two (pick the * with the smallest C_i). In this way, the super-aggregates
 // can be computed dropping one dimension at a time."
 //
-// Uses the internal lattice planner and the columnar core's cell operations
+// Uses the internal lattice planner and the columnar core's fold primitive
 // directly to compare the smallest-parent policy against always folding
 // from the largest available parent, on an input with deliberately skewed
 // dimension cardinalities (C = {200, 20, 2}).
@@ -54,20 +54,13 @@ void RunPolicy(benchmark::State& state, ParentPolicy policy) {
         stores.push_back(FlatGroupBy(cc, node.set, &stats));
         continue;
       }
-      // Fold the parent's cells into this node: mask each key, merge.
+      // Fold the parent's cells into this node (Iter_super).
+      const CellStore& parent = stores[static_cast<size_t>(node.parent)];
       CellStore cells = cc.MakeStore();
-      std::vector<uint64_t> mask = cc.codec.MaskForSet(node.set);
-      std::vector<uint64_t> key(cc.words);
-      stores[static_cast<size_t>(node.parent)].ForEach(
-          [&](const uint64_t* parent_key, const char* block) {
-            for (size_t w = 0; w < cc.words; ++w) {
-              key[w] = parent_key[w] & mask[w];
-            }
-            if (!cc.MergeCell(cells.FindOrInsert(key.data()), block, &stats)
-                     .ok()) {
-              std::abort();
-            }
-          });
+      if (!CellFold(cc).Into(parent, {FoldTarget{&cells, node.set}}, &stats)
+               .ok()) {
+        std::abort();
+      }
       stores.push_back(std::move(cells));
     }
     benchmark::DoNotOptimize(stores);

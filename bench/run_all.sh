@@ -14,8 +14,11 @@
 #   build_dir  defaults to "build"
 #   out_dir    defaults to "."
 # Extra args are forwarded to every benchmark binary, e.g.
-#   bench/run_all.sh build . --benchmark_min_time=0.1s
+#   bench/run_all.sh build . --benchmark_min_time=0.1
 #   bench/run_all.sh build . --benchmark_filter=BM_FromCore
+# Without extra args every binary reports the mean, median and spread of 5
+# repetitions. A host line (nproc, kernel release, load average) comes
+# first: compare runs only from the same host under the same load.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -28,6 +31,10 @@ if [ ! -d "$BENCH_DIR" ]; then
   exit 1
 fi
 mkdir -p "$OUT_DIR"
+if [ "$#" -eq 0 ]; then
+  set -- --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
+fi
+echo "host: nproc=$(nproc) kernel=$(uname -r) loadavg=$(cut -d' ' -f1-3 /proc/loadavg)"
 
 GBENCH_BINARIES=(
   bench_table2_benchmark_survey
@@ -49,6 +56,7 @@ GBENCH_BINARIES=(
   bench_view_selection
   bench_lattice_selection
   bench_csv_write
+  bench_fold
 )
 
 failures=0

@@ -102,6 +102,17 @@ struct AggFinalBatch {
   const void* Slot(size_t i) const { return blocks[i] + slot_offset; }
 };
 
+/// The state pairs handed to MergeBatch: position i merges the scratchpad
+/// at src[i] + src_offset into the one at dst[i] + dst_offset, in position
+/// order; destinations repeat when several source cells feed one cell.
+struct AggMergeBatch {
+  char* const* dst = nullptr;
+  size_t dst_offset = 0;
+  const char* const* src = nullptr;
+  size_t src_offset = 0;
+  size_t n = 0;
+};
+
 /// Opaque per-cell scratchpad ("handle" in the paper's Figure 7 / Informix
 /// Init/Iter/Final description). Each AggregateFunction defines its own
 /// concrete state type.
@@ -258,6 +269,15 @@ class AggregateFunction {
     return false;
   }
 
+  /// Merge over a batch of inline state pairs, all-or-nothing like
+  /// IterBatch: true means every pair merged exactly as n Merge calls would,
+  /// all OK; false (no state touched) makes the caller replay scalar Merge,
+  /// which reports any failure. Only a Merge that cannot fail has a kernel.
+  virtual bool MergeBatch(const AggMergeBatch& batch) const {
+    (void)batch;
+    return false;
+  }
+
   /// FinalChecked for a whole column of inline states at once, written
   /// straight into the result buffer. Returns how many leading cells it
   /// wrote: all n, or fewer when it reaches a cell whose FinalChecked fails
@@ -299,12 +319,6 @@ class AggregateFunction {
   /// Destroys the scratchpad living in `slot`.
   virtual void DestroyAt(void* slot) const {
     static_cast<AggStatePtr*>(slot)->~AggStatePtr();
-  }
-
-  /// Copy-constructs the scratchpad in `src` into raw storage `dst`.
-  virtual void CloneAt(const void* src, void* dst) const {
-    ::new (dst) AggStatePtr(
-        Clone(static_cast<const AggStatePtr*>(src)->get()));
   }
 
   /// Reconstructs a SerializeState blob directly into raw storage `slot`.
@@ -353,8 +367,7 @@ using AggregateFunctionPtr = std::shared_ptr<const AggregateFunction>;
 /// scratchpads live inline in cell arenas with zero per-cell heap
 /// allocations. `State` must be the concrete AggState subclass the
 /// function's Init()/Iter()/... already operate on; it must be
-/// copy-constructible (for CloneAt) and move-constructible (for
-/// DeserializeAt).
+/// move-constructible (for DeserializeAt).
 template <typename State, typename Base = AggregateFunction>
 class WithInlineState : public Base {
   static_assert(std::is_base_of_v<AggState, State>,
@@ -369,9 +382,6 @@ class WithInlineState : public Base {
   void InitAt(void* slot) const override { ::new (slot) State(); }
   void DestroyAt(void* slot) const override {
     static_cast<State*>(slot)->~State();
-  }
-  void CloneAt(const void* src, void* dst) const override {
-    ::new (dst) State(*static_cast<const State*>(src));
   }
   Status DeserializeAt(const std::string& data, size_t* pos,
                        void* slot) const override {

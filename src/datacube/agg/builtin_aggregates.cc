@@ -66,6 +66,27 @@ bool PutFloat64(const AggFinalBatch& b, size_t i, double v) {
   return true;
 }
 
+// An inline function whose Merge cannot fail: Derived::MergeState(dst, src)
+// is the one merge body, run by scalar Merge and by the MergeBatch kernel
+// alike, so the two cannot disagree on any state.
+template <typename State, typename Derived>
+class WithMergeKernel : public WithInlineState<State> {
+ public:
+  Status Merge(AggState* dst, const AggState* src) const final {
+    static_cast<const Derived*>(this)->MergeState(*As<State>(dst),
+                                                  *As<State>(src));
+    return Status::OK();
+  }
+  bool MergeBatch(const AggMergeBatch& b) const final {
+    for (size_t i = 0; i < b.n; ++i) {
+      static_cast<const Derived*>(this)->MergeState(
+          *reinterpret_cast<State*>(b.dst[i] + b.dst_offset),
+          *reinterpret_cast<const State*>(b.src[i] + b.src_offset));
+    }
+    return true;
+  }
+};
+
 // ---------------------------------------------------------------- COUNT(*)
 
 struct CountState : AggState {
@@ -77,7 +98,8 @@ size_t FinalCounts(const AggFinalBatch& b) {
       b, [&](const CountState& s, size_t i) { return PutInt64(b, i, s.n); });
 }
 
-class CountStarFunction : public WithInlineState<CountState> {
+class CountStarFunction
+    : public WithMergeKernel<CountState, CountStarFunction> {
  public:
   const std::string& name() const override {
     static const std::string kName = "count_star";
@@ -104,11 +126,10 @@ class CountStarFunction : public WithInlineState<CountState> {
   size_t FinalBatch(const AggFinalBatch& b) const override {
     return FinalCounts(b);
   }
-  Status Merge(AggState* dst, const AggState* src) const override {
-    // COUNT is the one distributive function whose G differs from F: counts
-    // combine with SUM (Section 5).
-    As<CountState>(dst)->n += As<CountState>(src)->n;
-    return Status::OK();
+  void MergeState(CountState& d, const CountState& s) const {
+    // COUNT is the one distributive function whose G differs from F:
+    // counts combine with SUM (Section 5).
+    d.n += s.n;
   }
   Status Remove(AggState* state, const Value*, size_t) const override {
     --As<CountState>(state)->n;
@@ -132,7 +153,7 @@ class CountStarFunction : public WithInlineState<CountState> {
 
 // ---------------------------------------------------------------- COUNT(x)
 
-class CountFunction : public WithInlineState<CountState> {
+class CountFunction : public WithMergeKernel<CountState, CountFunction> {
  public:
   const std::string& name() const override {
     static const std::string kName = "count";
@@ -172,10 +193,7 @@ class CountFunction : public WithInlineState<CountState> {
   size_t FinalBatch(const AggFinalBatch& b) const override {
     return FinalCounts(b);
   }
-  Status Merge(AggState* dst, const AggState* src) const override {
-    As<CountState>(dst)->n += As<CountState>(src)->n;
-    return Status::OK();
-  }
+  void MergeState(CountState& d, const CountState& s) const { d.n += s.n; }
   Status Remove(AggState* state, const Value* args, size_t) const override {
     if (!args[0].is_special()) --As<CountState>(state)->n;
     return Status::OK();
@@ -249,7 +267,7 @@ std::string Int128ToString(__int128 v) {
   return digits;
 }
 
-class SumFunction : public WithInlineState<SumState> {
+class SumFunction : public WithMergeKernel<SumState, SumFunction> {
  public:
   const std::string& name() const override {
     static const std::string kName = "sum";
@@ -365,20 +383,17 @@ class SumFunction : public WithInlineState<SumState> {
       return PutFloat64(b, i, static_cast<double>(s.sum_i) + SumFloatPart(s));
     });
   }
-  Status Merge(AggState* dst, const AggState* src) const override {
-    auto* d = As<SumState>(dst);
-    const auto* s = As<SumState>(src);
-    if (__builtin_add_overflow(d->sum_i, s->sum_i, &d->sum_i)) {
-      d->wide_overflow = true;
+  void MergeState(SumState& d, const SumState& s) const {
+    if (__builtin_add_overflow(d.sum_i, s.sum_i, &d.sum_i)) {
+      d.wide_overflow = true;
     }
-    d->wide_overflow = d->wide_overflow || s->wide_overflow;
-    d->sum_d += s->sum_d;
-    d->n += s->n;
-    d->n_float += s->n_float;
-    d->n_nan += s->n_nan;
-    d->n_pinf += s->n_pinf;
-    d->n_ninf += s->n_ninf;
-    return Status::OK();
+    d.wide_overflow = d.wide_overflow || s.wide_overflow;
+    d.sum_d += s.sum_d;
+    d.n += s.n;
+    d.n_float += s.n_float;
+    d.n_nan += s.n_nan;
+    d.n_pinf += s.n_pinf;
+    d.n_ninf += s.n_ninf;
   }
   Status Remove(AggState* state, const Value* args, size_t) const override {
     if (args[0].is_special()) return Status::OK();
@@ -451,7 +466,8 @@ struct ExtremeState : AggState {
 
 // MIN/MAX: distributive for SELECT and INSERT, holistic for DELETE — the
 // paper's Section 6 example of the orthogonal maintenance hierarchy.
-class ExtremeFunction : public WithInlineState<ExtremeState> {
+class ExtremeFunction
+    : public WithMergeKernel<ExtremeState, ExtremeFunction> {
  public:
   explicit ExtremeFunction(bool is_max)
       : is_max_(is_max), name_(is_max ? "max" : "min") {}
@@ -538,10 +554,13 @@ class ExtremeFunction : public WithInlineState<ExtremeState> {
              PutFloat64(b, i, s.best.float64_value());
     });
   }
-  Status Merge(AggState* dst, const AggState* src) const override {
-    const auto* s = As<ExtremeState>(src);
-    if (s->has_value) Iter1(dst, s->best);
-    return Status::OK();
+  // Iter of the source's extreme, if it has one.
+  void MergeState(ExtremeState& d, const ExtremeState& s) const {
+    if (!s.has_value || s.best.is_special()) return;
+    if (!d.has_value || Better(s.best, d.best)) {
+      d.best = s.best;
+      d.has_value = true;
+    }
   }
   bool InsertMightChange(const AggState* state, const Value* args,
                          size_t) const override {
@@ -611,7 +630,7 @@ double AvgNumeratorPart(const AvgState& s) {
 
 // The paper's canonical algebraic function: scratchpad is the (sum, count)
 // pair; H() divides.
-class AvgFunction : public WithInlineState<AvgState> {
+class AvgFunction : public WithMergeKernel<AvgState, AvgFunction> {
  public:
   const std::string& name() const override {
     static const std::string kName = "avg";
@@ -692,15 +711,12 @@ class AvgFunction : public WithInlineState<AvgState> {
                                   static_cast<double>(s.n));
     });
   }
-  Status Merge(AggState* dst, const AggState* src) const override {
-    auto* d = As<AvgState>(dst);
-    const auto* s = As<AvgState>(src);
-    d->sum += s->sum;
-    d->n += s->n;
-    d->n_nan += s->n_nan;
-    d->n_pinf += s->n_pinf;
-    d->n_ninf += s->n_ninf;
-    return Status::OK();
+  void MergeState(AvgState& d, const AvgState& s) const {
+    d.sum += s.sum;
+    d.n += s.n;
+    d.n_nan += s.n_nan;
+    d.n_pinf += s.n_pinf;
+    d.n_ninf += s.n_ninf;
   }
   Status Remove(AggState* state, const Value* args, size_t) const override {
     if (args[0].is_special()) return Status::OK();

@@ -113,10 +113,6 @@ class CellStore {
   /// Block for `key`, creating (header + InitAt per slot) if absent.
   char* FindOrInsert(const uint64_t* key, bool* inserted = nullptr);
 
-  /// Inserts a deep copy of `src_block` (from any store sharing the same
-  /// layout) under `key`, which must be absent.
-  char* InsertClone(const uint64_t* key, const char* src_block);
-
   /// Adopts an existing block (allocated from this store's arena) under
   /// `key`, which must be absent.
   void InsertAdopt(const uint64_t* key, char* block);
@@ -208,8 +204,8 @@ struct ColumnarContext {
 
   /// Resolved batch-kernel gate. BuildColumnarContext seeds it from the
   /// DATACUBE_SCALAR_KERNELS environment hatch; ExecuteCube overrides it
-  /// from CubeOptions::use_batch_kernels. When false every scan stays on
-  /// the per-row IterRow path.
+  /// from CubeOptions::use_batch_kernels. When false, BatchIterRows and
+  /// MergeCells replay every aggregate through scalar Iter and Merge.
   bool use_batch = true;
   /// Prebuilt per-aggregate argument descriptors for IterBatch (typed
   /// buffers + state codes where the argument is a plain column reference,
@@ -256,11 +252,10 @@ struct ColumnarContext {
   char* NewBlock(CellArena& arena, CellStore::Stats* stats) const;
 
   // Cell operations: fold row `row` into a cell (one Iter per aggregate,
-  // first row becomes the cell's repr_row), un-apply it (the maintenance
-  // path), or merge another cell's scratchpads in (Iter_super).
+  // first row becomes the cell's repr_row) or un-apply it (the maintenance
+  // path). Merging cells (Iter_super) is MergeCells, below.
   void IterRow(char* block, size_t row, CubeStats* stats) const;
   Status RemoveRow(char* block, size_t row) const;
-  Status MergeCell(char* dst, const char* src, CubeStats* stats) const;
 
   /// Batched IterRow over n (row, cell) pairs: one header sweep, then one
   /// IterBatch call per aggregate over the whole morsel (scalar Iter
@@ -278,6 +273,17 @@ struct ColumnarContext {
 inline constexpr size_t kBatchRows = 2048;
 
 Result<ColumnarContext> BuildColumnarContext(const CubeContext& ctx);
+
+/// Iter_super, the one cell-merge entry: cell dst_blocks[i] of `dst`
+/// absorbs cell src_blocks[i] of `src`, i in [0, n), in position order.
+/// Destination aggregate a merges source aggregate src_aggs[a] (a when
+/// null). Headers merge first, then each aggregate makes one MergeBatch
+/// call, or replays scalar Merge when it has no kernel or dst.use_batch is
+/// off. Returns the first failure in cell-major order, as n cell-at-a-time
+/// merges would.
+Status MergeCells(const ColumnarContext& dst, char* const* dst_blocks,
+                  const ColumnarContext& src, const char* const* src_blocks,
+                  const size_t* src_aggs, size_t n, CubeStats* stats);
 
 /// Hash-aggregates the input into a flat table of `set` cells: one GROUP BY
 /// scan, the primitive behind UnionGroupBy, the core of FromCore and the
@@ -351,44 +357,57 @@ struct FoldSink {
 Result<std::unique_ptr<FoldSink>> MakeFoldSink(const Schema& schema,
                                                CubeSpec spec);
 
-/// The cross-context cell fold: merges the cells of stores under a source
-/// context into a FoldSink without decoding a key. Each mapped source
-/// dictionary is translated into sink codes once; every cell is then
-/// repacked field by field, resolved with BatchUpsert and merged state by
-/// state. Sources are read through ForEach only (never Find, whose probe
-/// counters are unsynchronized), so a shared, immutable source store may
-/// feed any number of concurrent folds.
+/// A fold destination: a store and the grouping set its keys keep (keys
+/// outside it read ALL).
+struct FoldTarget {
+  CellStore* store;
+  GroupingSet set;
+};
+
+/// The Iter_super primitive under every cascade, partition merge, ancestor
+/// fold, stored-cube answer and merged read: one read of a source store, in
+/// kBatchRows chunks, feeds every target. Per chunk the kept cells' keys
+/// are mapped into the destination codec once, masked per target, resolved
+/// with BatchUpsert and merged with MergeCells, so each target cell folds
+/// its source cells in ForEach order. An empty target of an unfiltered fold
+/// is presized to min(Π C_k over its set, source cells). Sources are read
+/// through ForEach only (never Find, whose probe counters are mutable), so
+/// a shared, immutable store may feed concurrent folds.
 class CellFold {
  public:
-  /// Sink key k reads source key keys[k]; sink aggregate a merges source
-  /// aggregate aggs[a], whose state type must be the same. Grows the sink's
-  /// dictionaries with every value of the mapped source columns, re-keying
-  /// its stores when a code outgrows its field.
+  /// A fold within one context: target keys are source keys, masked.
+  explicit CellFold(const ColumnarContext& cc);
+
+  /// A fold into a FoldSink without decoding a key: sink key k reads source
+  /// key keys[k], sink aggregate a merges source aggregate aggs[a] (same
+  /// state type; aggregate a when `aggs` is empty). Translates each mapped
+  /// source dictionary into sink codes once, growing the sink's
+  /// dictionaries (and re-keying its stores).
   CellFold(const ColumnarContext& src, FoldSink& sink, std::vector<size_t> keys,
            std::vector<size_t> aggs);
-
-  /// The identity mapping of `n` keys or aggregates (same-spec contexts).
-  static std::vector<size_t> Identity(size_t n);
 
   /// Keeps only the source cells whose key `src_key` holds `code`.
   void Require(size_t src_key, uint64_t code) {
     required_.emplace_back(src_key, code);
   }
 
-  /// Merges every kept cell of `from`, a store of the source context, into
-  /// sink store `s`. Sink keys outside sink.ctx.sets[s] stay ALL, so `from`
-  /// may be any view covering that set and the required keys.
-  Status Into(const CellStore& from, size_t s, CubeStats* stats = nullptr);
+  /// Merges every kept cell of `from` (a source store covering the targets'
+  /// sets and the required keys) into each target.
+  Status Into(const CellStore& from, const std::vector<FoldTarget>& targets,
+              CubeStats* stats = nullptr);
 
  private:
   const ColumnarContext& src_;
-  FoldSink& sink_;
-  std::vector<size_t> keys_;
+  const ColumnarContext& dst_;
+  std::vector<size_t> keys_;  // empty within one context
   std::vector<size_t> aggs_;
   /// codes_[k][source code] = sink code of sink key k.
   std::vector<std::vector<uint64_t>> codes_;
   std::vector<std::pair<size_t, uint64_t>> required_;
 };
+
+/// Cells across a sink's stores.
+size_t SinkCells(const FoldSink& sink);
 
 /// Builds the result relation from flat stores (Section 3's relational
 /// form: ALL/NULL marking, decorations, GROUPING columns, the empty
@@ -397,7 +416,8 @@ class CellFold {
 /// columns: by the Value order of the key tuple (NULL, then ALL, then
 /// concrete values), ties in grouping-set order, then store order — the
 /// order a stable SortTable of the store-order result produces, obtained by
-/// sorting packed dictionary-code ranks instead of Values.
+/// sorting packed dictionary-code ranks instead of Values. Traced as an
+/// "assemble" span carrying the cells read and the rows written.
 Result<Table> AssembleColumnarResult(const ColumnarContext& cc,
                                      const SetStores& stores, bool ordered,
                                      CubeStats* stats);

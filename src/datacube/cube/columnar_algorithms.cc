@@ -62,31 +62,18 @@ Result<SetStores> ColumnarNaive2N(const ColumnarContext& cc,
     maps.push_back(cc.MakeStore());
     masks.push_back(cc.codec.MaskForSet(set));
   }
-  if (cc.use_batch) {
-    // Batched 2^N: chunk the scan and run the two-phase dispatch once per
-    // set per chunk. Same single input scan, same per-set stores — only
-    // the (independent) per-store fold order changes.
-    std::vector<uint64_t> masked(kBatchRows * cc.words);
-    std::vector<char*> blocks(kBatchRows);
-    for (size_t row = 0; row < ctx.num_rows(); row += kBatchRows) {
-      DATACUBE_RETURN_IF_ERROR(ctx.ControlStatus());
-      size_t n = std::min(kBatchRows, ctx.num_rows() - row);
-      for (size_t s = 0; s < ctx.sets.size(); ++s) {
-        KeyCodec::MaskKeysBatch(cc.RowKey(row), n, cc.words, masks[s].data(),
-                                masked.data());
-        maps[s].BatchUpsert(masked.data(), n, blocks.data());
-        cc.BatchIterRows(blocks.data(), nullptr, row, n, stats);
-      }
-    }
-  } else {
-    std::vector<uint64_t> key(cc.words);
-    for (size_t row = 0; row < ctx.num_rows(); ++row) {
-      if ((row & 0xFFFF) == 0) DATACUBE_RETURN_IF_ERROR(ctx.ControlStatus());
-      const uint64_t* rk = cc.RowKey(row);
-      for (size_t s = 0; s < ctx.sets.size(); ++s) {
-        MaskKey(rk, masks[s], key.data());
-        cc.IterRow(maps[s].FindOrInsert(key.data()), row, stats);
-      }
+  // Chunk the single input scan and run the two-phase dispatch once per
+  // set per chunk: each store still folds its rows in input order.
+  std::vector<uint64_t> masked(kBatchRows * cc.words);
+  std::vector<char*> blocks(kBatchRows);
+  for (size_t row = 0; row < ctx.num_rows(); row += kBatchRows) {
+    DATACUBE_RETURN_IF_ERROR(ctx.ControlStatus());
+    size_t n = std::min(kBatchRows, ctx.num_rows() - row);
+    for (size_t s = 0; s < ctx.sets.size(); ++s) {
+      KeyCodec::MaskKeysBatch(cc.RowKey(row), n, cc.words, masks[s].data(),
+                              masked.data());
+      maps[s].BatchUpsert(masked.data(), n, blocks.data());
+      cc.BatchIterRows(blocks.data(), nullptr, row, n, stats);
     }
   }
   if (stats != nullptr) ++stats->input_scans;
@@ -111,64 +98,60 @@ Result<SetStores> ColumnarUnionGroupBy(const ColumnarContext& cc,
 
 // Cascade over the smallest-parent lattice plan. `core`, when given, seeds
 // the full grouping set (the sort-based core); a node without a computed
-// parent is grouped directly from base data.
+// parent is grouped directly from base data. Each computed node is then
+// read once to fold all of its children (CellFold).
 Result<SetStores> ColumnarCascadeFromCore(const ColumnarContext& cc,
                                           std::optional<CellStore> core,
                                           CubeStats* stats) {
   const CubeContext& ctx = *cc.ctx;
   LatticePlan plan = PlanLattice(ctx.sets, cc.codec.Cardinalities());
   // PlanLattice normalizes to the same canonical order as ctx.sets, so node
-  // i corresponds to ctx.sets[i].
+  // i corresponds to ctx.sets[i], and a parent comes before its children.
   SetStores maps;
   maps.reserve(ctx.sets.size());
   for (size_t i = 0; i < ctx.sets.size(); ++i) maps.push_back(cc.MakeStore());
+  std::vector<std::vector<size_t>> children(plan.nodes.size());
+  for (size_t i = 0; i < plan.nodes.size(); ++i) {
+    if (plan.nodes[i].parent >= 0) {
+      children[static_cast<size_t>(plan.nodes[i].parent)].push_back(i);
+    }
+  }
   GroupingSet full = FullSet(ctx.num_keys);
-  std::vector<uint64_t> key(cc.words);
+  CellFold fold(cc);
   for (size_t i = 0; i < plan.nodes.size(); ++i) {
     DATACUBE_RETURN_IF_ERROR(ctx.ControlStatus());
     const LatticePlan::Node& node = plan.nodes[i];
-    obs::ScopedSpan span("compute_set");
-    if (span.active()) {
-      span.Attr("set", GroupingSetToString(node.set, ctx.key_names));
-      span.Attr("est_cells", node.est_cells);
-    }
-    if (node.set == full && core.has_value()) {
-      maps[i] = std::move(*core);
-      core.reset();
-      if (span.active()) {
-        span.Attr("source", "precomputed core");
-        span.Attr("cells", static_cast<uint64_t>(maps[i].size()));
-      }
-      continue;
-    }
     if (node.parent < 0) {
-      maps[i] = FlatGroupBy(cc, node.set, stats);
+      obs::ScopedSpan span("compute_set");
+      const bool seeded = node.set == full && core.has_value();
+      if (seeded) {
+        maps[i] = std::move(*core);
+        core.reset();
+      } else {
+        maps[i] = FlatGroupBy(cc, node.set, stats);
+      }
       if (span.active()) {
-        span.Attr("source", "base scan");
+        span.Attr("set", GroupingSetToString(node.set, ctx.key_names));
+        span.Attr("est_cells", node.est_cells);
+        span.Attr("source", seeded ? "precomputed core" : "base scan");
         span.Attr("cells", static_cast<uint64_t>(maps[i].size()));
       }
-      continue;
     }
-    const CellStore& parent_cells = maps[static_cast<size_t>(node.parent)];
-    CellStore& cells = maps[i];
-    std::vector<uint64_t> mask = cc.codec.MaskForSet(node.set);
-    Status merge_status = Status::OK();
-    parent_cells.ForEach([&](const uint64_t* parent_key,
-                             const char* parent_block) {
-      MaskKey(parent_key, mask, key.data());
-      Status st = cc.MergeCell(cells.FindOrInsert(key.data()), parent_block,
-                               stats);
-      if (!st.ok() && merge_status.ok()) merge_status = st;
-    });
-    DATACUBE_RETURN_IF_ERROR(merge_status);
+    if (children[i].empty()) continue;
+    obs::ScopedSpan span("compute_set");
+    std::vector<FoldTarget> targets;
+    for (size_t c : children[i]) {
+      targets.push_back({&maps[c], plan.nodes[c].set});
+    }
+    DATACUBE_RETURN_IF_ERROR(fold.Into(maps[i], targets, stats));
     if (span.active()) {
-      span.Attr("source",
-                "merge from " +
-                    GroupingSetToString(
-                        plan.nodes[static_cast<size_t>(node.parent)].set,
-                        ctx.key_names));
-      span.Attr("parent_cells", static_cast<uint64_t>(parent_cells.size()));
-      span.Attr("cells", static_cast<uint64_t>(cells.size()));
+      uint64_t cells = 0;
+      for (const FoldTarget& t : targets) cells += t.store->size();
+      span.Attr("source", "merge from " + GroupingSetToString(
+                                              node.set, ctx.key_names));
+      span.Attr("sets", static_cast<uint64_t>(targets.size()));
+      span.Attr("parent_cells", static_cast<uint64_t>(maps[i].size()));
+      span.Attr("cells", cells);
     }
   }
   DATACUBE_RETURN_IF_ERROR(ctx.ControlStatus());
@@ -336,8 +319,9 @@ Result<SetStores> ColumnarSortRollup(const ColumnarContext& cc,
         MaskKey(o.key.data(), masks[j + 1], open[j + 1].key.data());
         open[j + 1].block = maps[j + 1].FindOrInsert(open[j + 1].key.data());
       }
+      const char* src = o.block;
       DATACUBE_RETURN_IF_ERROR(
-          cc.MergeCell(open[j + 1].block, o.block, stats));
+          MergeCells(cc, &open[j + 1].block, cc, &src, nullptr, 1, stats));
     }
     o.block = nullptr;
     return Status::OK();
@@ -494,35 +478,22 @@ Result<SetStores> ColumnarArrayCube(const ColumnarContext& cc,
     return array[idx];
   };
 
-  // Fill the core.
-  if (cc.use_batch) {
-    // Dense addressing replaces the hash probe; the aggregate sweep still
-    // batches, touching each row's block once then dispatching per
-    // aggregate.
-    std::vector<char*> blocks(kBatchRows);
-    for (size_t row = 0; row < ctx.num_rows(); row += kBatchRows) {
-      DATACUBE_RETURN_IF_ERROR(ctx.ControlStatus());
-      size_t n = std::min(kBatchRows, ctx.num_rows() - row);
-      for (size_t i = 0; i < n; ++i) {
-        const uint64_t* rk = cc.RowKey(row + i);
-        size_t idx = 0;
-        for (size_t k = 0; k < ctx.num_keys; ++k) {
-          idx += dense_of(k, cc.codec.CodeAt(rk, k)) * stride[k];
-        }
-        blocks[i] = touch(idx);
-      }
-      cc.BatchIterRows(blocks.data(), nullptr, row, n, stats);
-    }
-  } else {
-    for (size_t row = 0; row < ctx.num_rows(); ++row) {
-      if ((row & 0xFFFF) == 0) DATACUBE_RETURN_IF_ERROR(ctx.ControlStatus());
-      const uint64_t* rk = cc.RowKey(row);
+  // Fill the core. Dense addressing replaces the hash probe; the aggregate
+  // sweep still batches, touching each row's block once then dispatching
+  // per aggregate.
+  std::vector<char*> blocks(kBatchRows);
+  for (size_t row = 0; row < ctx.num_rows(); row += kBatchRows) {
+    DATACUBE_RETURN_IF_ERROR(ctx.ControlStatus());
+    size_t n = std::min(kBatchRows, ctx.num_rows() - row);
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t* rk = cc.RowKey(row + i);
       size_t idx = 0;
       for (size_t k = 0; k < ctx.num_keys; ++k) {
         idx += dense_of(k, cc.codec.CodeAt(rk, k)) * stride[k];
       }
-      cc.IterRow(touch(idx), row, stats);
+      blocks[i] = touch(idx);
     }
+    cc.BatchIterRows(blocks.data(), nullptr, row, n, stats);
   }
   if (stats != nullptr) ++stats->input_scans;
 
@@ -558,8 +529,10 @@ Result<SetStores> ColumnarArrayCube(const ColumnarContext& cc,
         size_t child_idx =
             parent_idx + (dims[best_d].all_idx - coord[best_d]) *
                              stride[best_d];
+        char* child = touch(child_idx);
+        const char* parent_block = array[parent_idx];
         DATACUBE_RETURN_IF_ERROR(
-            cc.MergeCell(touch(child_idx), array[parent_idx], stats));
+            MergeCells(cc, &child, cc, &parent_block, nullptr, 1, stats));
       }
       size_t pos = 0;
       for (; pos < grouped_dims.size(); ++pos) {
@@ -746,6 +719,7 @@ std::vector<size_t> KeyOrder(const ColumnarContext& cc,
 Result<Table> AssembleColumnarResult(const ColumnarContext& cc,
                                      const SetStores& stores, bool ordered,
                                      CubeStats* stats) {
+  obs::ScopedSpan span("assemble");
   const CubeContext& ctx = *cc.ctx;
   std::vector<CellRef> cells;
   size_t total_cells = 0;
@@ -773,6 +747,10 @@ Result<Table> AssembleColumnarResult(const ColumnarContext& cc,
     sorted.reserve(cells.size());
     for (size_t i : order) sorted.push_back(cells[i]);
     cells = std::move(sorted);
+  }
+  if (span.active()) {
+    span.Attr("cells_read", static_cast<uint64_t>(total_cells));
+    span.Attr("cells_written", static_cast<uint64_t>(cells.size()));
   }
   return AssembleCellTable(cc, cells, ResultForm::kCube, stats);
 }

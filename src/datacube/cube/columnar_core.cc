@@ -234,13 +234,7 @@ char* CellStore::Find(const uint64_t* key) const {
 
 char* CellStore::InsertAtSlot(size_t slot, const uint64_t* key) {
   std::memcpy(keys_.data() + slot * words_, key, words_ * sizeof(uint64_t));
-  char* block = arena_->Alloc();
-  ::new (block) CellHeader();
-  const std::vector<AggregateFunctionPtr>& aggs = cc_->ctx->aggs;
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    aggs[a]->InitAt(block + cc_->layout.slots[a].offset);
-  }
-  stats_.heap_state_allocs += cc_->layout.num_compat;
+  char* block = cc_->NewBlock(*arena_, &stats_);
   blocks_[slot] = block;
   ++size_;
   return block;
@@ -286,24 +280,6 @@ void CellStore::BatchUpsert(const uint64_t* keys, size_t n,
     size_t slot = ProbeWithHash(batch_hash_[i], key, &found);
     out_blocks[i] = found ? blocks_[slot] : InsertAtSlot(slot, key);
   }
-}
-
-char* CellStore::InsertClone(const uint64_t* key, const char* src_block) {
-  if (cap_ == 0 || (size_ + 1) * 10 > cap_ * 7) Grow();
-  bool found;
-  size_t i = ProbeFor(key, &found);
-  std::memcpy(keys_.data() + i * words_, key, words_ * sizeof(uint64_t));
-  char* block = arena_->Alloc();
-  ::new (block) CellHeader(*ColumnarContext::Header(src_block));
-  const std::vector<AggregateFunctionPtr>& aggs = cc_->ctx->aggs;
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    size_t offset = cc_->layout.slots[a].offset;
-    aggs[a]->CloneAt(src_block + offset, block + offset);
-  }
-  stats_.heap_state_allocs += cc_->layout.num_compat;
-  blocks_[i] = block;
-  ++size_;
-  return block;
 }
 
 void CellStore::InsertAdopt(const uint64_t* key, char* block) {
@@ -516,9 +492,12 @@ void ColumnarContext::BatchIterRows(char* const* blocks, const uint32_t* rows,
     batch.slot_offset = layout.slots[a].offset;
     batch.args = batch_args[a].data();
     batch.nargs = batch_args[a].size();
-    if (layout.slots[a].is_inline && aggs[a]->IterBatch(batch)) continue;
+    if (use_batch && layout.slots[a].is_inline && aggs[a]->IterBatch(batch)) {
+      continue;
+    }
     // Scalar replay: aggregates without a batch kernel (holistic,
-    // DISTINCT-wrapped, UDAs) keep the exact per-row protocol.
+    // DISTINCT-wrapped, UDAs), or every aggregate under the scalar gate,
+    // keep the exact per-row protocol.
     const size_t nargs = ctx->agg_args[a].size();
     for (size_t i = 0; i < n; ++i) {
       size_t row = rows != nullptr ? rows[i] : base + i;
@@ -538,24 +517,6 @@ Status ColumnarContext::RemoveRow(char* block, size_t row) const {
   return Status::OK();
 }
 
-Status ColumnarContext::MergeCell(char* dst, const char* src,
-                                  CubeStats* stats) const {
-  CellHeader* dh = Header(dst);
-  const CellHeader* sh = Header(src);
-  if (!dh->has_repr && sh->has_repr) {
-    dh->repr_row = sh->repr_row;
-    dh->has_repr = true;
-  }
-  dh->count += sh->count;
-  const std::vector<AggregateFunctionPtr>& aggs = ctx->aggs;
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    DATACUBE_RETURN_IF_ERROR(
-        aggs[a]->Merge(StateOf(dst, a), StateOf(src, a)));
-  }
-  if (stats != nullptr) stats->merge_calls += aggs.size();
-  return Status::OK();
-}
-
 CellStore FlatGroupBy(const ColumnarContext& cc, GroupingSet set,
                       CubeStats* stats) {
   obs::ScopedSpan span("flat_group_by");
@@ -563,39 +524,20 @@ CellStore FlatGroupBy(const ColumnarContext& cc, GroupingSet set,
   std::vector<uint64_t> mask = cc.codec.MaskForSet(set);
   size_t num_rows = cc.ctx->num_rows();
   uint64_t before_rehashes = cells.stats().rehashes;
-  // Interruption: break out chunk-wise when the execution's control has
-  // tripped. The partial store is discarded by the caller, which polls
-  // ControlStatus() at the next set/node boundary and unwinds with the error.
-  constexpr size_t kControlChunkMask = 0xFFFF;
-  if (cc.use_batch) {
-    // Two-phase batched dispatch, kBatchRows rows at a time: mask the
-    // packed keys in one sweep, resolve them all to cell blocks
-    // (BatchUpsert), then run one IterBatch per aggregate over the chunk.
-    std::vector<uint64_t> masked(kBatchRows * cc.words);
-    std::vector<char*> blocks(kBatchRows);
-    for (size_t row = 0; row < num_rows; row += kBatchRows) {
-      if (cc.ctx->Interrupted()) break;
-      size_t n = std::min(kBatchRows, num_rows - row);
-      KeyCodec::MaskKeysBatch(cc.RowKey(row), n, cc.words, mask.data(),
-                              masked.data());
-      cells.BatchUpsert(masked.data(), n, blocks.data());
-      cc.BatchIterRows(blocks.data(), nullptr, row, n, stats);
-    }
-  } else if (cc.words == 1) {
-    uint64_t m = mask[0];
-    for (size_t row = 0; row < num_rows; ++row) {
-      if ((row & kControlChunkMask) == 0 && cc.ctx->Interrupted()) break;
-      uint64_t key = cc.row_keys[row] & m;
-      cc.IterRow(cells.FindOrInsert(&key), row, stats);
-    }
-  } else {
-    std::vector<uint64_t> key(cc.words);
-    for (size_t row = 0; row < num_rows; ++row) {
-      if ((row & kControlChunkMask) == 0 && cc.ctx->Interrupted()) break;
-      const uint64_t* rk = cc.RowKey(row);
-      for (size_t w = 0; w < cc.words; ++w) key[w] = rk[w] & mask[w];
-      cc.IterRow(cells.FindOrInsert(key.data()), row, stats);
-    }
+  // Two-phase batched dispatch, kBatchRows rows at a time: mask the packed
+  // keys in one sweep, resolve them all to cell blocks (BatchUpsert), then
+  // run one IterBatch per aggregate over the chunk. Interruption breaks out
+  // chunk-wise; the caller discards the partial store when it polls
+  // ControlStatus() at the next set/node boundary.
+  std::vector<uint64_t> masked(kBatchRows * cc.words);
+  std::vector<char*> blocks(kBatchRows);
+  for (size_t row = 0; row < num_rows; row += kBatchRows) {
+    if (cc.ctx->Interrupted()) break;
+    size_t n = std::min(kBatchRows, num_rows - row);
+    KeyCodec::MaskKeysBatch(cc.RowKey(row), n, cc.words, mask.data(),
+                            masked.data());
+    cells.BatchUpsert(masked.data(), n, blocks.data());
+    cc.BatchIterRows(blocks.data(), nullptr, row, n, stats);
   }
   if (stats != nullptr) {
     ++stats->input_scans;

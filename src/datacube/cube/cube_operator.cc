@@ -364,7 +364,6 @@ Result<CubeResult> ExecuteCube(const Table& input, const CubeSpec& spec,
       }
     }
     cube_internal::FlushStoreStats(stores.value(), &stats);
-    obs::ScopedSpan assemble_span("assemble_result");
     return cube_internal::AssembleColumnarResult(
         cc, stores.value(), /*ordered=*/options.sort_result, &stats);
   }();

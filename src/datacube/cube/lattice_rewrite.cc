@@ -50,22 +50,6 @@ size_t SmallestAncestor(const std::vector<GroupingSet>& views,
   return best;
 }
 
-Result<CellStore> FoldAncestor(const ColumnarContext& cc,
-                               const CellStore& parent, GroupingSet target,
-                               CubeStats* stats) {
-  std::vector<uint64_t> mask = cc.codec.MaskForSet(target);
-  std::vector<uint64_t> key(cc.words);
-  CellStore folded = cc.MakeStore();
-  Status merge_status = Status::OK();
-  parent.ForEach([&](const uint64_t* pkey, char* pblock) {
-    for (size_t w = 0; w < mask.size(); ++w) key[w] = pkey[w] & mask[w];
-    Status st = cc.MergeCell(folded.FindOrInsert(key.data()), pblock, stats);
-    if (!st.ok() && merge_status.ok()) merge_status = st;
-  });
-  DATACUBE_RETURN_IF_ERROR(merge_status);
-  return folded;
-}
-
 size_t ResolveMaterializeBudget(const CubeOptions& options) {
   if (options.materialize_budget_bytes > 0) {
     return options.materialize_budget_bytes;
@@ -162,8 +146,10 @@ Result<SetStores> FoldSelectedToRequested(
     }
     const CellStore& parent = selected_stores[best];
     obs::ScopedSpan fold_span("ancestor_fold");
-    DATACUBE_ASSIGN_OR_RETURN(CellStore folded,
-                              FoldAncestor(cc, parent, target, stats));
+    // Distributive/algebraic super-aggregates never need base data (§3).
+    CellStore folded = cc.MakeStore();
+    DATACUBE_RETURN_IF_ERROR(
+        CellFold(cc).Into(parent, {FoldTarget{&folded, target}}, stats));
     ps.answered_from = static_cast<int64_t>(views[best]);
     ++stats->lattice_ancestor_folds;
     stats->lattice_fold_cells += parent.size();

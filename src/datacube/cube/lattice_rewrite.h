@@ -57,13 +57,6 @@ LatticeByteCostModel ByteCostModel(const ColumnarContext& cc);
 size_t SmallestAncestor(const std::vector<GroupingSet>& views,
                         const SetStores& stores, GroupingSet target);
 
-/// Folds `parent`, a store of a superset of `target`, into `target`'s
-/// cells: keys masked, blocks merged (Iter_super) — distributive/algebraic
-/// super-aggregates never need base data (§3).
-Result<CellStore> FoldAncestor(const ColumnarContext& cc,
-                               const CellStore& parent, GroupingSet target,
-                               CubeStats* stats);
-
 /// The effective byte budget: the CubeOptions field wins; otherwise
 /// DATACUBE_MATERIALIZE_BUDGET (decimal bytes) applies process-wide. 0 = no
 /// budget.
@@ -77,7 +70,7 @@ Result<LatticeRewritePlan> PlanLatticeRewrite(const CubeContext& ctx,
 
 /// Serves every requested set from the materialized selection:
 /// directly-materialized sets adopt their store; every other set is folded
-/// (FoldAncestor) from its SmallestAncestor; a set with no usable ancestor
+/// (CellFold) from its SmallestAncestor; a set with no usable ancestor
 /// — impossible when the core was selected, kept as a safety net —
 /// recomputes from base
 /// data. Fills stats->per_set provenance (answered_from / materialized) and

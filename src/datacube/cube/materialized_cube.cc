@@ -624,10 +624,10 @@ Result<Table> MaterializedCube::Query(GroupingSet target) {
               static_cast<uint64_t>(last_stats_.cells_scanned));
   }
   PublishQueryStats(last_stats_);
-  CellStore folded;
+  CellStore folded = cc_.MakeStore();
   if (!direct) {
-    DATACUBE_ASSIGN_OR_RETURN(
-        folded, cube_internal::FoldAncestor(cc_, from, target, nullptr));
+    DATACUBE_RETURN_IF_ERROR(
+        cube_internal::CellFold(cc_).Into(from, {{&folded, target}}));
   }
   const CellStore& cells = direct ? from : folded;
   if (target == 0 && cells.size() == 0) {
@@ -975,6 +975,7 @@ Result<Table> MaterializedCube::Answer(const CubeSpec& spec,
 Status MaterializedCube::FoldAnswer(const Navigation& nav,
                                     cube_internal::FoldSink& sink,
                                     size_t* cells) const {
+  obs::ScopedSpan span("fold");
   DATACUBE_ASSIGN_OR_RETURN(std::vector<AnswerSource> sources,
                             PlanAnswer(sink.spec, nav));
   cube_internal::CellFold fold(cc_, sink, nav.keys, nav.aggs);
@@ -982,12 +983,22 @@ Status MaterializedCube::FoldAnswer(const Navigation& nav,
     // A literal outside the dictionary matches no row; no field holds ~0.
     fold.Require(k, cc_.codec.CodeOf(k, v).value_or(~uint64_t{0}));
   }
-  for (size_t s = 0; s < sources.size(); ++s) {
-    size_t v = static_cast<size_t>(
-        std::find(ctx_.sets.begin(), ctx_.sets.end(), sources[s].view) -
-        ctx_.sets.begin());
-    DATACUBE_RETURN_IF_ERROR(fold.Into(stores_[v], s));
-    *cells += sources[s].cells;
+  size_t read = 0;
+  for (size_t v = 0; v < ctx_.sets.size(); ++v) {
+    std::vector<cube_internal::FoldTarget> targets;
+    for (size_t s = 0; s < sources.size(); ++s) {
+      if (sources[s].view != ctx_.sets[v]) continue;
+      targets.push_back({&sink.stores[s], sink.ctx.sets[s]});
+      *cells += sources[s].cells;
+    }
+    if (targets.empty()) continue;
+    DATACUBE_RETURN_IF_ERROR(fold.Into(stores_[v], targets));
+    read += stores_[v].size();
+  }
+  if (span.active()) {
+    span.Attr("cells_read", static_cast<uint64_t>(read));
+    span.Attr("cells_written",
+              static_cast<uint64_t>(cube_internal::SinkCells(sink)));
   }
   return Status::OK();
 }

@@ -272,12 +272,10 @@ class MaterializedCube {
   /// (PartitionedCube) relies on.
   const cube_internal::ColumnarContext& columnar() const { return cc_; }
 
-  /// The maintained cells of stored view `set_index` (an index into
-  /// views()), keyed under columnar()'s codec. Read-only: callers fold them
-  /// elsewhere (cube_internal::CellFold) and read through ForEach only.
-  const cube_internal::CellStore& view_cells(size_t set_index) const {
-    return stores_[set_index];
-  }
+  /// The maintained cells of each stored view, parallel to views() and
+  /// keyed under columnar()'s codec. Read-only: callers fold them elsewhere
+  /// (cube_internal::CellFold) and read through ForEach only.
+  const cube_internal::SetStores& view_stores() const { return stores_; }
 
   /// Aggregate navigation — answering a GROUP BY from stored aggregates
   /// instead of base rows. A request is a query spec whose grouping key k
@@ -314,7 +312,8 @@ class MaterializedCube {
 
   /// Answer's fold: merges the cells of each PlanAnswer(sink.spec, nav)
   /// view that pass nav.filter into `sink`, a FoldSink for the query spec
-  /// (cube_internal::CellFold), and adds the stored cells read to *cells.
+  /// (cube_internal::CellFold), reading each view once for all the sets it
+  /// answers, and adds the cells PlanAnswer's sources count to *cells.
   /// PartitionedCube::Answer calls it once per window delta.
   Status FoldAnswer(const Navigation& nav, cube_internal::FoldSink& sink,
                     size_t* cells) const;

@@ -44,11 +44,6 @@ constexpr size_t kDefaultMorselRows = 64 * 1024;
 // more than the extra merge parallelism buys.
 constexpr size_t kMaxAutoPartitions = 256;
 
-void MaskKey(const uint64_t* key, const std::vector<uint64_t>& mask,
-             uint64_t* out) {
-  for (size_t w = 0; w < mask.size(); ++w) out[w] = key[w] & mask[w];
-}
-
 // Radix partition of a packed key: the high hash bits, keeping the selector
 // independent of CellStore's low-bit slot index.
 inline size_t PartitionOf(const uint64_t* key, size_t words,
@@ -127,7 +122,7 @@ Result<SetStores> ColumnarParallel(const ColumnarContext& cc,
         // into per-partition row-id buckets, then each bucket's keys are
         // gathered contiguously and probed/swept as one batch. Row ids ride
         // in uint32 group-id vectors, so gate on the input fitting.
-        const bool batch = cc.use_batch && rows <= UINT32_MAX;
+        const bool batch = rows <= UINT32_MAX;
         std::vector<std::vector<uint32_t>> bucket;
         std::vector<uint64_t> gathered;
         std::vector<char*> blocks;
@@ -228,7 +223,10 @@ Result<SetStores> ColumnarParallel(const ColumnarContext& cc,
         CellStore shard = std::move(partials[0][p]);
         CubeStats& my_stats = merge_stats[p];
         Status status = Status::OK();
-        for (size_t t = 1; t < threads; ++t) {
+        CellFold fold(cc);
+        const std::vector<FoldTarget> into = {
+            FoldTarget{&shard, FullSet(ctx.num_keys)}};
+        for (size_t t = 1; t < threads && status.ok(); ++t) {
           CellStore& part = partials[t][p];
           const CellStore::Stats& ps = part.stats();
           shard.MutableStats().probes += ps.probes;
@@ -236,16 +234,8 @@ Result<SetStores> ColumnarParallel(const ColumnarContext& cc,
               std::max(shard.MutableStats().max_probe, ps.max_probe);
           shard.MutableStats().rehashes += ps.rehashes;
           shard.MutableStats().heap_state_allocs += ps.heap_state_allocs;
-          part.ForEach([&](const uint64_t* key, const char* block) {
-            ++cells_absorbed;
-            char* dst = shard.Find(key);
-            if (dst == nullptr) {
-              shard.InsertClone(key, block);
-            } else {
-              Status st = cc.MergeCell(dst, block, &my_stats);
-              if (!st.ok() && status.ok()) status = std::move(st);
-            }
-          });
+          cells_absorbed += part.size();
+          status = fold.Into(part, into, &my_stats);
         }
         my_stats.hash_cells += shard.size();
         if (task_span.active()) {
@@ -260,7 +250,7 @@ Result<SetStores> ColumnarParallel(const ColumnarContext& cc,
     group.Wait();
   }
   double merge_seconds = SecondsSince(merge_start);
-  partials.clear();  // shards from t >= 1 were cloned; release them
+  partials.clear();  // shards from t >= 1 were merged; release them
   for (const Status& st : merge_statuses) {
     DATACUBE_RETURN_IF_ERROR(st);
   }
@@ -313,18 +303,11 @@ Result<SetStores> ColumnarParallel(const ColumnarContext& cc,
       if (node.parent < 0) {
         maps[i] = FlatGroupBy(cc, node.set, &my_stats);
       } else {
-        CellStore& cells = maps[i];
-        std::vector<uint64_t> mask = cc.codec.MaskForSet(node.set);
-        std::vector<uint64_t> key(cc.words);
+        CellFold fold(cc);
         auto fold_from = [&](const CellStore& parent_cells) {
-          parent_cells.ForEach(
-              [&](const uint64_t* parent_key, const char* parent_block) {
-                ++cells_absorbed;
-                MaskKey(parent_key, mask, key.data());
-                Status st = cc.MergeCell(cells.FindOrInsert(key.data()),
-                                         parent_block, &my_stats);
-                if (!st.ok() && status.ok()) status = std::move(st);
-              });
+          cells_absorbed += parent_cells.size();
+          if (!status.ok()) return;
+          status = fold.Into(parent_cells, {{&maps[i], node.set}}, &my_stats);
         };
         if (static_cast<size_t>(node.parent) == full_index) {
           for (const CellStore& shard : core_shards) fold_from(shard);

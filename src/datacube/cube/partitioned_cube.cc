@@ -6,6 +6,7 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -22,9 +23,12 @@ namespace {
 
 using cube_internal::BuildCubeContext;
 using cube_internal::CellFold;
+using cube_internal::ColumnarContext;
 using cube_internal::CubeContext;
 using cube_internal::FoldSink;
+using cube_internal::FoldTarget;
 using cube_internal::ParallelStatusFor;
+using cube_internal::SetStores;
 using cube_internal::TaskGroup;
 using cube_internal::ThreadPool;
 
@@ -79,32 +83,26 @@ CubeSpec CloneSpecExprs(const CubeSpec& spec) {
   return out;
 }
 
-/// Folds every cell of `src` into the sink, a FoldSink for the same spec:
-/// keys, aggregates and grouping sets match one to one, and the state
-/// layout depends only on the aggregate list, so cell blocks are
-/// byte-compatible.
-Status FoldCube(FoldSink& sink, const MaterializedCube& src) {
-  if (src.views() != sink.ctx.sets) {
-    return Status::Internal("partition delta stores other grouping sets");
-  }
-  CellFold fold(src.columnar(), sink, CellFold::Identity(sink.ctx.num_keys),
-                CellFold::Identity(sink.ctx.aggs.size()));
+/// Folds every cell of `stores` (a delta cube's, or a shard sink's, for the
+/// sink's spec: keys, aggregates and sets match one to one) into the sink.
+Status FoldSets(FoldSink& sink, const ColumnarContext& src,
+                const SetStores& stores) {
+  std::vector<size_t> keys(sink.ctx.num_keys);
+  std::iota(keys.begin(), keys.end(), 0);
+  CellFold fold(src, sink, std::move(keys), {});
   for (size_t s = 0; s < sink.ctx.sets.size(); ++s) {
-    DATACUBE_RETURN_IF_ERROR(fold.Into(src.view_cells(s), s));
+    DATACUBE_RETURN_IF_ERROR(fold.Into(
+        stores[s], {FoldTarget{&sink.stores[s], sink.ctx.sets[s]}}));
   }
   return Status::OK();
 }
 
-/// FoldCube's sink-to-sink form: folds every cell of a shard sink into
-/// `dst`. Used by the partition-parallel merged read to combine per-shard
-/// results.
-Status FoldShard(FoldSink& dst, const FoldSink& src) {
-  CellFold fold(src.cc, dst, CellFold::Identity(dst.ctx.num_keys),
-                CellFold::Identity(dst.ctx.aggs.size()));
-  for (size_t s = 0; s < dst.ctx.sets.size(); ++s) {
-    DATACUBE_RETURN_IF_ERROR(fold.Into(src.stores[s], s));
+/// FoldSets of a delta cube for the sink's spec.
+Status FoldCube(FoldSink& sink, const MaterializedCube& src) {
+  if (src.views() != sink.ctx.sets) {
+    return Status::Internal("partition delta stores other grouping sets");
   }
-  return Status::OK();
+  return FoldSets(sink, src.columnar(), src.view_stores());
 }
 
 /// Shards of the partition-parallel merged read. Fixed (never derived from
@@ -717,43 +715,57 @@ Result<Table> PartitionedCube::ToTable() {
     return cube_internal::MakeFoldSink(base_schema_, CloneSpecExprs(*spec_));
   };
   DATACUBE_ASSIGN_OR_RETURN(std::unique_ptr<FoldSink> sink, make_sink());
-  // Fold the (small, mutable) open deltas under the lock; the sealed deltas
-  // fold lock-free below.
-  Pinned pinned = PinWindows(std::nullopt, std::nullopt, /*stats=*/nullptr);
-  for (const MaterializedCube* d : pinned.open) {
-    DATACUBE_RETURN_IF_ERROR(FoldCube(*sink, *d));
-  }
-  pinned.lock.unlock();
-  const std::vector<std::shared_ptr<const MaterializedCube>>& frozen =
-      pinned.frozen;
-  size_t shards = 0;
-  if (frozen.size() >= 2) {
-    // Partition-parallel read: fan the sealed-delta folds over the pool,
-    // one private sink per shard, then combine shard sinks in shard order.
-    // ParallelStatusFor surfaces the first error by shard index, so even
-    // failures are deterministic.
-    shards = std::min(frozen.size(), kMergeReadFanout);
-    std::vector<std::unique_ptr<FoldSink>> shard_sinks(shards);
-    DATACUBE_RETURN_IF_ERROR(ParallelStatusFor(
-        ThreadPool::Global(), shards, [&](size_t i) -> Status {
-          DATACUBE_ASSIGN_OR_RETURN(shard_sinks[i], make_sink());
-          for (size_t d = i; d < frozen.size(); d += shards) {
-            DATACUBE_RETURN_IF_ERROR(FoldCube(*shard_sinks[i], *frozen[d]));
-          }
-          return Status::OK();
-        }));
-    for (size_t i = 0; i < shards; ++i) {
-      DATACUBE_RETURN_IF_ERROR(FoldShard(*sink, *shard_sinks[i]));
-    }
-  } else {
-    for (const std::shared_ptr<const MaterializedCube>& d : frozen) {
+  {
+    obs::ScopedSpan fold_span("fold");
+    size_t cells_read = 0;
+    // Fold the (small, mutable) open deltas under the lock; the sealed
+    // deltas fold lock-free below.
+    Pinned pinned = PinWindows(std::nullopt, std::nullopt, /*stats=*/nullptr);
+    for (const MaterializedCube* d : pinned.open) {
       DATACUBE_RETURN_IF_ERROR(FoldCube(*sink, *d));
+      cells_read += d->materialized_cells();
     }
-  }
-  if (span.active()) {
-    span.Attr("deltas_merged",
-              static_cast<uint64_t>(frozen.size() + pinned.open.size()));
-    span.Attr("merge_shards", static_cast<uint64_t>(shards));
+    pinned.lock.unlock();
+    const std::vector<std::shared_ptr<const MaterializedCube>>& frozen =
+        pinned.frozen;
+    size_t shards = 0;
+    if (frozen.size() >= 2) {
+      // Partition-parallel read: fan the sealed-delta folds over the pool,
+      // one private sink per shard, then combine shard sinks in shard
+      // order. ParallelStatusFor surfaces the first error by shard index,
+      // so even failures are deterministic.
+      shards = std::min(frozen.size(), kMergeReadFanout);
+      std::vector<std::unique_ptr<FoldSink>> shard_sinks(shards);
+      DATACUBE_RETURN_IF_ERROR(ParallelStatusFor(
+          ThreadPool::Global(), shards, [&](size_t i) -> Status {
+            DATACUBE_ASSIGN_OR_RETURN(shard_sinks[i], make_sink());
+            for (size_t d = i; d < frozen.size(); d += shards) {
+              DATACUBE_RETURN_IF_ERROR(FoldCube(*shard_sinks[i], *frozen[d]));
+            }
+            return Status::OK();
+          }));
+      for (size_t i = 0; i < shards; ++i) {
+        DATACUBE_RETURN_IF_ERROR(
+            FoldSets(*sink, shard_sinks[i]->cc, shard_sinks[i]->stores));
+      }
+    } else {
+      for (const std::shared_ptr<const MaterializedCube>& d : frozen) {
+        DATACUBE_RETURN_IF_ERROR(FoldCube(*sink, *d));
+      }
+    }
+    for (const std::shared_ptr<const MaterializedCube>& d : frozen) {
+      cells_read += d->materialized_cells();
+    }
+    if (fold_span.active()) {
+      fold_span.Attr("cells_read", static_cast<uint64_t>(cells_read));
+      fold_span.Attr("cells_written",
+                     static_cast<uint64_t>(cube_internal::SinkCells(*sink)));
+    }
+    if (span.active()) {
+      span.Attr("deltas_merged",
+                static_cast<uint64_t>(frozen.size() + pinned.open.size()));
+      span.Attr("merge_shards", static_cast<uint64_t>(shards));
+    }
   }
   CubeStats stats;
   return AssembleColumnarResult(sink->cc, sink->stores, /*ordered=*/false,

@@ -159,7 +159,8 @@ TEST(CubeContextTest, MergeAccumulatesCounts) {
   cc.IterRow(a, 0, nullptr);
   cc.IterRow(b, 1, nullptr);
   cc.IterRow(b, 2, nullptr);
-  ASSERT_TRUE(cc.MergeCell(a, b, nullptr).ok());
+  const char* src = b;
+  ASSERT_TRUE(MergeCells(cc, &a, cc, &src, nullptr, 1, nullptr).ok());
   EXPECT_EQ(ColumnarContext::Header(a)->count, 3);
   EXPECT_TRUE(ColumnarContext::Header(a)->has_repr);
 }

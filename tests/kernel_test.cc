@@ -3,7 +3,9 @@
 // FLOAT64, plus the Value fallback for strings) is diffed against the
 // scalar per-row Iter path on adversarial buffers — NaN/±inf floats,
 // int64 overflow edges, all-NULL columns, all-duplicate keys, and row
-// counts straddling the morsel boundary. A property test proves the
+// counts straddling the morsel boundary. Every MergeBatch kernel is diffed
+// against scalar Merge on adversarial states, and MergeCells against a
+// cell-at-a-time merge on failing ones. A property test proves the
 // group-id vectors BatchUpsert produces are a permutation-stable partition
 // of the rows, and a counter test pins the per-row probe/iter semantics
 // EXPLAIN ANALYZE depends on.
@@ -17,11 +19,14 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "datacube/agg/registry.h"
+#include "datacube/common/codec.h"
 #include "datacube/cube/columnar.h"
 #include "datacube/cube/cube_internal.h"
 #include "datacube/cube/cube_operator.h"
@@ -572,6 +577,288 @@ TEST(KernelPropertyTest, GroupIdVectorsAreAPermutationStablePartition) {
     EXPECT_EQ(scalar_store.stats().max_probe, store.stats().max_probe);
     for (auto& [key, members] : reference) {
       EXPECT_NE(store.Find(key.data()), nullptr);
+    }
+  }
+}
+
+
+// ------------------------------------------------- merge kernels
+
+// Inline states of one aggregate, each in its own block at slot offset 0,
+// built by replaying Iter over a value sequence or by deserializing a
+// handcrafted blob (states Iter cannot reach, such as a 128-bit overflow).
+class StatePool {
+ public:
+  explicit StatePool(AggregateFunctionPtr fn) : fn_(std::move(fn)) {}
+  StatePool(const StatePool&) = delete;
+  StatePool& operator=(const StatePool&) = delete;
+  ~StatePool() {
+    for (char* block : blocks_) fn_->DestroyAt(block);
+  }
+
+  char* Add(const std::vector<Value>& values) {
+    char* block = NewBlock();
+    fn_->InitAt(block);
+    for (const Value& v : values) fn_->IterAt(block, &v, 1);
+    return block;
+  }
+  char* AddBlob(const std::string& blob) {
+    char* block = NewBlock();
+    size_t pos = 0;
+    Status st = fn_->DeserializeAt(blob, &pos, block);
+    EXPECT_TRUE(st.ok()) << fn_->name() << ": " << st.ToString();
+    if (!st.ok()) fn_->InitAt(block);
+    return block;
+  }
+  // The state's exact contents: SerializeState prints doubles with %.17g,
+  // so the sign of a zero or a NaN shows.
+  std::string Bytes(const char* block) const {
+    std::string out;
+    EXPECT_TRUE(fn_->SerializeAt(block, &out).ok());
+    return out;
+  }
+
+ private:
+  char* NewBlock() {
+    storage_.push_back(std::make_unique<std::max_align_t[]>(
+        fn_->state_size() / sizeof(std::max_align_t) + 1));
+    blocks_.push_back(reinterpret_cast<char*>(storage_.back().get()));
+    return blocks_.back();
+  }
+
+  AggregateFunctionPtr fn_;
+  std::vector<std::unique_ptr<std::max_align_t[]>> storage_;
+  std::vector<char*> blocks_;
+};
+
+std::string SumBlob(int64_t hi, int64_t lo, double sum_d, int64_t n,
+                    int64_t n_float, bool wide_overflow) {
+  std::string out;
+  for (int64_t v : {hi, lo}) EncodeValue(Value::Int64(v), &out);
+  EncodeValue(Value::Float64(sum_d), &out);
+  for (int64_t v : {n, n_float, int64_t{0}, int64_t{0}, int64_t{0}}) {
+    EncodeValue(Value::Int64(v), &out);
+  }
+  EncodeValue(Value::Bool(wide_overflow), &out);
+  return out;
+}
+
+std::string AvgBlob(double sum, int64_t n, int64_t n_nan) {
+  std::string out;
+  EncodeValue(Value::Float64(sum), &out);
+  for (int64_t v : {n, n_nan, int64_t{1}, int64_t{0}}) {
+    EncodeValue(Value::Int64(v), &out);
+  }
+  return out;
+}
+
+// Merges `n` source states into a few destinations — destination 0 at
+// every third position, so one block repeats throughout the batch — once
+// through MergeBatch and once through scalar Merge, from identical
+// starting states, and requires byte-identical destinations.
+void ExpectMergeBatchMatchesMerge(const AggregateFunctionPtr& fn,
+                                  const std::vector<Value>& palette,
+                                  const std::vector<std::string>& blobs,
+                                  size_t n) {
+  const std::string what = fn->name() + " n=" + std::to_string(n);
+  StatePool pool(fn);
+  // Source i replays i % 5 palette values (an empty state every fifth) or,
+  // every seventh, a handcrafted blob.
+  std::vector<const char*> src(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (!blobs.empty() && i % 7 == 3) {
+      src[i] = pool.AddBlob(blobs[(i / 7) % blobs.size()]);
+      continue;
+    }
+    std::vector<Value> values;
+    for (size_t j = 0; j < i % 5; ++j) {
+      values.push_back(palette[(i * 3 + j) % palette.size()]);
+    }
+    src[i] = pool.Add(values);
+  }
+  const size_t num_dst = std::max<size_t>(1, n / 8);
+  std::vector<char*> batch_dst(num_dst), scalar_dst(num_dst);
+  for (size_t d = 0; d < num_dst; ++d) {
+    std::vector<Value> seed(d % 3, palette[d % palette.size()]);
+    batch_dst[d] = pool.Add(seed);
+    scalar_dst[d] = pool.Add(seed);
+  }
+  auto dst_of = [&](size_t i) { return i % 3 == 0 ? 0 : (i * 5) % num_dst; };
+  std::vector<char*> batch_pairs(n);
+  for (size_t i = 0; i < n; ++i) batch_pairs[i] = batch_dst[dst_of(i)];
+  ASSERT_TRUE(fn->MergeBatch({batch_pairs.data(), 0, src.data(), 0, n}))
+      << what;
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(fn->MergeAt(scalar_dst[dst_of(i)], src[i]).ok()) << what;
+  }
+  for (size_t d = 0; d < num_dst; ++d) {
+    EXPECT_EQ(pool.Bytes(batch_dst[d]), pool.Bytes(scalar_dst[d]))
+        << what << " destination " << d;
+  }
+}
+
+TEST(MergeBatchTest, KernelsMatchScalarMergeOnAdversarialStates) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const std::vector<Value> ints = {
+      Value::Int64(kMax), Value::Int64(kMax - 1), Value::Null(),
+      Value::Int64(kMin), Value::Int64(-1),       Value::Int64(0),
+      Value::All(),       Value::Int64(42)};
+  const std::vector<Value> floats = {
+      Value::Float64(nan),  Value::Float64(-nan), Value::Float64(inf),
+      Value::Float64(-inf), Value::Float64(-0.0), Value::Null(),
+      Value::Float64(0.0),  Value::Float64(std::numeric_limits<double>::denorm_min()),
+      Value::Float64(1e308), Value::Float64(-2.5)};
+  const std::vector<Value> nulls = {Value::Null()};
+  // SUM states near and past the 128-bit edge: two (2^127 - 1) sums
+  // overflow, and a latched overflow must propagate; float parts carry
+  // -0.0 and NaNs of both signs.
+  const std::vector<std::string> sum_blobs = {
+      SumBlob(kMax, -1, 0.0, 1, 0, false), SumBlob(kMax, -1, -0.0, 1, 0, false),
+      SumBlob(0, 5, -nan, 2, 1, false),    SumBlob(0, 0, nan, 1, 1, true),
+      SumBlob(kMin, 0, -0.0, 3, 0, false)};
+  const std::vector<std::string> avg_blobs = {
+      AvgBlob(-0.0, 1, 0), AvgBlob(nan, 2, 1), AvgBlob(-nan, 3, 0),
+      AvgBlob(-inf, 1, 0), AvgBlob(0.0, 0, 0)};
+
+  AggregateRegistry& reg = AggregateRegistry::Global();
+  for (size_t n : {0, 1, 2047, 2048, 2049}) {
+    for (const char* name : {"count_star", "count", "sum", "min", "max",
+                             "avg"}) {
+      AggregateFunctionPtr fn = reg.Make(name).value();
+      const std::string f = name;
+      const std::vector<std::string> none;
+      for (const std::vector<Value>* palette : {&ints, &floats, &nulls}) {
+        ExpectMergeBatchMatchesMerge(
+            fn, *palette,
+            f == "sum" ? sum_blobs : f == "avg" ? avg_blobs : none, n);
+      }
+    }
+  }
+}
+
+// A user-defined aggregate without a merge kernel. Its Merge counts its
+// calls and fails with `code` when the source's tally is negative.
+struct TallyState : AggState {
+  int64_t tally = 0;
+};
+
+class TallyFunction : public WithInlineState<TallyState> {
+ public:
+  explicit TallyFunction(StatusCode code) : code_(code) {}
+  const std::string& name() const override {
+    static const std::string kName = "tally";
+    return kName;
+  }
+  AggClass agg_class() const override { return AggClass::kDistributive; }
+  Result<DataType> ResultType(const std::vector<DataType>&) const override {
+    return DataType::kInt64;
+  }
+  AggStatePtr Init() const override { return std::make_unique<TallyState>(); }
+  void Iter(AggState* state, const Value* args, size_t) const override {
+    if (!args[0].is_special()) {
+      static_cast<TallyState*>(state)->tally += args[0].int64_value();
+    }
+  }
+  Value Final(const AggState* state) const override {
+    return Value::Int64(static_cast<const TallyState*>(state)->tally);
+  }
+  Status Merge(AggState* dst, const AggState* src) const override {
+    ++merges;
+    const int64_t t = static_cast<const TallyState*>(src)->tally;
+    if (t < 0) return Status(code_, "negative tally " + std::to_string(t));
+    static_cast<TallyState*>(dst)->tally += t;
+    return Status::OK();
+  }
+  AggStatePtr Clone(const AggState* state) const override {
+    return std::make_unique<TallyState>(
+        *static_cast<const TallyState*>(state));
+  }
+
+  mutable size_t merges = 0;
+
+ private:
+  StatusCode code_;
+};
+
+// MergeCells against a cell-at-a-time merge over a context whose aggregates
+// are SUM (a kernel) and two tallies (none): the same Status for the first
+// failing (cell, aggregate) pair, with the batch gate on and off, and a
+// tally replayed once per pair through scalar Merge.
+TEST(MergeBatchTest, MergeCellsFailsWhereTheCellAtATimePathFails) {
+  std::vector<Field> fields = {Field{"d", DataType::kInt64},
+                               Field{"x", DataType::kInt64}};
+  Table input{Schema{fields}};
+  ASSERT_TRUE(input.AppendRow({Value::Int64(1), Value::Int64(1)}).ok());
+  CubeSpec spec;
+  spec.group_by = {GroupCol("d")};
+  spec.aggregates = {Agg("sum", "x", "s"), Agg("sum", "x", "a"),
+                     Agg("sum", "x", "b")};
+  auto ctx = cube_internal::BuildCubeContext(input, spec);
+  ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+  auto tally_a = std::make_shared<TallyFunction>(StatusCode::kInvalidArgument);
+  auto tally_b = std::make_shared<TallyFunction>(StatusCode::kOutOfRange);
+  ctx->aggs[1] = tally_a;
+  ctx->aggs[2] = tally_b;
+  auto cc = cube_internal::BuildColumnarContext(ctx.value());
+  ASSERT_TRUE(cc.ok()) << cc.status().ToString();
+
+  struct Case {
+    int64_t fail_a;  // the cell whose tally a is negative, or -1
+    int64_t fail_b;
+  };
+  for (const Case& c : {Case{-1, -1}, Case{5, 3}, Case{3, 3}, Case{2, 5},
+                        Case{-1, 2048}, Case{2048, -1}}) {
+    for (bool batch : {true, false}) {
+      cc->use_batch = batch;
+      const size_t n = 2049;
+      cube_internal::CellStore store = cc->MakeStore();
+      std::vector<char*> dst(n);
+      std::vector<const char*> src(n);
+      for (size_t i = 0; i < n; ++i) {
+        std::vector<uint64_t> key(cc->words, 0);
+        key[0] = i + 1;
+        char* block = store.FindOrInsert(key.data());
+        cc->IterRow(block, 0, nullptr);
+        auto* a = static_cast<TallyState*>(cc->StateOf(block, 1));
+        auto* b = static_cast<TallyState*>(cc->StateOf(block, 2));
+        a->tally = static_cast<int64_t>(i) == c.fail_a ? -7 : 1;
+        b->tally = static_cast<int64_t>(i) == c.fail_b ? -9 : 2;
+        src[i] = block;
+      }
+      std::vector<uint64_t> zero(cc->words, 0);
+      // One destination for every source: cell 0 of another store.
+      cube_internal::CellStore into = cc->MakeStore();
+      std::fill(dst.begin(), dst.end(), into.FindOrInsert(zero.data()));
+      // The reference: cell-major, stop at the first failure.
+      cube_internal::CellStore ref_store = cc->MakeStore();
+      char* ref = ref_store.FindOrInsert(zero.data());
+      Status want;
+      for (size_t i = 0; i < n && want.ok(); ++i) {
+        for (size_t a = 0; a < 3 && want.ok(); ++a) {
+          want = ctx->aggs[a]->Merge(cc->StateOf(ref, a),
+                                     cc->StateOf(src[i], a));
+        }
+      }
+      tally_a->merges = 0;
+      Status got = cube_internal::MergeCells(*cc, dst.data(), *cc, src.data(),
+                                             nullptr, n, nullptr);
+      const std::string what = "fail_a=" + std::to_string(c.fail_a) +
+                               " fail_b=" + std::to_string(c.fail_b) +
+                               " batch=" + std::to_string(batch);
+      EXPECT_EQ(got.code(), want.code()) << what;
+      EXPECT_EQ(got.message(), want.message()) << what;
+      if (!want.ok()) continue;
+      EXPECT_EQ(tally_a->merges, n) << what;
+      for (size_t a = 0; a < 3; ++a) {
+        EXPECT_EQ(ctx->aggs[a]->Final(cc->StateOf(dst[0], a)),
+                  ctx->aggs[a]->Final(cc->StateOf(ref, a)))
+            << what << " aggregate " << a;
+      }
+      EXPECT_EQ(cube_internal::ColumnarContext::Header(dst[0])->count,
+                static_cast<int64_t>(n));
     }
   }
 }

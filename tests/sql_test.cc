@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <tuple>
 
+#include "datacube/cube/materialized_cube.h"
 #include "datacube/obs/trace.h"
 #include "datacube/sql/engine.h"
 #include "datacube/sql/lexer.h"
@@ -722,6 +725,69 @@ TEST(ExplainTest, AnalyzeParallelQueryShowsStitchedTaskSpans) {
   EXPECT_NE(text.find("parallel_cascade"), std::string::npos) << text;
   EXPECT_NE(text.find("cascade_set"), std::string::npos) << text;
   EXPECT_NE(text.find("cells_absorbed="), std::string::npos) << text;
+}
+
+// The routed full ROLLUP (aggregate navigation from a budgeted stored
+// cube) shows where its time goes: cube_answer's fold and assembly are
+// child spans, each carrying the cells it read and wrote.
+TEST(ExplainTest, AnalyzeRoutedRollupShowsFoldAndAssembleSpans) {
+  auto sales = std::make_shared<const Table>(
+      GenerateSales({.num_rows = 3000, .num_dealers = 6, .seed = 5}).value());
+  CubeSpec spec;
+  for (const char* k : {"Model", "Year", "Color", "Dealer"}) {
+    spec.cube.push_back(GroupCol(k));
+  }
+  spec.aggregates = {CountStar("count"), Agg("sum", "Units", "sum")};
+  auto cube = MaterializedCube::BuildWithBudget(*sales, spec, 60000);
+  ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+  Catalog catalog;
+  ASSERT_TRUE(catalog.RegisterShared("Sales", sales).ok());
+  catalog.BindCube({"SalesCube", sales, std::move(cube).value()});
+  const std::string sql =
+      "SELECT Model, Year, Color, Dealer, COUNT(*), SUM(Units) FROM Sales "
+      "GROUP BY ROLLUP Model, Year, Color, Dealer";
+  std::string text = PlanText(MustRun("EXPLAIN ANALYZE " + sql, catalog));
+  EXPECT_NE(text.find("answered from cube SalesCube"), std::string::npos)
+      << text;
+
+  obs::Trace trace("query");
+  {
+    obs::TraceScope scope(&trace);
+    MustRun(sql, catalog);
+  }
+  std::function<const obs::SpanNode*(const obs::SpanNode&)> find_answer =
+      [&](const obs::SpanNode& node) -> const obs::SpanNode* {
+    if (node.name == "cube_answer") return &node;
+    for (const auto& child : node.children) {
+      if (const obs::SpanNode* hit = find_answer(*child)) return hit;
+    }
+    return nullptr;
+  };
+  const obs::SpanNode* answer = find_answer(trace.root());
+  ASSERT_NE(answer, nullptr) << trace.Render();
+  // After the sink's (empty) columnar context: the fold, then assembly.
+  std::vector<const obs::SpanNode*> phases;
+  for (const auto& child : answer->children) {
+    if (child->name == "build_columnar_context") continue;
+    phases.push_back(child.get());
+    ASSERT_NE(child->FindAttr("cells_read"), nullptr) << child->name;
+    ASSERT_NE(child->FindAttr("cells_written"), nullptr) << child->name;
+    EXPECT_GT(std::stoull(*child->FindAttr("cells_read")), 0u) << child->name;
+  }
+  ASSERT_EQ(phases.size(), 2u) << trace.Render();
+  EXPECT_EQ(phases[0]->name, "fold");
+  EXPECT_EQ(phases[1]->name, "assemble");
+  // The fold writes the cells the assembly reads, and the assembly writes
+  // the rows the query returns.
+  EXPECT_EQ(*phases[0]->FindAttr("cells_written"),
+            *phases[1]->FindAttr("cells_read"));
+  EXPECT_EQ(*phases[1]->FindAttr("cells_written"),
+            std::to_string(MustRun(sql, catalog).num_rows()));
+  // EXPLAIN ANALYZE renders both under cube_answer.
+  const size_t at = text.find("cube_answer");
+  ASSERT_NE(at, std::string::npos) << text;
+  EXPECT_NE(text.find("fold", at), std::string::npos) << text;
+  EXPECT_NE(text.find("assemble", at), std::string::npos) << text;
 }
 
 TEST(ExplainTest, ReportsWherePathAndRowCounts) {

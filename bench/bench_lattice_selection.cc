@@ -8,8 +8,7 @@
 // builds the cube under a byte budget and still answers every one of the
 // 2^N grouping sets — captured as BENCH_post_lattice.json, whose
 // bytes_resident counter stays below budget_bytes while sets_answered
-// remains the full lattice. BM_Budgeted_ExecuteCube measures the same
-// rewrite inside the one-shot cube operator.
+// remains the full lattice.
 
 #include <benchmark/benchmark.h>
 
@@ -83,29 +82,6 @@ void BM_Budgeted_AnswerAllSets(benchmark::State& state) {
   AnswerAllSets(state, *cube);
 }
 
-// The same rewrite inside ExecuteCube: one shot, all 16 sets, with the
-// non-materialized ones folded from their cheapest kept ancestor.
-void BM_Budgeted_ExecuteCube(benchmark::State& state) {
-  size_t budget = static_cast<size_t>(state.range(0));
-  Table t = MakeInput();
-  CubeSpec spec = MakeSpec();
-  CubeOptions options;
-  options.materialize_budget_bytes = budget;
-  CubeStats last;
-  for (auto _ : state) {
-    CubeResult r = Must(ExecuteCube(t, spec, options), "execute");
-    benchmark::DoNotOptimize(r.table);
-    last = std::move(r.stats);
-  }
-  state.counters["views_materialized"] =
-      static_cast<double>(last.lattice_views_materialized);
-  state.counters["bytes_resident"] =
-      static_cast<double>(last.lattice_bytes_materialized);
-  state.counters["budget_bytes"] = static_cast<double>(budget);
-  state.counters["ancestor_folds"] =
-      static_cast<double>(last.lattice_ancestor_folds);
-}
-
 // Budgets bracket the real footprints (the 4-dim core is ~1.5 MiB and the
 // full lattice ~2.4 MiB here), so the selection visibly tightens from
 // "everything fits" down to "core plus the best few views" while
@@ -116,10 +92,6 @@ BENCHMARK(BM_Budgeted_AnswerAllSets)
     ->Arg(1792 << 10)
     ->Arg(2 << 20)
     ->Arg(4 << 20)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Budgeted_ExecuteCube)
-    ->Arg(1792 << 10)
-    ->Arg(1 << 30)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

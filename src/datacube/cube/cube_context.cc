@@ -114,6 +114,20 @@ Result<CubeContext> BuildCubeContext(const Table& input, const CubeSpec& spec,
   return ctx;
 }
 
+Status CheckFoldable(const CubeContext& ctx) {
+  bool holistic = false;
+  for (const AggregateFunctionPtr& agg : ctx.aggs) {
+    if (agg->agg_class() == AggClass::kHolistic) holistic = true;
+  }
+  if (!ctx.all_mergeable || holistic) {
+    return Status::InvalidArgument(
+        "answering grouping sets from stored views requires mergeable "
+        "(distributive/algebraic) aggregates; holistic aggregates must be "
+        "answered from base data");
+  }
+  return Status::OK();
+}
+
 LatticePlan PlanLattice(const std::vector<GroupingSet>& sets,
                         const std::vector<size_t>& column_cardinalities,
                         ParentPolicy policy) {

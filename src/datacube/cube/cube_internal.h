@@ -79,6 +79,12 @@ struct CubeContext {
 Result<CubeContext> BuildCubeContext(const Table& input, const CubeSpec& spec,
                                      bool materialize_ref_keys = true);
 
+/// Whether grouping sets may be answered by folding stored ancestors: OK
+/// when every aggregate merges and none is holistic — holistic functions
+/// are refused even when they support Merge (count_distinct, mode), since
+/// the paper's holistic cubes come from base data — else InvalidArgument.
+Status CheckFoldable(const CubeContext& ctx);
+
 /// Computation plan over the grouping-set lattice: each node is computed
 /// either from base data (parent == -1) or by merging a finer, already
 /// computed node's cells (the smallest-parent rule of Section 5: "aggregate

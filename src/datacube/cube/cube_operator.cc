@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <optional>
 #include <string>
 
 #include "datacube/cube/columnar.h"
 #include "datacube/cube/cube_internal.h"
-#include "datacube/cube/lattice_rewrite.h"
 #include "datacube/cube/thread_pool.h"
 #include "datacube/obs/metrics.h"
 #include "datacube/obs/query_profile.h"
@@ -111,16 +108,6 @@ CubeAlgorithm PredictAlgorithm(const CubeContext& ctx,
   return a;
 }
 
-// Whether this execution runs the batched (morsel-at-a-time) aggregation
-// kernels on the columnar core. Off per-call via CubeOptions, or
-// per-process via DATACUBE_SCALAR_KERNELS (any value but "" / "0") — the
-// scalar escape hatch the differential oracle cross-checks.
-bool UseBatchKernels(const CubeOptions& options) {
-  if (!options.use_batch_kernels) return false;
-  const char* env = std::getenv("DATACUBE_SCALAR_KERNELS");
-  return !(env != nullptr && env[0] != '\0' && std::string(env) != "0");
-}
-
 // Flushes one execution's deltas into the global registry — the cumulative
 // datacube_cube_* series a monitoring scrape reads. One lookup per counter
 // per execution; the hot loops never touch the registry.
@@ -177,28 +164,6 @@ void PublishCubeStats(const CubeStats& stats) {
   reg.GetCounter("datacube_cube_cascade_tasks_total",
                  "Grouping-set cascade tasks executed on the thread pool")
       .Inc(stats.cascade_tasks);
-  // Budgeted-materialization counters — registered only when a byte budget
-  // was in effect, so unbudgeted deployments never grow the series.
-  if (stats.lattice_budget_bytes > 0) {
-    reg.GetCounter("datacube_lattice_budget_runs_total",
-                   "Cube executions under a materialization byte budget")
-        .Inc();
-    reg.GetCounter("datacube_lattice_views_materialized_total",
-                   "Grouping-set views kept by budgeted selection")
-        .Inc(stats.lattice_views_materialized);
-    reg.GetCounter("datacube_lattice_ancestor_folds_total",
-                   "Grouping sets answered by folding a materialized ancestor")
-        .Inc(stats.lattice_ancestor_folds);
-    reg.GetCounter("datacube_lattice_fold_cells_total",
-                   "Ancestor cells folded while answering grouping sets")
-        .Inc(stats.lattice_fold_cells);
-    reg.GetCounter("datacube_lattice_base_fallbacks_total",
-                   "Grouping sets recomputed from base data under a budget")
-        .Inc(stats.lattice_base_fallbacks);
-    reg.GetCounter("datacube_lattice_bytes_materialized_total",
-                   "Bytes resident in budget-selected views")
-        .Inc(stats.lattice_bytes_materialized);
-  }
 }
 
 // Compact spec description for profiles of programmatic (non-SQL)
@@ -254,15 +219,6 @@ void EmitQueryProfile(const CubeContext& ctx, const CubeSpec& spec,
   add("partitions", stats.partitions);
   add("merge_tasks", stats.merge_tasks);
   add("cascade_tasks", stats.cascade_tasks);
-  if (stats.lattice_budget_bytes > 0) {
-    p.lattice =
-        "budget=" + std::to_string(stats.lattice_budget_bytes) +
-        " views=" + std::to_string(stats.lattice_views_materialized) +
-        " folds=" + std::to_string(stats.lattice_ancestor_folds) +
-        " fold_cells=" + std::to_string(stats.lattice_fold_cells) +
-        " base_fallbacks=" + std::to_string(stats.lattice_base_fallbacks) +
-        " bytes=" + std::to_string(stats.lattice_bytes_materialized);
-  }
   double threshold = log.EffectiveSlowThresholdMs(options.slow_query_ms);
   p.slow = threshold >= 0 && p.wall_ms >= threshold;
   if (p.slow) {
@@ -307,43 +263,14 @@ Result<CubeResult> ExecuteCube(const Table& input, const CubeSpec& spec,
   Result<Table> table = [&]() -> Result<Table> {
     DATACUBE_ASSIGN_OR_RETURN(cube_internal::ColumnarContext cc,
                               cube_internal::BuildColumnarContext(ctx));
-    cc.use_batch = UseBatchKernels(options);
-    auto dispatch = [&]() -> Result<SetStores> {
-      if (WouldRunParallel(ctx, options)) {
-        return cube_internal::ColumnarParallel(cc, options, &stats);
-      }
-      return cube_internal::RunColumnarAlgorithm(cc, algorithm, options,
-                                                 &stats);
-    };
-    size_t budget = cube_internal::ResolveMaterializeBudget(options);
-    Result<SetStores> stores = [&]() -> Result<SetStores> {
-      if (budget == 0 || !cube_internal::LatticeRewriteEligible(ctx)) {
-        return dispatch();
-      }
-      // Budgeted partial materialization: run the normal algorithm over
-      // only the benefit-per-byte selection of the requested sets — the
-      // codec, state layout, and packed row keys are set-independent, so
-      // ctx.sets can be swapped around the dispatch — then answer every
-      // remaining set from its cheapest materialized ancestor.
-      DATACUBE_ASSIGN_OR_RETURN(
-          cube_internal::LatticeRewritePlan plan,
-          cube_internal::PlanLatticeRewrite(ctx, cc, budget));
-      std::vector<GroupingSet> requested = std::move(ctx.sets);
-      int requested_full = ctx.full_set_index;
-      ctx.sets = plan.selection.views;
-      ctx.full_set_index = 0;  // the selection always leads with the core
-      Result<SetStores> selected = dispatch();
-      ctx.sets = std::move(requested);
-      ctx.full_set_index = requested_full;
-      if (!selected.ok()) return selected.status();
-      if (span.active()) {
-        span.Attr("materialize_budget_bytes", static_cast<uint64_t>(budget));
-        span.Attr("views_materialized",
-                  static_cast<uint64_t>(plan.selection.views.size()));
-      }
-      return cube_internal::FoldSelectedToRequested(
-          cc, plan, ctx.sets, std::move(selected).value(), &stats);
-    }();
+    // BuildColumnarContext already honors DATACUBE_SCALAR_KERNELS; the
+    // option can only narrow it further.
+    cc.use_batch = cc.use_batch && options.use_batch_kernels;
+    Result<SetStores> stores =
+        WouldRunParallel(ctx, options)
+            ? cube_internal::ColumnarParallel(cc, options, &stats)
+            : cube_internal::RunColumnarAlgorithm(cc, algorithm, options,
+                                                  &stats);
     if (!stores.ok()) return stores.status();
     stats.per_set.resize(ctx.sets.size());
     for (size_t s = 0; s < ctx.sets.size(); ++s) {
@@ -428,33 +355,6 @@ Result<std::string> ExplainCube(const Table& input, const CubeSpec& spec,
     out += " " + ctx.key_names[k] + "=" + std::to_string(cards[k]);
   }
   out += "\n";
-  // Budgeted-materialization provenance: which views the byte budget keeps
-  // and where every other requested set folds from.
-  size_t budget = cube_internal::ResolveMaterializeBudget(options);
-  std::optional<cube_internal::LatticeRewritePlan> rewrite;
-  if (budget > 0 && cube_internal::LatticeRewriteEligible(ctx)) {
-    DATACUBE_ASSIGN_OR_RETURN(
-        cube_internal::LatticeRewritePlan rw,
-        cube_internal::PlanLatticeRewrite(ctx, cc, budget));
-    rewrite = std::move(rw);
-  }
-  if (budget > 0) {
-    out += "materialization budget: " + std::to_string(budget) + " bytes";
-    if (rewrite.has_value()) {
-      out += " (" + std::to_string(rewrite->selection.views.size()) + "/" +
-             std::to_string(ctx.sets.size()) + " views kept, est resident " +
-             std::to_string(
-                 static_cast<uint64_t>(rewrite->selection.selected_bytes)) +
-             " bytes, est cell = " +
-             std::to_string(
-                 static_cast<uint64_t>(rewrite->model.bytes_per_cell)) +
-             " bytes)";
-    } else {
-      out += " (ignored: holistic aggregate or missing core requires "
-             "direct computation)";
-    }
-    out += "\n";
-  }
   bool cascades = algorithm == CubeAlgorithm::kFromCore ||
                   algorithm == CubeAlgorithm::kSortFromCore ||
                   algorithm == CubeAlgorithm::kArrayCube;
@@ -463,23 +363,7 @@ Result<std::string> ExplainCube(const Table& input, const CubeSpec& spec,
     out += "  " + GroupingSetToString(node.set, ctx.key_names);
     out +=
         "  est_cells=" + std::to_string(static_cast<uint64_t>(node.est_cells));
-    if (rewrite.has_value()) {
-      // Under a budget, provenance is the rewrite's: a kept view is
-      // materialized by the algorithm run; everything else folds from its
-      // planned cheapest ancestor.
-      GroupingSet source = node.set;
-      for (size_t s = 0; s < ctx.sets.size(); ++s) {
-        if (ctx.sets[s] == node.set) {
-          source = rewrite->planned_source[s];
-          break;
-        }
-      }
-      if (source == node.set) {
-        out += "  materialized";
-      } else {
-        out += "  <- fold from " + GroupingSetToString(source, ctx.key_names);
-      }
-    } else if (cascades && ctx.all_mergeable) {
+    if (cascades && ctx.all_mergeable) {
       if (node.parent < 0) {
         out += "  <- base scan";
       } else {

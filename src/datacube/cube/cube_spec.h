@@ -167,17 +167,6 @@ struct CubeOptions {
   /// DATACUBE_SCALAR_KERNELS environment variable to force the scalar
   /// per-row path process-wide; the differential oracle diffs both.
   bool use_batch_kernels = true;
-  /// Byte budget for cost-based partial materialization (the HRU-style
-  /// benefit-per-byte view selection over the grouping-set lattice).
-  /// When > 0, ExecuteCube materializes only the selected grouping sets —
-  /// always including the mandatory core — and answers every other
-  /// requested set by super-aggregating its cheapest materialized ancestor
-  /// (Section 3's Merge cascade used for serving). The rewrite never
-  /// applies to holistic aggregates or to GROUPING SETS requests without
-  /// the core: those fall back to direct computation. 0 = off. Also
-  /// settable per-process with the DATACUBE_MATERIALIZE_BUDGET environment
-  /// variable (bytes; the option wins when both are set).
-  size_t materialize_budget_bytes = 0;
   /// Cooperative cancellation / deadline for this execution. Not owned; the
   /// caller keeps it alive for the duration of the call and may Cancel()
   /// from any thread. The engine polls it at work boundaries — each morsel
@@ -202,13 +191,6 @@ struct GroupingSetExecStats {
   GroupingSet set = 0;
   uint64_t actual_cells = 0;
   double est_cells = -1.0;
-  // Budgeted-materialization provenance (meaningful only when
-  // CubeStats::lattice_budget_bytes > 0; EXPLAIN ANALYZE prints it).
-  /// The materialized ancestor this set was folded from, or -1 when the
-  /// set was materialized directly / computed from base data.
-  int64_t answered_from = -1;
-  /// True when the budget selection materialized this set itself.
-  bool materialized = false;
 };
 
 /// Instrumentation reported with each execution; the units of the paper's
@@ -251,15 +233,6 @@ struct CubeStats {
   /// rollup shapes, array-size caps). Set by the algorithm that commits.
   CubeAlgorithm algorithm_used = CubeAlgorithm::kAuto;
   int threads_used = 1;
-  // Budgeted-materialization counters (CubeOptions::materialize_budget_bytes
-  // / DATACUBE_MATERIALIZE_BUDGET). All zero when no byte budget was in
-  // effect — including holistic requests, which are never rewritten.
-  uint64_t lattice_budget_bytes = 0;       // the budget that applied
-  uint64_t lattice_views_materialized = 0; // grouping sets the budget kept
-  uint64_t lattice_ancestor_folds = 0;     // sets answered by folding
-  uint64_t lattice_fold_cells = 0;         // ancestor cells folded, total
-  uint64_t lattice_base_fallbacks = 0;     // sets recomputed from base data
-  uint64_t lattice_bytes_materialized = 0; // bytes resident in kept views
   /// One entry per grouping set, parallel to CubeSpec::GroupingSets().
   std::vector<GroupingSetExecStats> per_set;
 };

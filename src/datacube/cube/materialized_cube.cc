@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "datacube/common/codec.h"
-#include "datacube/cube/lattice_rewrite.h"
 #include "datacube/obs/metrics.h"
 #include "datacube/obs/trace.h"
 
@@ -21,6 +20,7 @@ using cube_internal::CellHeader;
 using cube_internal::CellStore;
 using cube_internal::CheckFoldable;
 using cube_internal::ColumnarContext;
+using cube_internal::SetStores;
 
 namespace {
 
@@ -79,6 +79,32 @@ void PublishQueryStats(const MaterializedCube::QueryStats& qs) {
   }
 }
 
+// The byte cost model of cc's data (cardinalities from the codec, bytes per
+// cell = packed key words + state block); candidates left empty.
+LatticeByteCostModel ByteCostModel(const ColumnarContext& cc) {
+  LatticeByteCostModel model;
+  model.num_dims = cc.ctx->num_keys;
+  model.cardinalities = cc.codec.Cardinalities();
+  model.base_rows = cc.ctx->num_rows();
+  model.bytes_per_cell = static_cast<double>(
+      cc.words * sizeof(uint64_t) + cc.layout.block_size);
+  return model;
+}
+
+// Index of the view ⊇ `target` whose store (parallel to `views`) has the
+// fewest cells, or views.size() when no view covers it.
+size_t SmallestAncestor(const std::vector<GroupingSet>& views,
+                        const SetStores& stores, GroupingSet target) {
+  size_t best = views.size();
+  for (size_t i = 0; i < views.size(); ++i) {
+    if ((views[i] & target) != target) continue;
+    if (best == views.size() || stores[i].size() < stores[best].size()) {
+      best = i;
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<MaterializedCube>> MaterializedCube::Prepare(
@@ -126,7 +152,7 @@ Result<std::unique_ptr<MaterializedCube>> MaterializedCube::BuildWithBudget(
   DATACUBE_RETURN_IF_ERROR(CheckFoldable(cube->ctx_));
   // The candidates are the spec's sets plus the core, ascending — for a
   // CUBE exactly the full lattice in the greedy's own enumeration order.
-  LatticeByteCostModel model = cube_internal::ByteCostModel(cube->cc_);
+  LatticeByteCostModel model = ByteCostModel(cube->cc_);
   std::set<GroupingSet> candidates(cube->ctx_.sets.begin(),
                                    cube->ctx_.sets.end());
   candidates.insert(FullSet(cube->ctx_.num_keys));
@@ -604,7 +630,7 @@ Result<Table> MaterializedCube::Query(GroupingSet target) {
   size_t source = static_cast<size_t>(stored - ctx_.sets.begin());
   if (stored == ctx_.sets.end()) {
     DATACUBE_RETURN_IF_ERROR(CheckFoldable(ctx_));
-    source = cube_internal::SmallestAncestor(ctx_.sets, stores_, target);
+    source = SmallestAncestor(ctx_.sets, stores_, target);
     if (source == ctx_.sets.size()) {
       return Status::NotFound("no stored view covers grouping set " +
                               GroupingSetToString(target, ctx_.key_names));
@@ -945,7 +971,7 @@ MaterializedCube::PlanAnswer(const CubeSpec& spec,
     for (size_t k = 0; k < nav.keys.size(); ++k) {
       if (IsGrouped(set, k)) needed |= GroupingSet{1} << nav.keys[k];
     }
-    size_t v = cube_internal::SmallestAncestor(ctx_.sets, stores_, needed);
+    size_t v = SmallestAncestor(ctx_.sets, stores_, needed);
     if (v == ctx_.sets.size()) {
       return Status::NotFound("no stored view covers " +
                               GroupingSetToString(needed, ctx_.key_names));

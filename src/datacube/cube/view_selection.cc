@@ -1,7 +1,6 @@
 #include "datacube/cube/view_selection.h"
 
 #include <algorithm>
-#include <limits>
 
 namespace datacube {
 
@@ -68,72 +67,6 @@ Result<ViewSelection> SelectViewsGreedy(
     if (best_benefit <= 0.0) break;  // nothing left to gain
     selection.views.push_back(best_view);
     selection.benefits.push_back(best_benefit);
-    for (GroupingSet w = best_view;; w = (w - 1) & best_view) {
-      current_cost[w] = std::min(current_cost[w], size_of[best_view]);
-      if (w == 0) break;
-    }
-  }
-
-  for (GroupingSet w = 0; w < lattice; ++w) {
-    selection.total_query_cost += current_cost[w];
-  }
-  return selection;
-}
-
-Result<ViewSelection> SelectViewsGreedyBySpace(
-    size_t num_dims, const std::vector<size_t>& cardinalities,
-    size_t base_rows, double space_budget) {
-  if (num_dims > 16) {
-    return Status::InvalidArgument(
-        "greedy view selection enumerates the lattice; num_dims must be <= 16");
-  }
-  if (cardinalities.size() != num_dims) {
-    return Status::InvalidArgument("cardinalities must have num_dims entries");
-  }
-  if (space_budget < 0) {
-    return Status::InvalidArgument("space budget must be >= 0");
-  }
-  size_t lattice = 1ULL << num_dims;
-  std::vector<double> size_of(lattice);
-  for (GroupingSet v = 0; v < lattice; ++v) {
-    size_of[v] = EstimateViewSize(v, cardinalities, base_rows);
-  }
-
-  ViewSelection selection;
-  GroupingSet top = FullSet(num_dims);
-  selection.views.push_back(top);
-  selection.benefits.push_back(0.0);
-  std::vector<double> current_cost(lattice, size_of[top]);
-  double budget_left = space_budget;
-
-  while (true) {
-    GroupingSet best_view = top;
-    double best_ratio = 0.0;
-    double best_benefit = 0.0;
-    for (GroupingSet v = 0; v < lattice; ++v) {
-      if (size_of[v] > budget_left) continue;
-      if (std::find(selection.views.begin(), selection.views.end(), v) !=
-          selection.views.end()) {
-        continue;
-      }
-      double benefit = 0.0;
-      for (GroupingSet w = v;; w = (w - 1) & v) {
-        if (current_cost[w] > size_of[v]) {
-          benefit += current_cost[w] - size_of[v];
-        }
-        if (w == 0) break;
-      }
-      double ratio = size_of[v] > 0 ? benefit / size_of[v] : benefit;
-      if (ratio > best_ratio) {
-        best_ratio = ratio;
-        best_benefit = benefit;
-        best_view = v;
-      }
-    }
-    if (best_ratio <= 0.0) break;
-    selection.views.push_back(best_view);
-    selection.benefits.push_back(best_benefit);
-    budget_left -= size_of[best_view];
     for (GroupingSet w = best_view;; w = (w - 1) & best_view) {
       current_cost[w] = std::min(current_cost[w], size_of[best_view]);
       if (w == 0) break;
@@ -253,23 +186,6 @@ Result<ViewSelection> SelectViewsByByteBudget(const LatticeByteCostModel& model,
     selection.total_query_cost += current_cost[w];
   }
   return selection;
-}
-
-GroupingSet CheapestAncestor(const ViewSelection& selection,
-                             GroupingSet target,
-                             const std::vector<size_t>& cardinalities,
-                             size_t base_rows) {
-  GroupingSet best = selection.views.front();
-  double best_size = EstimateViewSize(best, cardinalities, base_rows);
-  for (GroupingSet v : selection.views) {
-    if ((v & target) != target) continue;
-    double size = EstimateViewSize(v, cardinalities, base_rows);
-    if (size < best_size) {
-      best = v;
-      best_size = size;
-    }
-  }
-  return best;
 }
 
 }  // namespace datacube

@@ -50,8 +50,9 @@ struct LatticeByteCostModel {
   /// fixed-slot aggregate block (words*8 + StateLayout::block_size).
   double bytes_per_cell = 1.0;
   /// Candidate views AND the query workload the selection must serve;
-  /// empty = the full 2^num_dims lattice. ExecuteCube restricts this to
-  /// the requested grouping sets. Must contain the core when non-empty.
+  /// empty = the full 2^num_dims lattice. MaterializedCube::BuildWithBudget
+  /// restricts this to the spec's grouping sets plus the core. Must contain
+  /// the core when non-empty.
   std::vector<GroupingSet> candidates;
   /// Observed per-set actual cell counts overriding the cardinality
   /// estimate where present (feed CubeStats::per_set from a prior run).
@@ -60,7 +61,9 @@ struct LatticeByteCostModel {
   /// Estimated cells of the view over `set`: the observed override if any,
   /// else EstimateViewSize.
   double CellsOf(GroupingSet set) const;
-  double BytesOf(GroupingSet set) const { return CellsOf(set) * bytes_per_cell; }
+  double BytesOf(GroupingSet set) const {
+    return CellsOf(set) * bytes_per_cell;
+  }
 };
 
 /// The benefit-per-byte greedy under a byte budget: admits the mandatory
@@ -79,22 +82,6 @@ Result<ViewSelection> SelectViewsByByteBudget(const LatticeByteCostModel& model,
 Result<ViewSelection> SelectViewsGreedy(
     size_t num_dims, const std::vector<size_t>& cardinalities,
     size_t base_rows, size_t max_views);
-
-/// The space-budget variant HRU also propose: picks greedily by benefit per
-/// unit of space, B(v, S) / size(v), admitting views while the summed
-/// estimated sizes (beyond the mandatory core) stay within `space_budget`
-/// rows. Views too large for the remaining budget are skipped, not
-/// terminal.
-Result<ViewSelection> SelectViewsGreedyBySpace(
-    size_t num_dims, const std::vector<size_t>& cardinalities,
-    size_t base_rows, double space_budget);
-
-/// The cheapest selected view able to answer `target` (smallest estimated
-/// superset). Present by construction, since the core is always selected.
-GroupingSet CheapestAncestor(const ViewSelection& selection,
-                             GroupingSet target,
-                             const std::vector<size_t>& cardinalities,
-                             size_t base_rows);
 
 }  // namespace datacube
 

@@ -41,8 +41,10 @@ struct QueryProfile {
   /// Full execution counters as (name, value) pairs, zeros omitted by the
   /// producer (e.g. iter_calls, merge_calls, morsels_dispatched).
   std::vector<std::pair<std::string, uint64_t>> counters;
-  /// Budgeted-materialization provenance summary
-  /// ("budget=... views=... folds=..."), empty when no budget applied.
+  /// Where a query answered from stored cells read them: "store=...
+  /// windows=... deltas=... fold_cells=..." for a partitioned store,
+  /// "cube=... sets=... fold_cells=..." for a mounted cube. Empty for
+  /// executions over base data.
   std::string lattice;
   /// True when wall_ms crossed the slow-query threshold in effect.
   bool slow = false;

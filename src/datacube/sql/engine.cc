@@ -1413,31 +1413,7 @@ Result<std::string> ExplainSelectText(const SelectStatement& stmt,
       out +=
           "  estimated=" + std::to_string(static_cast<uint64_t>(ps.est_cells));
     }
-    // Budgeted-materialization provenance: which materialized ancestor
-    // actually answered this set, or that it was materialized itself.
-    if (stats.lattice_budget_bytes > 0) {
-      if (ps.materialized) {
-        out += "  materialized";
-      } else if (ps.answered_from >= 0) {
-        out += "  <- fold from " +
-               GroupingSetToString(
-                   static_cast<GroupingSet>(ps.answered_from), names);
-      } else {
-        out += "  <- base scan";
-      }
-    }
     out += "\n";
-  }
-  if (stats.lattice_budget_bytes > 0) {
-    out += "lattice: budget_bytes=" +
-           std::to_string(stats.lattice_budget_bytes) +
-           "  views=" + std::to_string(stats.lattice_views_materialized) +
-           "  bytes_materialized=" +
-           std::to_string(stats.lattice_bytes_materialized) +
-           "  ancestor_folds=" + std::to_string(stats.lattice_ancestor_folds) +
-           "  fold_cells=" + std::to_string(stats.lattice_fold_cells) +
-           "  base_fallbacks=" + std::to_string(stats.lattice_base_fallbacks) +
-           "\n";
   }
   out += "kernel: hash_probes=" + std::to_string(stats.hash_probes) +
          "  max_probe=" + std::to_string(stats.hash_max_probe) +

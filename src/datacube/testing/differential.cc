@@ -9,7 +9,7 @@
 #include <set>
 #include <sstream>
 
-#include "datacube/cube/lattice_rewrite.h"
+#include "datacube/cube/cube_internal.h"
 #include "datacube/cube/materialized_cube.h"
 #include "datacube/table/csv.h"
 #include "datacube/testing/reference_cube.h"
@@ -74,9 +74,6 @@ Outcome RunConfig(const Table& input, const CubeSpec& spec,
   if (config.morsel_rows != 0) options.morsel_rows = config.morsel_rows;
   if (config.num_partitions != 0) {
     options.num_partitions = config.num_partitions;
-  }
-  if (config.materialize_budget_bytes != 0) {
-    options.materialize_budget_bytes = config.materialize_budget_bytes;
   }
   options.sort_result = true;
   Result<CubeResult> r = ExecuteCube(input, spec, options);
@@ -311,29 +308,14 @@ std::vector<OracleConfig> AllOracleConfigs() {
        /*num_partitions=*/32},
       {"parallel_x2_p1", CubeAlgorithm::kAuto, 2, /*morsel_rows=*/0,
        /*num_partitions=*/1},
-      // Budgeted partial materialization with ancestor answering. Which
-      // views survive the greedy depends on the random table's per-column
-      // cardinalities, so each seed exercises a different selection. 512
-      // bytes keeps only the core (every other set folds an ancestor);
-      // 8 KiB keeps a mid-lattice mix; 1 MiB usually keeps everything but
-      // still routes through the rewrite plumbing, here under 3 threads.
-      // Holistic specs skip the rewrite entirely and trivially agree.
-      {"budget_512b", CubeAlgorithm::kAuto, 1, /*morsel_rows=*/0,
-       /*num_partitions=*/0, /*materialize_budget_bytes=*/512},
-      {"budget_8kb", CubeAlgorithm::kAuto, 1, /*morsel_rows=*/0,
-       /*num_partitions=*/0, /*materialize_budget_bytes=*/8192},
-      {"budget_1mb_parallel_x3", CubeAlgorithm::kAuto, 3, /*morsel_rows=*/0,
-       /*num_partitions=*/0, /*materialize_budget_bytes=*/1u << 20},
       // Scalar-kernel escape hatch: the same engine with batched
       // aggregation disabled, serially and in an adversarial parallel
       // shape, so every sweep checks the per-row Iter path as well as the
       // morsel-at-a-time kernels every config above runs.
       {"scalar_kernels", CubeAlgorithm::kAuto, 1, /*morsel_rows=*/0,
-       /*num_partitions=*/0, /*materialize_budget_bytes=*/0,
-       /*use_batch_kernels=*/false},
+       /*num_partitions=*/0, /*use_batch_kernels=*/false},
       {"scalar_kernels_parallel_x3_m7_p5", CubeAlgorithm::kAuto, 3,
-       /*morsel_rows=*/7, /*num_partitions=*/5,
-       /*materialize_budget_bytes=*/0, /*use_batch_kernels=*/false},
+       /*morsel_rows=*/7, /*num_partitions=*/5, /*use_batch_kernels=*/false},
   };
 }
 

@@ -23,12 +23,6 @@ struct OracleConfig {
   /// and partition skew that the defaults never would.
   size_t morsel_rows = 0;
   size_t num_partitions = 0;
-  /// Byte budget for partial-cube materialization with ancestor answering
-  /// (0 = materialize every requested grouping set directly). Tiny budgets
-  /// force a core-only selection, so every other set is answered by folding
-  /// a materialized ancestor — the rewrite path the oracle must prove
-  /// equivalent to direct computation. Holistic specs skip the rewrite.
-  size_t materialize_budget_bytes = 0;
   /// Batched aggregation kernels (the columnar default). The scalar_kernels
   /// configs flip this off, so every sweep also diffs the morsel-at-a-time
   /// kernels against the per-row Iter path cell for cell.
@@ -39,9 +33,8 @@ struct OracleConfig {
 /// back gracefully when the spec shape rules it out, so forcing is always
 /// legal), the morsel-driven parallel path at 2 and 8 threads plus
 /// adversarial morsel/partition shapes (one-row morsels, odd and degenerate
-/// partition counts), budgeted partial materialization at three budgets
-/// (ancestor answering), and the scalar-kernel escape hatch. Every config
-/// is diffed against testing::ReferenceCube.
+/// partition counts), and the scalar-kernel escape hatch. Every config is
+/// diffed against testing::ReferenceCube.
 std::vector<OracleConfig> AllOracleConfigs();
 
 /// One cell where the reference and a configuration disagreed.

@@ -284,6 +284,88 @@ TEST(ExplainTest, ShowsAlgorithmAndParents) {
   EXPECT_FALSE(ExplainCube(t, SumSpec({GroupCol("nope")})).ok());
 }
 
+// The word after "algorithm: " in an ExplainCube plan.
+std::string PlannedAlgorithm(const std::string& plan) {
+  const std::string label = "algorithm: ";
+  size_t begin = plan.find(label);
+  if (begin == std::string::npos) return "";
+  begin += label.size();
+  return plan.substr(begin, plan.find_first_of(" \n", begin) - begin);
+}
+
+// Plans and runs `spec` under `options`: the plan must name the algorithm
+// the run reports.
+void ExpectPlanNamesTheRun(const Table& t, const CubeSpec& spec,
+                           const CubeOptions& options,
+                           const std::string& what) {
+  Result<std::string> plan = ExplainCube(t, spec, options);
+  ASSERT_TRUE(plan.ok()) << what << ": " << plan.status().ToString();
+  Result<CubeResult> run = ExecuteCube(t, spec, options);
+  ASSERT_TRUE(run.ok()) << what << ": " << run.status().ToString();
+  EXPECT_EQ(PlannedAlgorithm(*plan),
+            CubeAlgorithmName(run->stats.algorithm_used))
+      << what << "\n"
+      << *plan;
+}
+
+// ExplainCube predicts the fallback chains the Columnar* entry points take
+// at run time. Every forced algorithm, over every grouping shape, with and
+// without a holistic aggregate, serial and parallel, with the default and a
+// tiny dense-array cap, must plan the algorithm ExecuteCube reports.
+TEST(ExplainTest, NamesTheAlgorithmThatRuns) {
+  Table t = GenerateCubeInput({.num_rows = 6000,
+                               .num_dims = 3,
+                               .cardinality = 5,
+                               .seed = 77})
+                .value();
+  CubeSpec cube;
+  cube.cube = {GroupCol("d0"), GroupCol("d1"), GroupCol("d2")};
+  CubeSpec rollup;
+  rollup.rollup = cube.cube;
+  CubeSpec no_core = cube;
+  no_core.explicit_sets = std::vector<GroupingSet>{0b011, 0b001, 0b100};
+  CubeSpec group_by;
+  group_by.group_by = {GroupCol("d0")};
+  const std::pair<std::string, CubeSpec> shapes[] = {
+      {"cube", cube},
+      {"rollup", rollup},
+      {"grouping_sets_without_core", no_core},
+      {"group_by_one_column", group_by},
+      {"grand_total", CubeSpec{}},
+  };
+  const std::vector<AggregateSpec> aggregate_lists[] = {
+      {Agg("sum", "x", "s")},
+      {Agg("sum", "x", "s"), Agg("median", "x", "m")},
+  };
+  const size_t array_caps[] = {CubeOptions{}.array_max_cells, 8};
+
+  for (CubeAlgorithm algorithm :
+       {CubeAlgorithm::kAuto, CubeAlgorithm::kNaive2N,
+        CubeAlgorithm::kUnionGroupBy, CubeAlgorithm::kFromCore,
+        CubeAlgorithm::kArrayCube, CubeAlgorithm::kSortRollup,
+        CubeAlgorithm::kSortFromCore}) {
+    for (const auto& [shape, shape_spec] : shapes) {
+      for (const std::vector<AggregateSpec>& aggregates : aggregate_lists) {
+        CubeSpec spec = shape_spec;
+        spec.aggregates = aggregates;
+        for (int threads : {1, 3}) {
+          for (size_t array_max_cells : array_caps) {
+            CubeOptions options;
+            options.algorithm = algorithm;
+            options.num_threads = threads;
+            options.array_max_cells = array_max_cells;
+            std::string what = shape + " " + CubeAlgorithmName(algorithm);
+            what += " aggregates=" + std::to_string(aggregates.size());
+            what += " threads=" + std::to_string(threads);
+            what += " array_max_cells=" + std::to_string(array_max_cells);
+            ExpectPlanNamesTheRun(t, spec, options, what);
+          }
+        }
+      }
+    }
+  }
+}
+
 // -------------------------------------------------------- Section 4 index
 
 TEST(IndexTest, IndependentDataHasIndexOne) {

@@ -294,18 +294,15 @@ void ExpectOrderedRun(const Table& input, const CubeSpec& spec,
 }
 
 // Runs the contract over every forced algorithm, both ALL renderings, and
-// three engine configurations: serial, 3 threads with 7-row morsels, and
-// an 8 KB materialization budget (ancestor answering).
+// two engine configurations: serial, and 3 threads with 7-row morsels.
 void ExpectOrderContract(const Table& input, CubeSpec spec,
                          const std::string& label) {
   struct Config {
     const char* name;
     int threads;
     size_t morsel_rows;
-    size_t budget;
   };
-  const Config configs[] = {
-      {"serial", 1, 0, 0}, {"x3_m7", 3, 7, 0}, {"budget_8kb", 1, 0, 8192}};
+  const Config configs[] = {{"serial", 1, 0}, {"x3_m7", 3, 7}};
   for (bool minimalist : {false, true}) {
     spec.all_mode =
         minimalist ? AllMode::kNullWithGrouping : AllMode::kAllToken;
@@ -323,7 +320,6 @@ void ExpectOrderContract(const Table& input, CubeSpec spec,
         options.algorithm = alg;
         options.num_threads = config.threads;
         if (config.morsel_rows != 0) options.morsel_rows = config.morsel_rows;
-        options.materialize_budget_bytes = config.budget;
         ExpectOrderedRun(input, spec, options, what + config.name);
       }
     }

@@ -75,52 +75,6 @@ TEST(ViewSelectionTest, ArgumentValidation) {
   EXPECT_FALSE(SelectViewsGreedy(3, {1, 2, 3}, 10, 0).ok());
 }
 
-TEST(ViewSelectionTest, SpaceBudgetVariantRespectsBudget) {
-  std::vector<size_t> cards = {50, 20, 8, 2};
-  size_t base_rows = 100000;
-  Result<ViewSelection> sel =
-      SelectViewsGreedyBySpace(4, cards, base_rows, 5000.0);
-  ASSERT_TRUE(sel.ok());
-  EXPECT_EQ(sel->views.front(), FullSet(4));
-  double used = 0;
-  for (size_t i = 1; i < sel->views.size(); ++i) {
-    used += EstimateViewSize(sel->views[i], cards, base_rows);
-  }
-  EXPECT_LE(used, 5000.0);
-  // Zero budget: only the core.
-  Result<ViewSelection> none =
-      SelectViewsGreedyBySpace(4, cards, base_rows, 0.0);
-  ASSERT_TRUE(none.ok());
-  // Only zero-size views (none exist; the () view has size 1) fit.
-  EXPECT_LE(none->views.size(), 1u);
-  EXPECT_FALSE(SelectViewsGreedyBySpace(4, cards, base_rows, -1.0).ok());
-}
-
-TEST(ViewSelectionTest, BiggerBudgetNeverCostsMore) {
-  std::vector<size_t> cards = {40, 12, 4};
-  double prev = -1;
-  for (double budget : {0.0, 100.0, 1000.0, 10000.0, 1e9}) {
-    Result<ViewSelection> sel =
-        SelectViewsGreedyBySpace(3, cards, 50000, budget);
-    ASSERT_TRUE(sel.ok());
-    if (prev >= 0) {
-      EXPECT_LE(sel->total_query_cost, prev + 1e-6);
-    }
-    prev = sel->total_query_cost;
-  }
-}
-
-TEST(ViewSelectionTest, CheapestAncestorPrefersSmallSupersets) {
-  ViewSelection sel;
-  sel.views = {0b111, 0b011, 0b100};
-  std::vector<size_t> cards = {100, 10, 2};
-  // target {d1} = 0b010: ancestors are 0b111 (size 2000 capped) and 0b011
-  // (size 20); 0b100 is not a superset.
-  EXPECT_EQ(CheapestAncestor(sel, 0b010, cards, 100000), 0b011ULL);
-  // target {d2} = 0b100: exact match wins.
-  EXPECT_EQ(CheapestAncestor(sel, 0b100, cards, 100000), 0b100ULL);
-}
-
 // --------------------------------------------------------- partial cube
 
 TEST(PartialCubeTest, QueriesMatchFullCube) {

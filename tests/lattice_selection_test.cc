@@ -2,16 +2,14 @@
 // greedy (SelectViewsByByteBudget), ancestor answering — super-aggregation
 // from any materialized ancestor must equal a direct group-by for every
 // distributive/algebraic aggregate, including the numeric edge cases
-// (NaN/-0.0 floats, int64 near-overflow, double-double variance) — the
-// budgeted ExecuteCube rewrite, holistic refusal, and the view-list
-// MaterializedCube checkpoint round-trip (including the stale-selection
-// case).
+// (NaN/-0.0 floats, int64 near-overflow, double-double variance) —
+// holistic refusal, and the view-list MaterializedCube checkpoint
+// round-trip (including the stale-selection case).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <random>
 #include <string>
 #include <vector>
@@ -269,33 +267,7 @@ TEST(HolisticRefusalTest, PartialCubeBuildRejectsHolisticAggregates) {
   EXPECT_FALSE(MaterializedCube::BuildWithBudget(t, spec, 1 << 20).ok());
 }
 
-TEST(HolisticRefusalTest, BudgetedExecutionFallsBackToDirectComputation) {
-  Table t = GenerateCubeInput({.num_rows = 500,
-                               .num_dims = 2,
-                               .cardinality = 4,
-                               .seed = 9})
-                .value();
-  CubeSpec spec;
-  spec.cube = {GroupCol("d0"), GroupCol("d1")};
-  spec.aggregates = {Agg("median", "x", "med"), Agg("sum", "x", "s")};
-
-  CubeOptions plain;
-  plain.sort_result = true;
-  Result<CubeResult> expected = ExecuteCube(t, spec, plain);
-  ASSERT_TRUE(expected.ok());
-
-  CubeOptions budgeted = plain;
-  budgeted.materialize_budget_bytes = 64;
-  Result<CubeResult> got = ExecuteCube(t, spec, budgeted);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  // The rewrite never engages for holistic aggregates: no budget recorded,
-  // identical result.
-  EXPECT_EQ(got->stats.lattice_budget_bytes, 0u);
-  EXPECT_EQ(got->stats.lattice_ancestor_folds, 0u);
-  EXPECT_TRUE(got->table.EqualsIgnoringRowOrder(expected->table));
-}
-
-// ---------------------------------------------------- budgeted execution
+// ------------------------------------------------- checkpoint round-trip
 
 CubeSpec MergeableBenchSpec() {
   CubeSpec spec;
@@ -304,124 +276,6 @@ CubeSpec MergeableBenchSpec() {
                      Agg("avg", "y", "ay")};
   return spec;
 }
-
-TEST(BudgetedExecutionTest, TinyBudgetKeepsOnlyTheCoreAndStillAgrees) {
-  Table t = GenerateCubeInput({.num_rows = 2000,
-                               .num_dims = 3,
-                               .cardinality = 6,
-                               .skew = 0.3,
-                               .seed = 31})
-                .value();
-  CubeSpec spec = MergeableBenchSpec();
-  CubeOptions plain;
-  plain.sort_result = true;
-  Result<CubeResult> expected = ExecuteCube(t, spec, plain);
-  ASSERT_TRUE(expected.ok());
-
-  CubeOptions budgeted = plain;
-  budgeted.materialize_budget_bytes = 64;  // far below the core's footprint
-  Result<CubeResult> got = ExecuteCube(t, spec, budgeted);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  DiffReport diff = DiffResultTables(expected->table, got->table, spec);
-  EXPECT_TRUE(diff.ok()) << diff.ToString();
-  EXPECT_EQ(got->stats.lattice_budget_bytes, 64u);
-  EXPECT_EQ(got->stats.lattice_views_materialized, 1u);
-  // 8 requested sets, 1 materialized (the core), 7 answered by folding.
-  EXPECT_EQ(got->stats.lattice_ancestor_folds, 7u);
-  EXPECT_EQ(got->stats.lattice_base_fallbacks, 0u);
-  EXPECT_GT(got->stats.lattice_fold_cells, 0u);
-  EXPECT_GT(got->stats.lattice_bytes_materialized, 0u);
-}
-
-TEST(BudgetedExecutionTest, BudgetSweepAgreesAndStaysWithinBudget) {
-  Table t = GenerateCubeInput({.num_rows = 2000,
-                               .num_dims = 3,
-                               .cardinality = 6,
-                               .seed = 32})
-                .value();
-  CubeSpec spec = MergeableBenchSpec();
-  CubeOptions plain;
-  plain.sort_result = true;
-  Result<CubeResult> expected = ExecuteCube(t, spec, plain);
-  ASSERT_TRUE(expected.ok());
-
-  // Core-only run: its resident bytes are the floor no budget can beat.
-  CubeOptions core_only = plain;
-  core_only.materialize_budget_bytes = 1;
-  Result<CubeResult> core = ExecuteCube(t, spec, core_only);
-  ASSERT_TRUE(core.ok());
-  const uint64_t core_bytes = core->stats.lattice_bytes_materialized;
-  ASSERT_GT(core_bytes, 0u);
-
-  for (size_t budget : {size_t{4096}, size_t{65536}, size_t{1} << 24}) {
-    CubeOptions budgeted = plain;
-    budgeted.materialize_budget_bytes = budget;
-    Result<CubeResult> got = ExecuteCube(t, spec, budgeted);
-    ASSERT_TRUE(got.ok()) << "budget " << budget;
-    DiffReport diff = DiffResultTables(expected->table, got->table, spec);
-    EXPECT_TRUE(diff.ok()) << "budget " << budget << "\n" << diff.ToString();
-    EXPECT_EQ(got->stats.lattice_budget_bytes, budget);
-    EXPECT_GE(got->stats.lattice_views_materialized, 1u);
-    EXPECT_LE(got->stats.lattice_views_materialized, 8u);
-    // Resident bytes never exceed the budget, except through the mandatory
-    // core when the budget is below even that.
-    EXPECT_LE(got->stats.lattice_bytes_materialized,
-              std::max<uint64_t>(budget, core_bytes))
-        << "budget " << budget;
-    // Every set not materialized was answered by a fold (core always
-    // covers every subset: no base fallbacks on this mergeable spec).
-    EXPECT_EQ(got->stats.lattice_ancestor_folds,
-              8u - got->stats.lattice_views_materialized);
-    EXPECT_EQ(got->stats.lattice_base_fallbacks, 0u);
-  }
-
-  // A generous budget materializes the whole lattice: no folds at all.
-  CubeOptions generous = plain;
-  generous.materialize_budget_bytes = size_t{1} << 30;
-  Result<CubeResult> all = ExecuteCube(t, spec, generous);
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->stats.lattice_views_materialized, 8u);
-  EXPECT_EQ(all->stats.lattice_ancestor_folds, 0u);
-}
-
-TEST(BudgetedExecutionTest, EnvironmentBudgetAppliesAndOptionWins) {
-  Table t = GenerateCubeInput({.num_rows = 800,
-                               .num_dims = 2,
-                               .cardinality = 5,
-                               .seed = 33})
-                .value();
-  CubeSpec spec;
-  spec.cube = {GroupCol("d0"), GroupCol("d1")};
-  spec.aggregates = {CountStar("n"), Agg("sum", "x", "sx")};
-  CubeOptions plain;
-  plain.sort_result = true;
-  Result<CubeResult> expected = ExecuteCube(t, spec, plain);
-  ASSERT_TRUE(expected.ok());
-
-  ASSERT_EQ(setenv("DATACUBE_MATERIALIZE_BUDGET", "64", 1), 0);
-  Result<CubeResult> via_env = ExecuteCube(t, spec, plain);
-  ASSERT_TRUE(via_env.ok());
-  EXPECT_EQ(via_env->stats.lattice_budget_bytes, 64u);
-  EXPECT_EQ(via_env->stats.lattice_views_materialized, 1u);
-  EXPECT_TRUE(
-      DiffResultTables(expected->table, via_env->table, spec).ok());
-
-  // The explicit option overrides the environment.
-  CubeOptions explicit_budget = plain;
-  explicit_budget.materialize_budget_bytes = size_t{1} << 24;
-  Result<CubeResult> via_option = ExecuteCube(t, spec, explicit_budget);
-  ASSERT_TRUE(via_option.ok());
-  EXPECT_EQ(via_option->stats.lattice_budget_bytes, size_t{1} << 24);
-
-  // A malformed value is ignored, not an error.
-  ASSERT_EQ(setenv("DATACUBE_MATERIALIZE_BUDGET", "lots", 1), 0);
-  Result<CubeResult> malformed = ExecuteCube(t, spec, plain);
-  ASSERT_TRUE(malformed.ok());
-  EXPECT_EQ(malformed->stats.lattice_budget_bytes, 0u);
-  unsetenv("DATACUBE_MATERIALIZE_BUDGET");
-}
-
-// ------------------------------------------------- checkpoint round-trip
 
 TEST(PartialCubeCheckpointTest, SaveLoadRoundTripServesIdenticalAnswers) {
   Table t = GenerateCubeInput({.num_rows = 1500,
@@ -583,43 +437,6 @@ TEST(PartialCubeCheckpointTest, BudgetedBuildAnswersAllSetsWithinBudget) {
     DiffReport diff = DiffResultTables(expected->table, *got, spec);
     EXPECT_TRUE(diff.ok()) << "target " << target << "\n" << diff.ToString();
   }
-}
-
-// --------------------------------------------- oracle config coverage
-
-TEST(OracleBudgetConfigTest, SweepIncludesBudgetedShapes) {
-  std::vector<testing::OracleConfig> configs = testing::AllOracleConfigs();
-  size_t budgeted = 0;
-  bool has_core_only = false, has_parallel_budget = false;
-  for (const testing::OracleConfig& c : configs) {
-    if (c.materialize_budget_bytes == 0) continue;
-    ++budgeted;
-    has_core_only |= c.materialize_budget_bytes <= 1024;
-    has_parallel_budget |= c.num_threads > 1;
-  }
-  EXPECT_GE(budgeted, 3u);
-  EXPECT_TRUE(has_core_only) << "need a budget tiny enough to force "
-                                "core-only selection (every set folds)";
-  EXPECT_TRUE(has_parallel_budget)
-      << "need ancestor answering composed with the parallel path";
-}
-
-TEST(OracleBudgetConfigTest, FixedSeedBudgetDifferentialAgrees) {
-  RandomTableProfile profile = AdversarialProfiles()[0];
-  Table input = MakeRandomTable(17, profile);
-  CubeSpec spec =
-      testing::MakeRandomSpec(17, profile, /*include_holistic=*/false);
-  // Direct computation and the three budgeted shapes, each diffed against
-  // the reference.
-  std::vector<testing::OracleConfig> configs = {
-      {"direct", CubeAlgorithm::kAuto, 1},
-  };
-  for (const testing::OracleConfig& c : testing::AllOracleConfigs()) {
-    if (c.materialize_budget_bytes != 0) configs.push_back(c);
-  }
-  ASSERT_GE(configs.size(), 4u);
-  DiffReport report = testing::RunDifferential(input, spec, configs);
-  EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 }  // namespace

@@ -658,7 +658,7 @@ TEST(QueryProfileTest, ToJsonLineCarriesStructureAndEscapes) {
   p.output_cells = 64;
   p.arena_peak_bytes = 4096;
   p.counters = {{"iter_calls", 1000}, {"merge_tasks", 16}};
-  p.lattice = "budget=1024 views=3";
+  p.lattice = "cube=sales sets=3 fold_cells=1024";
   p.slow = true;
   std::string line = p.ToJsonLine();
   EXPECT_NE(line.find("\"query\":\"SELECT \\\"x\\\"\\nFROM t \\ufffd\""),
@@ -669,7 +669,7 @@ TEST(QueryProfileTest, ToJsonLineCarriesStructureAndEscapes) {
   EXPECT_NE(line.find("\"threads\":4"), std::string::npos);
   EXPECT_NE(line.find("\"counters\":{\"iter_calls\":1000,\"merge_tasks\":16}"),
             std::string::npos);
-  EXPECT_NE(line.find("\"lattice\":\"budget=1024 views=3\""),
+  EXPECT_NE(line.find("\"lattice\":\"cube=sales sets=3 fold_cells=1024\""),
             std::string::npos);
   EXPECT_NE(line.find("\"slow\":true"), std::string::npos);
   // Serial profile omits the phases object.

@@ -628,78 +628,6 @@ TEST(ExplainTest, AnalyzeExecutesAndRendersTraceAndCellCounts) {
       << text;
 }
 
-TEST(ExplainTest, RendersMaterializationBudgetAndFoldProvenance) {
-  Catalog catalog = TestCatalog();
-  EngineOptions options;
-  // A budget far below the core's footprint: only the core is kept, and
-  // every other grouping set is planned as a fold from it.
-  options.cube.materialize_budget_bytes = 64;
-  Table t = MustRun(
-      "EXPLAIN SELECT Model, Year, SUM(Units) FROM Sales "
-      "GROUP BY CUBE Model, Year",
-      catalog, options);
-  std::string text = PlanText(t);
-  EXPECT_NE(text.find("materialization budget: 64 bytes"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("1/4 views kept"), std::string::npos) << text;
-  EXPECT_NE(text.find("est cell ="), std::string::npos) << text;
-  EXPECT_NE(text.find("{Model, Year}  est_cells="), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("materialized"), std::string::npos) << text;
-  EXPECT_NE(text.find("<- fold from {Model, Year}"), std::string::npos)
-      << text;
-  // Plain EXPLAIN still does not execute.
-  EXPECT_EQ(text.find("actual="), std::string::npos) << text;
-}
-
-TEST(ExplainTest, AnalyzeRendersRewriteProvenanceAndLatticeCounters) {
-  Catalog catalog = TestCatalog();
-  EngineOptions options;
-  options.cube.materialize_budget_bytes = 64;
-  Table t = MustRun(
-      "EXPLAIN ANALYZE SELECT Model, Year, SUM(Units) FROM Sales "
-      "GROUP BY CUBE Model, Year",
-      catalog, options);
-  std::string text = PlanText(t);
-  // Runtime provenance: which ancestor actually answered each set.
-  EXPECT_NE(text.find("materialized"), std::string::npos) << text;
-  EXPECT_NE(text.find("<- fold from {Model, Year}"), std::string::npos)
-      << text;
-  // And the lattice summary: budget used, views kept, resident bytes.
-  EXPECT_NE(text.find("lattice: budget_bytes=64"), std::string::npos) << text;
-  EXPECT_NE(text.find("views=1"), std::string::npos) << text;
-  EXPECT_NE(text.find("ancestor_folds=3"), std::string::npos) << text;
-  EXPECT_NE(text.find("base_fallbacks=0"), std::string::npos) << text;
-  EXPECT_NE(text.find("bytes_materialized="), std::string::npos) << text;
-  // Estimates vs actuals still render alongside the provenance.
-  EXPECT_NE(text.find("actual="), std::string::npos) << text;
-  EXPECT_NE(text.find("estimated="), std::string::npos) << text;
-}
-
-TEST(ExplainTest, BudgetIgnoredForHolisticAggregates) {
-  Catalog catalog = TestCatalog();
-  EngineOptions options;
-  options.cube.materialize_budget_bytes = 1 << 20;
-  // MEDIAN is holistic: the rewrite must refuse, and the plan must say so.
-  Table t = MustRun(
-      "EXPLAIN SELECT Model, MEDIAN(Units) FROM Sales GROUP BY CUBE Model",
-      catalog, options);
-  std::string text = PlanText(t);
-  EXPECT_NE(text.find("materialization budget: 1048576 bytes (ignored"),
-            std::string::npos)
-      << text;
-  EXPECT_EQ(text.find("views kept"), std::string::npos) << text;
-
-  // EXPLAIN ANALYZE: no lattice section when the rewrite never engaged.
-  Table analyzed = MustRun(
-      "EXPLAIN ANALYZE SELECT Model, MEDIAN(Units) FROM Sales "
-      "GROUP BY CUBE Model",
-      catalog, options);
-  std::string analyzed_text = PlanText(analyzed);
-  EXPECT_EQ(analyzed_text.find("lattice:"), std::string::npos)
-      << analyzed_text;
-}
-
 TEST(ExplainTest, AnalyzeParallelQueryShowsStitchedTaskSpans) {
   Catalog catalog;
   Table big = GenerateSales({.num_rows = 20000}).value();
